@@ -65,6 +65,7 @@ REQUIRED_FAMILIES = [
     "vulnds_store_spills_total",
     "vulnds_store_page_ins_total",
     "vulnds_store_page_in_micros",
+    "vulnds_store_spill_micros",
     "vulnds_store_rejected_oversize_total",
     "vulnds_store_io_errors_total",
     "vulnds_store_spill_orphans_reclaimed_total",

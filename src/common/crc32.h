@@ -1,6 +1,13 @@
 // Reflected CRC-32 (polynomial 0xEDB88320, as used by zip/png): the
 // checksum shared by the delta journal's record frames and the spill files'
 // corruption check.
+//
+// Computed slice-by-8: eight compile-time lookup tables fold eight input
+// bytes per step (the last len % 8 bytes go byte at a time). Polynomial,
+// initial value and final xor are the standard ones, so every checksum is
+// bit-identical to the textbook bit-at-a-time definition and the on-disk
+// journal and spill formats are unchanged. This is CRC-32, not the CRC-32C
+// that the SSE4.2 crc32 instruction computes.
 
 #ifndef VULNDS_COMMON_CRC32_H_
 #define VULNDS_COMMON_CRC32_H_

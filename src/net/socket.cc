@@ -173,10 +173,22 @@ Result<Socket> DialUnix(const std::string& path) {
 
 Result<Socket> Accept(const Socket& listener) {
   for (;;) {
-    const int fd = ::accept(listener.fd(), nullptr, nullptr);
+    struct sockaddr_storage peer{};
+    socklen_t peer_len = sizeof(peer);
+    const int fd = ::accept(listener.fd(),
+                            reinterpret_cast<struct sockaddr*>(&peer),
+                            &peer_len);
     if (fd >= 0) {
       Socket sock(fd);
       if (const Status st = SetNonBlocking(fd); !st.ok()) return st;
+      // Responses go out as soon as they are written: with Nagle on, the
+      // second of two back-to-back responses to a pipelining client waits
+      // for the client's delayed ACK (~40 ms). Unix-domain sockets have no
+      // Nagle (the option fails there).
+      if (peer.ss_family == AF_INET) {
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      }
       return sock;
     }
     if (errno == EINTR) continue;

@@ -68,7 +68,8 @@ Result<Socket> DialTcp(const std::string& host, int port);
 Result<Socket> DialUnix(const std::string& path);
 
 /// Accepts one pending connection from a listener; the returned socket is
-/// already non-blocking. Call only after poll reported the listener
+/// already non-blocking, and TCP ones have TCP_NODELAY set so responses are
+/// never held back by Nagle. Call only after poll reported the listener
 /// readable; a racing client that vanished returns kClosed-like NotFound.
 Result<Socket> Accept(const Socket& listener);
 

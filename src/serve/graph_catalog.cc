@@ -62,9 +62,10 @@ std::string SanitizeForFilename(const std::string& name) {
 // IO attempts per spill/page-in seam before the failure is surfaced.
 constexpr int kSpillIoAttempts = 3;
 
-// Writes `data` to `path` crash-safely (sibling temp + fsync + rename),
-// with `failpoint` injected at the data write. A reader only ever sees the
-// complete old file or the complete new one.
+// Writes `data` to `path` through a sibling temp + rename, with `failpoint`
+// injected at the data write. A reader only ever sees the complete old file
+// or the complete new one. There is no fsync: the only callers write
+// process-private spill scratch, which a crash leaves to the startup GC.
 Status WriteFileAtomic(const std::string& data, const std::string& path,
                        const char* failpoint) {
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
@@ -102,10 +103,12 @@ Status WriteFileAtomic(const std::string& data, const std::string& path,
     }
     done += static_cast<std::size_t>(n);
   }
-  if (::fsync(fd) != 0) {
-    return fail_with("fsync of " + tmp + " failed: " + std::strerror(errno));
+  // Without an fsync, close is the last call that can report a write error.
+  if (::close(fd) != 0) {
+    ::unlink(tmp.c_str());
+    return Status::IOError("close of " + tmp + " failed: " +
+                           std::strerror(errno));
   }
-  ::close(fd);
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     ::unlink(tmp.c_str());
     return Status::IOError("cannot rename " + tmp + " to " + path + ": " +
@@ -114,23 +117,31 @@ Status WriteFileAtomic(const std::string& data, const std::string& path,
   return Status::OK();
 }
 
-// Reads all of `path` into `out`; false on any IO error.
+// Reads `path` into `out`, which is sized once from fstat and filled in
+// place (a file that shrank mid-read comes back short, and the caller's CRC
+// check rejects it); false on any IO error.
 bool ReadFileAll(const std::string& path, std::string* out) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return false;
-  out->clear();
-  char buf[1 << 16];
-  while (true) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return false;
+  }
+  out->resize(static_cast<std::size_t>(st.st_size));
+  std::size_t done = 0;
+  while (done < out->size()) {
+    const ssize_t n = ::read(fd, out->data() + done, out->size() - done);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
       return false;
     }
     if (n == 0) break;
-    out->append(buf, static_cast<std::size_t>(n));
+    done += static_cast<std::size_t>(n);
   }
   ::close(fd);
+  out->resize(done);
   return true;
 }
 
@@ -219,6 +230,7 @@ void GraphCatalog::BindObservability(obs::MetricRegistry* registry,
   registry_.store(registry, std::memory_order_release);
   if (registry == nullptr) {
     page_in_micros_.store(nullptr, std::memory_order_release);
+    spill_micros_.store(nullptr, std::memory_order_release);
     return;
   }
   RegisterIoErrorSeries(registry);
@@ -226,6 +238,13 @@ void GraphCatalog::BindObservability(obs::MetricRegistry* registry,
       registry->GetHistogram("vulnds_store_page_in_micros",
                              "Latency of paging a spilled snapshot back from "
                              "the spill directory, in microseconds.",
+                             obs::LatencyBucketsMicros()),
+      std::memory_order_release);
+  spill_micros_.store(
+      registry->GetHistogram("vulnds_store_spill_micros",
+                             "Latency of spilling one snapshot to the spill "
+                             "directory (serialize, CRC, write), in "
+                             "microseconds.",
                              obs::LatencyBucketsMicros()),
       std::memory_order_release);
 }
@@ -568,13 +587,13 @@ std::size_t GraphCatalog::ShedSnapshots(std::size_t want) {
     // Serialize and write the spill file OUTSIDE every catalog lock (we run
     // under the governor's shed mutex only). The CRC over the serialized
     // bytes travels in the spill record so page-in can prove the file came
-    // back intact before deserializing it; the atomic temp+fsync+rename
-    // write means a crash mid-spill never leaves a truncated snapshot under
-    // the final name.
+    // back intact before deserializing it; the temp+rename write means no
+    // reader ever sees a truncated snapshot under the final name.
+    const int64_t start = NowMicros();
     const std::string path = SpillPathFor(*victim);
     std::ostringstream serialized;
     if (!WriteGraphBinary(victim->graph, serialized).ok()) return freed;
-    const std::string payload = serialized.str();
+    const std::string payload = std::move(serialized).str();
     const uint32_t crc = Crc32(payload.data(), payload.size());
     auto* reg = registry_.load(std::memory_order_acquire);
     Status written = Status::OK();
@@ -626,6 +645,10 @@ std::size_t GraphCatalog::ShedSnapshots(std::size_t want) {
       // still coldest AND unpinned — a pinned victim repeats forever, so
       // stop this round instead; the governor retries on later charges.
       return freed;
+    }
+    // Observed only for completed spills, so its count tracks `spills`.
+    if (auto* histogram = spill_micros_.load(std::memory_order_acquire)) {
+      histogram->Observe(static_cast<double>(NowMicros() - start));
     }
   }
   return freed;
@@ -699,7 +722,7 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::GetOrLoad(
       page = Status::IOError("spill file " + record.path +
                              " failed its CRC check (corrupted on disk)");
     } else {
-      std::istringstream in(blob);
+      std::istringstream in(std::move(blob));  // adopts the buffer, no copy
       graph = ReadGraphBinary(in);
       if (!graph.ok()) page = graph.status();
     }
@@ -744,7 +767,7 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::GetOrLoad(
     bool bit_identical = false;
     std::ostringstream reserialized;
     if (WriteGraphBinary(entry->graph, reserialized).ok()) {
-      const std::string bytes = reserialized.str();
+      const std::string bytes = std::move(reserialized).str();
       bit_identical = Crc32(bytes.data(), bytes.size()) == record.crc;
     }
     std::shared_ptr<CatalogEntry> held = entry;

@@ -45,8 +45,13 @@
 // spill lock) names the live ones, and construction reclaims any *.vg2
 // debris in the spill directory that no live process' manifest references —
 // before this GC, files orphaned by kill -9 persisted until path reuse.
-// IO failures at the spill seams are retried (3 attempts, no sleeps) and
-// counted in vulnds_store_io_errors_total{site,outcome}.
+// Spill files and the manifest are written to a sibling temp file and
+// rename()d into place, so a reader or GC scan never sees a torn file, but
+// they are NOT fsynced: they are scratch that dies with the process (the
+// startup GC reclaims whatever a crash leaves), and durable state comes
+// from the entries' sources and the journal, never from the spill
+// directory. IO failures at the spill seams are retried (3 attempts, no
+// sleeps) and counted in vulnds_store_io_errors_total{site,outcome}.
 //
 // Entries are reference-counted: Evict (or a spill) removes a graph from
 // the catalog, but queries already holding the entry finish safely on the
@@ -229,9 +234,10 @@ class GraphCatalog {
     governor_.store(nullptr, std::memory_order_release);
   }
 
-  /// Resolves the page-in latency histogram (vulnds_store_page_in_micros)
-  /// in `registry` and adopts `clock` for timing it; pass nullptr/null to
-  /// unbind. Call before concurrent traffic.
+  /// Resolves the page-in and spill latency histograms
+  /// (vulnds_store_page_in_micros, vulnds_store_spill_micros) in `registry`
+  /// and adopts `clock` for timing them; pass nullptr/null to unbind. Call
+  /// before concurrent traffic.
   void BindObservability(obs::MetricRegistry* registry, obs::ClockMicros clock);
 
   /// Reads `path` (text or binary snapshot) and registers it as `name`,
@@ -409,6 +415,7 @@ class GraphCatalog {
   // a binding racing early traffic is benign).
   std::atomic<store::MemoryGovernor*> governor_{nullptr};
   std::atomic<obs::Histogram*> page_in_micros_{nullptr};
+  std::atomic<obs::Histogram*> spill_micros_{nullptr};
   std::atomic<obs::MetricRegistry*> registry_{nullptr};
   obs::ClockMicros obs_clock_;  // written only by BindObservability
 };

@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "graph/graph_io.h"
+#include "obs/metrics.h"
 #include "serve/graph_catalog.h"
 #include "serve/query_engine.h"
 #include "store/memory_governor.h"
@@ -246,6 +247,55 @@ TEST(StoreSpillTest, ChargedBytesStayUnderBudgetAcrossRandomTraffic) {
   // Every name is still reachable (resident or spilled) — shedding parks
   // graphs, it never loses them.
   for (const std::string& name : names) EXPECT_TRUE(catalog.Contains(name));
+}
+
+// The store latency histograms observe each completed spill and page-in
+// exactly once, so a scrape can attribute both halves of the cycle.
+TEST(StoreSpillTest, SpillAndPageInHistogramsCountEveryCycle) {
+  std::vector<std::string> names;
+  std::vector<std::string> paths;
+  std::size_t max_bytes = 0;
+  for (int i = 0; i < 3; ++i) {
+    const UncertainGraph g = testing::RandomSmallGraph(50, 0.2, 300 + i);
+    max_bytes = std::max(max_bytes, EstimateGraphBytes(g));
+    names.push_back("h" + std::to_string(i));
+    paths.push_back(
+        WriteTempGraph(g, "spill_hist_" + std::to_string(i) + ".snap"));
+  }
+  // One graph fits at a time: every touch of a spilled name spills another.
+  store::MemoryGovernorOptions governor_options;
+  governor_options.budget_bytes = max_bytes + 512;
+  store::MemoryGovernor governor(governor_options);
+  GraphCatalogOptions options;
+  options.spill_dir = ::testing::TempDir() + "/spill_dir_hist";
+  options.governor = &governor;
+  GraphCatalog catalog(options);
+  obs::MetricRegistry registry;
+  catalog.BindObservability(&registry, nullptr);
+
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    ASSERT_TRUE(catalog.Load(names[i], paths[i]).ok());
+  }
+  for (int step = 0; step < 9; ++step) {
+    Result<std::shared_ptr<CatalogEntry>> entry =
+        catalog.GetOrLoad(names[step % names.size()]);
+    ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+    ASSERT_NE(*entry, nullptr);
+  }
+
+  const CatalogStats stats = catalog.stats();
+  ASSERT_GT(stats.spills, 0u);
+  ASSERT_GT(stats.page_ins, 0u);
+  const auto* spill = registry.GetHistogram("vulnds_store_spill_micros", "",
+                                            obs::LatencyBucketsMicros());
+  const auto* page_in = registry.GetHistogram("vulnds_store_page_in_micros",
+                                              "", obs::LatencyBucketsMicros());
+  EXPECT_EQ(spill->Count(), stats.spills);
+  EXPECT_EQ(page_in->Count(), stats.page_ins);
+  EXPECT_NE(registry.RenderPrometheus().find(
+                "vulnds_store_spill_micros_count " +
+                std::to_string(stats.spills) + "\n"),
+            std::string::npos);
 }
 
 // Races spill/page-back against concurrent readers; run under TSan this
