@@ -3,27 +3,20 @@
 // QueryEngine fronted by ServeServer sessions.
 //
 // Sessions are prewarmed so every timed request is a result-cache hit: the
-// scaling measured here is the serve stack's (sharded catalog, per-request
-// formatting, engine cache lock), not the detectors'. Every response is
+// scaling measured here is the serve stack's (catalog lookup, per-request
+// formatting, result-cache lock), not the detectors'. Every response is
 // checked bit-identical to its single-session counterpart modulo the
 // wall-clock time= token — the only nondeterministic byte in the protocol.
 //
-// A second phase runs a cached storm — 8 sessions, every request a result
-// cache hit on its own key — against two otherwise identical engines: one
-// with a single-shard (single-mutex) result cache, one with the sharded
-// default. The only difference between the runs is result-cache lock
-// contention, which is exactly what cache sharding exists to cut.
-//
-// With --socket a third phase drives 8 concurrent TCP connections through
+// With --socket a second phase drives 8 concurrent TCP connections through
 // the src/net front end against a zero-clock engine: the time= token is
 // pinned to 0, so every socket response is checked byte-exact against the
 // stdin front's cached block — modulo NOTHING — while round-trip qps and
 // p50/p99 are timed from the client side of a real socket.
 //
-// Gates (>=4-core hosts): 8 sessions must aggregate >=3x the
-// single-session throughput, and the sharded-cache storm must reach at
-// least the single-mutex storm's throughput. On narrower hosts the
-// throughput gates are reported but not enforced (VULNDS_BENCH_GATE=0
+// Gate (>=4-core hosts): 8 sessions must aggregate >=3x the
+// single-session throughput. On narrower hosts the throughput gate is
+// reported but not enforced (VULNDS_BENCH_GATE=0
 // demotes them everywhere); bit-identity is always enforced.
 
 #include <algorithm>
@@ -51,8 +44,6 @@ using namespace vulnds;
 
 constexpr std::size_t kGraphs = 8;
 constexpr int kRepeats = 1500;       // timed cached queries per session
-constexpr std::size_t kStormSessions = 8;
-constexpr int kStormRepeats = 1500;  // cached queries per storm session
 constexpr std::size_t kSocketClients = 8;
 constexpr int kSocketRepeats = 400;  // round trips per TCP client
 
@@ -78,51 +69,6 @@ struct SessionRun {
 bool QuantilesAgree(double hist_us, double external_us) {
   return hist_us <= 3.0 * external_us + 10.0 &&
          external_us <= 3.0 * hist_us + 10.0;
-}
-
-// Drives kStormSessions concurrent sessions of kStormRepeats cached
-// queries each over `engine` (session s hammers graph s % kGraphs), checks
-// every response against its expected cached block, and returns aggregate
-// qps. Sets *ok to false when any transcript diverges.
-double RunCachedStorm(vulnds::serve::QueryEngine& engine,
-                      const std::vector<std::string>& queries,
-                      const std::vector<std::string>& expected_blocks,
-                      bool* ok) {
-  vulnds::serve::ServeServer server(&engine);
-  // Prewarm: one cold detect per graph fills this engine's result cache.
-  {
-    vulnds::serve::ServeSession session = server.NewSession();
-    for (const std::string& query : queries) {
-      std::ostringstream warm;
-      session.HandleLine(query, warm);
-    }
-  }
-  std::vector<std::string> outputs(kStormSessions);
-  std::vector<std::thread> threads;
-  vulnds::WallTimer wall;
-  for (std::size_t s = 0; s < kStormSessions; ++s) {
-    threads.emplace_back([&, s] {
-      vulnds::serve::ServeSession session = server.NewSession();
-      std::ostringstream out;
-      const std::string& query = queries[s % kGraphs];
-      for (int r = 0; r < kStormRepeats; ++r) session.HandleLine(query, out);
-      outputs[s] = out.str();
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const double elapsed = wall.Seconds();
-  for (std::size_t s = 0; s < kStormSessions; ++s) {
-    std::string expected;
-    for (int r = 0; r < kStormRepeats; ++r) {
-      expected += expected_blocks[s % kGraphs];
-    }
-    if (StripTimes(outputs[s]) != expected) {
-      *ok = false;
-      std::fprintf(stderr, "FAIL: storm session %zu diverged from its "
-                           "single-session transcript\n", s);
-    }
-  }
-  return static_cast<double>(kStormSessions * kStormRepeats) / elapsed;
 }
 
 // Reads exactly `want` more bytes into *out (deadline-bounded).
@@ -262,8 +208,8 @@ int main(int argc, char** argv) {
   serve::QueryEngine engine(&catalog);
   serve::ServeServer server(&engine);
 
-  // One modest graph per session slot; distinct seeds so shards and cache
-  // lines are genuinely distinct.
+  // One modest graph per session slot; distinct seeds so catalog entries
+  // and cache lines are genuinely distinct.
   const DatasetSpec spec = GetDatasetSpec(DatasetId::kCitation);
   const double scale =
       std::min(1.0, 800.0 / static_cast<double>(spec.num_nodes));
@@ -392,25 +338,6 @@ int main(int argc, char** argv) {
               hist_p50_us, ext_p50_us, hist_p99_us, ext_p99_us,
               hist_agrees ? "agree" : "DIVERGED");
 
-  // Cached storm: identical traffic against a single-mutex result cache
-  // (cache_shards=1, the pre-sharding engine) and the sharded default. The
-  // catalog and graphs are shared; only result-cache lock contention
-  // differs.
-  bool storm_identical = true;
-  serve::QueryEngineOptions mutex_options;
-  mutex_options.result_cache_shards = 1;
-  serve::QueryEngine mutex_engine(&catalog, mutex_options);
-  const double storm_mutex_qps =
-      RunCachedStorm(mutex_engine, queries, expected_blocks, &storm_identical);
-  serve::QueryEngine sharded_engine(&catalog);
-  const double storm_sharded_qps = RunCachedStorm(
-      sharded_engine, queries, expected_blocks, &storm_identical);
-  const double storm_ratio =
-      storm_mutex_qps > 0 ? storm_sharded_qps / storm_mutex_qps : 0.0;
-  std::printf("cached storm at %zu sessions: single-mutex %.0f qps, "
-              "sharded %.0f qps (%.2fx)\n",
-              kStormSessions, storm_mutex_qps, storm_sharded_qps, storm_ratio);
-
   // --socket: the same cached traffic through a real TCP front end,
   // byte-exact against the stdin front (zero clock, no stripping).
   bool socket_identical = true;
@@ -420,16 +347,13 @@ int main(int argc, char** argv) {
 
   json.Add("hardware_threads", hw);
   json.Add("scaling_x", scaling);
-  json.Add("bit_identical", all_identical && storm_identical);
-  json.Add("storm_qps_mutex_s8", storm_mutex_qps);
-  json.Add("storm_qps_sharded_s8", storm_sharded_qps);
-  json.Add("storm_sharded_vs_mutex_ratio", storm_ratio);
+  json.Add("bit_identical", all_identical);
   json.Add("hist_p50_us", hist_p50_us);
   json.Add("hist_p99_us", hist_p99_us);
   json.Add("hist_matches_external", hist_agrees);
   if (!json.Write()) return 1;
 
-  if (!all_identical || !storm_identical) {
+  if (!all_identical) {
     std::printf("\nFAIL: concurrent responses diverged from single-session "
                 "transcripts\n");
     return 1;
@@ -441,7 +365,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   // Histogram/external agreement is machine-independent (both sides measure
-  // the same run), so it is enforced even where the throughput gates are
+  // the same run), so it is enforced even where the throughput gate is
   // not.
   if (!hist_agrees) {
     std::printf("\nFAIL: in-process histogram percentiles diverged from the "
@@ -449,7 +373,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (hw < 4 || bench::GateDisabled()) {
-    std::printf("\nthroughput gates skipped (%s); bit-identity OK\n",
+    std::printf("\nthroughput gate skipped (%s); bit-identity OK\n",
                 hw < 4 ? "<4 hardware threads" : "VULNDS_BENCH_GATE=0");
     return 0;
   }
@@ -459,19 +383,6 @@ int main(int argc, char** argv) {
                 scaling, hw);
     return 1;
   }
-  // The sharded cache must at least match the single-mutex cache. The two
-  // storms are separately timed wall-clock runs, so the floor carries
-  // scheduler-noise headroom (a genuine regression — sharding adding
-  // contention — lands far below it; on multi-core hosts the win shows up
-  // as ratios well above 1).
-  constexpr double kStormFloor = 0.90;
-  if (storm_ratio < kStormFloor) {
-    std::printf("\nFAIL: sharded result cache slower than the single-mutex "
-                "cache under a cached storm (%.2fx < %.2fx floor)\n",
-                storm_ratio, kStormFloor);
-    return 1;
-  }
-  std::printf("\nscaling %.2fx >= 3x and sharded storm %.2fx >= %.2fx: OK\n",
-              scaling, storm_ratio, kStormFloor);
+  std::printf("\nscaling %.2fx >= 3x: OK\n", scaling);
   return 0;
 }

@@ -18,8 +18,8 @@ would see:
   * histogram buckets are cumulative (monotone in le order, le="+Inf"
     present) and agree with the family's _count;
   * the families the serve stack promises are all present: engine requests
-    and per-stage latency histograms, result-cache and catalog families
-    (aggregate + per-shard), the server session counters, and the socket
+    and per-stage latency histograms, result-cache and catalog families,
+    the server session counters, and the socket
     front end's vulnds_net_* connection/timeout families.
 
 Exit status: 0 clean, 1 lint failure, 2 environment error (CLI missing).
@@ -36,7 +36,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from serve_client import ServeClient  # noqa: E402
 
 # Families the instrumented serve stack must always export (the acceptance
-# surface: engine, server, catalog shards, cache shards, stage latencies).
+# surface: engine, server, catalog, result caches, stage latencies).
 REQUIRED_FAMILIES = [
     "vulnds_engine_requests_total",
     "vulnds_engine_request_micros",
@@ -50,13 +50,9 @@ REQUIRED_FAMILIES = [
     "vulnds_cache_hits_total",
     "vulnds_cache_misses_total",
     "vulnds_cache_entries",
-    "vulnds_cache_shard_entries",
-    "vulnds_cache_shard_hits_total",
     "vulnds_catalog_hits_total",
     "vulnds_catalog_resident_graphs",
     "vulnds_catalog_resident_bytes",
-    "vulnds_catalog_shard_entries",
-    "vulnds_catalog_shard_hits_total",
     "vulnds_store_budget_bytes",
     "vulnds_store_resident_bytes",
     "vulnds_store_charged_bytes",

@@ -17,7 +17,10 @@ Exercises the production serving path the way an operator would:
      "err busy" followed by a clean close;
   5. drains with the `shutdown` verb and asserts the server exits 0 and
      unlinks its socket file;
-  6. repeats the drain via SIGTERM with a second server instance.
+  6. repeats the drain via SIGTERM with a second server instance;
+  7. starts a server whose mem_bytes= budget holds one graph, with a
+     spill_dir=, loads two graphs, and requires `stats` and `save` of the
+     spilled one to page it back in and answer ok.
 
 Exit status: 0 clean, 1 failure, 2 environment error (CLI missing).
 """
@@ -110,6 +113,10 @@ def main():
                 expect(any(l.startswith("server sessions_started=")
                            for l in stats),
                        "stats block lacks the server counters", failures)
+                # The one resident graph's charged bytes size the spill
+                # phase's budget below.
+                graph_bytes = next(int(l.split("=", 1)[1]) for l in stats
+                                   if l.startswith("catalog_bytes="))
                 metrics = client.request("metrics")
                 for family in ("vulnds_net_accepted_total",
                                "vulnds_net_connections",
@@ -168,6 +175,42 @@ def main():
             rc = proc.wait(timeout=60)
             expect(rc == 0, f"SIGTERM server exited {rc} (tail {tail!r})",
                    failures)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+        # --- spill: the budget holds one graph, so loading a second one
+        # parks the colder graph in spill_dir; stats/save of it must page
+        # it back in, not answer "not in the catalog" ----------------------
+        spill_dir = pathlib.Path(tmp) / "spill"
+        saved = pathlib.Path(tmp) / "g1.saved"
+        proc, transports = start_server(
+            str(cli), sock_path,
+            extra=(f"mem_bytes={graph_bytes * 3 // 2}",
+                   f"spill_dir={spill_dir}"))
+        try:
+            with ServeClient(unix=sock_path) as client:
+                for name in ("g1", "g2"):
+                    loaded = client.request(f"load {name} {graph}")
+                    expect(loaded[0].startswith(f"ok loaded {name}"),
+                           f"spill-phase load {name} answered {loaded[0]!r}",
+                           failures)
+                stats = client.request("stats")
+                expect("spilled_graphs=1" in stats,
+                       "loading a second graph spilled nothing", failures)
+                g1_stats = client.request("stats g1")
+                expect(g1_stats[0] == "ok stats g1",
+                       f"stats of the spilled graph answered {g1_stats[0]!r}",
+                       failures)
+                save = client.request(f"save g1 {saved} text")
+                expect(save[0].startswith("ok saved g1"),
+                       f"save of the spilled graph answered {save[0]!r}",
+                       failures)
+                expect(client.request("shutdown") == ["ok draining"],
+                       "spill server did not answer ok draining", failures)
+            rc = proc.wait(timeout=60)
+            expect(rc == 0, f"spill server exited {rc}", failures)
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -51,8 +51,8 @@ class Counter {
   }
 
   /// Scrape-time mirror hook: overwrites the value. For counters whose
-  /// source of truth is an externally synchronized structure (per-shard
-  /// cache/catalog counters guarded by shard mutexes) that the serve layer
+  /// source of truth is an externally synchronized structure (cache and
+  /// catalog counters guarded by their mutexes) that the serve layer
   /// copies into the registry when rendering. The source must itself be
   /// monotone or the rendered counter will violate counter semantics.
   void Set(uint64_t value) { value_.store(value, std::memory_order_relaxed); }
@@ -63,7 +63,7 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Point-in-time gauge (resident bytes, shard sizes, ...). Lock-free.
+/// Point-in-time gauge (resident bytes, entry counts, ...). Lock-free.
 class Gauge {
  public:
   void Set(double value) { value_.store(value, std::memory_order_relaxed); }

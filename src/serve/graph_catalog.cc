@@ -7,13 +7,10 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <limits>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -27,24 +24,6 @@
 namespace vulnds::serve {
 
 namespace {
-
-// More shards than this buys nothing (shards beyond the number of
-// concurrently-hot graphs are dead weight) and a huge request must not
-// allocate a huge shard vector — or overflow the power-of-two round-up.
-constexpr std::size_t kMaxShards = 256;
-
-// Rounds up to the next power of two (>= 1). Caller bounds v.
-std::size_t RoundUpPow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-GraphCatalogOptions Normalized(GraphCatalogOptions o) {
-  if (o.shards == 0) o.shards = GraphCatalog::kDefaultShards;
-  o.shards = RoundUpPow2(std::min(o.shards, kMaxShards));
-  return o;
-}
 
 // Spill-file-safe rendering of a catalog name: anything outside
 // [A-Za-z0-9._-] becomes '_' (the uid suffix keeps sanitized collisions
@@ -173,10 +152,10 @@ std::size_t EstimateGraphBytes(const UncertainGraph& graph) {
 }
 
 GraphCatalog::GraphCatalog(std::size_t capacity)
-    : GraphCatalog(GraphCatalogOptions{capacity, 0, 0}) {}
+    : GraphCatalog(GraphCatalogOptions{.capacity = capacity}) {}
 
 GraphCatalog::GraphCatalog(const GraphCatalogOptions& options)
-    : options_(Normalized(options)), shards_(options_.shards) {
+    : options_(options) {
   if (options_.governor != nullptr) BindGovernor(options_.governor);
   if (!options_.spill_dir.empty()) ReclaimOrphanSpills();
 }
@@ -198,16 +177,14 @@ GraphCatalog::~GraphCatalog() {
   // catalog (tests, shared governors) does not account ghost bytes.
   auto* gov = governor();
   if (gov == nullptr) return;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto& [name, slot] : shard.entries) {
-      CatalogEntry& entry = *slot.entry;
-      entry.detached.store(true, std::memory_order_release);
-      gov->Discharge(store::ChargeClass::kSnapshot,
-                     entry.charged_snapshot_bytes.exchange(0));
-      gov->Discharge(store::ChargeClass::kContext,
-                     entry.charged_context_bytes.exchange(0));
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [name, slot] : entries_) {
+    CatalogEntry& entry = *slot.entry;
+    entry.detached.store(true, std::memory_order_release);
+    gov->Discharge(store::ChargeClass::kSnapshot,
+                   entry.charged_snapshot_bytes.exchange(0));
+    gov->Discharge(store::ChargeClass::kContext,
+                   entry.charged_context_bytes.exchange(0));
   }
 }
 
@@ -253,19 +230,10 @@ int64_t GraphCatalog::NowMicros() const {
   return obs_clock_ ? obs_clock_() : obs::SteadyNowMicros();
 }
 
-GraphCatalog::Shard& GraphCatalog::ShardFor(const std::string& name) {
-  return shards_[std::hash<std::string>{}(name) & (shards_.size() - 1)];
-}
-
-const GraphCatalog::Shard& GraphCatalog::ShardFor(
-    const std::string& name) const {
-  return shards_[std::hash<std::string>{}(name) & (shards_.size() - 1)];
-}
-
 Status GraphCatalog::Load(const std::string& name, const std::string& path) {
   if (name.empty()) return Status::InvalidArgument("graph name must not be empty");
-  // Snapshot I/O and parsing run outside every catalog lock: concurrent
-  // loads of different names overlap fully, even within one shard.
+  // Snapshot I/O and parsing run outside the catalog lock: concurrent
+  // loads overlap fully.
   Result<UncertainGraph> graph = ReadGraphFile(path);
   if (!graph.ok()) return graph.status();
   auto entry = std::make_shared<CatalogEntry>();
@@ -298,26 +266,19 @@ void GraphCatalog::InsertPrepared(std::shared_ptr<CatalogEntry> entry) {
   const std::string name = entry->name;
   // Keep a reference past the move: the governor-settling tail below works
   // on the entry after it has been published to (and possibly already
-  // detached from) its shard.
+  // detached from) the catalog.
   std::shared_ptr<CatalogEntry> held = entry;
-  Shard& shard = ShardFor(name);
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    ++shard.stats.loads;
-    const auto it = shard.entries.find(name);
-    if (it != shard.entries.end()) {
-      ++shard.stats.reloads;
-      RemoveLocked(shard, it);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.loads;
+    const auto it = entries_.find(name);
+    if (it != entries_.end()) {
+      ++stats_.reloads;
+      RemoveLocked(it);
     }
-    shard.lru.push_front(name);
-    Slot slot;
-    slot.lru_pos = shard.lru.begin();
-    slot.last_touch = clock_.fetch_add(1, std::memory_order_relaxed);
-    shard.bytes += entry->bytes;
-    total_bytes_.fetch_add(entry->bytes, std::memory_order_relaxed);
-    total_count_.fetch_add(1, std::memory_order_relaxed);
-    slot.entry = std::move(entry);
-    shard.entries.emplace(name, std::move(slot));
+    lru_.push_front(name);
+    bytes_ += bytes;
+    entries_.emplace(name, Slot{std::move(entry), lru_.begin()});
   }
   // The new resident entry supersedes any spilled generation of the name:
   // dropped AFTER the insert so a concurrent GetOrLoad always finds the
@@ -341,8 +302,7 @@ void GraphCatalog::InsertPrepared(std::shared_ptr<CatalogEntry> entry) {
   EnforceBudgets();
 }
 
-void GraphCatalog::RemoveLocked(
-    Shard& shard, std::unordered_map<std::string, Slot>::iterator it) {
+void GraphCatalog::RemoveLocked(SlotMap::iterator it) {
   CatalogEntry& entry = *it->second.entry;
   const std::size_t bytes = entry.bytes;
   entry.detached.store(true, std::memory_order_release);
@@ -350,17 +310,15 @@ void GraphCatalog::RemoveLocked(
   if (gov != nullptr) {
     // Discharge exactly what was charged (the exchange makes each charge
     // credited back at most once). Discharge never sheds or locks, so it
-    // is safe under shard.mu.
+    // is safe under mu_.
     gov->Discharge(store::ChargeClass::kSnapshot,
                    entry.charged_snapshot_bytes.exchange(0));
     gov->Discharge(store::ChargeClass::kContext,
                    entry.charged_context_bytes.exchange(0));
   }
-  shard.bytes -= bytes;
-  total_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-  total_count_.fetch_sub(1, std::memory_order_relaxed);
-  shard.lru.erase(it->second.lru_pos);
-  shard.entries.erase(it);
+  bytes_ -= bytes;
+  lru_.erase(it->second.lru_pos);
+  entries_.erase(it);
 }
 
 bool GraphCatalog::DropSpillRecord(const std::string& name) {
@@ -471,77 +429,42 @@ void GraphCatalog::ReclaimOrphanSpills() {
   }
 }
 
-bool GraphCatalog::OverBudget() const {
-  const std::size_t count = total_count_.load(std::memory_order_relaxed);
+bool GraphCatalog::OverBudgetLocked() const {
+  const std::size_t count = entries_.size();
   if (count <= 1) return false;  // a lone oversized graph stays resident
   if (options_.capacity != 0 && count > options_.capacity) return true;
-  return options_.byte_budget != 0 &&
-         total_bytes_.load(std::memory_order_relaxed) > options_.byte_budget;
+  return options_.byte_budget != 0 && bytes_ > options_.byte_budget;
 }
 
 void GraphCatalog::EnforceBudgets() {
-  // Evict the globally least-recently-stamped entry until within budget.
-  // Each shard's LRU tail is that shard's oldest entry, so the global
-  // victim is the minimum tail stamp across shards — found by taking one
-  // shard lock at a time, never two at once. Enforcement itself is
-  // serialized (evict_mu_, never held together with a shard lock by any
-  // other path): without it two concurrent over-budget inserts could both
-  // pass the budget check and evict two entries where one sufficed.
-  // Between the scan and the eviction a session may still touch the
-  // chosen victim; the re-check under the victim shard's lock then evicts
-  // that shard's (possibly new) tail, which is a legal LRU choice at that
-  // instant. Single-threaded the loop is exactly the old one-mutex
-  // catalog's eviction order.
-  std::lock_guard<std::mutex> evict_lock(evict_mu_);
-  while (OverBudget()) {
-    std::size_t victim_shard = shards_.size();
-    uint64_t victim_stamp = std::numeric_limits<uint64_t>::max();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      std::lock_guard<std::mutex> lock(shards_[s].mu);
-      if (shards_[s].lru.empty()) continue;
-      const Slot& tail = shards_[s].entries.at(shards_[s].lru.back());
-      if (tail.last_touch < victim_stamp) {
-        victim_stamp = tail.last_touch;
-        victim_shard = s;
-      }
-    }
-    if (victim_shard == shards_.size()) return;  // nothing resident
-    Shard& shard = shards_[victim_shard];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.lru.empty() || !OverBudget()) continue;
-    // A Get between the scan and this re-lock may have promoted the chosen
-    // victim, leaving a hotter entry at this shard's tail; evicting that
-    // would drop the wrong graph. Rescan instead of trusting the tail.
-    if (shard.entries.at(shard.lru.back()).last_touch != victim_stamp) {
-      continue;
-    }
-    ++shard.stats.evictions;
-    RemoveLocked(shard, shard.entries.find(shard.lru.back()));
+  std::lock_guard<std::mutex> lock(mu_);
+  while (OverBudgetLocked()) {
+    ++stats_.evictions;
+    RemoveLocked(entries_.find(lru_.back()));
   }
 }
 
 std::size_t GraphCatalog::ShedContexts(std::size_t want) {
-  // Coldest contexts first: gather (stamp, entry) for every entry carrying
-  // a context charge, oldest stamp first. A context is a pure function of
+  // Coldest contexts first: gather every entry carrying a context charge,
+  // walking the LRU list from its cold end. A context is a pure function of
   // (graph, query key), so dropping one costs recompute, never
   // correctness; busy contexts (a batch leader holds context_mu) are
   // skipped via try_lock rather than waited on — shedding must not block
   // behind a long detect.
-  std::vector<std::pair<uint64_t, std::shared_ptr<CatalogEntry>>> warm;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [name, slot] : shard.entries) {
+  std::vector<std::shared_ptr<CatalogEntry>> warm;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+      const Slot& slot = entries_.at(*it);
       if (slot.entry->charged_context_bytes.load(std::memory_order_relaxed) >
           0) {
-        warm.emplace_back(slot.last_touch, slot.entry);
+        warm.push_back(slot.entry);
       }
     }
   }
-  std::sort(warm.begin(), warm.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   auto* gov = governor();
   std::size_t freed = 0;
-  for (auto& [stamp, entry] : warm) {
+  for (const auto& entry : warm) {
     if (freed >= want) break;
     std::unique_lock<std::mutex> context_lock(entry->context_mu,
                                               std::try_to_lock);
@@ -555,7 +478,7 @@ std::size_t GraphCatalog::ShedContexts(std::size_t want) {
 }
 
 std::size_t GraphCatalog::ShedSnapshots(std::size_t want) {
-  // Spill the globally coldest UNPINNED snapshots to disk until `want`
+  // Spill the coldest UNPINNED snapshots to disk until `want`
   // bytes are freed. Without a spill directory this frees nothing —
   // snapshots may be the only copy of a committed version, so they are
   // never silently dropped under governor pressure (the catalog's own
@@ -566,25 +489,20 @@ std::size_t GraphCatalog::ShedSnapshots(std::size_t want) {
   }
   std::size_t freed = 0;
   while (freed < want) {
-    // Globally coldest unpinned entry = min over shards of each shard's
-    // coldest unpinned entry (walk the LRU from the tail).
+    // Coldest unpinned entry: walk the LRU list from its cold end.
     std::shared_ptr<CatalogEntry> victim;
-    uint64_t victim_stamp = std::numeric_limits<uint64_t>::max();
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (auto lru_it = shard.lru.rbegin(); lru_it != shard.lru.rend();
-           ++lru_it) {
-        const Slot& slot = shard.entries.at(*lru_it);
-        if (slot.entry->pins.load(std::memory_order_relaxed) > 0) continue;
-        if (slot.last_touch < victim_stamp) {
-          victim_stamp = slot.last_touch;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+        const Slot& slot = entries_.at(*it);
+        if (slot.entry->pins.load(std::memory_order_relaxed) == 0) {
           victim = slot.entry;
+          break;
         }
-        break;  // deeper LRU positions in this shard are hotter
       }
     }
     if (victim == nullptr) return freed;  // everything pinned or empty
-    // Serialize and write the spill file OUTSIDE every catalog lock (we run
+    // Serialize and write the spill file OUTSIDE the catalog lock (we run
     // under the governor's shed mutex only). The CRC over the serialized
     // bytes travels in the spill record so page-in can prove the file came
     // back intact before deserializing it; the temp+rename write means no
@@ -623,17 +541,16 @@ std::size_t GraphCatalog::ShedSnapshots(std::size_t want) {
     }
     bool detached = false;
     {
-      Shard& shard = ShardFor(victim->name);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      const auto it = shard.entries.find(victim->name);
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto it = entries_.find(victim->name);
       // The entry may have been replaced, evicted, or pinned since the
       // scan; spilling it then would park a stale (or in-use) snapshot.
-      if (it != shard.entries.end() && it->second.entry == victim &&
+      if (it != entries_.end() && it->second.entry == victim &&
           victim->pins.load(std::memory_order_relaxed) == 0) {
-        ++shard.stats.spills;
+        ++stats_.spills;
         const std::size_t context_bytes =
             victim->charged_context_bytes.load(std::memory_order_relaxed);
-        RemoveLocked(shard, it);
+        RemoveLocked(it);
         freed += victim->bytes + context_bytes;
         detached = true;
       }
@@ -655,16 +572,14 @@ std::size_t GraphCatalog::ShedSnapshots(std::size_t want) {
 }
 
 std::shared_ptr<CatalogEntry> GraphCatalog::Get(const std::string& name) {
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.entries.find(name);
-  if (it == shard.entries.end()) {
-    ++shard.stats.misses;
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = entries_.find(name);
+  if (it == entries_.end()) {
+    ++stats_.misses;
     return nullptr;
   }
-  ++shard.stats.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-  it->second.last_touch = clock_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.hits;
+  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
   return it->second.entry;
 }
 
@@ -780,9 +695,8 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::GetOrLoad(
       Insert(std::move(entry));
     }
     {
-      Shard& shard = ShardFor(name);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      ++shard.stats.page_ins;
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.page_ins;
     }
     if (auto* histogram = page_in_micros_.load(std::memory_order_acquire)) {
       histogram->Observe(static_cast<double>(NowMicros() - start));
@@ -804,9 +718,8 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::GetOrLoad(
   // reference stays valid either way.
   InsertPrepared(std::move(entry));
   {
-    Shard& shard = ShardFor(name);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    ++shard.stats.page_ins;
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.page_ins;
   }
   if (auto* histogram = page_in_micros_.load(std::memory_order_acquire)) {
     histogram->Observe(static_cast<double>(NowMicros() - start));
@@ -816,9 +729,8 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::GetOrLoad(
 
 bool GraphCatalog::Contains(const std::string& name) const {
   {
-    const Shard& shard = ShardFor(name);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.entries.find(name) != shard.entries.end()) return true;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (entries_.find(name) != entries_.end()) return true;
   }
   std::lock_guard<std::mutex> lock(spill_mu_);
   return spilled_.find(name) != spilled_.end();
@@ -827,12 +739,11 @@ bool GraphCatalog::Contains(const std::string& name) const {
 bool GraphCatalog::Evict(const std::string& name) {
   bool removed = false;
   {
-    Shard& shard = ShardFor(name);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.entries.find(name);
-    if (it != shard.entries.end()) {
-      ++shard.stats.evictions;
-      RemoveLocked(shard, it);
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = entries_.find(name);
+    if (it != entries_.end()) {
+      ++stats_.evictions;
+      RemoveLocked(it);
       removed = true;
     }
   }
@@ -840,68 +751,39 @@ bool GraphCatalog::Evict(const std::string& name) {
 }
 
 std::vector<std::string> GraphCatalog::Names() const {
-  // Collect (stamp, name) pairs shard by shard, then order by stamp: the
-  // global clock makes recency totally ordered across shards.
-  std::vector<std::pair<uint64_t, std::string>> stamped;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [name, slot] : shard.entries) {
-      stamped.emplace_back(slot.last_touch, name);
-    }
-  }
-  std::sort(stamped.begin(), stamped.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
   std::vector<std::string> names;
-  names.reserve(stamped.size());
-  for (auto& [stamp, name] : stamped) names.push_back(std::move(name));
   {
-    // Spilled names are colder than everything resident by construction.
-    std::lock_guard<std::mutex> lock(spill_mu_);
-    for (const auto& [name, record] : spilled_) names.push_back(name);
+    std::lock_guard<std::mutex> lock(mu_);
+    names.assign(lru_.begin(), lru_.end());
   }
+  // Spilled names are colder than everything resident by construction.
+  std::lock_guard<std::mutex> lock(spill_mu_);
+  for (const auto& [name, record] : spilled_) names.push_back(name);
   return names;
 }
 
 std::vector<std::shared_ptr<CatalogEntry>> GraphCatalog::SnapshotEntries()
     const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::shared_ptr<CatalogEntry>> entries;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [name, slot] : shard.entries) {
-      entries.push_back(slot.entry);
-    }
-  }
+  entries.reserve(entries_.size());
+  for (const auto& [name, slot] : entries_) entries.push_back(slot.entry);
   return entries;
 }
 
-CatalogStats GraphCatalog::stats() const {
-  CatalogStats total;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total.loads += shard.stats.loads;
-    total.reloads += shard.stats.reloads;
-    total.evictions += shard.stats.evictions;
-    total.hits += shard.stats.hits;
-    total.misses += shard.stats.misses;
-    total.spills += shard.stats.spills;
-    total.page_ins += shard.stats.page_ins;
-  }
-  return total;
+std::size_t GraphCatalog::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
 }
 
-std::vector<CatalogShardInfo> GraphCatalog::ShardInfos() const {
-  std::vector<CatalogShardInfo> infos;
-  infos.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s].mu);
-    CatalogShardInfo info;
-    info.index = s;
-    info.size = shards_[s].entries.size();
-    info.bytes = shards_[s].bytes;
-    info.stats = shards_[s].stats;
-    infos.push_back(info);
-  }
-  return infos;
+std::size_t GraphCatalog::resident_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return bytes_;
+}
+
+CatalogStats GraphCatalog::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 }  // namespace vulnds::serve

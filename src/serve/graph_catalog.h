@@ -9,16 +9,11 @@
 // the graph, which keeps the invariant "context belongs to exactly one
 // graph" trivially true.
 //
-// Sharding. The catalog is split into a power-of-two number of name-hashed
-// shards, each with its own mutex, LRU list, byte accounting and counters,
-// so concurrent sessions touching unrelated graphs never contend on
-// load/evict: a Get takes exactly one shard lock, and snapshot parsing
-// happens outside every lock. The count capacity and byte budget are
-// global: every touch stamps the entry from one shared atomic clock, and
-// the eviction loop removes the globally least-recently-stamped entry
-// (found by peeking each shard's LRU tail), so eviction order is identical
-// to the former single-shard catalog. Under concurrent touches the victim
-// choice is as precise as any external observer can distinguish.
+// Locking. One mutex guards one name map, one LRU list, the byte
+// accounting and the counters. A Get holds it for a map lookup and a list
+// splice; snapshot parsing, spill writes and page-in reads all happen
+// outside it, so the lock is never held across I/O. Eviction (capacity,
+// byte budget, governor shedding) walks the LRU list from its cold end.
 //
 // Byte governance and disk spill. The catalog can charge through a
 // store::MemoryGovernor: every resident graph is charged under
@@ -159,11 +154,7 @@ class ScopedEntryPin {
   std::shared_ptr<CatalogEntry> entry_;
 };
 
-/// Counters exposed through `stats <name>` / benches. Used both as the
-/// per-shard counters (guarded by that shard's mutex) and as the aggregate
-/// over all shards (summed shard by shard, so concurrent traffic may be
-/// counted in at most one shard's snapshot — each counter is exact, the
-/// cross-shard sum is a moment-in-time aggregate, never torn).
+/// Counters exposed through `stats <name>` / benches.
 struct CatalogStats {
   std::size_t loads = 0;      ///< successful Load/Put calls
   std::size_t reloads = 0;    ///< loads that replaced an existing name
@@ -174,19 +165,10 @@ struct CatalogStats {
   std::size_t page_ins = 0;   ///< spilled snapshots read back on demand
 };
 
-/// Per-shard detail for `stats` / debugging.
-struct CatalogShardInfo {
-  std::size_t index = 0;   ///< shard number
-  std::size_t size = 0;    ///< resident entries in this shard
-  std::size_t bytes = 0;   ///< resident bytes in this shard
-  CatalogStats stats;      ///< this shard's counters
-};
-
 /// Catalog sizing knobs; zero always means "unbounded" / "default".
 struct GraphCatalogOptions {
-  std::size_t capacity = 0;     ///< max resident graphs (global, 0 = unbounded)
-  std::size_t byte_budget = 0;  ///< max resident bytes (global, 0 = unbounded)
-  std::size_t shards = 0;       ///< rounded up to a power of two; 0 = default
+  std::size_t capacity = 0;     ///< max resident graphs (0 = unbounded)
+  std::size_t byte_budget = 0;  ///< max resident bytes (0 = unbounded)
   /// Directory cold snapshots spill to under governor pressure (created on
   /// first use; empty = spilling disabled, the snapshot class then frees
   /// nothing and the governor moves on to the next shed class).
@@ -207,17 +189,13 @@ std::size_t EstimateGraphBytes(const UncertainGraph& graph);
 
 class GraphCatalog {
  public:
-  /// Default shard count; a serving fleet rarely benefits from more shards
-  /// than concurrently-hot graphs, and 8 keeps the per-shard detail readable.
-  static constexpr std::size_t kDefaultShards = 8;
-
   /// Creates a catalog keeping at most `capacity` graphs resident
   /// (0 = unbounded). Beyond capacity the least-recently-used entry is
   /// evicted.
   explicit GraphCatalog(std::size_t capacity = 0);
 
-  /// Creates a catalog with explicit capacity / byte budget / shard count /
-  /// spill + governor wiring.
+  /// Creates a catalog with explicit capacity / byte budget / spill +
+  /// governor wiring.
   explicit GraphCatalog(const GraphCatalogOptions& options);
 
   ~GraphCatalog();
@@ -242,7 +220,7 @@ class GraphCatalog {
 
   /// Reads `path` (text or binary snapshot) and registers it as `name`,
   /// replacing any existing entry of that name. Parsing happens outside
-  /// every catalog lock, so concurrent loads of different names overlap.
+  /// the catalog lock, so concurrent loads overlap.
   Status Load(const std::string& name, const std::string& path);
 
   /// Registers an already-built graph (generators, tests) as `name`.
@@ -251,7 +229,7 @@ class GraphCatalog {
 
   /// Returns the entry for `name` and marks it most-recently-used, or
   /// nullptr if the name is not RESIDENT (spilled names miss here — use
-  /// GetOrLoad on the query path). Takes exactly one shard lock.
+  /// GetOrLoad wherever a spilled graph must still answer).
   std::shared_ptr<CatalogEntry> Get(const std::string& name);
 
   /// Get, plus demand paging: a name whose snapshot was spilled to disk is
@@ -270,8 +248,8 @@ class GraphCatalog {
   /// alive until they drop their reference.
   bool Evict(const std::string& name);
 
-  /// Resident names, most-recently-used first (exact stamp order), then
-  /// spilled names (coldest of all, unordered).
+  /// Resident names, most-recently-used first, then spilled names (coldest
+  /// of all, unordered).
   std::vector<std::string> Names() const;
 
   /// Shared references to every resident entry, in no particular order.
@@ -280,14 +258,11 @@ class GraphCatalog {
   /// without perturbing LRU order.
   std::vector<std::shared_ptr<CatalogEntry>> SnapshotEntries() const;
 
-  std::size_t size() const { return total_count_.load(std::memory_order_relaxed); }
+  std::size_t size() const;
   std::size_t capacity() const { return options_.capacity; }
   std::size_t byte_budget() const { return options_.byte_budget; }
-  std::size_t shard_count() const { return shards_.size(); }
-  /// Approximate resident bytes across all shards.
-  std::size_t resident_bytes() const {
-    return total_bytes_.load(std::memory_order_relaxed);
-  }
+  /// Approximate resident bytes.
+  std::size_t resident_bytes() const;
   /// Bytes / count of snapshots currently parked in the spill directory.
   std::size_t spilled_bytes() const {
     return spilled_bytes_.load(std::memory_order_relaxed);
@@ -305,26 +280,14 @@ class GraphCatalog {
     return governor_.load(std::memory_order_acquire);
   }
 
-  /// Aggregate counters, summed over shards.
   CatalogStats stats() const;
-
-  /// Per-shard detail, index order.
-  std::vector<CatalogShardInfo> ShardInfos() const;
 
  private:
   struct Slot {
     std::shared_ptr<CatalogEntry> entry;
     std::list<std::string>::iterator lru_pos;
-    uint64_t last_touch = 0;  ///< global clock stamp of the latest touch
   };
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, Slot> entries;
-    std::list<std::string> lru;  // front = most recent within this shard
-    std::size_t bytes = 0;       // resident bytes in this shard
-    CatalogStats stats;          // guarded by mu
-  };
+  using SlotMap = std::unordered_map<std::string, Slot>;
 
   /// A snapshot parked on disk: where it is, what loaded it originally,
   /// and the identity/size it resumes on page-in.
@@ -336,9 +299,6 @@ class GraphCatalog {
     uint32_t crc = 0;  ///< CRC-32 of the serialized bytes on disk
   };
 
-  Shard& ShardFor(const std::string& name);
-  const Shard& ShardFor(const std::string& name) const;
-
   // Mints a fresh uid for `entry`, then registers it (see InsertPrepared).
   void Insert(std::shared_ptr<CatalogEntry> entry);
 
@@ -348,11 +308,10 @@ class GraphCatalog {
   // catalog locks held (page-in calls it under page_in_mu_ only).
   void InsertPrepared(std::shared_ptr<CatalogEntry> entry);
 
-  // Removes the slot at `it` from `shard`: detaches the entry, settles its
-  // governor charges, and adjusts the byte/count accounting. Caller holds
-  // shard.mu and is responsible for counting the eviction/spill.
-  void RemoveLocked(Shard& shard,
-                    std::unordered_map<std::string, Slot>::iterator it);
+  // Removes the slot at `it`: detaches the entry, settles its governor
+  // charges, and adjusts the byte accounting. Caller holds mu_ and is
+  // responsible for counting the eviction/spill.
+  void RemoveLocked(SlotMap::iterator it);
 
   // Deletes any spill record (and file) for `name`; returns whether one
   // existed. Takes spill_mu_.
@@ -381,26 +340,30 @@ class GraphCatalog {
   std::size_t ShedContexts(std::size_t want);
   std::size_t ShedSnapshots(std::size_t want);
 
-  // True when either global budget is exceeded (with more than one entry
+  // True when either budget is exceeded (with more than one entry
   // resident: a single graph larger than the whole byte budget stays, so an
-  // oversized load does not thrash the catalog empty).
-  bool OverBudget() const;
+  // oversized load does not thrash the catalog empty). Caller holds mu_.
+  bool OverBudgetLocked() const;
 
-  // Evicts globally least-recently-stamped entries until within budget.
+  // Evicts least-recently-used entries until within budget.
   void EnforceBudgets();
 
   int64_t NowMicros() const;
 
   const GraphCatalogOptions options_;
-  std::vector<Shard> shards_;  // size is a power of two, never resized
-  std::mutex evict_mu_;        // serializes EnforceBudgets (see .cc comment)
   std::atomic<uint64_t> next_uid_{1};
-  std::atomic<uint64_t> clock_{1};
-  std::atomic<std::size_t> total_count_{0};
-  std::atomic<std::size_t> total_bytes_{0};
 
-  // Spill state. Lock order: spill_mu_ is a leaf below shard mutexes and
-  // the governor's shed mutex; page_in_mu_ is taken before everything
+  // Resident state. Lock order: mu_ is taken after page_in_mu_ and the
+  // governor's shed mutex, before spill_mu_; governor Charge is never
+  // called while it is held (Discharge is).
+  mutable std::mutex mu_;
+  SlotMap entries_;             // guarded by mu_
+  std::list<std::string> lru_;  // front = most recent; guarded by mu_
+  std::size_t bytes_ = 0;       // resident bytes; guarded by mu_
+  CatalogStats stats_;          // guarded by mu_
+
+  // Spill state. Lock order: spill_mu_ is a leaf below mu_ and the
+  // governor's shed mutex; page_in_mu_ is taken before everything
   // (serializes the read-back I/O so racing queries for one spilled name
   // do the disk read once).
   mutable std::mutex spill_mu_;

@@ -1,29 +1,18 @@
-// String-keyed LRU caches for serving-layer result caching.
+// String-keyed, thread-safe LRU cache for serving-layer result caching.
 //
-// Two implementations share one contract:
-//   * LruCache<V>      — single list + map, NOT thread-safe. The reference
-//                        model: the sharded cache is property-tested
-//                        eviction-equivalent against it.
-//   * ShardedLruCache<V> — key-hashed shards, each with its own mutex, list
-//                        and counters; thread-safe. Eviction is exact
-//                        global LRU (identical to LruCache) via a shared
-//                        atomic touch clock, the same discipline
-//                        GraphCatalog uses: every touch stamps the entry,
-//                        each shard's list tail is that shard's oldest
-//                        stamp, and the eviction loop removes the globally
-//                        least-recently-stamped entry.
+// One mutex guards one list + map: Get/Peek/Put/Erase each take it once.
+// The serving workloads measured no difference between this and a
+// key-hashed 8-shard variant (the README's "Concurrent serving" numbers),
+// so the cache stays a single LRU.
 //
-// Byte awareness: both caches optionally take a SizeOf functor and a byte
-// budget. Each entry is charged its SizeOf at insert; eviction then bounds
-// BOTH the entry count and the resident bytes, so a handful of giant
-// results can no longer hold the memory a thousand small ones were
-// budgeted for. A single entry larger than the whole byte budget is
-// rejected outright (counted in rejected_oversize) rather than evicting
-// the entire cache and inserting anyway. The sharded cache can
-// additionally charge its bytes to a store::MemoryGovernor under
-// ChargeClass::kResult and expose ShedBytes() as that governor's shedder,
-// which evicts globally-coldest entries on demand when OTHER pools
-// (snapshots, contexts) push the process over its global budget.
+// Byte awareness: the cache optionally takes a SizeOf functor and a
+// store::MemoryGovernor. Each entry is charged its SizeOf at insert under
+// ChargeClass::kResult and credited back when it leaves; ShedBytes() is the
+// governor's shedder for that class, evicting the coldest entries on
+// demand when any pool pushes the process over its global budget. A single
+// entry larger than the governor's whole budget is rejected outright
+// (counted in rejected_oversize) rather than shedding everything else and
+// inserting anyway.
 //
 // Values are held behind shared_ptr<const V>, so a cached entry handed to a
 // caller stays valid even if it is evicted (or the cache destroyed) while
@@ -34,19 +23,14 @@
 #ifndef VULNDS_SERVE_LRU_CACHE_H_
 #define VULNDS_SERVE_LRU_CACHE_H_
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "store/memory_governor.h"
 
@@ -58,21 +42,13 @@ struct CacheStats {
   std::size_t misses = 0;
   std::size_t evictions = 0;
   std::size_t inserts = 0;
-  std::size_t rejected_oversize = 0;  ///< Puts refused: entry > byte budget
+  std::size_t rejected_oversize = 0;  ///< Puts refused: entry > governor budget
 
   /// Hits over lookups, 0 when nothing was looked up.
   double HitRate() const {
     const std::size_t lookups = hits + misses;
     return lookups == 0 ? 0.0 : static_cast<double>(hits) / lookups;
   }
-};
-
-/// Per-shard detail of a ShardedLruCache, for `stats` / debugging.
-struct CacheShardInfo {
-  std::size_t index = 0;  ///< shard number
-  std::size_t size = 0;   ///< resident entries in this shard
-  std::size_t bytes = 0;  ///< resident SizeOf bytes in this shard
-  CacheStats stats;       ///< this shard's counters
 };
 
 template <typename V>
@@ -82,17 +58,28 @@ class LruCache {
   /// it is computed once at Put and credited back verbatim at eviction.
   using SizeOf = std::function<std::size_t(const V&)>;
 
-  /// Creates a cache holding at most `capacity` entries (0 disables) and,
-  /// when `size_of` is provided, at most `byte_budget` charged bytes
-  /// (0 = no byte bound).
-  explicit LruCache(std::size_t capacity, std::size_t byte_budget = 0,
-                    SizeOf size_of = nullptr)
-      : capacity_(capacity),
-        byte_budget_(byte_budget),
-        size_of_(std::move(size_of)) {}
+  /// Creates a cache holding at most `capacity` entries (0 disables). With
+  /// a `size_of`, each entry's bytes are tracked and, when `governor` is
+  /// non-null, charged to it under ChargeClass::kResult — the governor must
+  /// then outlive this cache. Configuration is construction-time only.
+  explicit LruCache(std::size_t capacity, SizeOf size_of = nullptr,
+                    store::MemoryGovernor* governor = nullptr)
+      : capacity_(capacity), size_of_(std::move(size_of)), governor_(governor) {}
+
+  ~LruCache() {
+    // Give the governor its bytes back; entries still referenced by
+    // callers survive via their shared_ptr but are no longer "cached".
+    if (governor_ != nullptr) {
+      governor_->Discharge(store::ChargeClass::kResult, bytes_);
+    }
+  }
+
+  LruCache(const LruCache&) = delete;
+  LruCache& operator=(const LruCache&) = delete;
 
   /// Returns the cached value and bumps its recency, or nullptr on miss.
   std::shared_ptr<const V> Get(const std::string& key) {
+    std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(key);
     if (it == index_.end()) {
       ++stats_.misses;
@@ -107,51 +94,57 @@ class LruCache {
   /// re-checks that already counted their lookup (the query engine's
   /// in-batch recheck): counting again would double-book the hit rate.
   std::shared_ptr<const V> Peek(const std::string& key) const {
+    std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(key);
     return it == index_.end() ? nullptr : it->second->value;
   }
 
   /// Inserts (or replaces) `key`, evicting the least-recently-used entry
-  /// while over the entry capacity or the byte budget. A resident key's
-  /// recency is refreshed FIRST, then its value replaced: a hot
-  /// re-inserted entry moves to the front and is never left at the tail as
-  /// the next eviction victim. A value alone bigger than the byte budget
-  /// is rejected (the resident value, if any, is left untouched) — see
+  /// while over the entry capacity. A resident key's recency is refreshed
+  /// FIRST, then its value replaced: a hot re-inserted entry moves to the
+  /// front and is never left at the tail as the next eviction victim. A
+  /// value alone bigger than the governor's budget is rejected (the
+  /// resident value, if any, is left untouched) — see
   /// stats().rejected_oversize.
   void Put(const std::string& key, V value) {
     if (capacity_ == 0) return;
     const std::size_t new_bytes = size_of_ ? size_of_(value) : 0;
-    if (byte_budget_ != 0 && new_bytes > byte_budget_) {
+    if (governor_ != nullptr && governor_->Oversize(new_bytes)) {
+      std::lock_guard<std::mutex> lock(mu_);
       ++stats_.rejected_oversize;
       return;
     }
+    // Charge before the entry becomes visible, and outside mu_: Charge may
+    // shed, and shedding may call our own ShedBytes. Charging first also
+    // means no concurrent shed can discharge these bytes before they were
+    // charged. Bytes that leave below (replaced or evicted) are discharged
+    // under mu_, which is safe: Discharge never sheds or locks.
+    if (governor_ != nullptr) {
+      governor_->Charge(store::ChargeClass::kResult, new_bytes);
+    }
+    auto shared = std::make_shared<const V>(std::move(value));
+    std::lock_guard<std::mutex> lock(mu_);
     ++stats_.inserts;
     const auto it = index_.find(key);
     if (it != index_.end()) {
       order_.splice(order_.begin(), order_, it->second);
-      bytes_ = bytes_ - it->second->bytes + new_bytes;
-      it->second->value = std::make_shared<const V>(std::move(value));
+      Release(it->second->bytes);
+      it->second->value = std::move(shared);
       it->second->bytes = new_bytes;
     } else {
-      order_.emplace_front(
-          Entry{key, std::make_shared<const V>(std::move(value)), new_bytes});
+      order_.emplace_front(Entry{key, std::move(shared), new_bytes});
       index_[key] = order_.begin();
-      bytes_ += new_bytes;
     }
-    while (index_.size() > capacity_ ||
-           (byte_budget_ != 0 && bytes_ > byte_budget_)) {
-      ++stats_.evictions;
-      bytes_ -= order_.back().bytes;
-      index_.erase(order_.back().key);
-      order_.pop_back();
-    }
+    bytes_ += new_bytes;
+    while (index_.size() > capacity_) EvictColdestLocked();
   }
 
   /// Removes `key`; returns whether it was present.
   bool Erase(const std::string& key) {
+    std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(key);
     if (it == index_.end()) return false;
-    bytes_ -= it->second->bytes;
+    Release(it->second->bytes);
     order_.erase(it->second);
     index_.erase(it);
     return true;
@@ -159,248 +152,36 @@ class LruCache {
 
   /// Drops every entry (counters are kept).
   void Clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    Release(bytes_);
     order_.clear();
     index_.clear();
-    bytes_ = 0;
   }
 
-  std::size_t size() const { return index_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  std::size_t byte_budget() const { return byte_budget_; }
-  std::size_t bytes() const { return bytes_; }
-  const CacheStats& stats() const { return stats_; }
-
- private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const V> value;
-    std::size_t bytes = 0;
-  };
-
-  std::size_t capacity_;
-  std::size_t byte_budget_;
-  SizeOf size_of_;
-  std::size_t bytes_ = 0;
-  std::list<Entry> order_;  // front = most recent
-  std::unordered_map<std::string, typename std::list<Entry>::iterator> index_;
-  CacheStats stats_;
-};
-
-/// Thread-safe sharded LRU with exact global-LRU eviction. A Get/Put/Peek
-/// takes exactly one shard mutex, so concurrent sessions whose keys hash to
-/// different shards never contend — the point of sharding the serving
-/// engine's result cache. Capacity and the byte budget are GLOBAL (expected
-/// per-shard share capacity/N, but a skewed key distribution may pack one
-/// shard fuller): enforcing per-shard quotas instead would make eviction
-/// order depend on the hash function, breaking the "behaves exactly like
-/// one big LRU" contract the property tests pin.
-template <typename V>
-class ShardedLruCache {
- public:
-  using SizeOf = typename LruCache<V>::SizeOf;
-
-  /// Default shard count, matching GraphCatalog: more shards than
-  /// concurrently-hot keys is dead weight.
-  static constexpr std::size_t kDefaultShards = 8;
-
-  /// Creates a cache of `capacity` total entries (0 disables) over
-  /// `shards` shards (rounded up to a power of two; 0 = kDefaultShards).
-  /// With a `size_of`, resident bytes are additionally bounded by
-  /// `byte_budget` (0 = unbounded) and, when `governor` is non-null,
-  /// charged to it under ChargeClass::kResult — the governor must then
-  /// outlive this cache. Configuration is construction-time only: no
-  /// setters, so the concurrent paths read it without synchronization.
-  explicit ShardedLruCache(std::size_t capacity, std::size_t shards = 0,
-                           std::size_t byte_budget = 0,
-                           SizeOf size_of = nullptr,
-                           store::MemoryGovernor* governor = nullptr)
-      : capacity_(capacity),
-        byte_budget_(byte_budget),
-        size_of_(std::move(size_of)),
-        governor_(governor),
-        shards_(NormalizedShards(shards)) {}
-
-  ~ShardedLruCache() {
-    // Give the governor its bytes back; entries still referenced by
-    // callers survive via their shared_ptr but are no longer "cached".
-    if (governor_ != nullptr) {
-      governor_->Discharge(store::ChargeClass::kResult,
-                           total_bytes_.load(std::memory_order_relaxed));
-    }
-  }
-
-  /// Returns the cached value and bumps its recency, or nullptr on miss.
-  std::shared_ptr<const V> Get(const std::string& key) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-      ++shard.stats.misses;
-      return nullptr;
-    }
-    ++shard.stats.hits;
-    Touch(shard, it->second);
-    return it->second->value;
-  }
-
-  /// Returns the cached value without touching counters or recency (the
-  /// query engine's in-batch recheck semantics, as in LruCache::Peek).
-  std::shared_ptr<const V> Peek(const std::string& key) const {
-    const Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.index.find(key);
-    return it == shard.index.end() ? nullptr : it->second->value;
-  }
-
-  /// Inserts (or replaces) `key`, evicting globally least-recently-used
-  /// entries while over the entry capacity or byte budget. Resident keys
-  /// refresh recency first, then replace the value (the LruCache::Put
-  /// discipline). A value alone bigger than the byte budget — the cache's
-  /// own or the governor's global one — is rejected, leaving any resident
-  /// value untouched, and counted in rejected_oversize.
-  void Put(const std::string& key, V value) {
-    if (capacity_ == 0) return;
-    const std::size_t new_bytes = size_of_ ? size_of_(value) : 0;
-    if ((byte_budget_ != 0 && new_bytes > byte_budget_) ||
-        (governor_ != nullptr && governor_->Oversize(new_bytes))) {
-      Shard& shard = ShardFor(key);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      ++shard.stats.rejected_oversize;
-      return;
-    }
-    std::size_t replaced_bytes = 0;
-    bool replaced = false;
-    {
-      Shard& shard = ShardFor(key);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      ++shard.stats.inserts;
-      const auto it = shard.index.find(key);
-      if (it != shard.index.end()) {
-        Touch(shard, it->second);
-        replaced_bytes = it->second->bytes;
-        it->second->value = std::make_shared<const V>(std::move(value));
-        it->second->bytes = new_bytes;
-        shard.bytes = shard.bytes - replaced_bytes + new_bytes;
-        replaced = true;
-      } else {
-        shard.order.emplace_front(
-            Entry{key, std::make_shared<const V>(std::move(value)), new_bytes,
-                  clock_.fetch_add(1, std::memory_order_relaxed)});
-        shard.index[key] = shard.order.begin();
-        shard.bytes += new_bytes;
-        total_size_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (new_bytes >= replaced_bytes) {
-        total_bytes_.fetch_add(new_bytes - replaced_bytes,
-                               std::memory_order_relaxed);
-      } else {
-        total_bytes_.fetch_sub(replaced_bytes - new_bytes,
-                               std::memory_order_relaxed);
-      }
-    }
-    // Governor charging happens strictly OUTSIDE the shard lock: Charge may
-    // shed, shedding may call our own ShedBytes, and ShedBytes takes shard
-    // locks. (Discharge never sheds and is safe anywhere.)
-    if (governor_ != nullptr) {
-      if (replaced) {
-        governor_->Recharge(store::ChargeClass::kResult, replaced_bytes,
-                            new_bytes);
-      } else {
-        governor_->Charge(store::ChargeClass::kResult, new_bytes);
-      }
-    }
-    EnforceCapacity();
-  }
-
-  /// Removes `key`; returns whether it was present.
-  bool Erase(const std::string& key) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.index.find(key);
-    if (it == shard.index.end()) return false;
-    const std::size_t bytes = it->second->bytes;
-    shard.bytes -= bytes;
-    shard.order.erase(it->second);
-    shard.index.erase(it);
-    total_size_.fetch_sub(1, std::memory_order_relaxed);
-    total_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-    if (governor_ != nullptr) {
-      governor_->Discharge(store::ChargeClass::kResult, bytes);
-    }
-    return true;
-  }
-
-  /// Drops every entry (counters are kept).
-  void Clear() {
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      total_size_.fetch_sub(shard.index.size(), std::memory_order_relaxed);
-      total_bytes_.fetch_sub(shard.bytes, std::memory_order_relaxed);
-      if (governor_ != nullptr) {
-        governor_->Discharge(store::ChargeClass::kResult, shard.bytes);
-      }
-      shard.bytes = 0;
-      shard.order.clear();
-      shard.index.clear();
-    }
-  }
-
-  /// Evicts globally-coldest entries until at least `want` charged bytes
-  /// are freed (or the cache is empty); returns the bytes actually freed.
-  /// This is the cache's store::MemoryGovernor shedder: freed bytes are
-  /// discharged from the governor here, so the registered lambda just
-  /// forwards the return value. Safe to call concurrently with everything.
+  /// Evicts the coldest entries until at least `want` charged bytes are
+  /// freed (or the cache is empty); returns the bytes actually freed. This
+  /// is the cache's store::MemoryGovernor shedder: freed bytes are
+  /// discharged here, so the registered lambda just forwards the result.
   std::size_t ShedBytes(std::size_t want) {
+    std::lock_guard<std::mutex> lock(mu_);
     std::size_t freed = 0;
-    std::lock_guard<std::mutex> evict_lock(evict_mu_);
-    while (freed < want) {
-      const std::size_t got = EvictColdestLocked();
-      if (got == kNothingEvicted) break;
-      freed += got;
-    }
+    while (freed < want && !order_.empty()) freed += EvictColdestLocked();
     return freed;
   }
 
   std::size_t size() const {
-    return total_size_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    return index_.size();
   }
   std::size_t capacity() const { return capacity_; }
-  std::size_t byte_budget() const { return byte_budget_; }
-  std::size_t resident_bytes() const {
-    return total_bytes_.load(std::memory_order_relaxed);
+  /// Resident SizeOf bytes.
+  std::size_t bytes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return bytes_;
   }
-  std::size_t shard_count() const { return shards_.size(); }
-
-  /// Aggregate counters, summed shard by shard under each shard's mutex:
-  /// each counter is exact, the cross-shard sum is a moment-in-time
-  /// aggregate, never torn.
   CacheStats stats() const {
-    CacheStats total;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      total.hits += shard.stats.hits;
-      total.misses += shard.stats.misses;
-      total.evictions += shard.stats.evictions;
-      total.inserts += shard.stats.inserts;
-      total.rejected_oversize += shard.stats.rejected_oversize;
-    }
-    return total;
-  }
-
-  /// Per-shard detail, index order.
-  std::vector<CacheShardInfo> ShardInfos() const {
-    std::vector<CacheShardInfo> infos;
-    infos.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      std::lock_guard<std::mutex> lock(shards_[s].mu);
-      CacheShardInfo info;
-      info.index = s;
-      info.size = shards_[s].index.size();
-      info.bytes = shards_[s].bytes;
-      info.stats = shards_[s].stats;
-      infos.push_back(info);
-    }
-    return infos;
+    std::lock_guard<std::mutex> lock(mu_);
+    return stats_;
   }
 
  private:
@@ -408,109 +189,35 @@ class ShardedLruCache {
     std::string key;
     std::shared_ptr<const V> value;
     std::size_t bytes = 0;  ///< SizeOf charge, credited back at eviction
-    uint64_t stamp = 0;     ///< global clock value of the latest touch
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> order;  // front = most recent within this shard
-    std::unordered_map<std::string, typename std::list<Entry>::iterator> index;
-    std::size_t bytes = 0;  // guarded by mu
-    CacheStats stats;       // guarded by mu
-  };
-
-  // Bounds mirror GraphCatalog's: shards beyond the hot-key count buy
-  // nothing, and the round-up must not overflow.
-  static constexpr std::size_t kMaxShards = 256;
-
-  // EvictColdestLocked() sentinel for "nothing resident". Distinct from a
-  // real 0-byte eviction (entries are 0 bytes when no SizeOf is set).
-  static constexpr std::size_t kNothingEvicted =
-      std::numeric_limits<std::size_t>::max();
-
-  static std::size_t NormalizedShards(std::size_t shards) {
-    if (shards == 0) shards = kDefaultShards;
-    shards = std::min(shards, kMaxShards);
-    std::size_t p = 1;
-    while (p < shards) p <<= 1;
-    return p;
+  // Takes `bytes` off the resident total and the governor. Caller holds mu_.
+  void Release(std::size_t bytes) {
+    bytes_ -= bytes;
+    if (governor_ != nullptr) {
+      governor_->Discharge(store::ChargeClass::kResult, bytes);
+    }
   }
 
-  Shard& ShardFor(const std::string& key) {
-    return shards_[std::hash<std::string>{}(key) & (shards_.size() - 1)];
-  }
-  const Shard& ShardFor(const std::string& key) const {
-    return shards_[std::hash<std::string>{}(key) & (shards_.size() - 1)];
-  }
-
-  // Marks the entry most-recently-used: front of its shard's list, fresh
-  // global stamp. Caller holds shard.mu.
-  void Touch(Shard& shard, typename std::list<Entry>::iterator it) {
-    shard.order.splice(shard.order.begin(), shard.order, it);
-    it->stamp = clock_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // Evicts the globally least-recently-stamped entry; returns its byte
-  // charge, or kNothingEvicted when the cache is empty. Caller holds
-  // evict_mu_ (serializing eviction); takes one shard lock at a time,
-  // never two, so no lock-order cycle with the per-shard operations.
-  // Between the tail scan and the removal a Get may promote the chosen
-  // victim; the stamp re-check skips the stale choice and rescans, exactly
-  // as GraphCatalog::EnforceBudgets does.
+  // Evicts the list tail; returns its byte charge. Caller holds mu_ and
+  // guarantees the cache is non-empty.
   std::size_t EvictColdestLocked() {
-    while (true) {
-      std::size_t victim = shards_.size();
-      uint64_t victim_stamp = std::numeric_limits<uint64_t>::max();
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        std::lock_guard<std::mutex> lock(shards_[s].mu);
-        if (shards_[s].order.empty()) continue;
-        const uint64_t stamp = shards_[s].order.back().stamp;
-        if (stamp < victim_stamp) {
-          victim_stamp = stamp;
-          victim = s;
-        }
-      }
-      if (victim == shards_.size()) return kNothingEvicted;
-      Shard& shard = shards_[victim];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      if (shard.order.empty()) continue;
-      if (shard.order.back().stamp != victim_stamp) continue;
-      const std::size_t bytes = shard.order.back().bytes;
-      ++shard.stats.evictions;
-      shard.bytes -= bytes;
-      shard.index.erase(shard.order.back().key);
-      shard.order.pop_back();
-      total_size_.fetch_sub(1, std::memory_order_relaxed);
-      total_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-      // Discharge never sheds or locks, so it is safe under shard.mu.
-      if (governor_ != nullptr) {
-        governor_->Discharge(store::ChargeClass::kResult, bytes);
-      }
-      return bytes;
-    }
-  }
-
-  // Evicts until within the entry capacity AND the byte budget. Serialized
-  // by evict_mu_: two concurrent over-budget Puts must not both evict
-  // where one sufficed.
-  void EnforceCapacity() {
-    std::lock_guard<std::mutex> evict_lock(evict_mu_);
-    while (total_size_.load(std::memory_order_relaxed) > capacity_ ||
-           (byte_budget_ != 0 &&
-            total_bytes_.load(std::memory_order_relaxed) > byte_budget_)) {
-      if (EvictColdestLocked() == kNothingEvicted) return;
-    }
+    const std::size_t bytes = order_.back().bytes;
+    ++stats_.evictions;
+    Release(bytes);
+    index_.erase(order_.back().key);
+    order_.pop_back();
+    return bytes;
   }
 
   const std::size_t capacity_;
-  const std::size_t byte_budget_;
   const SizeOf size_of_;
   store::MemoryGovernor* const governor_;
-  std::vector<Shard> shards_;  // size is a power of two, never resized
-  std::mutex evict_mu_;
-  std::atomic<uint64_t> clock_{1};
-  std::atomic<std::size_t> total_size_{0};
-  std::atomic<std::size_t> total_bytes_{0};
+  mutable std::mutex mu_;
+  std::size_t bytes_ = 0;   // guarded by mu_
+  std::list<Entry> order_;  // front = most recent; guarded by mu_
+  std::unordered_map<std::string, typename std::list<Entry>::iterator> index_;
+  CacheStats stats_;        // guarded by mu_
 };
 
 }  // namespace vulnds::serve

@@ -1,5 +1,5 @@
 // The serve stack's one scrape point: refreshes every scrape-time mirror
-// (catalog shards, result-cache shards, server counters) in the engine's
+// (catalog, result caches, server counters) in the engine's
 // registry and renders the whole thing as Prometheus text exposition. The
 // `metrics` verb and any future socket endpoint both call exactly this, so
 // the exposition cannot drift between transports.

@@ -15,7 +15,7 @@
 //   stats [<name>]                           graph stats / engine counters
 //   metrics                                  Prometheus text exposition of
 //                                            the whole registry (engine,
-//                                            server, catalog + cache shards)
+//                                            server, catalog + caches)
 //   catalog                                  resident graphs, MRU first
 //   evict <name>                             drop a graph (and its state)
 //   addedge <name> <src> <dst> <prob>        stage an edge insertion

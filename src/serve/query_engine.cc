@@ -113,10 +113,10 @@ QueryEngine::QueryEngine(GraphCatalog* catalog, QueryEngineOptions options)
                           ? std::make_unique<store::MemoryGovernor>()
                           : nullptr),
       governor_(ResolveGovernor(catalog, options, owned_governor_.get())),
-      detect_cache_(options.result_cache_capacity, options.result_cache_shards,
-                    0, ApproxDetectionResultBytes, governor_),
-      truth_cache_(options.result_cache_capacity, options.result_cache_shards,
-                   0, ApproxGroundTruthBytes, governor_) {
+      detect_cache_(options.result_cache_capacity, ApproxDetectionResultBytes,
+                    governor_),
+      truth_cache_(options.result_cache_capacity, ApproxGroundTruthBytes,
+                   governor_) {
   // Complete the memory hierarchy: the catalog charges snapshots/contexts
   // through the same governor the result caches charge through, and the
   // governor can shed result bytes when OTHER classes overflow the budget.
@@ -256,10 +256,9 @@ Result<DetectResponse> QueryEngine::Detect(const std::string& name,
   const std::shared_ptr<const DetectionResult> cached = detect_cache_.Get(key);
   if (cached != nullptr) {
     trace.EndStage();
-    // Copy outside the shard lock: the cache hands out shared ownership
-    // exactly so the hot cached path holds its one shard mutex only for
-    // the lookup, not for copying a k-row result — the difference between
-    // 8 sessions scaling and 8 sessions convoying.
+    // Copy outside the cache lock: the cache hands out shared ownership
+    // exactly so the hot cached path holds its mutex only for the lookup,
+    // not for copying a k-row result.
     DetectResponse response;
     response.result = *cached;
     response.from_cache = true;
@@ -508,18 +507,17 @@ EngineStats QueryEngine::stats() const {
   s.result_cache.inserts = detect.inserts + truth.inserts;
   s.result_cache.rejected_oversize =
       detect.rejected_oversize + truth.rejected_oversize;
-  s.result_cache_shards = detect_cache_.shard_count();
   return s;
 }
 
 namespace {
 
-// Mirrors one result cache's counters and per-shard detail into the
-// registry. Counter::Set is the documented scrape-time bridge for sources
-// whose truth lives behind shard mutexes.
+// Mirrors one result cache's counters into the registry. Counter::Set is
+// the documented scrape-time bridge for sources whose truth lives behind a
+// mutex.
 template <typename V>
 void MirrorCache(obs::MetricRegistry* registry, const char* which,
-                 const ShardedLruCache<V>& cache) {
+                 const LruCache<V>& cache) {
   const CacheStats stats = cache.stats();
   const obs::LabelSet label{{"cache", which}};
   registry
@@ -539,18 +537,6 @@ void MirrorCache(obs::MetricRegistry* registry, const char* which,
       ->GetGauge("vulnds_cache_entries", "Resident result-cache entries",
                  label)
       ->Set(static_cast<double>(cache.size()));
-  for (const CacheShardInfo& shard : cache.ShardInfos()) {
-    const obs::LabelSet shard_labels{{"cache", which},
-                                     {"shard", std::to_string(shard.index)}};
-    registry
-        ->GetGauge("vulnds_cache_shard_entries",
-                   "Resident entries per result-cache shard", shard_labels)
-        ->Set(static_cast<double>(shard.size));
-    registry
-        ->GetCounter("vulnds_cache_shard_hits_total",
-                     "Hits per result-cache shard", shard_labels)
-        ->Set(shard.stats.hits);
-  }
 }
 
 }  // namespace
@@ -580,21 +566,6 @@ void QueryEngine::RefreshMetrics() {
       ->GetGauge("vulnds_catalog_resident_bytes",
                  "Approximate bytes of resident graphs")
       ->Set(static_cast<double>(catalog_->resident_bytes()));
-  for (const CatalogShardInfo& shard : catalog_->ShardInfos()) {
-    const obs::LabelSet labels{{"shard", std::to_string(shard.index)}};
-    registry_
-        ->GetGauge("vulnds_catalog_shard_entries",
-                   "Resident graphs per catalog shard", labels)
-        ->Set(static_cast<double>(shard.size));
-    registry_
-        ->GetGauge("vulnds_catalog_shard_bytes",
-                   "Resident bytes per catalog shard", labels)
-        ->Set(static_cast<double>(shard.bytes));
-    registry_
-        ->GetCounter("vulnds_catalog_shard_hits_total",
-                     "Hits per catalog shard", labels)
-        ->Set(shard.stats.hits);
-  }
   // Warm-context residency, same try_lock discipline as the stats verb: a
   // batch leader may hold an entry's context for minutes, and a scrape must
   // not stall behind it — busy entries are skipped and counted.

@@ -16,11 +16,10 @@
 // requests that differ only in irrelevant knobs share a cache line.
 //
 // Detect/Truth are thread-safe; per-graph context use is serialized per
-// entry, so queries against different graphs never contend. The result
-// cache is a ShardedLruCache: a cached-query hit takes exactly one cache
-// shard mutex (no engine-wide lock anywhere on the hot path), so cached
-// traffic on distinct keys scales with cores instead of convoying on one
-// mutex; eviction stays exact global LRU across shards.
+// entry, so queries against different graphs never contend. Each result
+// cache is one LruCache behind one mutex: a cached-query hit holds it only
+// for the lookup (the value is shared, and copied outside the lock), which
+// measured no slower than a sharded cache under concurrent cached traffic.
 //
 // Same-graph query batching. Concurrent cache-missing Detects against one
 // snapshot are queued per snapshot uid; the first arrival becomes the batch
@@ -73,10 +72,6 @@ std::string CanonicalOptionsKey(const DetectorOptions& options);
 
 struct QueryEngineOptions {
   std::size_t result_cache_capacity = 256;  ///< detect + truth entries (0 = off)
-  /// Result-cache shard count (rounded up to a power of two; 0 = default).
-  /// Execution-only: eviction order and every response are identical for
-  /// any shard count — 1 reproduces the old single-mutex cache exactly.
-  std::size_t result_cache_shards = 0;
   ThreadPool* pool = nullptr;               ///< sampling parallelism
   /// Shared metric registry; nullptr makes the engine own a private one
   /// (exposed via registry()). Pass a shared registry when several engines
@@ -132,9 +127,7 @@ struct EngineStats {
   /// Like the wave telemetry, this measures cost, never answers.
   std::size_t simd_batched_coins = 0;
   std::size_t simd_tail_coins = 0;
-  CacheStats result_cache;  ///< combined detect + truth cache counters,
-                            ///< aggregated across every cache shard
-  std::size_t result_cache_shards = 0;  ///< shard count of each cache
+  CacheStats result_cache;  ///< combined detect + truth cache counters
 };
 
 class QueryEngine {
@@ -180,10 +173,10 @@ class QueryEngine {
     return clock_ ? clock_() : obs::SteadyNowMicros();
   }
 
-  /// Copies the mutex-guarded structural counters (catalog shards, result
-  /// cache shards, context residency) into their registry mirrors. Called
-  /// by the `metrics` verb before rendering; cheap enough for any scrape
-  /// cadence (one pass over shard infos, try_lock on contexts).
+  /// Copies the mutex-guarded structural counters (catalog, result caches,
+  /// context residency) into their registry mirrors. Called by the
+  /// `metrics` verb before rendering; cheap enough for any scrape cadence
+  /// (one lock per structure, try_lock on contexts).
   void RefreshMetrics();
 
  private:
@@ -272,13 +265,13 @@ class QueryEngine {
   std::map<std::size_t, std::unique_ptr<ThreadPool>> extra_pools_;
   std::size_t extra_pool_threads_ = 0;  // sum of extra_pools_ widths
 
-  // Internally synchronized (per-shard mutexes); no engine-wide cache lock
+  // Internally synchronized (one mutex each); no engine-wide cache lock
   // exists. Request counters and wave telemetry are registry-backed
   // lock-free counters — each individually exact, read as a moment-in-time
   // snapshot by stats() (which stays byte-compatible: the counters
   // increment at exactly the points the former atomics did).
-  ShardedLruCache<DetectionResult> detect_cache_;
-  ShardedLruCache<GroundTruth> truth_cache_;
+  LruCache<DetectionResult> detect_cache_;
+  LruCache<GroundTruth> truth_cache_;
   obs::Counter* detect_queries_;
   obs::Counter* truth_queries_;
   obs::Counter* worlds_wasted_;
@@ -293,7 +286,7 @@ class QueryEngine {
   std::pair<const char*, obs::Histogram*> stage_micros_[kKnownStages];
 
   // Same-graph batching state, keyed by snapshot uid. Lock order: an
-  // entry's context_mu may be held while taking batch_mu_ or a cache shard
+  // entry's context_mu may be held while taking batch_mu_ or a result-cache
   // mutex (the leader does both); never the reverse.
   mutable std::mutex batch_mu_;
   std::unordered_map<uint64_t, GraphBatch> batches_;

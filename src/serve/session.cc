@@ -181,28 +181,36 @@ bool ServeSession::HandleLine(const std::string& line, std::ostream& out) {
   return keep_going;
 }
 
+std::shared_ptr<CatalogEntry> ServeSession::ResolveGraph(
+    const std::string& name, const std::string& absent, std::ostream& out) {
+  Result<std::shared_ptr<CatalogEntry>> entry =
+      engine_->catalog().GetOrLoad(name);
+  if (!entry.ok()) {
+    Err(out, entry.status().ToString());
+    return nullptr;
+  }
+  if (*entry == nullptr) Err(out, absent);
+  return entry.MoveValue();
+}
+
 void ServeSession::HandleLoad(const ServeRequest& r, std::ostream& out) {
   const Status st = engine_->catalog().Load(r.name, r.path);
   if (!st.ok()) {
     Err(out, st.ToString());
     return;
   }
-  const auto entry = engine_->catalog().Get(r.name);
-  if (entry == nullptr) {
-    // A concurrent evict (or capacity eviction) can race the load-then-get.
-    Err(out, "graph '" + r.name + "' was evicted during load");
-    return;
-  }
+  // A concurrent evict (or capacity eviction) can race the load-then-get.
+  const auto entry =
+      ResolveGraph(r.name, "graph '" + r.name + "' was evicted during load", out);
+  if (entry == nullptr) return;
   out << "ok loaded " << r.name << " nodes=" << entry->graph.num_nodes()
       << " edges=" << entry->graph.num_edges() << " source=" << r.path << "\n";
 }
 
 void ServeSession::HandleSave(const ServeRequest& r, std::ostream& out) {
-  const auto entry = engine_->catalog().Get(r.name);
-  if (entry == nullptr) {
-    Err(out, "graph '" + r.name + "' is not in the catalog");
-    return;
-  }
+  const auto entry =
+      ResolveGraph(r.name, "graph '" + r.name + "' is not in the catalog", out);
+  if (entry == nullptr) return;
   const Status st = WriteGraphFile(entry->graph, r.path, r.format);
   if (!st.ok()) {
     Err(out, st.ToString());
@@ -270,7 +278,6 @@ void ServeSession::HandleStats(const ServeRequest& r, std::ostream& out) {
     out << "cache_hits=" << s.result_cache.hits << "\n";
     out << "cache_misses=" << s.result_cache.misses << "\n";
     out << "cache_hit_rate=" << FormatRoundTrip(s.result_cache.HitRate()) << "\n";
-    out << "cache_shards=" << s.result_cache_shards << "\n";
     out << "catalog_size=" << catalog.size() << "\n";
     out << "catalog_bytes=" << catalog.resident_bytes() << "\n";
     // Storage hierarchy: what is resident, what the governor allows, what
@@ -308,13 +315,6 @@ void ServeSession::HandleStats(const ServeRequest& r, std::ostream& out) {
     out << "context_bytes=" << context_bytes << "\n";
     out << "context_busy=" << context_busy << "\n";
     out << "catalog_evictions=" << c.evictions << "\n";
-    out << "catalog_shards=" << catalog.shard_count() << "\n";
-    for (const CatalogShardInfo& shard : catalog.ShardInfos()) {
-      out << "shard " << shard.index << " size=" << shard.size
-          << " bytes=" << shard.bytes << " hits=" << shard.stats.hits
-          << " misses=" << shard.stats.misses
-          << " evictions=" << shard.stats.evictions << "\n";
-    }
     if (server_ != nullptr) {
       // Relaxed snapshot: each counter exact, the set read at one moment.
       out << "server sessions_started="
@@ -337,11 +337,9 @@ void ServeSession::HandleStats(const ServeRequest& r, std::ostream& out) {
     out << ".\n";
     return;
   }
-  const auto entry = engine_->catalog().Get(r.name);
-  if (entry == nullptr) {
-    Err(out, "graph '" + r.name + "' is not in the catalog");
-    return;
-  }
+  const auto entry =
+      ResolveGraph(r.name, "graph '" + r.name + "' is not in the catalog", out);
+  if (entry == nullptr) return;
   const GraphStats s = ComputeStats(entry->graph);
   out << "ok stats " << r.name << "\n";
   out << "nodes=" << s.num_nodes << "\n";

@@ -14,9 +14,9 @@
 //   * ServerStats (shared across sessions) is all relaxed atomics — each
 //     counter is individually exact and never torn; a cross-counter read
 //     (the `stats` verb) is a moment-in-time snapshot, not a transaction.
-//   * Catalog and result-cache counters are guarded per shard by that
-//     shard's mutex; QueryEngine request/telemetry counters are relaxed
-//     atomics. Aggregates sum the guarded values, so they can lag in-flight
+//   * Catalog and result-cache counters are guarded by that structure's
+//     mutex; QueryEngine request/telemetry counters are relaxed atomics.
+//     Aggregates read the guarded values, so they can lag in-flight
 //     requests but can never report a torn half-written value.
 
 #ifndef VULNDS_SERVE_SESSION_H_
@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <string>
 
 #include "obs/metrics.h"
@@ -116,6 +117,13 @@ class ServeSession {
   void CountRequest();
   void CountUpdate();
   void Err(std::ostream& out, const std::string& message);
+
+  /// The entry for `name`, resident or spilled (GetOrLoad pages a spilled
+  /// snapshot back in). On failure writes the error — `absent` when the name
+  /// is unknown — and returns nullptr.
+  std::shared_ptr<CatalogEntry> ResolveGraph(const std::string& name,
+                                             const std::string& absent,
+                                             std::ostream& out);
 
   void HandleLoad(const ServeRequest& r, std::ostream& out);
   void HandleSave(const ServeRequest& r, std::ostream& out);

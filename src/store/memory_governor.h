@@ -14,7 +14,9 @@
 //                  correctness; always the cheapest bytes to give back.
 //   2. kSnapshot — resident graphs. With a spill directory the catalog
 //                  writes the coldest snapshot to disk and pages it back on
-//                  demand; without one it evicts (reloadable from source).
+//                  demand; without one it frees nothing (a snapshot may be
+//                  the only copy of a committed version) and the governor
+//                  moves on to the next class.
 //   3. kResult   — cached query results. Shed last: a result is the
 //                  finished product of the other two classes' work.
 //
@@ -87,7 +89,7 @@ class MemoryGovernor {
 
   /// True when a single entry of `bytes` could never fit the budget —
   /// pools reject such entries outright instead of shedding everything
-  /// else first (see ShardedLruCache's rejected_oversize).
+  /// else first (see LruCache's rejected_oversize).
   bool Oversize(std::size_t bytes) const {
     const std::size_t budget = budget_bytes_;
     return budget != 0 && bytes > budget;

@@ -192,21 +192,6 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
                                            const std::vector<NodeId>& candidates,
                                            std::size_t t, std::size_t needed,
                                            int bk, uint64_t seed,
-                                           const BottomKSampleOrder* precomputed,
-                                           ThreadPool* pool,
-                                           std::size_t wave_size) {
-  BottomKRunOptions run;
-  run.precomputed = precomputed;
-  run.pool = pool;
-  run.wave.mode = WaveMode::kFixed;
-  run.wave.fixed_size = wave_size;
-  return RunBottomKSampling(graph, candidates, t, needed, bk, seed, run);
-}
-
-Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
-                                           const std::vector<NodeId>& candidates,
-                                           std::size_t t, std::size_t needed,
-                                           int bk, uint64_t seed,
                                            const BottomKRunOptions& run) {
   if (bk < 3) {
     return Status::InvalidArgument("bk must be >= 3, got " + std::to_string(bk));

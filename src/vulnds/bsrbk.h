@@ -149,19 +149,7 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
                                            const std::vector<NodeId>& candidates,
                                            std::size_t t, std::size_t needed,
                                            int bk, uint64_t seed,
-                                           const BottomKRunOptions& run);
-
-/// Legacy fixed-schedule entry point: `wave_size` worlds per wave (0 picks a
-/// multiple of the pool width). Kept for callers that predate the adaptive
-/// scheduler; equivalent to BottomKRunOptions{precomputed, pool,
-/// {WaveMode::kFixed, wave_size}}.
-Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
-                                           const std::vector<NodeId>& candidates,
-                                           std::size_t t, std::size_t needed,
-                                           int bk, uint64_t seed,
-                                           const BottomKSampleOrder* precomputed = nullptr,
-                                           ThreadPool* pool = nullptr,
-                                           std::size_t wave_size = 0);
+                                           const BottomKRunOptions& run = {});
 
 }  // namespace vulnds
 

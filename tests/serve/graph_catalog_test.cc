@@ -120,57 +120,12 @@ TEST(GraphCatalogTest, EmptyNameRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharding.
+// Budgets and LRU order.
 // ---------------------------------------------------------------------------
 
-TEST(ShardedCatalogTest, ShardCountRoundsUpToPowerOfTwo) {
-  GraphCatalogOptions options;
-  options.shards = 5;
-  GraphCatalog catalog(options);
-  EXPECT_EQ(catalog.shard_count(), 8u);
-  GraphCatalogOptions one;
-  one.shards = 1;
-  EXPECT_EQ(GraphCatalog(one).shard_count(), 1u);
-  EXPECT_EQ(GraphCatalog().shard_count(), GraphCatalog::kDefaultShards);
-  // A hostile shard count is clamped, not allocated (and must not hang the
-  // power-of-two round-up on overflow).
-  GraphCatalogOptions huge;
-  huge.shards = static_cast<std::size_t>(-1);
-  EXPECT_EQ(GraphCatalog(huge).shard_count(), 256u);
-}
-
-TEST(ShardedCatalogTest, ShardInfosSumToAggregates) {
-  GraphCatalog catalog;
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(
-        catalog.Put("g" + std::to_string(i), testing::ChainGraph(0.3, 0.6)).ok());
-  }
-  catalog.Get("g3");
-  catalog.Get("nope");
-  std::size_t size = 0, bytes = 0, hits = 0, misses = 0, loads = 0;
-  for (const CatalogShardInfo& shard : catalog.ShardInfos()) {
-    size += shard.size;
-    bytes += shard.bytes;
-    hits += shard.stats.hits;
-    misses += shard.stats.misses;
-    loads += shard.stats.loads;
-  }
-  EXPECT_EQ(size, catalog.size());
-  EXPECT_EQ(bytes, catalog.resident_bytes());
-  const CatalogStats total = catalog.stats();
-  EXPECT_EQ(hits, total.hits);
-  EXPECT_EQ(misses, total.misses);
-  EXPECT_EQ(loads, total.loads);
-  EXPECT_EQ(total.hits, 1u);
-  EXPECT_EQ(total.misses, 1u);
-}
-
 TEST(ShardedCatalogTest, CapacityEvictionIsGlobalLruAcrossShards) {
-  // Names spread over shards, but eviction order must follow global
-  // recency, exactly like the former one-mutex catalog.
   GraphCatalogOptions options;
   options.capacity = 3;
-  options.shards = 4;
   GraphCatalog catalog(options);
   for (const char* name : {"a", "b", "c"}) {
     ASSERT_TRUE(catalog.Put(name, testing::ChainGraph(0.3, 0.6)).ok());
@@ -179,7 +134,7 @@ TEST(ShardedCatalogTest, CapacityEvictionIsGlobalLruAcrossShards) {
   ASSERT_NE(catalog.Get("b"), nullptr);  // recency now c < a < b
   ASSERT_TRUE(catalog.Put("d", testing::ChainGraph(0.3, 0.6)).ok());
   EXPECT_EQ(catalog.size(), 3u);
-  EXPECT_EQ(catalog.Get("c"), nullptr) << "global LRU victim must be c";
+  EXPECT_EQ(catalog.Get("c"), nullptr) << "LRU victim must be c";
   EXPECT_NE(catalog.Get("a"), nullptr);
   EXPECT_NE(catalog.Get("b"), nullptr);
   EXPECT_NE(catalog.Get("d"), nullptr);
@@ -190,7 +145,6 @@ TEST(ShardedCatalogTest, ByteBudgetEvictsUntilWithinBudget) {
   const std::size_t small_bytes = EstimateGraphBytes(small);
   GraphCatalogOptions options;
   options.byte_budget = 3 * small_bytes + small_bytes / 2;  // fits 3, not 4
-  options.shards = 4;
   GraphCatalog catalog(options);
   for (const char* name : {"a", "b", "c", "d", "e"}) {
     ASSERT_TRUE(catalog.Put(name, testing::ChainGraph(0.3, 0.6)).ok());
@@ -234,9 +188,8 @@ TEST(ShardedCatalogTest, EvictionAccountingRemovesBytes) {
   EXPECT_EQ(catalog.size(), 0u);
 }
 
-// Reference model: a single global LRU with the same budget rules. The
-// sharded catalog must match it operation for operation (single-threaded,
-// sharding is pure implementation detail).
+// Reference model: a plain LRU list with the same budget rules. The catalog
+// must match it operation for operation.
 class LruModel {
  public:
   LruModel(std::size_t capacity, std::size_t byte_budget)
@@ -301,42 +254,39 @@ class LruModel {
 
 TEST(ShardedCatalogTest, PropertyMatchesGlobalLruModelAcrossShards) {
   // Random Put/Get/Evict sequences with mixed graph sizes; after every
-  // operation the resident set AND the MRU order must match the global-LRU
-  // reference model, for several shard counts (1 = the old catalog).
+  // operation the resident set AND the MRU order must match the LRU
+  // reference model.
   const UncertainGraph small = testing::ChainGraph(0.3, 0.6);
   const UncertainGraph large = testing::RandomSmallGraph(25, 0.25, 9);
   const std::size_t small_bytes = EstimateGraphBytes(small);
   const std::size_t large_bytes = EstimateGraphBytes(large);
-  for (const std::size_t shards : {1u, 2u, 8u}) {
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-      GraphCatalogOptions options;
-      options.capacity = 5;
-      options.byte_budget = 3 * large_bytes + small_bytes;
-      options.shards = shards;
-      GraphCatalog catalog(options);
-      LruModel model(options.capacity, options.byte_budget);
-      Rng rng(seed);
-      for (int step = 0; step < 300; ++step) {
-        const std::string name =
-            "g" + std::to_string(rng.NextU64() % 9);  // 9 hot names
-        const double roll = rng.NextDouble();
-        if (roll < 0.45) {
-          const bool big = rng.NextDouble() < 0.4;
-          ASSERT_TRUE(catalog
-                          .Put(name, big ? testing::RandomSmallGraph(25, 0.25, 9)
-                                         : testing::ChainGraph(0.3, 0.6))
-                          .ok());
-          model.Put(name, big ? large_bytes : small_bytes);
-        } else if (roll < 0.85) {
-          EXPECT_EQ(catalog.Get(name) != nullptr, model.Get(name))
-              << "step " << step << " name " << name << " shards " << shards;
-        } else {
-          EXPECT_EQ(catalog.Evict(name), model.Evict(name))
-              << "step " << step << " name " << name << " shards " << shards;
-        }
-        ASSERT_EQ(catalog.Names(), model.Names())
-            << "step " << step << " shards " << shards << " seed " << seed;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    GraphCatalogOptions options;
+    options.capacity = 5;
+    options.byte_budget = 3 * large_bytes + small_bytes;
+    GraphCatalog catalog(options);
+    LruModel model(options.capacity, options.byte_budget);
+    Rng rng(seed);
+    for (int step = 0; step < 300; ++step) {
+      const std::string name =
+          "g" + std::to_string(rng.NextU64() % 9);  // 9 hot names
+      const double roll = rng.NextDouble();
+      if (roll < 0.45) {
+        const bool big = rng.NextDouble() < 0.4;
+        ASSERT_TRUE(catalog
+                        .Put(name, big ? testing::RandomSmallGraph(25, 0.25, 9)
+                                       : testing::ChainGraph(0.3, 0.6))
+                        .ok());
+        model.Put(name, big ? large_bytes : small_bytes);
+      } else if (roll < 0.85) {
+        EXPECT_EQ(catalog.Get(name) != nullptr, model.Get(name))
+            << "step " << step << " name " << name;
+      } else {
+        EXPECT_EQ(catalog.Evict(name), model.Evict(name))
+            << "step " << step << " name " << name;
       }
+      ASSERT_EQ(catalog.Names(), model.Names())
+          << "step " << step << " seed " << seed;
     }
   }
 }
@@ -347,7 +297,6 @@ TEST(ShardedCatalogTest, ConcurrentLoadGetEvictSmoke) {
   // plus conservation: every Get either misses or returns a usable entry.
   GraphCatalogOptions options;
   options.capacity = 6;
-  options.shards = 4;
   GraphCatalog catalog(options);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {

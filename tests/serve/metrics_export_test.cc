@@ -62,15 +62,13 @@ TEST(MetricsExportTest, ExpositionCoversEveryServeSubsystem) {
   EXPECT_NE(
       text.find("vulnds_engine_stage_micros_count{stage=\"cache_lookup\"}"),
       std::string::npos);
-  // Result-cache families, per cache and per shard.
+  // Result-cache families, per cache.
   EXPECT_NE(text.find("vulnds_cache_hits_total{cache=\"detect\"} 1"),
             std::string::npos);
-  EXPECT_NE(text.find("vulnds_cache_shard_entries{cache=\"detect\",shard="),
-            std::string::npos);
-  // Catalog aggregate and per-shard families.
+  // Catalog aggregate families.
   EXPECT_NE(text.find("vulnds_catalog_resident_graphs 1"), std::string::npos);
-  EXPECT_NE(text.find("vulnds_catalog_shard_entries{shard="),
-            std::string::npos);
+  // Neither structure is sharded, so no per-shard family is exported.
+  EXPECT_EQ(text.find("_shard_"), std::string::npos);
   // Server counters mirrored from ServerStats.
   EXPECT_NE(text.find("vulnds_server_sessions_started_total 3"),
             std::string::npos);

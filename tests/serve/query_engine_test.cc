@@ -171,35 +171,6 @@ TEST(QueryEngineTest, WaveKnobIsExecutionOnly) {
   ExpectSameResult(cold_fixed->result, cold_adaptive->result);
 }
 
-TEST(QueryEngineTest, ShardedCacheKeepsSingleShardSemantics) {
-  // The engine's observable caching behavior must be identical for every
-  // result_cache_shards value; sharding only changes which mutex a lookup
-  // takes. Counters included: same hits, misses, inserts.
-  const UncertainGraph g = testing::RandomSmallGraph(30, 0.15, 5);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    GraphCatalog catalog;
-    ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(30, 0.15, 5)).ok());
-    QueryEngineOptions engine_options;
-    engine_options.result_cache_shards = shards;
-    QueryEngine engine(&catalog, engine_options);
-    DetectorOptions options;
-    options.k = 3;
-    Result<DetectResponse> first = engine.Detect("g", options);
-    ASSERT_TRUE(first.ok());
-    EXPECT_FALSE(first->from_cache);
-    Result<DetectResponse> second = engine.Detect("g", options);
-    ASSERT_TRUE(second.ok());
-    EXPECT_TRUE(second->from_cache) << "shards=" << shards;
-    ExpectSameResult(first->result, second->result);
-    const EngineStats stats = engine.stats();
-    EXPECT_EQ(stats.detect_queries, 2u);
-    EXPECT_EQ(stats.result_cache.hits, 1u);
-    EXPECT_EQ(stats.result_cache.misses, 1u);
-    EXPECT_EQ(stats.result_cache.inserts, 1u);
-    EXPECT_EQ(stats.result_cache_shards, shards);
-  }
-}
-
 TEST(QueryEngineTest, WaveTelemetryCountsExecutedRunsOnly) {
   // worlds_wasted / waves_issued aggregate over executed detects; a cached
   // replay must not re-book the original run's schedule telemetry.

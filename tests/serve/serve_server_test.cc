@@ -195,13 +195,12 @@ TEST(ServeServerTest, StatsVerbReportsServerAndShardDetail) {
   server.ServeStream(in, out);
   const std::string text = out.str();
   EXPECT_NE(text.find("batched_queries=0"), std::string::npos) << text;
-  EXPECT_NE(text.find("catalog_shards=8"), std::string::npos);
   EXPECT_NE(text.find("catalog_bytes="), std::string::npos);
-  EXPECT_NE(text.find("cache_shards=8"), std::string::npos);
+  // The catalog and the result caches are unsharded: no shard lines.
+  EXPECT_EQ(text.find("shard"), std::string::npos) << text;
   EXPECT_NE(text.find("worlds_wasted="), std::string::npos);
   EXPECT_NE(text.find("waves_issued="), std::string::npos);
   EXPECT_NE(text.find("context_bytes="), std::string::npos);
-  EXPECT_NE(text.find("shard 0 size="), std::string::npos);
   EXPECT_NE(text.find("server sessions_started=1 sessions_finished=0 "
                       "requests=2 errors=0 updates=0"),
             std::string::npos)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "dyn/update_manager.h"
 #include "graph/graph_io.h"
+#include "store/memory_governor.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds::serve {
@@ -43,6 +46,32 @@ std::string RunScript(const std::string& script, ThreadPool* pool = nullptr) {
   std::istringstream in(script);
   std::ostringstream out;
   RunServeLoop(in, out, engine, &updates);
+  return out.str();
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// Runs a scripted session against a catalog whose governor budget is
+// `budget_bytes` and whose cold snapshots spill to `spill_dir` (the CLI's
+// mem_bytes= + spill_dir= wiring).
+std::string RunSpillScript(const std::string& script, std::size_t budget_bytes,
+                           const std::string& spill_dir) {
+  store::MemoryGovernorOptions governor_options;
+  governor_options.budget_bytes = budget_bytes;
+  store::MemoryGovernor governor(governor_options);
+  GraphCatalogOptions catalog_options;
+  catalog_options.spill_dir = spill_dir;
+  catalog_options.governor = &governor;
+  GraphCatalog catalog(catalog_options);
+  QueryEngine engine(&catalog);
+  std::istringstream in(script);
+  std::ostringstream out;
+  RunServeLoop(in, out, engine);
   return out.str();
 }
 
@@ -144,6 +173,45 @@ TEST(ServeLoopTest, SaveRoundTripsThroughBinary) {
   EXPECT_NE(output.find("ok evicted g"), std::string::npos);
   EXPECT_NE(output.find("ok loaded g2 nodes=5 edges=6"), std::string::npos);
   EXPECT_NE(output.find("nodes=5"), std::string::npos);
+}
+
+TEST(ServeLoopTest, SpilledGraphStillAnswersStatsAndSave) {
+  // The budget fits one graph, so loading g2 spills g1. `stats g1` and
+  // `save g1` must page it back in, not answer "not in the catalog".
+  const UncertainGraph g1 = testing::RandomSmallGraph(60, 0.2, 11);
+  const UncertainGraph g2 = testing::RandomSmallGraph(60, 0.2, 22);
+  const std::string p1 =
+      WriteTempGraph(g1, "serve_spill_1.snap", GraphFileFormat::kBinary);
+  const std::string p2 =
+      WriteTempGraph(g2, "serve_spill_2.snap", GraphFileFormat::kBinary);
+  const std::string saved = ::testing::TempDir() + "/serve_spill_saved.snap";
+  const std::size_t budget =
+      std::max(EstimateGraphBytes(g1), EstimateGraphBytes(g2)) + 512;
+  const std::string output = RunSpillScript(
+      "load g1 " + p1 + "\nload g2 " + p2 + "\nstats\nstats g1\nsave g1 " +
+          saved + "\nquit\n",
+      budget, ::testing::TempDir() + "/serve_spill_dir_a");
+  EXPECT_NE(output.find("ok loaded g2"), std::string::npos) << output;
+  EXPECT_NE(output.find("spilled_graphs=1"), std::string::npos) << output;
+  EXPECT_NE(output.find("ok stats g1\nnodes=60"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("ok saved g1"), std::string::npos) << output;
+  EXPECT_EQ(output.find("\nerr "), std::string::npos) << output;
+  EXPECT_EQ(FileBytes(saved), FileBytes(p1));
+}
+
+TEST(ServeLoopTest, LoadUnderBudgetSmallerThanTheGraphAnswersOk) {
+  // The governor spills the just-loaded graph at once; the load still
+  // answers ok (it pages the graph back in to report its shape).
+  const UncertainGraph g = testing::RandomSmallGraph(60, 0.2, 11);
+  const std::string path =
+      WriteTempGraph(g, "serve_spill_3.snap", GraphFileFormat::kBinary);
+  const std::string output =
+      RunSpillScript("load g " + path + "\nquit\n", EstimateGraphBytes(g) / 2,
+                     ::testing::TempDir() + "/serve_spill_dir_b");
+  const std::vector<std::string> lines = Lines(output);
+  ASSERT_EQ(lines.size(), 2u) << output;
+  EXPECT_EQ(lines[0].rfind("ok loaded g nodes=60 ", 0), 0u) << lines[0];
 }
 
 TEST(ServeLoopTest, UpdateCommitVersionsSession) {

@@ -71,8 +71,9 @@ TEST(BsrbkParallelTest, ThreadCountSweepIsBitIdentical) {
     ASSERT_TRUE(serial.ok());
     for (const std::size_t threads : SweptThreadCounts()) {
       ThreadPool pool(threads);
-      const auto parallel = RunBottomKSampling(g, candidates, 500, needed, 8,
-                                               1234, nullptr, &pool);
+      const auto parallel =
+          RunBottomKSampling(g, candidates, 500, needed, 8, 1234,
+                             {nullptr, &pool, {WaveMode::kFixed, 0}});
       ASSERT_TRUE(parallel.ok());
       ExpectBitIdentical(*serial, *parallel,
                          ("threads=" + std::to_string(threads) +
@@ -94,8 +95,8 @@ TEST(BsrbkParallelTest, WaveSizeNeverChangesResults) {
   for (const std::size_t wave : {std::size_t{1}, std::size_t{7},
                                  std::size_t{25}, std::size_t{100},
                                  std::size_t{1000}}) {
-    const auto parallel = RunBottomKSampling(g, candidates, t, 2, 6, 77,
-                                             nullptr, &pool, wave);
+    const auto parallel = RunBottomKSampling(
+        g, candidates, t, 2, 6, 77, {nullptr, &pool, {WaveMode::kFixed, wave}});
     ASSERT_TRUE(parallel.ok());
     ExpectBitIdentical(*serial, *parallel,
                        ("wave=" + std::to_string(wave)).c_str());
@@ -118,8 +119,9 @@ TEST(BsrbkParallelTest, EarlyStopOnWaveBoundaryEdgeCases) {
   for (const std::size_t threads : SweptThreadCounts()) {
     ThreadPool pool(threads);
     for (const std::size_t wave : {stop, stop - 1, stop + 1}) {
-      const auto parallel = RunBottomKSampling(g, candidates, t, 1, 8, 31,
-                                               nullptr, &pool, wave);
+      const auto parallel =
+          RunBottomKSampling(g, candidates, t, 1, 8, 31,
+                             {nullptr, &pool, {WaveMode::kFixed, wave}});
       ASSERT_TRUE(parallel.ok());
       ExpectBitIdentical(*serial, *parallel,
                          ("threads=" + std::to_string(threads) +
@@ -143,7 +145,8 @@ TEST(BsrbkParallelTest, ExhaustedBudgetMatchesAcrossThreadCounts) {
   for (const std::size_t threads : SweptThreadCounts()) {
     ThreadPool pool(threads);
     const auto parallel =
-        RunBottomKSampling(g, candidates, 333, 1, 64, 9, nullptr, &pool);
+        RunBottomKSampling(g, candidates, 333, 1, 64, 9,
+                           {nullptr, &pool, {WaveMode::kFixed, 0}});
     ASSERT_TRUE(parallel.ok());
     ExpectBitIdentical(*serial, *parallel,
                        ("threads=" + std::to_string(threads)).c_str());
@@ -156,11 +159,14 @@ TEST(BsrbkParallelTest, PrecomputedOrderAndPoolCompose) {
   const UncertainGraph g = RingWithChords(20, 3);
   const std::vector<NodeId> candidates = AllNodes(g);
   const BottomKSampleOrder order = MakeBottomKSampleOrder(55, 400);
-  const auto serial = RunBottomKSampling(g, candidates, 400, 2, 8, 55, &order);
+  BottomKRunOptions serial_run;
+  serial_run.precomputed = &order;
+  const auto serial = RunBottomKSampling(g, candidates, 400, 2, 8, 55, serial_run);
   ASSERT_TRUE(serial.ok());
   ThreadPool pool(4);
   const auto parallel =
-      RunBottomKSampling(g, candidates, 400, 2, 8, 55, &order, &pool);
+      RunBottomKSampling(g, candidates, 400, 2, 8, 55,
+                         {&order, &pool, {WaveMode::kFixed, 0}});
   ASSERT_TRUE(parallel.ok());
   ExpectBitIdentical(*serial, *parallel, "precomputed order");
 }
@@ -176,7 +182,8 @@ TEST(BsrbkParallelTest, SeedSweepPropertyAcrossThreadCounts) {
     for (const std::size_t threads : SweptThreadCounts()) {
       ThreadPool pool(threads);
       const auto parallel = RunBottomKSampling(
-          g, candidates, 200 + seed * 37, 2, 5, seed, nullptr, &pool);
+          g, candidates, 200 + seed * 37, 2, 5, seed,
+          {nullptr, &pool, {WaveMode::kFixed, 0}});
       ASSERT_TRUE(parallel.ok());
       ExpectBitIdentical(*serial, *parallel,
                          ("seed=" + std::to_string(seed) +

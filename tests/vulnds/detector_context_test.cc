@@ -118,7 +118,9 @@ TEST(DetectionContextTest, PrecomputedSampleOrderSizeMismatchRejected) {
   const UncertainGraph g = testing::RandomSmallGraph(10, 0.3, 3);
   const BottomKSampleOrder wrong = MakeBottomKSampleOrder(42, 10);
   const std::vector<NodeId> candidates = {0, 1, 2};
-  EXPECT_EQ(RunBottomKSampling(g, candidates, 20, 1, 4, 42, &wrong)
+  BottomKRunOptions wrong_order;
+  wrong_order.precomputed = &wrong;
+  EXPECT_EQ(RunBottomKSampling(g, candidates, 20, 1, 4, 42, wrong_order)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
@@ -130,7 +132,9 @@ TEST(DetectionContextTest, PrecomputedSampleOrderBitIdentical) {
   const std::size_t t = 400;
   const uint64_t seed = 1234;
   const BottomKSampleOrder order = MakeBottomKSampleOrder(seed, t);
-  Result<BottomKRunStats> with = RunBottomKSampling(g, candidates, t, 2, 4, seed, &order);
+  BottomKRunOptions with_order;
+  with_order.precomputed = &order;
+  Result<BottomKRunStats> with = RunBottomKSampling(g, candidates, t, 2, 4, seed, with_order);
   Result<BottomKRunStats> without = RunBottomKSampling(g, candidates, t, 2, 4, seed);
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(without.ok());

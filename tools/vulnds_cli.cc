@@ -19,16 +19,15 @@
 //       and kernel tier.
 //   vulnds_cli truth <graph> <k> [samples] [seed]
 //       Prints the Monte-Carlo reference top-k (default 20000 worlds).
-//   vulnds_cli serve [cache_capacity] [threads=N] [shards=N] [catalog_bytes=N]
-//              [cache_shards=N] [mem_bytes=N] [spill_dir=DIR] [journal=PATH]
+//   vulnds_cli serve [cache_capacity] [threads=N] [catalog_bytes=N]
+//              [mem_bytes=N] [spill_dir=DIR] [journal=PATH]
 //              [journal_compact_bytes=N] [slowlog=path] [slowlog_ms=N]
 //              [tcp=PORT] [unix=PATH] [max_conns=N]
 //              [idle_timeout_ms=N] [read_timeout_ms=N] [write_timeout_ms=N]
 //       Speaks the line-oriented serve protocol on stdin/stdout: graphs are
-//       loaded once into a name-sharded catalog (shards= shard count,
-//       catalog_bytes= resident byte budget, both optional) and repeated
-//       queries hit a key-hashed sharded result cache (cache_shards= shard
-//       count; 1 reproduces the old single-mutex cache).
+//       loaded once into a catalog (catalog_bytes= resident byte budget,
+//       optional) and repeated queries hit an LRU result cache of
+//       cache_capacity entries; each is one structure behind one mutex.
 //       Storage hierarchy: mem_bytes=N puts the whole memory hierarchy
 //       (snapshots + warm detection contexts + cached results) under one
 //       global byte budget; under pressure the coldest contexts are dropped
@@ -114,8 +113,7 @@ int Usage() {
                "      keys: eps= delta= seed= samples= order= bk= method= threads=\n"
                "            wave=adaptive|fixed|fixed:N simd=auto|avx2|scalar\n"
                "  vulnds_cli truth <graph> <k> [samples] [seed]\n"
-               "  vulnds_cli serve [cache_capacity] [threads=N] [shards=N]\n"
-               "             [catalog_bytes=N] [cache_shards=N]\n"
+               "  vulnds_cli serve [cache_capacity] [threads=N] [catalog_bytes=N]\n"
                "             [mem_bytes=N] [spill_dir=DIR] [journal=PATH]\n"
                "             [journal_compact_bytes=N]\n"
                "             [slowlog=path] [slowlog_ms=N]\n"
@@ -417,15 +415,6 @@ int CmdServe(int argc, char** argv) {
         return Usage();
       }
       threads = n;
-    } else if (arg.rfind("shards=", 0) == 0) {
-      if (catalog_options.shards != 0) {
-        std::fprintf(stderr, "duplicate shards= argument\n");
-        return Usage();
-      }
-      if (!ParseArgOr(ParseUint64, "shards", arg.substr(7),
-                      &catalog_options.shards)) {
-        return Usage();
-      }
     } else if (arg.rfind("catalog_bytes=", 0) == 0) {
       if (catalog_options.byte_budget != 0) {
         std::fprintf(stderr, "duplicate catalog_bytes= argument\n");
@@ -476,15 +465,6 @@ int CmdServe(int argc, char** argv) {
         std::fprintf(stderr,
                      "journal_compact_bytes= needs a positive byte "
                      "threshold\n");
-        return Usage();
-      }
-    } else if (arg.rfind("cache_shards=", 0) == 0) {
-      if (engine_options.result_cache_shards != 0) {
-        std::fprintf(stderr, "duplicate cache_shards= argument\n");
-        return Usage();
-      }
-      if (!ParseArgOr(ParseUint64, "cache_shards", arg.substr(13),
-                      &engine_options.result_cache_shards)) {
         return Usage();
       }
     } else if (arg.rfind("slowlog=", 0) == 0) {
