@@ -34,6 +34,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from serve_client import ServeClient  # noqa: E402
@@ -72,6 +73,22 @@ def expect(condition, message, failures):
     if not condition:
         failures.append(message)
         print(f"FAIL: {message}", file=sys.stderr)
+
+
+def wait_active(client, want, deadline_s=10.0):
+    """Polls the `metrics` scrape until the server reports `want` active
+    connections. The server frees a closed connection's admission slot
+    before it drops the gauge, so once the gauge reads `want` no closed
+    client still holds a slot. Returns False if the deadline passes."""
+    series = 'vulnds_net_connections{state="active"} '
+    deadline = time.monotonic() + deadline_s
+    while True:
+        for line in client.request("metrics"):
+            if line.startswith(series) and float(line[len(series):]) == want:
+                return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
 
 
 def main():
@@ -135,8 +152,15 @@ def main():
                            "TCP front diverged from the Unix front", failures)
 
                 # --- admission control: cap is 2, third client bounces ----
+                # The TCP client's close is asynchronous: wait until its
+                # slot is free before admitting the holder, and until the
+                # holder counts before probing, or either races the cap.
+                expect(wait_active(client, 1),
+                       "the TCP client's slot was never released", failures)
                 holders = [ServeClient(unix=sock_path)]  # 2nd live conn
                 holders[0].request("catalog")  # prove it was admitted
+                expect(wait_active(client, 2),
+                       "the cap never showed two active clients", failures)
                 raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
                 raw.settimeout(30)
                 raw.connect(sock_path)

@@ -371,13 +371,15 @@ void NetServer::RunConnection(Conn* conn) {
 
   ::shutdown(fd, SHUT_WR);
   requests_per_conn_->Observe(static_cast<double>(requests));
+  // Free the admission slot before any observer can see the connection as
+  // closed, so a client that saw it close is never refused for its slot.
+  live_conns_.fetch_sub(1, std::memory_order_acq_rel);
   if (counted_draining) {
     draining_gauge_->Add(-1);
   } else {
     active_gauge_->Add(-1);
   }
   server_stats_.sessions_finished.fetch_add(1, std::memory_order_relaxed);
-  live_conns_.fetch_sub(1, std::memory_order_acq_rel);
   conn->done.store(true, std::memory_order_release);
 }
 

@@ -76,13 +76,4 @@ std::size_t FindActive(SimdTier tier, const unsigned char* flags,
   return internal::FindActiveScalar(flags, veto, n, out);
 }
 
-void AccumulateCounts(SimdTier tier, uint32_t* counts,
-                      const unsigned char* flags, std::size_t n) {
-  if (tier == SimdTier::kAvx2) {
-    internal::AccumulateCountsAvx2(counts, flags, n);
-  } else {
-    internal::AccumulateCountsScalar(counts, flags, n);
-  }
-}
-
 }  // namespace vulnds::simd

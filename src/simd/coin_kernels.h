@@ -113,11 +113,6 @@ std::size_t FindActive(SimdTier tier, const unsigned char* flags,
                        const unsigned char* veto, std::size_t n,
                        uint32_t* out);
 
-/// counts[i] += flags[i] for i in [0, n); flags must be 0/1 (the defaulted
-/// bitmaps are). The plain reverse-sampling count fold.
-void AccumulateCounts(SimdTier tier, uint32_t* counts,
-                      const unsigned char* flags, std::size_t n);
-
 }  // namespace vulnds::simd
 
 #endif  // VULNDS_SIMD_COIN_KERNELS_H_

@@ -223,24 +223,6 @@ std::size_t FindActiveAvx2(const unsigned char* flags,
   return found;
 }
 
-void AccumulateCountsAvx2(uint32_t* counts, const unsigned char* flags,
-                          std::size_t n) {
-  constexpr std::size_t kBlock = 8;  // 8 × u8 widened to 8 × u32
-  const std::size_t blocks = n / kBlock;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t base = b * kBlock;
-    const __m128i f8 = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i*>(flags + base));
-    const __m256i wide = _mm256_cvtepu8_epi32(f8);
-    __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<__m256i*>(counts + base));
-    c = _mm256_add_epi32(c, wide);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts + base), c);
-  }
-  const std::size_t done = blocks * kBlock;
-  AccumulateCountsScalar(counts + done, flags + done, n - done);
-}
-
 }  // namespace vulnds::simd::internal
 
 #else  // !__AVX2__: forward to the scalar reference so the link holds.
@@ -265,11 +247,6 @@ std::size_t FindActiveAvx2(const unsigned char* flags,
                            const unsigned char* veto, std::size_t n,
                            uint32_t* out) {
   return FindActiveScalar(flags, veto, n, out);
-}
-
-void AccumulateCountsAvx2(uint32_t* counts, const unsigned char* flags,
-                          std::size_t n) {
-  AccumulateCountsScalar(counts, flags, n);
 }
 
 }  // namespace vulnds::simd::internal

@@ -43,11 +43,6 @@ std::size_t FindActiveAvx2(const unsigned char* flags,
                            const unsigned char* veto, std::size_t n,
                            uint32_t* out);
 
-void AccumulateCountsScalar(uint32_t* counts, const unsigned char* flags,
-                            std::size_t n);
-void AccumulateCountsAvx2(uint32_t* counts, const unsigned char* flags,
-                          std::size_t n);
-
 }  // namespace internal
 }  // namespace vulnds::simd
 

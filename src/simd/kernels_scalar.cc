@@ -45,9 +45,4 @@ std::size_t FindActiveScalar(const unsigned char* flags,
   return found;
 }
 
-void AccumulateCountsScalar(uint32_t* counts, const unsigned char* flags,
-                            std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) counts[i] += flags[i];
-}
-
 }  // namespace vulnds::simd::internal

@@ -1,6 +1,7 @@
 #include "vulnds/basic_sampler.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "simd/coin_kernels.h"
 #include "vulnds/reverse_sampler.h"
@@ -29,22 +30,26 @@ inline uint64_t CoinMask(const uint64_t* seeds, uint64_t inner,
 }
 
 // One worker's state: the D/P masks of the current block and the worklist
-// of nodes with pending worlds. Reused across that worker's blocks.
+// of nodes with pending worlds. Reused across that worker's blocks. Nodes
+// outside the scope are marked defaulted in every world once, so that no
+// push ever opens a world at them.
 class BlockSampler {
  public:
-  explicit BlockSampler(const UncertainGraph& graph)
+  BlockSampler(const UncertainGraph& graph, const std::vector<NodeId>& scope,
+               const std::vector<NodeId>& counted)
       : graph_(graph),
-        defaulted_(graph.num_nodes(), 0),
+        scope_(scope),
+        counted_(counted),
+        defaulted_(graph.num_nodes(), ~uint64_t{0}),
         pending_(graph.num_nodes(), 0) {
-    queue_.reserve(graph.num_nodes());
+    queue_.reserve(scope.size());
   }
 
   // Samples worlds [first, first + worlds) of the run seeded `seed` (worlds
-  // <= kBlockWorlds), adds each node's default count into `counts`, and
-  // returns the number of defaulted (node, world) pairs.
-  std::size_t SampleBlock(uint64_t seed, std::size_t first, std::size_t worlds,
-                          uint32_t* counts) {
-    const std::size_t n = graph_.num_nodes();
+  // <= kBlockWorlds) and adds the default count of counted[i] into
+  // counts[i].
+  void SampleBlock(uint64_t seed, std::size_t first, std::size_t worlds,
+                   uint32_t* counts) {
     const uint64_t all =
         worlds == kBlockWorlds ? ~uint64_t{0} : (uint64_t{1} << worlds) - 1;
     for (std::size_t j = 0; j < worlds; ++j) {
@@ -53,9 +58,10 @@ class BlockSampler {
       edge_seeds_[j] = EdgeCoinSeed(world);
     }
 
-    // Lines 4-8: every node's self-risk coin in every world of the block.
+    // Lines 4-8: every scope node's self-risk coin in every world of the
+    // block.
     queue_.clear();
-    for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId v : scope_) {
       const uint64_t hits =
           CoinMask(node_seeds_, simd::CoinInnerHash(v),
                    simd::CoinThreshold(graph_.self_risk(v)), all);
@@ -85,17 +91,15 @@ class BlockSampler {
       }
     }
 
-    std::size_t touched = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      const int defaults = __builtin_popcountll(defaulted_[v]);
-      counts[v] += static_cast<uint32_t>(defaults);
-      touched += static_cast<std::size_t>(defaults);
+    for (std::size_t i = 0; i < counted_.size(); ++i) {
+      counts[i] += static_cast<uint32_t>(__builtin_popcountll(defaulted_[counted_[i]]));
     }
-    return touched;
   }
 
  private:
   const UncertainGraph& graph_;
+  const std::vector<NodeId>& scope_;
+  const std::vector<NodeId>& counted_;
   std::vector<uint64_t> defaulted_;  // D[v]
   std::vector<uint64_t> pending_;    // P[v]
   std::vector<NodeId> queue_;
@@ -104,24 +108,26 @@ class BlockSampler {
 };
 
 // Serial chunk: blocks [begin, end) of a t-world run, accumulated into
-// counts/touched.
-void RunBlocks(const UncertainGraph& graph, uint64_t seed, std::size_t t,
-               std::size_t begin, std::size_t end, std::vector<uint32_t>* counts,
-               std::size_t* touched) {
-  BlockSampler sampler(graph);
+// counts.
+void RunBlocks(const UncertainGraph& graph, const std::vector<NodeId>& scope,
+               const std::vector<NodeId>& counted, uint64_t seed, std::size_t t,
+               std::size_t begin, std::size_t end, std::vector<uint32_t>* counts) {
+  BlockSampler sampler(graph, scope, counted);
   for (std::size_t b = begin; b < end; ++b) {
     const std::size_t first = b * kBlockWorlds;
-    *touched += sampler.SampleBlock(seed, first,
-                                    std::min(kBlockWorlds, t - first),
-                                    counts->data());
+    sampler.SampleBlock(seed, first, std::min(kBlockWorlds, t - first),
+                        counts->data());
   }
 }
 
 }  // namespace
 
-BasicSampleStats RunBasicSampling(const UncertainGraph& graph, std::size_t t,
-                                  uint64_t seed, ThreadPool* pool) {
-  const std::size_t n = graph.num_nodes();
+BasicSampleStats RunBlockSampling(const UncertainGraph& graph,
+                                  const std::vector<NodeId>& scope,
+                                  const std::vector<NodeId>& counted,
+                                  std::size_t t, uint64_t seed,
+                                  ThreadPool* pool) {
+  const std::size_t n = counted.size();
   BasicSampleStats stats;
   stats.samples = t;
   stats.estimates.assign(n, 0.0);
@@ -131,30 +137,36 @@ BasicSampleStats RunBasicSampling(const UncertainGraph& graph, std::size_t t,
   std::vector<uint32_t> counts(n, 0);
 
   if (pool == nullptr || pool->num_threads() <= 1 || blocks == 1) {
-    RunBlocks(graph, seed, t, 0, blocks, &counts, &stats.nodes_touched);
+    RunBlocks(graph, scope, counted, seed, t, 0, blocks, &counts);
   } else {
     const std::size_t workers = std::min<std::size_t>(pool->num_threads(), blocks);
     std::vector<std::vector<uint32_t>> partial(workers,
                                                std::vector<uint32_t>(n, 0));
-    std::vector<std::size_t> partial_touched(workers, 0);
     const std::size_t chunk = (blocks + workers - 1) / workers;
     pool->ParallelFor(workers, [&](std::size_t w) {
       const std::size_t begin = w * chunk;
       const std::size_t end = std::min(blocks, begin + chunk);
       if (begin < end) {
-        RunBlocks(graph, seed, t, begin, end, &partial[w], &partial_touched[w]);
+        RunBlocks(graph, scope, counted, seed, t, begin, end, &partial[w]);
       }
     });
     for (std::size_t w = 0; w < workers; ++w) {
-      stats.nodes_touched += partial_touched[w];
-      for (std::size_t v = 0; v < n; ++v) counts[v] += partial[w][v];
+      for (std::size_t i = 0; i < n; ++i) counts[i] += partial[w][i];
     }
   }
 
-  for (std::size_t v = 0; v < n; ++v) {
-    stats.estimates[v] = static_cast<double>(counts[v]) / static_cast<double>(t);
+  for (std::size_t i = 0; i < n; ++i) {
+    stats.nodes_touched += counts[i];
+    stats.estimates[i] = static_cast<double>(counts[i]) / static_cast<double>(t);
   }
   return stats;
+}
+
+BasicSampleStats RunBasicSampling(const UncertainGraph& graph, std::size_t t,
+                                  uint64_t seed, ThreadPool* pool) {
+  std::vector<NodeId> all(graph.num_nodes());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  return RunBlockSampling(graph, all, all, t, seed, pool);
 }
 
 }  // namespace vulnds

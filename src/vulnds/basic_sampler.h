@@ -1,15 +1,17 @@
-// Algorithm 1: the basic forward Monte-Carlo sampler (methods N and SN).
+// The 64-world block kernel: Algorithm 1's forward Monte-Carlo sampling,
+// which every method but BSRBK runs (N, SN and `truth` over the whole graph,
+// SR and BSR over the candidates' reverse closure; reverse_sampler.h).
 //
 // A sample is a possible world: every node flips its self-risk coin, and a
 // forward propagation from the self-defaulted nodes flips each encountered
 // edge's diffusion coin once. A node's default indicator is accumulated over
 // samples; the estimate p̂(v) = defaults(v) / t is unbiased.
 //
-// The worlds are the same hashed worlds the reverse samplers observe
-// (reverse_sampler.h): world i of a run is WorldSeed(seed, i), and each coin
-// is a pure function of (world, node or edge id). All five methods therefore
-// sample one world model, and for the same (seed, t) the estimates here equal
-// RunReverseSampling's over all nodes bit for bit.
+// The worlds are the hashed worlds of reverse_sampler.h: world i of a run is
+// WorldSeed(seed, i), and each coin is a pure function of (world, node or
+// edge id). All five methods therefore sample one world model, and for the
+// same (seed, t) the estimates here equal ReverseSampler::SampleWorld's
+// flags summed over worlds 0..t-1, bit for bit.
 //
 // Because coins do not depend on the order they are flipped in, 64 worlds
 // run at once, one per bit of a machine word. For each block of 64 worlds,
@@ -19,6 +21,10 @@
 // out-arc (u, w), flipping the edge's coin only in the worlds
 // P[u] & ~D[w], so each (edge, world) coin is flipped at most once, as in a
 // one-world BFS.
+//
+// A run samples a node scope. Nodes outside it never seed and never receive
+// a push, so a scope that holds the counted nodes and every node with a
+// positive-probability path into one leaves their defaults exact.
 //
 // Blocks are split statically across the pool's workers and the per-worker
 // counts folded in worker order, so results are identical for any thread
@@ -40,16 +46,27 @@ namespace vulnds {
 /// it (DetectTopK for method N, the `truth` verb).
 inline constexpr std::size_t kMaxBasicSamples = UINT32_MAX;
 
-/// Output of a basic sampling run.
+/// Output of a block sampling run.
 struct BasicSampleStats {
-  std::vector<double> estimates;  ///< p̂(v) per node
+  std::vector<double> estimates;  ///< p̂(v) per counted node, in their order
   std::size_t samples = 0;        ///< number of worlds generated (t)
-  std::size_t nodes_touched = 0;  ///< defaulted (node, world) pairs: the BFS work
+  /// Defaulted (counted node, world) pairs: the sum of the counts.
+  std::size_t nodes_touched = 0;
 };
 
-/// Runs Algorithm 1 with `t` <= kMaxBasicSamples samples. If `pool` is
-/// non-null the 64-world blocks are distributed across its workers
-/// (deterministically; see file comment).
+/// Runs the block kernel for `t` <= kMaxBasicSamples worlds over the nodes
+/// of `scope`, which must hold the nodes of `counted` and every node with a
+/// positive-probability path into one, and estimates each node of `counted`.
+/// If `pool` is non-null the 64-world blocks are distributed across its
+/// workers (deterministically; see file comment).
+BasicSampleStats RunBlockSampling(const UncertainGraph& graph,
+                                  const std::vector<NodeId>& scope,
+                                  const std::vector<NodeId>& counted,
+                                  std::size_t t, uint64_t seed,
+                                  ThreadPool* pool);
+
+/// Runs Algorithm 1 with `t` <= kMaxBasicSamples samples: the block kernel
+/// over every node, estimating every node.
 BasicSampleStats RunBasicSampling(const UncertainGraph& graph, std::size_t t,
                                   uint64_t seed, ThreadPool* pool = nullptr);
 

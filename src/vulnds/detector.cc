@@ -195,16 +195,6 @@ Result<DetectionResult> DetectTopK(const UncertainGraph& graph,
   }
 
   // SR / BSR / BSRBK all start from the order-z bounds.
-  // The kernel tier is resolved once per query from the request knob (kAuto
-  // = process default). Coin columns are NOT resolved here: the sampling
-  // runners pull the graph's cached CoinColumns::Shared and hand them to
-  // every worker. They deliberately do not live in the warm
-  // DetectionContext — they are graph-sized, so charging them to every
-  // session's governed context bytes would overflow tight budgets with a
-  // copy per session of what is one immutable per-graph structure; the
-  // graph's derived cache holds the single copy, accounted once by
-  // EstimateGraphBytes.
-  const simd::SimdTier simd_tier = simd::ResolveTier(o.simd_mode);
   std::pair<std::vector<double>, std::vector<double>> bound_storage;
   const std::vector<double>* lower = nullptr;
   const std::vector<double>* upper = nullptr;
@@ -228,13 +218,11 @@ Result<DetectionResult> DetectTopK(const UncertainGraph& graph,
     const std::size_t t = BasicSampleSize(o.eps, o.delta, o.k, n);
     result.samples_budget = t;
     if (o.trace != nullptr) o.trace->BeginStage("sampling");
-    const ReverseSampleStats stats = RunReverseSampling(
-        graph, candidates, t, o.seed, o.pool, nullptr, simd_tier);
+    const BasicSampleStats stats =
+        RunReverseSampling(graph, candidates, t, o.seed, o.pool);
     if (o.trace != nullptr) o.trace->EndStage();
     result.samples_processed = stats.samples;
     result.nodes_touched = stats.nodes_touched;
-    result.simd_batched_coins = stats.coin_stats.batched_coins;
-    result.simd_tail_coins = stats.coin_stats.tail_coins;
     AppendRanked(candidates, stats.estimates, o.k, &result);
     return result;
   }
@@ -291,13 +279,11 @@ Result<DetectionResult> DetectTopK(const UncertainGraph& graph,
 
   if (o.method == Method::kBsr) {
     if (o.trace != nullptr) o.trace->BeginStage("sampling");
-    const ReverseSampleStats stats = RunReverseSampling(
-        graph, reduced->candidates, t, o.seed, o.pool, nullptr, simd_tier);
+    const BasicSampleStats stats =
+        RunReverseSampling(graph, reduced->candidates, t, o.seed, o.pool);
     if (o.trace != nullptr) o.trace->EndStage();
     result.samples_processed = stats.samples;
     result.nodes_touched = stats.nodes_touched;
-    result.simd_batched_coins = stats.coin_stats.batched_coins;
-    result.simd_tail_coins = stats.coin_stats.tail_coins;
     AppendRanked(reduced->candidates, stats.estimates, needed, &result);
     return result;
   }
@@ -305,6 +291,16 @@ Result<DetectionResult> DetectTopK(const UncertainGraph& graph,
   // BSRBK; the hash-sorted sample order is pure in (seed, t) and cached.
   // The order build (hash + sort over t ids) is charged to the sampling
   // stage: on a cold query it is real per-sample work.
+  // The kernel tier is resolved once per query from the request knob (kAuto
+  // = process default). Coin columns are NOT resolved here: the bottom-k
+  // runner pulls the graph's cached CoinColumns::Shared and hands them to
+  // every worker. They deliberately do not live in the warm
+  // DetectionContext — they are graph-sized, so charging them to every
+  // session's governed context bytes would overflow tight budgets with a
+  // copy per session of what is one immutable per-graph structure; the
+  // graph's derived cache holds the single copy, accounted once by
+  // EstimateGraphBytes.
+  const simd::SimdTier simd_tier = simd::ResolveTier(o.simd_mode);
   if (o.trace != nullptr) o.trace->BeginStage("sampling");
   const BottomKSampleOrder* order = nullptr;
   if (ctx != nullptr) {

@@ -12,7 +12,9 @@
 // All five sample the same hashed possible worlds (reverse_sampler.h): world
 // i of a query is WorldSeed(seed, i) whichever method draws it, so the
 // methods differ in which worlds they draw and which nodes they evaluate,
-// never in what a world looks like.
+// never in what a world looks like. N, SN, SR and BSR run the 64-world block
+// kernel (basic_sampler.h), SR and BSR over the candidates' reverse closure;
+// BSRBK evaluates one world at a time with ReverseSampler.
 
 #ifndef VULNDS_VULNDS_DETECTOR_H_
 #define VULNDS_VULNDS_DETECTOR_H_
@@ -99,7 +101,10 @@ struct DetectionResult {
   std::size_t samples_processed = 0;  ///< worlds actually materialized
   std::size_t verified_count = 0;     ///< k' (BSR/BSRBK only)
   std::size_t candidate_count = 0;    ///< |B| (SR/BSR/BSRBK only)
-  std::size_t nodes_touched = 0;      ///< total BFS expansions
+  /// Sampling work: defaulted (node, world) pairs over the estimated nodes
+  /// for N/SN/SR/BSR (every node, or the candidates), reverse-BFS expansions
+  /// for BSRBK.
+  std::size_t nodes_touched = 0;
   bool early_stopped = false;         ///< BSRBK stop condition fired
 
   /// Wave-schedule telemetry of the BSRBK sampling stage (0 for the other
@@ -110,7 +115,7 @@ struct DetectionResult {
   std::size_t worlds_wasted = 0;  ///< worlds materialized past the stop
   std::size_t waves_issued = 0;   ///< parallel waves dispatched
 
-  /// Coin-kernel telemetry of the sampling stage (SR/BSR/BSRBK): coin slots
+  /// Coin-kernel telemetry of the BSRBK sampling stage: coin slots
   /// evaluated in full vector lanes vs one at a time. Varies with the simd
   /// tier (and, through wasted worlds, the schedule) exactly like the wave
   /// telemetry above — cost measurements, never part of response payloads.

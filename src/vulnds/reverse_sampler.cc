@@ -1,6 +1,6 @@
 #include "vulnds/reverse_sampler.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -172,76 +172,29 @@ std::size_t ReverseSampler::SampleWorld(uint64_t world_seed,
   return touched;
 }
 
-namespace {
-
-void RunChunk(const UncertainGraph& graph, const std::vector<NodeId>& candidates,
-              const CoinColumns* columns, simd::SimdTier tier, uint64_t seed,
-              std::size_t begin, std::size_t end, std::vector<uint32_t>* counts,
-              std::size_t* touched, simd::CoinKernelStats* coin_stats) {
-  ReverseSampler sampler(graph, candidates, columns, tier);
-  std::vector<char> defaulted;
-  for (std::size_t i = begin; i < end; ++i) {
-    *touched += sampler.SampleWorld(WorldSeed(seed, i), &defaulted);
-    simd::AccumulateCounts(
-        tier, counts->data(),
-        reinterpret_cast<const unsigned char*>(defaulted.data()),
-        defaulted.size());
-  }
-  coin_stats->Add(sampler.coin_stats());
-}
-
-}  // namespace
-
-ReverseSampleStats RunReverseSampling(const UncertainGraph& graph,
-                                      const std::vector<NodeId>& candidates,
-                                      std::size_t t, uint64_t seed,
-                                      ThreadPool* pool,
-                                      const CoinColumns* columns,
-                                      simd::SimdTier tier) {
-  ReverseSampleStats stats;
-  stats.samples = t;
-  stats.estimates.assign(candidates.size(), 0.0);
-  if (t == 0 || candidates.empty()) return stats;
-
-  // The graph's cached columns when the caller has none (and the graph is
-  // dense enough for them to pay — below the gate the samplers evaluate
-  // coins directly off the arcs, bit-identically); every worker
-  // sampler shares them read-only.
-  std::shared_ptr<const CoinColumns> shared_columns;
-  if (columns == nullptr && CoinColumns::Worthwhile(graph)) {
-    shared_columns = CoinColumns::Shared(graph);
-    columns = shared_columns.get();
-  }
-
-  std::vector<uint32_t> counts(candidates.size(), 0);
-  if (pool == nullptr || pool->num_threads() <= 1 || t < 16) {
-    RunChunk(graph, candidates, columns, tier, seed, 0, t, &counts,
-             &stats.nodes_touched, &stats.coin_stats);
-  } else {
-    const std::size_t workers = std::min<std::size_t>(pool->num_threads(), t);
-    std::vector<std::vector<uint32_t>> partial(
-        workers, std::vector<uint32_t>(candidates.size(), 0));
-    std::vector<std::size_t> partial_touched(workers, 0);
-    std::vector<simd::CoinKernelStats> partial_coins(workers);
-    const std::size_t chunk = (t + workers - 1) / workers;
-    pool->ParallelFor(workers, [&](std::size_t w) {
-      const std::size_t begin = w * chunk;
-      const std::size_t end = std::min(t, begin + chunk);
-      if (begin < end) {
-        RunChunk(graph, candidates, columns, tier, seed, begin, end,
-                 &partial[w], &partial_touched[w], &partial_coins[w]);
-      }
-    });
-    for (std::size_t w = 0; w < workers; ++w) {
-      stats.nodes_touched += partial_touched[w];
-      stats.coin_stats.Add(partial_coins[w]);
-      for (std::size_t c = 0; c < candidates.size(); ++c) counts[c] += partial[w][c];
+BasicSampleStats RunReverseSampling(const UncertainGraph& graph,
+                                    const std::vector<NodeId>& candidates,
+                                    std::size_t t, uint64_t seed,
+                                    ThreadPool* pool) {
+  // The reverse closure: only its nodes can make a candidate default, and an
+  // arc of probability <= 0 never survives, so it joins no path.
+  std::vector<char> in_closure(graph.num_nodes(), 0);
+  std::vector<NodeId> closure;
+  for (const NodeId c : candidates) {
+    if (in_closure[c] == 0) {
+      in_closure[c] = 1;
+      closure.push_back(c);
     }
   }
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    stats.estimates[c] = static_cast<double>(counts[c]) / static_cast<double>(t);
+  for (std::size_t head = 0; head < closure.size(); ++head) {
+    for (const Arc& arc : graph.InArcs(closure[head])) {
+      if (arc.prob > 0.0 && in_closure[arc.neighbor] == 0) {
+        in_closure[arc.neighbor] = 1;
+        closure.push_back(arc.neighbor);
+      }
+    }
   }
-  return stats;
+  return RunBlockSampling(graph, closure, candidates, t, seed, pool);
 }
 
 }  // namespace vulnds

@@ -11,9 +11,7 @@
 // sampler observes therefore does not depend on traversal order, which lets
 // tests verify that reverse evaluation equals forward evaluation of the
 // identical world (tests/vulnds/reverse_sampler_test.cc). This is the one
-// world model of the library: the forward sampler of N/SN
-// (basic_sampler.h), SR, BSR and BSRBK all sample these worlds, so for the
-// same (seed, t) N's estimates equal this file's over all nodes bit for bit.
+// world model of the library: all five methods sample these worlds.
 //
 // Two forms of per-sample caching are applied, both conclusions that follow
 // deterministically from the coins (they change cost, never results):
@@ -23,6 +21,13 @@
 //    it fully explored is recorded as non-defaulted — any later traversal
 //    entering that region can stop immediately, since reverse-reachability
 //    is transitive. This generalizes the paper's line-7 reuse of h-values.
+//
+// Two consumers, two evaluators. BSRBK folds worlds one at a time in hash
+// order and stops after a few dozen positions, so it keeps the per-world
+// ReverseSampler below. SR and BSR draw every world of their budget, so
+// RunReverseSampling runs the 64-world block kernel of basic_sampler.h over
+// the candidates' reverse closure instead — the same worlds, so the same
+// estimates bit for bit as SampleWorld's flags summed over worlds 0..t-1.
 
 #ifndef VULNDS_VULNDS_REVERSE_SAMPLER_H_
 #define VULNDS_VULNDS_REVERSE_SAMPLER_H_
@@ -34,6 +39,7 @@
 #include "common/thread_pool.h"
 #include "graph/uncertain_graph.h"
 #include "simd/coin_kernels.h"
+#include "vulnds/basic_sampler.h"
 #include "vulnds/coin_columns.h"
 
 namespace vulnds {
@@ -115,28 +121,16 @@ class ReverseSampler {
   simd::CoinKernelStats coin_stats_;
 };
 
-/// Aggregate estimates from `t` reverse samples.
-struct ReverseSampleStats {
-  std::vector<double> estimates;  ///< p̂(v) per candidate (candidate order)
-  std::size_t samples = 0;
-  std::size_t nodes_touched = 0;
-  /// Kernel telemetry (batched vs tail coin evaluations). Like
-  /// nodes_touched it measures cost, not answers: totals vary with the
-  /// simd tier, never the estimates.
-  simd::CoinKernelStats coin_stats;
-};
-
-/// Runs Algorithm 5 for `t` samples; parallel over samples when `pool` is
-/// provided (deterministic: worlds are indexed, partial counts are reduced
-/// in worker order). `columns` may carry the graph's columns when the caller
-/// already holds them; nullptr uses the graph's cached CoinColumns::Shared.
-/// `tier` is execution-only: results are bit-identical for every tier.
-ReverseSampleStats RunReverseSampling(const UncertainGraph& graph,
-                                      const std::vector<NodeId>& candidates,
-                                      std::size_t t, uint64_t seed,
-                                      ThreadPool* pool = nullptr,
-                                      const CoinColumns* columns = nullptr,
-                                      simd::SimdTier tier = simd::DefaultTier());
+/// Estimates each candidate's default probability from worlds 0..t-1 of
+/// `seed` (estimates in candidate order). Runs the block kernel
+/// (RunBlockSampling) over the candidates' reverse closure: every node with
+/// a positive-probability path into a candidate, found once per run by a
+/// coin-free reverse BFS. Parallel over 64-world blocks when `pool` is
+/// provided; results are identical for any thread count.
+BasicSampleStats RunReverseSampling(const UncertainGraph& graph,
+                                    const std::vector<NodeId>& candidates,
+                                    std::size_t t, uint64_t seed,
+                                    ThreadPool* pool = nullptr);
 
 }  // namespace vulnds
 

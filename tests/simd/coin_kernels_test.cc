@@ -258,30 +258,5 @@ TEST(FindActiveTest, MatchesScalarWithAndWithoutVeto) {
   }
 }
 
-TEST(AccumulateCountsTest, MatchesScalarAdd) {
-  Rng rng(0xACC0u);
-  const std::vector<SimdTier> tiers = AvailableTiers();
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                              std::size_t{8}, std::size_t{9}, std::size_t{16},
-                              std::size_t{33}, std::size_t{100}}) {
-    for (int round = 0; round < 20; ++round) {
-      std::vector<unsigned char> flags(n);
-      std::vector<uint32_t> base(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        flags[i] = static_cast<unsigned char>(rng.NextBounded(2));
-        base[i] = static_cast<uint32_t>(rng.NextBounded(1000));
-      }
-      std::vector<uint32_t> reference = base;
-      AccumulateCounts(SimdTier::kScalar, reference.data(), flags.data(), n);
-      for (const SimdTier tier : tiers) {
-        std::vector<uint32_t> counts = base;
-        AccumulateCounts(tier, counts.data(), flags.data(), n);
-        EXPECT_EQ(counts, reference) << "tier=" << SimdTierName(tier)
-                                     << " n=" << n;
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace vulnds::simd

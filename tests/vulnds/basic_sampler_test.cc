@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "common/rng.h"
 #include "exact/possible_world.h"
@@ -90,9 +92,11 @@ TEST(BasicSamplerTest, TouchedCountsAtLeastDefaults) {
 }
 
 // A random graph whose probabilities include the exact 0 and 1 endpoints,
-// which the coin thresholds short-circuit.
+// which the coin thresholds short-circuit. Every in-arc of the last
+// `dead_sinks` nodes has probability 0, so no other node can reach them.
 UncertainGraph RandomGraphWithEndpoints(std::size_t n, double density,
-                                        uint64_t seed) {
+                                        uint64_t seed,
+                                        std::size_t dead_sinks = 0) {
   Rng rng(seed);
   const auto prob = [&rng] {
     const double u = rng.NextDouble();
@@ -109,38 +113,111 @@ UncertainGraph RandomGraphWithEndpoints(std::size_t n, double density,
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = 0; v < n; ++v) {
       if (u != v && rng.NextDouble() < density) {
-        EXPECT_TRUE(b.AddEdge(u, v, prob()).ok());
+        const double p = prob();
+        EXPECT_TRUE(b.AddEdge(u, v, v + dead_sinks >= n ? 0.0 : p).ok());
       }
     }
   }
   return b.Build().MoveValue();
 }
 
+// The per-world reference: ReverseSampler::SampleWorld's flags summed over
+// worlds 0..t-1. Returns the estimates; `defaults` receives the number of
+// defaulted (candidate, world) pairs.
+std::vector<double> PerWorldEstimates(const UncertainGraph& g,
+                                      const std::vector<NodeId>& candidates,
+                                      std::size_t t, uint64_t seed,
+                                      std::size_t* defaults) {
+  ReverseSampler sampler(g, candidates);
+  std::vector<uint32_t> counts(candidates.size(), 0);
+  std::vector<char> flags;
+  for (std::size_t i = 0; i < t; ++i) {
+    sampler.SampleWorld(WorldSeed(seed, i), &flags);
+    for (std::size_t c = 0; c < flags.size(); ++c) counts[c] += flags[c];
+  }
+  std::vector<double> estimates(candidates.size());
+  *defaults = 0;
+  for (std::size_t c = 0; c < counts.size(); ++c) {
+    estimates[c] = static_cast<double>(counts[c]) / static_cast<double>(t);
+    *defaults += counts[c];
+  }
+  return estimates;
+}
+
+const std::size_t kOracleSampleCounts[] = {1, 63, 64, 65, 129, 2000};
+
 // N/SN and SR/BSR/BSRBK sample the same hashed worlds: the forward 64-world
-// blocks must reproduce reverse sampling over every node bit for bit, for
-// every block boundary and every thread count.
+// blocks must reproduce the per-world reverse BFS over every node bit for
+// bit, for every block boundary and every thread count.
 TEST(BasicSamplerTest, MatchesReverseSamplingBitForBit) {
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  ThreadPool pool2(2), pool7(7);
+  ThreadPool pool_hw(std::max(1u, std::thread::hardware_concurrency()));
+  ThreadPool* const pools[] = {nullptr, &pool2, &pool7, &pool_hw};
   for (const uint64_t graph_seed : {1, 2, 3, 4}) {
     UncertainGraph g = RandomGraphWithEndpoints(40, 0.08, graph_seed);
     std::vector<NodeId> all(g.num_nodes());
     std::iota(all.begin(), all.end(), 0);
-    for (const std::size_t t : {1, 63, 64, 65, 129, 2000}) {
+    for (const std::size_t t : kOracleSampleCounts) {
       const uint64_t seed = graph_seed * 1000 + t;
-      const ReverseSampleStats reverse = RunReverseSampling(g, all, t, seed);
       std::size_t defaults = 0;
-      for (const double e : reverse.estimates) {
-        defaults += static_cast<std::size_t>(std::llround(e * static_cast<double>(t)));
-      }
-      for (const std::size_t threads :
-           {std::size_t{1}, std::size_t{2}, std::size_t{7}, hw}) {
-        ThreadPool pool(threads);
-        const BasicSampleStats forward = RunBasicSampling(g, t, seed, &pool);
-        EXPECT_EQ(forward.estimates, reverse.estimates)
+      const std::vector<double> reference =
+          PerWorldEstimates(g, all, t, seed, &defaults);
+      for (ThreadPool* pool : pools) {
+        const std::size_t threads = pool == nullptr ? 0 : pool->num_threads();
+        const BasicSampleStats forward = RunBasicSampling(g, t, seed, pool);
+        EXPECT_EQ(forward.estimates, reference)
             << "graph " << graph_seed << " t " << t << " threads " << threads;
         EXPECT_EQ(forward.nodes_touched, defaults)
             << "graph " << graph_seed << " t " << t << " threads " << threads;
         EXPECT_EQ(forward.samples, t);
+      }
+    }
+  }
+}
+
+// SR/BSR run the same block kernel over the candidates' reverse closure:
+// their estimates must equal the per-world reverse BFS bit for bit for any
+// candidate set, including one whose in-arcs all have probability 0 (the
+// closure is then the candidates alone).
+TEST(BasicSamplerTest, ReverseSamplingMatchesPerWorldReference) {
+  ThreadPool pool2(2), pool7(7);
+  ThreadPool pool_hw(std::max(1u, std::thread::hardware_concurrency()));
+  ThreadPool* const pools[] = {nullptr, &pool2, &pool7, &pool_hw};
+  constexpr std::size_t kNodes = 40;
+  constexpr std::size_t kDeadSinks = 4;
+  for (const uint64_t graph_seed : {1, 2, 3, 4}) {
+    UncertainGraph g =
+        RandomGraphWithEndpoints(kNodes, 0.08, graph_seed, kDeadSinks);
+    std::vector<NodeId> all(kNodes);
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<NodeId> fifth;
+    Rng rng(graph_seed + 77);
+    for (const NodeId v : all) {
+      if (rng.NextDouble() < 0.2) fifth.push_back(v);
+    }
+    std::vector<NodeId> dead(all.end() - kDeadSinks, all.end());
+    const std::vector<std::pair<const char*, std::vector<NodeId>>> sets = {
+        {"single", {static_cast<NodeId>(graph_seed * 7)}},
+        {"all", all},
+        {"fifth", fifth},
+        {"dead", dead}};
+    for (const auto& [name, candidates] : sets) {
+      for (const std::size_t t : kOracleSampleCounts) {
+        const uint64_t seed = graph_seed * 1000 + t;
+        std::size_t defaults = 0;
+        const std::vector<double> reference =
+            PerWorldEstimates(g, candidates, t, seed, &defaults);
+        for (ThreadPool* pool : pools) {
+          const std::string what =
+              std::string(name) + " graph " + std::to_string(graph_seed) +
+              " t " + std::to_string(t) + " threads " +
+              std::to_string(pool == nullptr ? 0 : pool->num_threads());
+          const BasicSampleStats reverse =
+              RunReverseSampling(g, candidates, t, seed, pool);
+          EXPECT_EQ(reverse.estimates, reference) << what;
+          EXPECT_EQ(reverse.samples, t) << what;
+          EXPECT_EQ(reverse.nodes_touched, defaults) << what;
+        }
       }
     }
   }

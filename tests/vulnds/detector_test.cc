@@ -10,6 +10,7 @@
 #include "testing/test_graphs.h"
 #include "vulnds/basic_sampler.h"
 #include "vulnds/precision.h"
+#include "vulnds/sample_size.h"
 
 namespace vulnds {
 namespace {
@@ -191,11 +192,26 @@ TEST(DetectorTest, KEqualsNReturnsEveryNode) {
   EXPECT_EQ(r->topk.size(), 12u);
 }
 
-// The (eps, delta) contract, checked against the exact oracle:
+// The (eps, delta) contract against the exact oracle: the result R holds
 //   for v in R:     p(v) >= Pk - eps
 //   for v not in R: p(v) <  Pk + eps
-// With delta = 0.1 a rare failure is legal, so the sweep tolerates one
-// failing seed out of the set.
+// except with probability at most delta. Returns whether `result` holds it.
+bool MeetsContract(const std::vector<double>& exact, double pk, double eps,
+                   const std::vector<NodeId>& result) {
+  std::vector<char> in_result(exact.size(), 0);
+  for (const NodeId v : result) in_result[v] = 1;
+  for (NodeId v = 0; v < exact.size(); ++v) {
+    if (in_result[v] ? !(exact[v] >= pk - eps - 1e-9)
+                     : !(exact[v] < pk + eps + 1e-9)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Fixed-seed spot checks at a loose eps: each seed is deterministic, and
+// every one of them must meet the contract. ApproximationContractBound
+// below checks the delta half of the contract statistically.
 class ApproximationContractSweep
     : public ::testing::TestWithParam<std::tuple<Method, uint64_t>> {};
 
@@ -207,7 +223,6 @@ TEST_P(ApproximationContractSweep, EpsDeltaContractHolds) {
   const std::size_t k = 2;
   const auto truth = ExactTopK(g, k);
   ASSERT_TRUE(truth.ok());
-  const double pk = (*exact)[truth->back()];
 
   DetectorOptions o = BaseOptions(method, k);
   o.eps = 0.3;
@@ -215,15 +230,7 @@ TEST_P(ApproximationContractSweep, EpsDeltaContractHolds) {
   o.seed = seed * 1000 + 7;
   const auto r = DetectTopK(g, o);
   ASSERT_TRUE(r.ok());
-  std::vector<char> in_result(g.num_nodes(), 0);
-  for (const NodeId v : r->topk) in_result[v] = 1;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (in_result[v]) {
-      EXPECT_GE((*exact)[v], pk - o.eps - 1e-9) << "included " << v;
-    } else {
-      EXPECT_LT((*exact)[v], pk + o.eps + 1e-9) << "excluded " << v;
-    }
-  }
+  EXPECT_TRUE(MeetsContract(*exact, (*exact)[truth->back()], o.eps, r->topk));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -233,6 +240,66 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::tuple<Method, uint64_t>>& info) {
       return MethodName(std::get<0>(info.param)) + "_seed" +
              std::to_string(std::get<1>(info.param));
+    });
+
+// The smallest c with P(Binomial(n, p) > c) < tail.
+std::size_t BinomialUpperBound(std::size_t n, double p, double tail) {
+  double pmf = std::pow(1.0 - p, static_cast<double>(n));  // P(X = 0)
+  double cdf = pmf;
+  std::size_t c = 0;
+  while (c < n && 1.0 - cdf >= tail) {
+    pmf *= static_cast<double>(n - c) / static_cast<double>(c + 1) * p / (1.0 - p);
+    cdf += pmf;
+    ++c;
+  }
+  return c;
+}
+
+TEST(DetectorTest, BinomialUpperBoundMatchesHandComputedTails) {
+  // Binomial(10, 1/2): P(X > 9) = 1/1024 < 1e-3 <= P(X > 8) = 11/1024.
+  EXPECT_EQ(BinomialUpperBound(10, 0.5, 1e-3), 9u);
+  // Binomial(4, 1/2): P(X > 2) = 5/16 < 0.5 <= P(X > 1) = 11/16.
+  EXPECT_EQ(BinomialUpperBound(4, 0.5, 0.5), 2u);
+}
+
+// The delta half of the contract: over many random graphs a method may miss
+// the contract on about a delta share of them, never much more. Counts the
+// misses over kContractSeeds graphs and fails only when the count exceeds
+// what Binomial(kContractSeeds, delta) reaches with probability 1e-6. N is
+// covered because its fixed sample size meets Equation 3 here.
+class ApproximationContractBound : public ::testing::TestWithParam<Method> {};
+
+TEST_P(ApproximationContractBound, MissesWithinBinomialBound) {
+  constexpr std::size_t kContractSeeds = 200;
+  constexpr std::size_t kNodes = 5;
+  constexpr std::size_t k = 2;
+  DetectorOptions o = BaseOptions(GetParam(), k);
+  o.eps = 0.1;
+  o.delta = 0.1;
+  ASSERT_GE(o.naive_samples, BasicSampleSize(o.eps, o.delta, k, kNodes));
+  std::size_t misses = 0;
+  for (uint64_t seed = 1; seed <= kContractSeeds; ++seed) {
+    UncertainGraph g = testing::RandomSmallGraph(kNodes, 0.4, seed);
+    const auto exact = ExactDefaultProbabilities(g);
+    ASSERT_TRUE(exact.ok());
+    const auto truth = ExactTopK(g, k);
+    ASSERT_TRUE(truth.ok());
+    o.seed = seed * 1000 + 7;
+    const auto r = DetectTopK(g, o);
+    ASSERT_TRUE(r.ok());
+    if (!MeetsContract(*exact, (*exact)[truth->back()], o.eps, r->topk)) {
+      ++misses;
+    }
+  }
+  const std::size_t bound = BinomialUpperBound(kContractSeeds, o.delta, 1e-6);
+  EXPECT_LE(misses, bound) << MethodName(GetParam()) << " missed on " << misses
+                           << " of " << kContractSeeds << " graphs";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Methods, ApproximationContractBound, ::testing::ValuesIn(AllMethods()),
+    [](const ::testing::TestParamInfo<Method>& info) {
+      return MethodName(info.param);
     });
 
 // Integration on a registry dataset: all methods should agree closely with

@@ -93,7 +93,7 @@ TEST(ReverseSamplerTest, EstimatesConvergeToExact) {
   const auto exact = ExactDefaultProbabilities(g);
   ASSERT_TRUE(exact.ok());
   const std::size_t t = 40000;
-  const ReverseSampleStats stats = RunReverseSampling(g, AllNodes(g), t, 99);
+  const BasicSampleStats stats = RunReverseSampling(g, AllNodes(g), t, 99);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const double p = (*exact)[v];
     const double sigma = std::sqrt(p * (1 - p) / t);
@@ -105,23 +105,23 @@ TEST(ReverseSamplerTest, ParallelEqualsSerial) {
   UncertainGraph g = testing::RandomSmallGraph(12, 0.25, 21);
   ThreadPool pool(8);
   const std::vector<NodeId> candidates = {0, 3, 5, 7, 11};
-  const ReverseSampleStats serial =
+  const BasicSampleStats serial =
       RunReverseSampling(g, candidates, 3000, 7, nullptr);
-  const ReverseSampleStats parallel =
+  const BasicSampleStats parallel =
       RunReverseSampling(g, candidates, 3000, 7, &pool);
   EXPECT_EQ(serial.estimates, parallel.estimates);
 }
 
 TEST(ReverseSamplerTest, ZeroSamples) {
   UncertainGraph g = testing::ChainGraph(0.5, 0.5);
-  const ReverseSampleStats stats = RunReverseSampling(g, {0, 1}, 0, 1);
+  const BasicSampleStats stats = RunReverseSampling(g, {0, 1}, 0, 1);
   EXPECT_EQ(stats.samples, 0u);
   EXPECT_EQ(stats.estimates, (std::vector<double>{0.0, 0.0}));
 }
 
 TEST(ReverseSamplerTest, EmptyCandidates) {
   UncertainGraph g = testing::ChainGraph(0.5, 0.5);
-  const ReverseSampleStats stats = RunReverseSampling(g, {}, 100, 1);
+  const BasicSampleStats stats = RunReverseSampling(g, {}, 100, 1);
   EXPECT_TRUE(stats.estimates.empty());
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -58,6 +59,38 @@ TEST(SimdIdentityTest, SampleOrderIsIdenticalAcrossTiers) {
   }
 }
 
+// The per-world reverse BFS BSRBK runs: each world's defaulted flags and
+// expansion count for worlds 0..t-1, split into contiguous slices with one
+// ReverseSampler per pool worker, as the bottom-k waves split them.
+struct WorldFlags {
+  std::vector<std::vector<char>> flags;
+  std::vector<std::size_t> touched;
+  bool operator==(const WorldFlags&) const = default;
+};
+
+WorldFlags SampleWorlds(const UncertainGraph& g,
+                        const std::vector<NodeId>& candidates, std::size_t t,
+                        uint64_t seed, const CoinColumns* columns,
+                        simd::SimdTier tier, ThreadPool* pool) {
+  WorldFlags out;
+  out.flags.resize(t);
+  out.touched.resize(t);
+  const std::size_t workers = pool == nullptr ? 1 : pool->num_threads();
+  const std::size_t chunk = (t + workers - 1) / workers;
+  const auto run = [&](std::size_t w) {
+    ReverseSampler sampler(g, candidates, columns, tier);
+    for (std::size_t i = w * chunk; i < std::min(t, (w + 1) * chunk); ++i) {
+      out.touched[i] = sampler.SampleWorld(WorldSeed(seed, i), &out.flags[i]);
+    }
+  };
+  if (pool == nullptr) {
+    run(0);
+  } else {
+    pool->ParallelFor(workers, run);
+  }
+  return out;
+}
+
 TEST(SimdIdentityTest, DirectPathMatchesColumnKernelsOnSparseGraphs) {
   // Below the density gate samplers skip the columns and evaluate coins
   // straight off the arcs; forcing columns in must not change a bit, in
@@ -65,39 +98,29 @@ TEST(SimdIdentityTest, DirectPathMatchesColumnKernelsOnSparseGraphs) {
   const UncertainGraph g = testing::RandomSmallGraph(60, 0.03, 515);
   ASSERT_FALSE(CoinColumns::Worthwhile(g));
   const std::vector<NodeId> candidates = AllNodes(g);
-  const ReverseSampleStats direct = RunReverseSampling(
-      g, candidates, 600, 5, nullptr, nullptr, simd::SimdTier::kScalar);
+  const WorldFlags direct = SampleWorlds(g, candidates, 600, 5, nullptr,
+                                         simd::SimdTier::kScalar, nullptr);
   const CoinColumns cols = CoinColumns::Build(g);
   for (const simd::SimdTier tier :
        {simd::SimdTier::kScalar, simd::BestSupportedTier()}) {
-    const ReverseSampleStats kernels =
-        RunReverseSampling(g, candidates, 600, 5, nullptr, &cols, tier);
-    ASSERT_EQ(kernels.estimates.size(), direct.estimates.size());
-    for (std::size_t c = 0; c < kernels.estimates.size(); ++c) {
-      EXPECT_EQ(kernels.estimates[c], direct.estimates[c])
-          << "tier=" << simd::SimdTierName(tier) << " candidate " << c;
-    }
-    EXPECT_EQ(kernels.nodes_touched, direct.nodes_touched);
+    EXPECT_TRUE(SampleWorlds(g, candidates, 600, 5, &cols, tier, nullptr) ==
+                direct)
+        << "tier=" << simd::SimdTierName(tier);
   }
 }
 
 TEST(SimdIdentityTest, ReverseSamplingIsIdenticalAcrossTiersAndThreads) {
   const UncertainGraph g = testing::RandomSmallGraph(40, 0.12, 2024);
+  ASSERT_TRUE(CoinColumns::Worthwhile(g));
   const std::vector<NodeId> candidates = AllNodes(g);
-  const ReverseSampleStats reference = RunReverseSampling(
-      g, candidates, 800, 7, nullptr, nullptr, simd::SimdTier::kScalar);
+  const WorldFlags reference = SampleWorlds(g, candidates, 800, 7, nullptr,
+                                            simd::SimdTier::kScalar, nullptr);
   ThreadPool pool2(2), pool7(7);
   for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2, &pool7}) {
     for (const simd::SimdTier tier :
          {simd::SimdTier::kScalar, simd::BestSupportedTier()}) {
-      const ReverseSampleStats stats =
-          RunReverseSampling(g, candidates, 800, 7, pool, nullptr, tier);
-      ASSERT_EQ(stats.estimates.size(), reference.estimates.size());
-      for (std::size_t c = 0; c < stats.estimates.size(); ++c) {
-        EXPECT_EQ(stats.estimates[c], reference.estimates[c])
-            << "tier=" << simd::SimdTierName(tier) << " candidate " << c;
-      }
-      EXPECT_EQ(stats.nodes_touched, reference.nodes_touched)
+      EXPECT_TRUE(SampleWorlds(g, candidates, 800, 7, nullptr, tier, pool) ==
+                  reference)
           << "tier=" << simd::SimdTierName(tier);
     }
   }
