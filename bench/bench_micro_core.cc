@@ -1,12 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the core sampling machinery:
-// per-world cost of forward (64-world blocks) vs reverse sampling, the bound
-// iterations, candidate reduction and the bottom-k sketch.
+// per-world cost of forward (64-world blocks) vs reverse sampling, the
+// block kernel's 64-world seeding coin per tier, the bound iterations,
+// candidate reduction and the bottom-k sketch.
 
 #include <benchmark/benchmark.h>
 
 #include <numeric>
 
+#include "common/rng.h"
 #include "gen/datasets.h"
+#include "simd/coin_kernels.h"
+#include "simd/dispatch.h"
 #include "sketch/bottom_k.h"
 #include "vulnds/basic_sampler.h"
 #include "vulnds/bounds.h"
@@ -40,6 +44,28 @@ void BM_ForwardSampleBlock(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_ForwardSampleBlock)->Arg(0)->Arg(1);
+
+// One node's self-risk coin under 64 world seeds (coins/s = items/s).
+// Arg: 0 = scalar tier, 1 = avx2 tier (skipped where AVX2 is unavailable).
+void BM_CoinMask64(benchmark::State& state) {
+  const simd::SimdTier tier = state.range(0) == 0 ? simd::SimdTier::kScalar
+                                                  : simd::SimdTier::kAvx2;
+  if (tier == simd::SimdTier::kAvx2 && !simd::Avx2Available()) {
+    state.SkipWithError("AVX2 unavailable");
+    return;
+  }
+  Rng rng(17);
+  uint64_t seeds[simd::kCoinMaskWorlds];
+  for (uint64_t& seed : seeds) seed = rng.NextU64();
+  const uint64_t threshold = simd::CoinThreshold(0.3);
+  uint64_t id = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simd::CoinMask64(
+        tier, seeds, simd::CoinInnerHash(id++), threshold));
+  }
+  state.SetItemsProcessed(state.iterations() * simd::kCoinMaskWorlds);
+}
+BENCHMARK(BM_CoinMask64)->Arg(0)->Arg(1);
 
 void BM_ReverseSampleWorld(benchmark::State& state) {
   const UncertainGraph& graph =

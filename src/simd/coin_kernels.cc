@@ -58,6 +58,14 @@ std::size_t CoinSurvivorsPadded(SimdTier tier, uint64_t seed,
   return internal::CoinSurvivorsScalar(seed, inner, threshold, n, out, stats);
 }
 
+uint64_t CoinMask64(SimdTier tier, const uint64_t* seeds, uint64_t inner,
+                    uint64_t threshold) {
+  if (tier == SimdTier::kAvx2) {
+    return internal::CoinMask64Avx2(seeds, inner, threshold);
+  }
+  return internal::CoinMask64Scalar(seeds, inner, threshold);
+}
+
 void HashBatch(SimdTier tier, uint64_t seed, uint64_t base, std::size_t n,
                uint64_t* out, CoinKernelStats* stats) {
   if (tier == SimdTier::kAvx2) {

@@ -1,5 +1,6 @@
-// Batched possible-world kernels: the three hot loops of the BSRBK pipeline
-// (world-coin evaluation, bottom-k hash precompute, candidate-bitmap folds)
+// Batched possible-world kernels: the four hot loops of the sampling
+// pipeline (BSRBK's per-world coin evaluation, the block kernel's 64-world
+// self-risk seeding, bottom-k hash precompute, candidate-bitmap folds)
 // behind a tier-dispatched, bit-identical-by-contract interface.
 //
 // The determinism contract. A world coin is the predicate
@@ -97,6 +98,16 @@ std::size_t CoinSurvivorsPadded(SimdTier tier, uint64_t seed,
                                 const uint64_t* inner,
                                 const uint64_t* threshold, std::size_t n,
                                 uint32_t* out, CoinKernelStats* stats);
+
+/// The worlds one CoinMask64 call evaluates: one per bit of its mask.
+inline constexpr std::size_t kCoinMaskWorlds = 64;
+
+/// One entity's coin under 64 world seeds: bit j of the result is set iff
+/// CoinHits(seeds[j], inner, threshold). All 64 seeds are read, so a caller
+/// with fewer live worlds masks the result (the extra coins are pure and
+/// harmless to evaluate). The block kernel's self-risk seeding runs here.
+uint64_t CoinMask64(SimdTier tier, const uint64_t* seeds, uint64_t inner,
+                    uint64_t threshold);
 
 /// out[i] = UniformHash(seed).Hash64(base + i) for i in [0, n): the bulk
 /// half of the bottom-k HashUnit precompute (the >>11 / +0.5 / *2^-53

@@ -146,6 +146,32 @@ std::size_t CoinSurvivorsAvx2(uint64_t seed, const uint64_t* inner,
   return found;
 }
 
+uint64_t CoinMask64Avx2(const uint64_t* seeds, uint64_t inner,
+                        uint64_t threshold) {
+  // The roles of CoinBlockMask swap: the entity is fixed and the seeds vary
+  // by lane. Four blocks in flight, as in CoinSurvivorsAvx2; block b's four
+  // lanes are worlds [4b, 4b + 4), so its mask lands at bits [4b, 4b + 4).
+  const __m256i inner_v = _mm256_set1_epi64x(static_cast<long long>(inner));
+  const __m256i thr_v = _mm256_set1_epi64x(static_cast<long long>(threshold));
+  const auto block = [&](std::size_t b) {
+    const __m256i seed_v = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(seeds + b * kCoinLanes));
+    const __m256i hash =
+        _mm256_srli_epi64(Mix64Vec(_mm256_xor_si256(inner_v, seed_v)), 11);
+    return static_cast<uint64_t>(_mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpgt_epi64(thr_v, hash))));
+  };
+  uint64_t hits = 0;
+  for (std::size_t b = 0; b < kCoinMaskWorlds / kCoinLanes; b += 4) {
+    const uint64_t m0 = block(b);
+    const uint64_t m1 = block(b + 1);
+    const uint64_t m2 = block(b + 2);
+    const uint64_t m3 = block(b + 3);
+    hits |= (m0 | (m1 << 4) | (m2 << 8) | (m3 << 12)) << (b * kCoinLanes);
+  }
+  return hits;
+}
+
 void HashBatchAvx2(uint64_t seed, uint64_t base, std::size_t n, uint64_t* out,
                    CoinKernelStats* stats) {
   const __m256i seed_v = _mm256_set1_epi64x(static_cast<long long>(seed));
@@ -236,6 +262,11 @@ std::size_t CoinSurvivorsAvx2(uint64_t seed, const uint64_t* inner,
                               bool /*padded*/, uint32_t* out,
                               CoinKernelStats* stats) {
   return CoinSurvivorsScalar(seed, inner, threshold, n, out, stats);
+}
+
+uint64_t CoinMask64Avx2(const uint64_t* seeds, uint64_t inner,
+                        uint64_t threshold) {
+  return CoinMask64Scalar(seeds, inner, threshold);
 }
 
 void HashBatchAvx2(uint64_t seed, uint64_t base, std::size_t n, uint64_t* out,

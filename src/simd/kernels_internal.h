@@ -31,6 +31,11 @@ std::size_t CoinSurvivorsAvx2(uint64_t seed, const uint64_t* inner,
                               bool padded, uint32_t* out,
                               CoinKernelStats* stats);
 
+uint64_t CoinMask64Scalar(const uint64_t* seeds, uint64_t inner,
+                          uint64_t threshold);
+uint64_t CoinMask64Avx2(const uint64_t* seeds, uint64_t inner,
+                        uint64_t threshold);
+
 void HashBatchScalar(uint64_t seed, uint64_t base, std::size_t n,
                      uint64_t* out, CoinKernelStats* stats);
 void HashBatchAvx2(uint64_t seed, uint64_t base, std::size_t n, uint64_t* out,

@@ -21,6 +21,15 @@ std::size_t CoinSurvivorsScalar(uint64_t seed, const uint64_t* inner,
   return found;
 }
 
+uint64_t CoinMask64Scalar(const uint64_t* seeds, uint64_t inner,
+                          uint64_t threshold) {
+  uint64_t hits = 0;
+  for (std::size_t j = 0; j < kCoinMaskWorlds; ++j) {
+    hits |= static_cast<uint64_t>(CoinHits(seeds[j], inner, threshold)) << j;
+  }
+  return hits;
+}
+
 void HashBatchScalar(uint64_t seed, uint64_t base, std::size_t n,
                      uint64_t* out, CoinKernelStats* stats) {
   for (std::size_t i = 0; i < n; ++i) {

@@ -22,6 +22,13 @@
 // P[u] & ~D[w], so each (edge, world) coin is flipped at most once, as in a
 // one-world BFS.
 //
+// Seeding flips every scope node's coin in every world, so it runs on the
+// tier-dispatched simd::CoinMask64 (one node, 64 world seeds per call; four
+// lanes at a time on AVX2). A push opens few worlds, so edge coins stay one
+// scalar coin per open world. The tier changes cost, never a bit of the
+// result; the coin telemetry it reports (BasicSampleStats::coin_stats)
+// varies with it.
+//
 // A run samples a node scope. Nodes outside it never seed and never receive
 // a push, so a scope that holds the counted nodes and every node with a
 // positive-probability path into one leaves their defaults exact.
@@ -38,6 +45,7 @@
 
 #include "common/thread_pool.h"
 #include "graph/uncertain_graph.h"
+#include "simd/coin_kernels.h"
 
 namespace vulnds {
 
@@ -52,23 +60,29 @@ struct BasicSampleStats {
   std::size_t samples = 0;        ///< number of worlds generated (t)
   /// Defaulted (counted node, world) pairs: the sum of the counts.
   std::size_t nodes_touched = 0;
+  /// Coins flipped: batched for AVX2 CoinMask64 seeding, tail for scalar
+  /// seeding and every edge coin. Telemetry only; varies with the tier.
+  simd::CoinKernelStats coin_stats;
 };
 
 /// Runs the block kernel for `t` <= kMaxBasicSamples worlds over the nodes
 /// of `scope`, which must hold the nodes of `counted` and every node with a
 /// positive-probability path into one, and estimates each node of `counted`.
 /// If `pool` is non-null the 64-world blocks are distributed across its
-/// workers (deterministically; see file comment).
+/// workers (deterministically; see file comment). `tier` picks the seeding
+/// kernel: execution-only, results are identical.
 BasicSampleStats RunBlockSampling(const UncertainGraph& graph,
                                   const std::vector<NodeId>& scope,
                                   const std::vector<NodeId>& counted,
                                   std::size_t t, uint64_t seed,
-                                  ThreadPool* pool);
+                                  ThreadPool* pool,
+                                  simd::SimdTier tier = simd::DefaultTier());
 
 /// Runs Algorithm 1 with `t` <= kMaxBasicSamples samples: the block kernel
 /// over every node, estimating every node.
 BasicSampleStats RunBasicSampling(const UncertainGraph& graph, std::size_t t,
-                                  uint64_t seed, ThreadPool* pool = nullptr);
+                                  uint64_t seed, ThreadPool* pool = nullptr,
+                                  simd::SimdTier tier = simd::DefaultTier());
 
 }  // namespace vulnds
 

@@ -106,16 +106,25 @@ std::size_t DetectionContext::ApproxBytes() const {
 
 namespace {
 
+// Copies a block-kernel run's sample counts and coin telemetry.
+void RecordBlockRun(const BasicSampleStats& stats, DetectionResult* result) {
+  result->samples_processed = stats.samples;
+  result->nodes_touched = stats.nodes_touched;
+  result->simd_batched_coins = stats.coin_stats.batched_coins;
+  result->simd_tail_coins = stats.coin_stats.tail_coins;
+}
+
 // N / SN: full-graph forward sampling, then a global top-k.
 DetectionResult DetectByBasicSampling(const UncertainGraph& graph,
-                                      const DetectorOptions& o, std::size_t t) {
+                                      const DetectorOptions& o, std::size_t t,
+                                      simd::SimdTier tier) {
   DetectionResult result;
   result.samples_budget = t;
   if (o.trace != nullptr) o.trace->BeginStage("sampling");
-  const BasicSampleStats stats = RunBasicSampling(graph, t, o.seed, o.pool);
+  const BasicSampleStats stats =
+      RunBasicSampling(graph, t, o.seed, o.pool, tier);
   if (o.trace != nullptr) o.trace->EndStage();
-  result.samples_processed = stats.samples;
-  result.nodes_touched = stats.nodes_touched;
+  RecordBlockRun(stats, &result);
   result.topk = TopKByScore(stats.estimates, o.k);
   result.scores.reserve(result.topk.size());
   for (const NodeId v : result.topk) result.scores.push_back(stats.estimates[v]);
@@ -183,13 +192,16 @@ Result<DetectionResult> DetectTopK(const UncertainGraph& graph,
                                    DetectionContext* ctx) {
   VULNDS_RETURN_NOT_OK(ValidateDetectorOptions(graph, o));
   const std::size_t n = graph.num_nodes();
+  // The kernel tier is resolved once per query from the request knob (kAuto
+  // = process default) and drives every method's coin kernels.
+  const simd::SimdTier simd_tier = simd::ResolveTier(o.simd_mode);
 
   switch (o.method) {
     case Method::kNaive:
-      return DetectByBasicSampling(graph, o, o.naive_samples);
+      return DetectByBasicSampling(graph, o, o.naive_samples, simd_tier);
     case Method::kSampleNaive:
-      return DetectByBasicSampling(graph, o,
-                                   BasicSampleSize(o.eps, o.delta, o.k, n));
+      return DetectByBasicSampling(
+          graph, o, BasicSampleSize(o.eps, o.delta, o.k, n), simd_tier);
     default:
       break;
   }
@@ -219,10 +231,9 @@ Result<DetectionResult> DetectTopK(const UncertainGraph& graph,
     result.samples_budget = t;
     if (o.trace != nullptr) o.trace->BeginStage("sampling");
     const BasicSampleStats stats =
-        RunReverseSampling(graph, candidates, t, o.seed, o.pool);
+        RunReverseSampling(graph, candidates, t, o.seed, o.pool, simd_tier);
     if (o.trace != nullptr) o.trace->EndStage();
-    result.samples_processed = stats.samples;
-    result.nodes_touched = stats.nodes_touched;
+    RecordBlockRun(stats, &result);
     AppendRanked(candidates, stats.estimates, o.k, &result);
     return result;
   }
@@ -279,11 +290,10 @@ Result<DetectionResult> DetectTopK(const UncertainGraph& graph,
 
   if (o.method == Method::kBsr) {
     if (o.trace != nullptr) o.trace->BeginStage("sampling");
-    const BasicSampleStats stats =
-        RunReverseSampling(graph, reduced->candidates, t, o.seed, o.pool);
+    const BasicSampleStats stats = RunReverseSampling(
+        graph, reduced->candidates, t, o.seed, o.pool, simd_tier);
     if (o.trace != nullptr) o.trace->EndStage();
-    result.samples_processed = stats.samples;
-    result.nodes_touched = stats.nodes_touched;
+    RecordBlockRun(stats, &result);
     AppendRanked(reduced->candidates, stats.estimates, needed, &result);
     return result;
   }
@@ -291,16 +301,13 @@ Result<DetectionResult> DetectTopK(const UncertainGraph& graph,
   // BSRBK; the hash-sorted sample order is pure in (seed, t) and cached.
   // The order build (hash + sort over t ids) is charged to the sampling
   // stage: on a cold query it is real per-sample work.
-  // The kernel tier is resolved once per query from the request knob (kAuto
-  // = process default). Coin columns are NOT resolved here: the bottom-k
-  // runner pulls the graph's cached CoinColumns::Shared and hands them to
-  // every worker. They deliberately do not live in the warm
-  // DetectionContext — they are graph-sized, so charging them to every
-  // session's governed context bytes would overflow tight budgets with a
-  // copy per session of what is one immutable per-graph structure; the
-  // graph's derived cache holds the single copy, accounted once by
-  // EstimateGraphBytes.
-  const simd::SimdTier simd_tier = simd::ResolveTier(o.simd_mode);
+  // Coin columns are NOT resolved here: the bottom-k runner pulls the
+  // graph's cached CoinColumns::Shared and hands them to every worker. They
+  // deliberately do not live in the warm DetectionContext — they are
+  // graph-sized, so charging them to every session's governed context bytes
+  // would overflow tight budgets with a copy per session of what is one
+  // immutable per-graph structure; the graph's derived cache holds the
+  // single copy, accounted once by EstimateGraphBytes.
   if (o.trace != nullptr) o.trace->BeginStage("sampling");
   const BottomKSampleOrder* order = nullptr;
   if (ctx != nullptr) {

@@ -115,10 +115,11 @@ struct DetectionResult {
   std::size_t worlds_wasted = 0;  ///< worlds materialized past the stop
   std::size_t waves_issued = 0;   ///< parallel waves dispatched
 
-  /// Coin-kernel telemetry of the BSRBK sampling stage: coin slots
+  /// Coin-kernel telemetry of the sampling stage, every method: coin slots
   /// evaluated in full vector lanes vs one at a time. Varies with the simd
-  /// tier (and, through wasted worlds, the schedule) exactly like the wave
-  /// telemetry above — cost measurements, never part of response payloads.
+  /// tier (and, for BSRBK through wasted worlds, the schedule) exactly like
+  /// the wave telemetry above — cost measurements, never part of response
+  /// payloads.
   std::uint64_t simd_batched_coins = 0;
   std::uint64_t simd_tail_coins = 0;
 };

@@ -175,7 +175,7 @@ std::size_t ReverseSampler::SampleWorld(uint64_t world_seed,
 BasicSampleStats RunReverseSampling(const UncertainGraph& graph,
                                     const std::vector<NodeId>& candidates,
                                     std::size_t t, uint64_t seed,
-                                    ThreadPool* pool) {
+                                    ThreadPool* pool, simd::SimdTier tier) {
   // The reverse closure: only its nodes can make a candidate default, and an
   // arc of probability <= 0 never survives, so it joins no path.
   std::vector<char> in_closure(graph.num_nodes(), 0);
@@ -194,7 +194,7 @@ BasicSampleStats RunReverseSampling(const UncertainGraph& graph,
       }
     }
   }
-  return RunBlockSampling(graph, closure, candidates, t, seed, pool);
+  return RunBlockSampling(graph, closure, candidates, t, seed, pool, tier);
 }
 
 }  // namespace vulnds

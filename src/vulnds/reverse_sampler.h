@@ -126,11 +126,12 @@ class ReverseSampler {
 /// (RunBlockSampling) over the candidates' reverse closure: every node with
 /// a positive-probability path into a candidate, found once per run by a
 /// coin-free reverse BFS. Parallel over 64-world blocks when `pool` is
-/// provided; results are identical for any thread count.
+/// provided; results are identical for any thread count and `tier`.
 BasicSampleStats RunReverseSampling(const UncertainGraph& graph,
                                     const std::vector<NodeId>& candidates,
                                     std::size_t t, uint64_t seed,
-                                    ThreadPool* pool = nullptr);
+                                    ThreadPool* pool = nullptr,
+                                    simd::SimdTier tier = simd::DefaultTier());
 
 }  // namespace vulnds
 

@@ -14,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "dyn/update_manager.h"
 #include "graph/graph_io.h"
+#include "simd/dispatch.h"
 #include "store/memory_governor.h"
 #include "testing/test_graphs.h"
 
@@ -373,6 +374,61 @@ TEST(ServeLoopTest, TruthAndEngineStats) {
                         "misses=1 evictions=0"),
             std::string::npos)
       << output;
+}
+
+// Drops the `time=<seconds>` field from every response header, the one
+// field that varies between otherwise identical runs.
+std::string WithoutTimes(const std::string& output) {
+  std::string out;
+  for (const std::string& line : Lines(output)) {
+    const std::size_t at = line.find(" time=");
+    if (at == std::string::npos) {
+      out += line;
+    } else {
+      const std::size_t end = line.find(' ', at + 1);
+      out += line.substr(0, at);
+      if (end != std::string::npos) out += line.substr(end);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(ServeLoopTest, SimdFlagPinsBlockKernelMethodsWithIdenticalBytes) {
+  // Each tier runs in a fresh engine, so both answers are cold (the flag is
+  // canonicalized out of the result-cache key).
+  const std::string path = WriteTempGraph(testing::RandomSmallGraph(30, 0.15, 5),
+                                          "serve_simd.snap", GraphFileFormat::kBinary);
+  const auto run = [&](const std::string& mode, std::string* stats) {
+    std::string script = "load g " + path + "\n";
+    for (const char* method : {"N", "SN", "SR", "BSR"}) {
+      script += std::string("detect g 3 ") + method + " seed=7 simd=" + mode +
+                "\n";
+    }
+    const std::string output = RunScript(script + "stats\nquit\n");
+    const std::size_t at = output.find("ok stats");
+    *stats = output.substr(at);
+    return WithoutTimes(output.substr(0, at));
+  };
+  std::string scalar_stats, avx2_stats;
+  const std::string scalar = run("scalar", &scalar_stats);
+  const std::string avx2 = run("avx2", &avx2_stats);
+  const std::vector<std::string> lines = Lines(scalar);
+  EXPECT_EQ(std::count_if(lines.begin(), lines.end(),
+                          [](const std::string& line) {
+                            return line.rfind("ok detect g ", 0) == 0 &&
+                                   line.find("cached=0") != std::string::npos;
+                          }),
+            4)
+      << scalar;
+  EXPECT_EQ(scalar, avx2);
+  // The flag reaches the kernels: a scalar session batches no coin.
+  EXPECT_NE(scalar_stats.find("\nsimd_batched_coins=0\n"), std::string::npos)
+      << scalar_stats;
+  if (simd::Avx2Available()) {
+    EXPECT_EQ(avx2_stats.find("\nsimd_batched_coins=0\n"), std::string::npos)
+        << avx2_stats;
+  }
 }
 
 TEST(ServeLoopTest, OutOfRangeSampleCountsAnswerErr) {

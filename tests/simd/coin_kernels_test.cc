@@ -206,6 +206,30 @@ TEST(CoinSurvivorsPaddedTest, MatchesUnpaddedOnTheTrueLength) {
   }
 }
 
+TEST(CoinMask64Test, EveryTierMatchesPerWorldCoinHits) {
+  Rng rng(0xC0A1u);
+  const std::vector<SimdTier> tiers = AvailableTiers();
+  std::vector<uint64_t> thresholds = {0, 1, kCoinAlways - 1, kCoinAlways};
+  for (int i = 0; i < 20; ++i) {
+    thresholds.push_back(CoinThreshold(rng.NextDouble()));
+  }
+  for (int round = 0; round < 50; ++round) {
+    uint64_t seeds[kCoinMaskWorlds];
+    for (uint64_t& seed : seeds) seed = rng.NextU64();
+    const uint64_t inner = CoinInnerHash(rng.NextU64());
+    for (const uint64_t threshold : thresholds) {
+      uint64_t reference = 0;
+      for (std::size_t j = 0; j < kCoinMaskWorlds; ++j) {
+        if (CoinHits(seeds[j], inner, threshold)) reference |= uint64_t{1} << j;
+      }
+      for (const SimdTier tier : tiers) {
+        EXPECT_EQ(CoinMask64(tier, seeds, inner, threshold), reference)
+            << "tier=" << SimdTierName(tier) << " threshold=" << threshold;
+      }
+    }
+  }
+}
+
 TEST(HashBatchTest, MatchesUniformHashElementwise) {
   Rng rng(0x4A5Bu);
   const std::vector<SimdTier> tiers = AvailableTiers();

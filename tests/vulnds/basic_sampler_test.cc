@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "exact/possible_world.h"
+#include "simd/dispatch.h"
 #include "testing/test_graphs.h"
 #include "vulnds/reverse_sampler.h"
 
@@ -218,6 +219,55 @@ TEST(BasicSamplerTest, ReverseSamplingMatchesPerWorldReference) {
           EXPECT_EQ(reverse.samples, t) << what;
           EXPECT_EQ(reverse.nodes_touched, defaults) << what;
         }
+      }
+    }
+  }
+}
+
+// The seeding kernel's tier changes cost, never a bit: scalar and AVX2
+// seeding give identical estimates and nodes_touched for every block
+// boundary (a partial last block reads stale seed slots past `t`) and every
+// thread count, and flip the same number of coins.
+TEST(BasicSamplerTest, BlockKernelIsIdenticalAcrossTiers) {
+  const simd::SimdTier avx2 = simd::ResolveTier(simd::SimdMode::kAvx2);
+  ThreadPool pool2(2);
+  ThreadPool pool_hw(std::max(1u, std::thread::hardware_concurrency()));
+  ThreadPool* const pools[] = {nullptr, &pool2, &pool_hw};
+  for (const uint64_t graph_seed : {1, 2, 3}) {
+    UncertainGraph g = RandomGraphWithEndpoints(40, 0.08, graph_seed);
+    Rng rng(graph_seed + 91);
+    std::vector<NodeId> candidates;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (rng.NextDouble() < 0.2) candidates.push_back(v);
+    }
+    for (const std::size_t t : {1, 7, 63, 64, 65, 129, 2000}) {
+      const uint64_t seed = graph_seed * 1000 + t;
+      for (ThreadPool* pool : pools) {
+        const std::string what =
+            "graph " + std::to_string(graph_seed) + " t " + std::to_string(t) +
+            " threads " +
+            std::to_string(pool == nullptr ? 0 : pool->num_threads());
+        const auto expect_same = [&](const BasicSampleStats& scalar,
+                                     const BasicSampleStats& vector,
+                                     const std::string& run) {
+          EXPECT_EQ(scalar.estimates, vector.estimates) << run << what;
+          EXPECT_EQ(scalar.nodes_touched, vector.nodes_touched) << run << what;
+          EXPECT_EQ(scalar.coin_stats.batched_coins, 0u) << run << what;
+          if (avx2 == simd::SimdTier::kAvx2) {
+            EXPECT_GT(vector.coin_stats.batched_coins, 0u) << run << what;
+          }
+          EXPECT_EQ(scalar.coin_stats.tail_coins,
+                    vector.coin_stats.batched_coins +
+                        vector.coin_stats.tail_coins)
+              << run << what;
+        };
+        expect_same(
+            RunBasicSampling(g, t, seed, pool, simd::SimdTier::kScalar),
+            RunBasicSampling(g, t, seed, pool, avx2), "forward ");
+        expect_same(RunReverseSampling(g, candidates, t, seed, pool,
+                                       simd::SimdTier::kScalar),
+                    RunReverseSampling(g, candidates, t, seed, pool, avx2),
+                    "reverse ");
       }
     }
   }

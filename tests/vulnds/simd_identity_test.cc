@@ -167,8 +167,7 @@ TEST(SimdIdentityTest, FullDetectTranscriptsIdenticalAcrossTiersAndThreads) {
                                    testing::RandomSmallGraph(50, 0.1, 321)};
   ThreadPool pool2(2), pool7(7);
   for (const UncertainGraph& g : graphs) {
-    for (const Method method :
-         {Method::kSampleReverse, Method::kBsr, Method::kBsrbk}) {
+    for (const Method method : AllMethods()) {
       DetectorOptions reference_options;
       reference_options.method = method;
       reference_options.k = 3;
@@ -192,6 +191,33 @@ TEST(SimdIdentityTest, FullDetectTranscriptsIdenticalAcrossTiersAndThreads) {
                                simd::SimdModeName(mode));
         }
       }
+    }
+  }
+}
+
+// The coin counters cover the block kernel's methods too: a scalar run
+// flips every coin one at a time, an AVX2 run batches the seeding coins,
+// and both flip the same number.
+TEST(SimdIdentityTest, BlockKernelMethodsReportCoinTelemetry) {
+  const UncertainGraph g = testing::RandomSmallGraph(50, 0.1, 321);
+  for (const Method method : {Method::kNaive, Method::kSampleNaive,
+                              Method::kSampleReverse, Method::kBsr}) {
+    DetectorOptions options;
+    options.method = method;
+    options.k = 3;
+    options.simd_mode = simd::SimdMode::kScalar;
+    const Result<DetectionResult> scalar = DetectTopK(g, options);
+    options.simd_mode = simd::SimdMode::kAvx2;
+    const Result<DetectionResult> avx2 = DetectTopK(g, options);
+    ASSERT_TRUE(scalar.ok() && avx2.ok());
+    const std::string what = MethodName(method);
+    EXPECT_EQ(scalar->simd_batched_coins, 0u) << what;
+    EXPECT_GT(scalar->simd_tail_coins, 0u) << what;
+    EXPECT_EQ(avx2->simd_batched_coins + avx2->simd_tail_coins,
+              scalar->simd_tail_coins)
+        << what;
+    if (simd::Avx2Available()) {
+      EXPECT_GT(avx2->simd_batched_coins, 0u) << what;
     }
   }
 }
