@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the core sampling machinery:
-// per-world cost of forward (64-world blocks) vs reverse sampling, the
+// per-world cost of forward (128-world blocks) vs reverse sampling, the
 // block kernel's 64-world seeding coin per tier, the bound iterations,
 // candidate reduction and the bottom-k sketch.
 
@@ -33,17 +33,29 @@ const UncertainGraph& BitcoinGraph() {
   return graph;
 }
 
-// One 64-world block of the forward sampler (worlds/s = items/s), serial.
+// The P2P stand-in: the one graph whose block-kernel state and arcs exceed
+// a 2 MB L2 (Citation and Bitcoin fit).
+const UncertainGraph& P2PGraph() {
+  static const UncertainGraph graph =
+      MakeDataset(DatasetId::kP2P, 1.0, 42).MoveValue();
+  return graph;
+}
+
+// One 128-world block of the forward sampler (worlds/s = items/s), serial.
+// Arg: 0 = Citation, 1 = Bitcoin, 2 = P2P.
 void BM_ForwardSampleBlock(benchmark::State& state) {
-  const UncertainGraph& graph =
-      state.range(0) == 0 ? CitationGraph() : BitcoinGraph();
+  constexpr std::size_t kWorlds = 128;
+  const UncertainGraph& graph = state.range(0) == 0   ? CitationGraph()
+                                : state.range(0) == 1 ? BitcoinGraph()
+                                                      : P2PGraph();
   uint64_t seed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunBasicSampling(graph, 64, seed++).nodes_touched);
+    benchmark::DoNotOptimize(
+        RunBasicSampling(graph, kWorlds, seed++).nodes_touched);
   }
-  state.SetItemsProcessed(state.iterations() * 64);
+  state.SetItemsProcessed(state.iterations() * kWorlds);
 }
-BENCHMARK(BM_ForwardSampleBlock)->Arg(0)->Arg(1);
+BENCHMARK(BM_ForwardSampleBlock)->Arg(0)->Arg(1)->Arg(2);
 
 // One node's self-risk coin under 64 world seeds (coins/s = items/s).
 // Arg: 0 = scalar tier, 1 = avx2 tier (skipped where AVX2 is unavailable).

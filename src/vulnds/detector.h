@@ -12,8 +12,8 @@
 // All five sample the same hashed possible worlds (reverse_sampler.h): world
 // i of a query is WorldSeed(seed, i) whichever method draws it, so the
 // methods differ in which worlds they draw and which nodes they evaluate,
-// never in what a world looks like. N, SN, SR and BSR run the 64-world block
-// kernel (basic_sampler.h), SR and BSR over the candidates' reverse closure;
+// never in what a world looks like. N, SN, SR and BSR run the block kernel
+// (basic_sampler.h), SR and BSR over the candidates' reverse closure;
 // BSRBK evaluates one world at a time with ReverseSampler.
 
 #ifndef VULNDS_VULNDS_DETECTOR_H_
@@ -117,9 +117,10 @@ struct DetectionResult {
 
   /// Coin-kernel telemetry of the sampling stage, every method: coin slots
   /// evaluated in full vector lanes vs one at a time. Varies with the simd
-  /// tier (and, for BSRBK through wasted worlds, the schedule) exactly like
-  /// the wave telemetry above — cost measurements, never part of response
-  /// payloads.
+  /// tier (for N, SN, SR and BSR also with the thread count, which decides
+  /// how the block kernel packs worlds into blocks; for BSRBK through wasted
+  /// worlds, with the schedule) exactly like the wave telemetry above — cost
+  /// measurements, never part of response payloads.
   std::uint64_t simd_batched_coins = 0;
   std::uint64_t simd_tail_coins = 0;
 };

@@ -194,6 +194,12 @@ BasicSampleStats RunReverseSampling(const UncertainGraph& graph,
       }
     }
   }
+  // Handed over in node-id order, so that seeding walks the per-node state
+  // sequentially; the block kernel's fixpoint does not depend on the order.
+  closure.clear();
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    if (in_closure[v] != 0) closure.push_back(v);
+  }
   return RunBlockSampling(graph, closure, candidates, t, seed, pool, tier);
 }
 

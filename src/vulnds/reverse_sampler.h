@@ -25,8 +25,8 @@
 // Two consumers, two evaluators. BSRBK folds worlds one at a time in hash
 // order and stops after a few dozen positions, so it keeps the per-world
 // ReverseSampler below. SR and BSR draw every world of their budget, so
-// RunReverseSampling runs the 64-world block kernel of basic_sampler.h over
-// the candidates' reverse closure instead — the same worlds, so the same
+// RunReverseSampling runs the block kernel of basic_sampler.h over the
+// candidates' reverse closure instead — the same worlds, so the same
 // estimates bit for bit as SampleWorld's flags summed over worlds 0..t-1.
 
 #ifndef VULNDS_VULNDS_REVERSE_SAMPLER_H_
@@ -125,8 +125,10 @@ class ReverseSampler {
 /// `seed` (estimates in candidate order). Runs the block kernel
 /// (RunBlockSampling) over the candidates' reverse closure: every node with
 /// a positive-probability path into a candidate, found once per run by a
-/// coin-free reverse BFS. Parallel over 64-world blocks when `pool` is
-/// provided; results are identical for any thread count and `tier`.
+/// coin-free reverse BFS and handed to the kernel in node-id order, so that
+/// seeding walks the per-node state sequentially (the kernel's fixpoint does
+/// not depend on the scope's order). Parallel over 64-world words when `pool`
+/// is provided; results are identical for any thread count and `tier`.
 BasicSampleStats RunReverseSampling(const UncertainGraph& graph,
                                     const std::vector<NodeId>& candidates,
                                     std::size_t t, uint64_t seed,

@@ -145,15 +145,18 @@ std::vector<double> PerWorldEstimates(const UncertainGraph& g,
   return estimates;
 }
 
-const std::size_t kOracleSampleCounts[] = {1, 63, 64, 65, 129, 2000};
+// Every word and 128-world block boundary, plus a long run.
+const std::size_t kOracleSampleCounts[] = {1,   63,  64,  65,  127, 128,
+                                           129, 191, 192, 193, 257, 2000};
 
-// N/SN and SR/BSR/BSRBK sample the same hashed worlds: the forward 64-world
-// blocks must reproduce the per-world reverse BFS over every node bit for
-// bit, for every block boundary and every thread count.
+// N/SN and SR/BSR/BSRBK sample the same hashed worlds: the forward
+// 128-world blocks must reproduce the per-world reverse BFS over every node
+// bit for bit, for every word and block boundary and every thread count
+// (three workers split most word counts unevenly).
 TEST(BasicSamplerTest, MatchesReverseSamplingBitForBit) {
-  ThreadPool pool2(2), pool7(7);
+  ThreadPool pool2(2), pool3(3), pool7(7);
   ThreadPool pool_hw(std::max(1u, std::thread::hardware_concurrency()));
-  ThreadPool* const pools[] = {nullptr, &pool2, &pool7, &pool_hw};
+  ThreadPool* const pools[] = {nullptr, &pool2, &pool3, &pool7, &pool_hw};
   for (const uint64_t graph_seed : {1, 2, 3, 4}) {
     UncertainGraph g = RandomGraphWithEndpoints(40, 0.08, graph_seed);
     std::vector<NodeId> all(g.num_nodes());
@@ -181,9 +184,9 @@ TEST(BasicSamplerTest, MatchesReverseSamplingBitForBit) {
 // candidate set, including one whose in-arcs all have probability 0 (the
 // closure is then the candidates alone).
 TEST(BasicSamplerTest, ReverseSamplingMatchesPerWorldReference) {
-  ThreadPool pool2(2), pool7(7);
+  ThreadPool pool2(2), pool3(3), pool7(7);
   ThreadPool pool_hw(std::max(1u, std::thread::hardware_concurrency()));
-  ThreadPool* const pools[] = {nullptr, &pool2, &pool7, &pool_hw};
+  ThreadPool* const pools[] = {nullptr, &pool2, &pool3, &pool7, &pool_hw};
   constexpr std::size_t kNodes = 40;
   constexpr std::size_t kDeadSinks = 4;
   for (const uint64_t graph_seed : {1, 2, 3, 4}) {
@@ -225,14 +228,15 @@ TEST(BasicSamplerTest, ReverseSamplingMatchesPerWorldReference) {
 }
 
 // The seeding kernel's tier changes cost, never a bit: scalar and AVX2
-// seeding give identical estimates and nodes_touched for every block
-// boundary (a partial last block reads stale seed slots past `t`) and every
-// thread count, and flip the same number of coins.
+// seeding give identical estimates and nodes_touched for every word and
+// block boundary (a partial word reads stale seed slots past `t`) and every
+// thread count, and flip the same number of coins at the same pool (the
+// edge-coin count follows how the pool packs words into blocks).
 TEST(BasicSamplerTest, BlockKernelIsIdenticalAcrossTiers) {
   const simd::SimdTier avx2 = simd::ResolveTier(simd::SimdMode::kAvx2);
-  ThreadPool pool2(2);
+  ThreadPool pool2(2), pool3(3);
   ThreadPool pool_hw(std::max(1u, std::thread::hardware_concurrency()));
-  ThreadPool* const pools[] = {nullptr, &pool2, &pool_hw};
+  ThreadPool* const pools[] = {nullptr, &pool2, &pool3, &pool_hw};
   for (const uint64_t graph_seed : {1, 2, 3}) {
     UncertainGraph g = RandomGraphWithEndpoints(40, 0.08, graph_seed);
     Rng rng(graph_seed + 91);
@@ -240,7 +244,7 @@ TEST(BasicSamplerTest, BlockKernelIsIdenticalAcrossTiers) {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (rng.NextDouble() < 0.2) candidates.push_back(v);
     }
-    for (const std::size_t t : {1, 7, 63, 64, 65, 129, 2000}) {
+    for (const std::size_t t : kOracleSampleCounts) {
       const uint64_t seed = graph_seed * 1000 + t;
       for (ThreadPool* pool : pools) {
         const std::string what =
@@ -268,6 +272,64 @@ TEST(BasicSamplerTest, BlockKernelIsIdenticalAcrossTiers) {
                                        simd::SimdTier::kScalar),
                     RunReverseSampling(g, candidates, t, seed, pool, avx2),
                     "reverse ");
+      }
+    }
+  }
+}
+
+// The block kernel's fixpoint does not depend on the order its scope is
+// seeded in, so SR/BSR may hand over their reverse closure in node-id order:
+// the closure in BFS order, in id order and shuffled gives identical
+// estimates and nodes_touched.
+TEST(BasicSamplerTest, ScopeOrderDoesNotChangeEstimates) {
+  ThreadPool pool3(3);
+  ThreadPool* const pools[] = {nullptr, &pool3};
+  for (const uint64_t graph_seed : {1, 2, 3}) {
+    UncertainGraph g = RandomGraphWithEndpoints(40, 0.08, graph_seed);
+    Rng rng(graph_seed + 53);
+    std::vector<NodeId> candidates;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (rng.NextDouble() < 0.2) candidates.push_back(v);
+    }
+    // The closure as RunReverseSampling's reverse BFS discovers it.
+    std::vector<char> seen(g.num_nodes(), 0);
+    std::vector<NodeId> bfs;
+    for (const NodeId c : candidates) {
+      if (seen[c] == 0) {
+        seen[c] = 1;
+        bfs.push_back(c);
+      }
+    }
+    for (std::size_t head = 0; head < bfs.size(); ++head) {
+      for (const Arc& arc : g.InArcs(bfs[head])) {
+        if (arc.prob > 0.0 && seen[arc.neighbor] == 0) {
+          seen[arc.neighbor] = 1;
+          bfs.push_back(arc.neighbor);
+        }
+      }
+    }
+    std::vector<NodeId> by_id = bfs;
+    std::sort(by_id.begin(), by_id.end());
+    ASSERT_NE(bfs, by_id) << "graph " << graph_seed;
+    std::vector<NodeId> shuffled = bfs;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.NextBounded(i)]);
+    }
+    for (const std::size_t t : {65, 193, 2000}) {
+      const uint64_t seed = graph_seed * 1000 + t;
+      for (ThreadPool* pool : pools) {
+        const std::string what =
+            "graph " + std::to_string(graph_seed) + " t " + std::to_string(t) +
+            " threads " +
+            std::to_string(pool == nullptr ? 0 : pool->num_threads());
+        const BasicSampleStats reference =
+            RunBlockSampling(g, bfs, candidates, t, seed, pool);
+        for (const auto* scope : {&by_id, &shuffled}) {
+          const BasicSampleStats run =
+              RunBlockSampling(g, *scope, candidates, t, seed, pool);
+          EXPECT_EQ(run.estimates, reference.estimates) << what;
+          EXPECT_EQ(run.nodes_touched, reference.nodes_touched) << what;
+        }
       }
     }
   }
