@@ -1,14 +1,22 @@
 // Micro-benchmarks (google-benchmark) for the core sampling machinery:
 // per-world cost of forward (128-world blocks) vs reverse sampling, the
 // block kernel's 64-world seeding coin per tier, the bound iterations,
-// candidate reduction and the bottom-k sketch.
+// candidate reduction and the bottom-k sketch — plus the serve hit path
+// around a cached answer: request parse and response render.
 
 #include <benchmark/benchmark.h>
 
 #include <numeric>
+#include <ostream>
+#include <streambuf>
+#include <string>
 
 #include "common/rng.h"
 #include "gen/datasets.h"
+#include "serve/graph_catalog.h"
+#include "serve/protocol.h"
+#include "serve/query_engine.h"
+#include "serve/session.h"
 #include "simd/coin_kernels.h"
 #include "simd/dispatch.h"
 #include "sketch/bottom_k.h"
@@ -136,6 +144,50 @@ void BM_BottomKSketchAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BottomKSketchAdd)->Arg(16)->Arg(64)->Arg(256);
+
+// A sink that discards what it is given, so only the render is timed.
+class NullBuf : public std::streambuf {
+ protected:
+  int overflow(int c) override { return c; }
+  std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
+};
+
+// A cached detect answered through ServeSession::HandleLine: parse, catalog
+// lookup, result-cache hit and the k-row render, the path most serve
+// traffic takes.
+void BM_RenderDetectResponse(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  serve::GraphCatalog catalog;
+  if (!catalog.Put("g", CitationGraph()).ok()) {
+    state.SkipWithError("catalog put failed");
+    return;
+  }
+  serve::QueryEngine engine(&catalog);
+  serve::ServeSession session(&engine);
+  NullBuf buf;
+  std::ostream sink(&buf);
+  const std::string line = "detect g " + std::to_string(k) + " SN seed=7";
+  session.HandleLine(line, sink);  // cold: fills the result cache
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.HandleLine(line, sink));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(k));
+}
+BENCHMARK(BM_RenderDetectResponse)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_ParseServeRequest(benchmark::State& state) {
+  const std::string lines[] = {
+      "detect g7 25 BSRBK seed=123",
+      "detect citation 50 SR eps=0.2 delta=0.05 seed=9 threads=2",
+      "truth g 10 5000 123",
+      "setprob g 3 7 0.10000000000000001",
+  };
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::ParseServeRequest(lines[i++ % 4]));
+  }
+}
+BENCHMARK(BM_ParseServeRequest);
 
 }  // namespace
 

@@ -55,6 +55,29 @@ Result<double> ParseDouble(std::string_view token) {
   return ParseWith<double>(token, "number");
 }
 
+void AppendRoundTrip(std::string* out, double value) {
+  char buf[32];  // the longest form, "-2.2250738585072014e-308", is 24
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value,
+                                    std::chars_format::general, 17);
+  out->append(buf, result.ptr);
+}
+
+void AppendDecimal(std::string* out, uint64_t value) {
+  char buf[20];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, result.ptr);
+}
+
+bool EqualsIgnoreCase(std::string_view token, std::string_view lower) {
+  if (token.size() != lower.size()) return false;
+  for (std::size_t i = 0; i < token.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(token[i])) != lower[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string AsciiLower(std::string token) {
   for (char& c : token) {
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));

@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/parse.h"
 #include "graph/graph_io.h"
 #include "serve/io_metrics.h"
 
@@ -53,9 +54,9 @@ serve::VersionInfo BaseVersion(const std::string& name,
 // replayed versions are only byte-equal to the originals if every double
 // re-parses to the same bits. 17 significant digits guarantee that.
 std::string FormatProb(double prob) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", prob);
-  return buf;
+  std::string text;
+  AppendRoundTrip(&text, prob);
+  return text;
 }
 
 }  // namespace

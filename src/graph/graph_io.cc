@@ -13,11 +13,12 @@
 #include <limits>
 #include <ostream>
 #include <span>
-#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/parse.h"
 #include "graph/builder.h"
 
 namespace vulnds {
@@ -108,16 +109,37 @@ Status GetArray(std::istream& in, std::vector<T>* values, std::size_t count,
 }  // namespace
 
 Status WriteGraph(const UncertainGraph& graph, std::ostream& out) {
-  out << "vulnds-graph 1\n";
-  out << graph.num_nodes() << ' ' << graph.num_edges() << '\n';
-  out.precision(17);
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    out << graph.self_risk(v) << (v + 1 == graph.num_nodes() ? '\n' : ' ');
+  // Text is built in a bounded buffer and written in chunks; every double
+  // takes the 17-digit round-trip form, so the snapshot re-reads to the
+  // same bits.
+  constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
+  std::string text = "vulnds-graph 1\n";
+  const auto flush_if_full = [&] {
+    if (text.size() < kChunkBytes) return;
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    text.clear();
+  };
+  const std::size_t n = graph.num_nodes();
+  AppendDecimal(&text, n);
+  text += ' ';
+  AppendDecimal(&text, graph.num_edges());
+  text += '\n';
+  for (NodeId v = 0; v < n; ++v) {
+    AppendRoundTrip(&text, graph.self_risk(v));
+    text += v + 1 == n ? '\n' : ' ';
+    flush_if_full();
   }
-  if (graph.num_nodes() == 0) out << '\n';
+  if (n == 0) text += '\n';
   for (const UncertainEdge& e : graph.edges()) {
-    out << e.src << ' ' << e.dst << ' ' << e.prob << '\n';
+    AppendDecimal(&text, e.src);
+    text += ' ';
+    AppendDecimal(&text, e.dst);
+    text += ' ';
+    AppendRoundTrip(&text, e.prob);
+    text += '\n';
+    flush_if_full();
   }
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
   if (!out) return Status::IOError("stream write failed");
   return Status::OK();
 }

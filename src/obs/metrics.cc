@@ -4,6 +4,9 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+
+#include "common/parse.h"
 
 namespace vulnds::obs {
 
@@ -30,15 +33,12 @@ const char* KindName(MetricKind kind) {
 std::string FormatValue(double value) {
   if (std::isfinite(value) && value == std::floor(value) &&
       std::fabs(value) < 1e15) {
-    std::ostringstream out;
-    out << static_cast<long long>(value);
-    return out.str();
+    return std::to_string(static_cast<long long>(value));
   }
   if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
+  std::string text;
+  AppendRoundTrip(&text, value);
+  return text;
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "serve/protocol.h"
 
-#include <cstdio>
-#include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/parse.h"
@@ -10,22 +9,49 @@ namespace vulnds::serve {
 
 namespace {
 
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::istringstream in(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (in >> token) {
-    if (token[0] == '#') break;  // comment to end of line
-    tokens.push_back(token);
+// operator>>'s separators in the C locale: space, \t, \n, \v, \f, \r.
+bool IsSeparator(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+// A request's tokens as views into its line. Every well-formed request fits
+// the inline slots; a longer line spills the rest to the heap.
+class Tokens {
+ public:
+  // Splits at separator runs; a token that starts with '#' ends the line.
+  explicit Tokens(std::string_view line) {
+    std::size_t pos = 0;
+    for (;;) {
+      while (pos < line.size() && IsSeparator(line[pos])) ++pos;
+      if (pos == line.size() || line[pos] == '#') break;
+      const std::size_t begin = pos;
+      while (pos < line.size() && !IsSeparator(line[pos])) ++pos;
+      const std::string_view token = line.substr(begin, pos - begin);
+      if (size_ < kInline) {
+        inline_[size_] = token;
+      } else {
+        spill_.push_back(token);
+      }
+      ++size_;
+    }
   }
-  return tokens;
-}
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::string_view operator[](std::size_t i) const {
+    return i < kInline ? inline_[i] : spill_[i - kInline];
+  }
+
+ private:
+  static constexpr std::size_t kInline = 16;
+  std::string_view inline_[kInline];
+  std::vector<std::string_view> spill_;
+  std::size_t size_ = 0;
+};
 
 Status WrongArity(const char* usage) {
   return Status::InvalidArgument(std::string("usage: ") + usage);
 }
 
-Result<std::size_t> ParseCount(const std::string& token, const char* what) {
+Result<std::size_t> ParseCount(std::string_view token, const char* what) {
   Result<uint64_t> v = ParseUint64(token);
   if (!v.ok()) {
     return Status::InvalidArgument(std::string(what) + ": " + v.status().message());
@@ -33,19 +59,20 @@ Result<std::size_t> ParseCount(const std::string& token, const char* what) {
   return static_cast<std::size_t>(*v);
 }
 
-Result<NodeId> ParseNode(const std::string& token, const char* what) {
+Result<NodeId> ParseNode(std::string_view token, const char* what) {
   Result<uint64_t> v = ParseUint64(token);
   if (!v.ok()) {
     return Status::InvalidArgument(std::string(what) + ": " + v.status().message());
   }
   if (*v > static_cast<uint64_t>(kInvalidNode) - 1) {
-    return Status::OutOfRange(std::string(what) + ": node id " + token +
+    return Status::OutOfRange(std::string(what) + ": node id " +
+                              std::string(token) +
                               " exceeds the 32-bit id space");
   }
   return static_cast<NodeId>(*v);
 }
 
-Result<double> ParseProb(const std::string& token) {
+Result<double> ParseProb(std::string_view token) {
   Result<double> v = ParseDouble(token);
   if (!v.ok()) {
     return Status::InvalidArgument(std::string("prob: ") + v.status().message());
@@ -93,45 +120,56 @@ const char* ServeCommandName(ServeCommand command) {
   return "none";
 }
 
-Result<Method> ParseMethodToken(const std::string& name) {
-  for (const Method m : AllMethods()) {
-    if (AsciiLower(MethodName(m)) == AsciiLower(name)) return m;
+Result<Method> ParseMethodToken(std::string_view name) {
+  // Lowercased once, not per request: building MethodName's strings on every
+  // call cost a third of a detect line's parse.
+  static const std::vector<std::pair<std::string, Method>> kLowerNames = [] {
+    std::vector<std::pair<std::string, Method>> names;
+    for (const Method m : AllMethods()) {
+      names.emplace_back(AsciiLower(MethodName(m)), m);
+    }
+    return names;
+  }();
+  for (const auto& [lower, method] : kLowerNames) {
+    if (EqualsIgnoreCase(name, lower)) return method;
   }
-  return Status::InvalidArgument("unknown method '" + name + "'");
+  return Status::InvalidArgument("unknown method '" + std::string(name) + "'");
 }
 
-Status ApplyDetectFlag(const std::string& token, DetectorOptions* options) {
+Status ApplyDetectFlag(std::string_view token, DetectorOptions* options) {
   const std::size_t eq = token.find('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-    return Status::InvalidArgument("expected key=value, got '" + token + "'");
+  if (eq == std::string_view::npos || eq == 0 || eq + 1 == token.size()) {
+    return Status::InvalidArgument("expected key=value, got '" +
+                                   std::string(token) + "'");
   }
-  const std::string key = AsciiLower(token.substr(0, eq));
-  const std::string value = token.substr(eq + 1);
-  if (key == "method") {
+  const std::string_view key = token.substr(0, eq);
+  const std::string_view value = token.substr(eq + 1);
+  if (EqualsIgnoreCase(key, "method")) {
     Result<Method> m = ParseMethodToken(value);
     if (!m.ok()) return m.status();
     options->method = *m;
     return Status::OK();
   }
-  if (key == "eps" || key == "delta") {
+  const bool eps = EqualsIgnoreCase(key, "eps");
+  if (eps || EqualsIgnoreCase(key, "delta")) {
     Result<double> v = ParseDouble(value);
     if (!v.ok()) return v.status();
-    (key == "eps" ? options->eps : options->delta) = *v;
+    (eps ? options->eps : options->delta) = *v;
     return Status::OK();
   }
-  if (key == "seed") {
+  if (EqualsIgnoreCase(key, "seed")) {
     Result<uint64_t> v = ParseUint64(value);
     if (!v.ok()) return v.status();
     options->seed = *v;
     return Status::OK();
   }
-  if (key == "samples") {
+  if (EqualsIgnoreCase(key, "samples")) {
     Result<std::size_t> v = ParseCount(value, "samples");
     if (!v.ok()) return v.status();
     options->naive_samples = *v;
     return Status::OK();
   }
-  if (key == "threads") {
+  if (EqualsIgnoreCase(key, "threads")) {
     // Execution knob, not identity: results are bit-identical for every
     // thread count, so this never fragments the result cache.
     Result<std::size_t> v = ParseCount(value, "threads");
@@ -139,10 +177,10 @@ Status ApplyDetectFlag(const std::string& token, DetectorOptions* options) {
     options->threads = *v;
     return Status::OK();
   }
-  if (key == "wave") {
+  if (EqualsIgnoreCase(key, "wave")) {
     // Execution knob like threads=: every wave schedule folds the identical
     // hash-order stream, so this never fragments the result cache either.
-    const std::string mode = AsciiLower(value);
+    const std::string mode = AsciiLower(std::string(value));
     if (mode == "adaptive") {
       options->wave_mode = WaveMode::kAdaptive;
       options->wave_size = 0;
@@ -154,69 +192,76 @@ Status ApplyDetectFlag(const std::string& token, DetectorOptions* options) {
       return Status::OK();
     }
     if (mode.rfind("fixed:", 0) == 0) {
-      Result<std::size_t> n = ParseCount(mode.substr(6), "wave");
+      Result<std::size_t> n =
+          ParseCount(std::string_view(mode).substr(6), "wave");
       if (!n.ok()) return n.status();
       options->wave_mode = WaveMode::kFixed;
       options->wave_size = *n;
       return Status::OK();
     }
     return Status::InvalidArgument(
-        "wave must be adaptive, fixed or fixed:N, got '" + value + "'");
+        "wave must be adaptive, fixed or fixed:N, got '" + std::string(value) +
+        "'");
   }
-  if (key == "simd") {
+  if (EqualsIgnoreCase(key, "simd")) {
     // Execution knob like threads= and wave=: every kernel tier computes
     // bit-identical results (simd/coin_kernels.h contract), so this never
     // fragments the result cache either.
-    Result<simd::SimdMode> m = simd::ParseSimdMode(value);
+    Result<simd::SimdMode> m = simd::ParseSimdMode(std::string(value));
     if (!m.ok()) return m.status();
     options->simd_mode = *m;
     return Status::OK();
   }
-  if (key == "order" || key == "bk") {
+  const bool order = EqualsIgnoreCase(key, "order");
+  if (order || EqualsIgnoreCase(key, "bk")) {
     // ParseInt32 rejects values outside int range instead of truncating.
     Result<int> v = ParseInt32(value);
     if (!v.ok()) return v.status();
-    (key == "order" ? options->bound_order : options->bk) = *v;
+    (order ? options->bound_order : options->bk) = *v;
     return Status::OK();
   }
-  return Status::InvalidArgument("unknown detect flag '" + key + "'");
+  return Status::InvalidArgument("unknown detect flag '" +
+                                 AsciiLower(std::string(key)) + "'");
 }
 
 std::string FormatRoundTrip(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  std::string text;
+  AppendRoundTrip(&text, value);
+  return text;
 }
 
-Result<ServeRequest> ParseServeRequest(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
+Result<ServeRequest> ParseServeRequest(std::string_view line) {
+  const Tokens tokens(line);
   ServeRequest request;
   if (tokens.empty()) return request;  // kNone
 
-  const std::string verb = AsciiLower(tokens[0]);
-  if (verb == "quit" || verb == "exit") {
+  const std::string_view verb = tokens[0];
+  const auto is = [&](std::string_view lower) {
+    return EqualsIgnoreCase(verb, lower);
+  };
+  if (is("quit") || is("exit")) {
     if (tokens.size() != 1) return WrongArity("quit");
     request.command = ServeCommand::kQuit;
     return request;
   }
-  if (verb == "shutdown") {
+  if (is("shutdown")) {
     if (tokens.size() != 1) return WrongArity("shutdown");
     request.command = ServeCommand::kShutdown;
     return request;
   }
-  if (verb == "catalog") {
+  if (is("catalog")) {
     if (tokens.size() != 1) return WrongArity("catalog");
     request.command = ServeCommand::kCatalog;
     return request;
   }
-  if (verb == "load") {
+  if (is("load")) {
     if (tokens.size() != 3) return WrongArity("load <name> <path>");
     request.command = ServeCommand::kLoad;
     request.name = tokens[1];
     request.path = tokens[2];
     return request;
   }
-  if (verb == "save") {
+  if (is("save")) {
     if (tokens.size() < 3 || tokens.size() > 4) {
       return WrongArity("save <name> <path> [text|binary]");
     }
@@ -224,37 +269,37 @@ Result<ServeRequest> ParseServeRequest(const std::string& line) {
     request.name = tokens[1];
     request.path = tokens[2];
     if (tokens.size() == 4) {
-      const std::string fmt = AsciiLower(tokens[3]);
-      if (fmt == "text") {
+      if (EqualsIgnoreCase(tokens[3], "text")) {
         request.format = GraphFileFormat::kText;
-      } else if (fmt == "binary") {
+      } else if (EqualsIgnoreCase(tokens[3], "binary")) {
         request.format = GraphFileFormat::kBinary;
       } else {
-        return Status::InvalidArgument("unknown format '" + tokens[3] +
+        return Status::InvalidArgument("unknown format '" +
+                                       std::string(tokens[3]) +
                                        "' (want text|binary)");
       }
     }
     return request;
   }
-  if (verb == "stats") {
+  if (is("stats")) {
     if (tokens.size() > 2) return WrongArity("stats [<name>]");
     request.command = ServeCommand::kStats;
     if (tokens.size() == 2) request.name = tokens[1];
     return request;
   }
-  if (verb == "metrics") {
+  if (is("metrics")) {
     if (tokens.size() != 1) return WrongArity("metrics");
     request.command = ServeCommand::kMetrics;
     return request;
   }
-  if (verb == "evict") {
+  if (is("evict")) {
     if (tokens.size() != 2) return WrongArity("evict <name>");
     request.command = ServeCommand::kEvict;
     request.name = tokens[1];
     return request;
   }
-  if (verb == "addedge" || verb == "setprob") {
-    const bool add = verb == "addedge";
+  if (is("addedge") || is("setprob")) {
+    const bool add = is("addedge");
     if (tokens.size() != 5) {
       return WrongArity(add ? "addedge <name> <src> <dst> <prob>"
                             : "setprob <name> <src> <dst> <prob>");
@@ -272,7 +317,7 @@ Result<ServeRequest> ParseServeRequest(const std::string& line) {
     request.prob = *prob;
     return request;
   }
-  if (verb == "deledge") {
+  if (is("deledge")) {
     if (tokens.size() != 4) return WrongArity("deledge <name> <src> <dst>");
     request.command = ServeCommand::kDelEdge;
     request.name = tokens[1];
@@ -284,19 +329,19 @@ Result<ServeRequest> ParseServeRequest(const std::string& line) {
     request.dst = *dst;
     return request;
   }
-  if (verb == "commit") {
+  if (is("commit")) {
     if (tokens.size() != 2) return WrongArity("commit <name>");
     request.command = ServeCommand::kCommit;
     request.name = tokens[1];
     return request;
   }
-  if (verb == "versions") {
+  if (is("versions")) {
     if (tokens.size() != 2) return WrongArity("versions <name>");
     request.command = ServeCommand::kVersions;
     request.name = tokens[1];
     return request;
   }
-  if (verb == "detect") {
+  if (is("detect")) {
     if (tokens.size() < 3) {
       return WrongArity("detect <name> <k> [method] [key=value ...]");
     }
@@ -306,10 +351,12 @@ Result<ServeRequest> ParseServeRequest(const std::string& line) {
     if (!k.ok()) return k.status();
     request.options.k = *k;
     std::size_t next = 3;
-    if (next < tokens.size() && tokens[next].find('=') == std::string::npos) {
+    if (next < tokens.size() &&
+        tokens[next].find('=') == std::string_view::npos) {
       // Bare method name, matching the batch CLI's positional style.
-      VULNDS_RETURN_NOT_OK(
-          ApplyDetectFlag("method=" + tokens[next], &request.options));
+      Result<Method> m = ParseMethodToken(tokens[next]);
+      if (!m.ok()) return m.status();
+      request.options.method = *m;
       ++next;
     }
     for (; next < tokens.size(); ++next) {
@@ -317,7 +364,7 @@ Result<ServeRequest> ParseServeRequest(const std::string& line) {
     }
     return request;
   }
-  if (verb == "truth") {
+  if (is("truth")) {
     if (tokens.size() < 3 || tokens.size() > 5) {
       return WrongArity("truth <name> <k> [samples] [seed]");
     }
@@ -338,7 +385,8 @@ Result<ServeRequest> ParseServeRequest(const std::string& line) {
     }
     return request;
   }
-  return Status::InvalidArgument("unknown command '" + tokens[0] + "'");
+  return Status::InvalidArgument("unknown command '" + std::string(verb) +
+                                 "'");
 }
 
 std::string StripWallClockTokens(const std::string& line) {

@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "graph/graph_io.h"
@@ -91,19 +92,24 @@ struct ServeRequest {
 /// Parses one protocol line. Unknown verbs, wrong arity, and malformed
 /// numbers return InvalidArgument with a message suitable for an "err"
 /// response line.
-Result<ServeRequest> ParseServeRequest(const std::string& line);
+/// One pass over the line: tokens are views into it, split at operator>>'s
+/// separators (space, \t, \n, \v, \f, \r), and only the fields the
+/// request stores are copied out.
+Result<ServeRequest> ParseServeRequest(std::string_view line);
 
 /// Case-insensitive method name lookup ("bsrbk" -> Method::kBsrbk).
-Result<Method> ParseMethodToken(const std::string& name);
+Result<Method> ParseMethodToken(std::string_view name);
 
 /// Applies one "key=value" detect option assignment (method, eps, delta,
 /// seed, samples, order, bk, threads, wave) to `options`. Shared by the
 /// serve protocol and the batch CLI so the flag vocabulary cannot drift
 /// between them.
-Status ApplyDetectFlag(const std::string& token, DetectorOptions* options);
+Status ApplyDetectFlag(std::string_view token, DetectorOptions* options);
 
-/// Formats a double with enough digits to round-trip exactly (%.17g): the
-/// wire format for scores and timings, and the text used in cache keys.
+/// A double as its own string, in AppendRoundTrip's 17-digit form
+/// (common/parse.h): printf("%.17g")'s bytes, produced by std::to_chars.
+/// The wire format for scores, probabilities and timings, and the text used
+/// in cache keys. Hot paths append into their response buffer instead.
 std::string FormatRoundTrip(double value);
 
 /// Drops the wall-clock "time=<float>" token from one response line —

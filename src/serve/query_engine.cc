@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "serve/protocol.h"
+#include "common/parse.h"
 #include "simd/dispatch.h"
 
 namespace vulnds::serve {
@@ -53,8 +53,10 @@ std::string CanonicalOptionsKey(const DetectorOptions& options) {
   std::string key;
   key += "method=" + MethodName(o.method);
   key += " k=" + std::to_string(o.k);
-  key += " eps=" + FormatRoundTrip(o.eps);
-  key += " delta=" + FormatRoundTrip(o.delta);
+  key += " eps=";
+  AppendRoundTrip(&key, o.eps);
+  key += " delta=";
+  AppendRoundTrip(&key, o.delta);
   key += " naive_samples=" + std::to_string(o.naive_samples);
   key += " bound_order=" + std::to_string(o.bound_order);
   key += " bk=" + std::to_string(o.bk);

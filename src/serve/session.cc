@@ -4,14 +4,17 @@
 #include <ostream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/line_splitter.h"
+#include "common/parse.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
 #include "serve/metrics_export.h"
 #include "serve/protocol.h"
 #include "simd/dispatch.h"
 #include "vulnds/ground_truth.h"
+#include "vulnds/topk.h"
 
 namespace vulnds::serve {
 
@@ -220,23 +223,63 @@ void ServeSession::HandleSave(const ServeRequest& r, std::ostream& out) {
       << (r.format == GraphFileFormat::kBinary ? "binary" : "text") << "\n";
 }
 
+namespace {
+
+// Room for one "rank node score\n" row: the score alone takes 19 bytes in
+// its usual 0.x form, 24 at the most.
+constexpr std::size_t kRowBytes = 40;
+
+// A response buffer sized for `rows` ranked rows behind its header line.
+std::string ResponseBuffer(std::size_t rows) {
+  std::string text;
+  text.reserve(128 + rows * kRowBytes);
+  return text;
+}
+
+// One ranked row: "rank node score\n".
+void AppendRankedRow(std::string* text, std::size_t rank, NodeId node,
+                     double score) {
+  AppendDecimal(text, rank);
+  text->push_back(' ');
+  AppendDecimal(text, node);
+  text->push_back(' ');
+  AppendRoundTrip(text, score);
+  text->push_back('\n');
+}
+
+}  // namespace
+
 void ServeSession::HandleDetect(const ServeRequest& r, std::ostream& out) {
   Result<DetectResponse> response = engine_->Detect(r.name, r.options);
   if (!response.ok()) {
     Err(out, response.status().ToString());
     return;
   }
+  // The whole response is built in one buffer and handed to the stream in
+  // one write: a cached hit costs what the engine costs, not a stream
+  // insertion per token.
   const DetectionResult& result = response->result;
-  out << "ok detect " << r.name << " method=" << MethodName(r.options.method)
-      << " k=" << r.options.k << " cached=" << (response->from_cache ? 1 : 0)
-      << " time=" << FormatRoundTrip(response->seconds)
-      << " samples=" << result.samples_processed << "/" << result.samples_budget
-      << " verified=" << result.verified_count << "\n";
+  std::string text = ResponseBuffer(result.topk.size());
+  text += "ok detect ";
+  text += r.name;
+  text += " method=";
+  text += MethodName(r.options.method);
+  text += " k=";
+  AppendDecimal(&text, r.options.k);
+  text += response->from_cache ? " cached=1 time=" : " cached=0 time=";
+  AppendRoundTrip(&text, response->seconds);
+  text += " samples=";
+  AppendDecimal(&text, result.samples_processed);
+  text += '/';
+  AppendDecimal(&text, result.samples_budget);
+  text += " verified=";
+  AppendDecimal(&text, result.verified_count);
+  text += '\n';
   for (std::size_t i = 0; i < result.topk.size(); ++i) {
-    out << (i + 1) << ' ' << result.topk[i] << ' '
-        << FormatRoundTrip(result.scores[i]) << "\n";
+    AppendRankedRow(&text, i + 1, result.topk[i], result.scores[i]);
   }
-  out << ".\n";
+  text += ".\n";
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 void ServeSession::HandleTruth(const ServeRequest& r, std::ostream& out) {
@@ -247,15 +290,30 @@ void ServeSession::HandleTruth(const ServeRequest& r, std::ostream& out) {
     Err(out, response.status().ToString());
     return;
   }
-  out << "ok truth " << r.name << " k=" << r.k << " samples=" << samples
-      << " cached=" << (response->from_cache ? 1 : 0)
-      << " time=" << FormatRoundTrip(response->seconds) << "\n";
-  std::size_t rank = 1;
-  for (const NodeId v : response->truth.TopK(r.k)) {
-    out << rank++ << ' ' << v << ' '
-        << FormatRoundTrip(response->truth.probabilities[v]) << "\n";
+  // The truth covers every node, so its size is the n detect checks k
+  // against.
+  const GroundTruth& truth = response->truth;
+  const Status k_ok = ValidateTopK(r.k, truth.probabilities.size());
+  if (!k_ok.ok()) {
+    Err(out, k_ok.ToString());
+    return;
   }
-  out << ".\n";
+  const std::vector<NodeId> top = truth.TopK(r.k);
+  std::string text = ResponseBuffer(top.size());
+  text += "ok truth ";
+  text += r.name;
+  text += " k=";
+  AppendDecimal(&text, r.k);
+  text += " samples=";
+  AppendDecimal(&text, samples);
+  text += response->from_cache ? " cached=1 time=" : " cached=0 time=";
+  AppendRoundTrip(&text, response->seconds);
+  text += '\n';
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    AppendRankedRow(&text, i + 1, top[i], truth.probabilities[top[i]]);
+  }
+  text += ".\n";
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 void ServeSession::HandleStats(const ServeRequest& r, std::ostream& out) {

@@ -14,9 +14,7 @@ Result<CandidateReduction> ReduceCandidates(std::span<const double> lower,
   if (upper.size() != n) {
     return Status::InvalidArgument("bound vectors differ in size");
   }
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("k must be in [1, n], got " + std::to_string(k));
-  }
+  VULNDS_RETURN_NOT_OK(ValidateTopK(k, n));
 
   CandidateReduction out;
   out.threshold_lower = KthLargest(lower, k);

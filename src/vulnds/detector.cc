@@ -39,9 +39,7 @@ std::string MethodName(Method method) {
 
 Status ValidateDetectorOptions(const UncertainGraph& graph,
                                const DetectorOptions& o) {
-  if (o.k == 0 || o.k > graph.num_nodes()) {
-    return Status::InvalidArgument("k must be in [1, n], got " + std::to_string(o.k));
-  }
+  VULNDS_RETURN_NOT_OK(ValidateTopK(o.k, graph.num_nodes()));
   // The open-interval checks are phrased positively because every
   // comparison against NaN is false: `eps <= 0 || eps >= 1` would wave a
   // NaN through into the sample-size math, where casting it to size_t is

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <string>
 
 namespace vulnds {
 
@@ -23,6 +24,14 @@ std::vector<NodeId> SelectTopK(std::vector<NodeId> ids,
 }
 
 }  // namespace
+
+Status ValidateTopK(std::size_t k, std::size_t n) {
+  if (k == 0 || k > n) {
+    return Status::InvalidArgument("k must be in [1, n], got " +
+                                   std::to_string(k));
+  }
+  return Status::OK();
+}
 
 std::vector<NodeId> TopKByScore(std::span<const double> scores, std::size_t k) {
   std::vector<NodeId> ids(scores.size());

@@ -7,9 +7,14 @@
 #include <span>
 #include <vector>
 
+#include "common/status.h"
 #include "graph/uncertain_graph.h"
 
 namespace vulnds {
+
+/// InvalidArgument unless 1 <= k <= n: the k every top-k answer (detect,
+/// truth, candidate reduction) accepts, with one message for all of them.
+Status ValidateTopK(std::size_t k, std::size_t n);
 
 /// Node ids of the k largest scores, ordered by decreasing score; ties break
 /// toward the smaller node id so results are deterministic. k is clamped to

@@ -2,6 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace vulnds {
 namespace {
 
@@ -65,6 +76,95 @@ TEST(ParseTest, DoubleRejectsNonFinite) {
             StatusCode::kInvalidArgument);
   // Finite overflow stays OutOfRange, not InvalidArgument.
   EXPECT_EQ(ParseDouble("1e99999").status().code(), StatusCode::kOutOfRange);
+}
+
+// The formatter's reference: printf in the C locale. It lives only here.
+std::string PrintfRoundTrip(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+// Checks `value` against the reference and, when finite, that the text
+// re-parses to the same bits. Returns false (after one failure report) on
+// the first mismatch, so a broken formatter does not flood the log.
+bool MatchesPrintfAndRoundTrips(double value) {
+  std::string got = "x";
+  AppendRoundTrip(&got, value);
+  const std::string want = "x" + PrintfRoundTrip(value);
+  const uint64_t bits = std::bit_cast<uint64_t>(value);
+  if (got != want) {
+    ADD_FAILURE() << "bits 0x" << std::hex << bits << ": got '" << got
+                  << "', printf gives '" << want << "'";
+    return false;
+  }
+  if (!std::isfinite(value)) return true;
+  const Result<double> back = ParseDouble(std::string_view(got).substr(1));
+  if (!back.ok() || std::bit_cast<uint64_t>(*back) != bits) {
+    ADD_FAILURE() << "bits 0x" << std::hex << bits << ": '" << got
+                  << "' does not re-parse to the same bits";
+    return false;
+  }
+  return true;
+}
+
+TEST(FormatTest, RoundTripMatchesPrintfOnSpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values = {
+      0.0, -0.0, kInf, -kInf, kNan, -kNan,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      DBL_MIN, -DBL_MIN, std::nextafter(DBL_MIN, 0.0), DBL_MAX, -DBL_MAX,
+      std::nextafter(DBL_MAX, 0.0), DBL_EPSILON, 1.0, -1.0, 0.1, 0.5, 1.0 / 3,
+      1e15, 1e16, 1e17, 123456789012345678.0, 1e-5, 1e-4, 9.9999999999999995e-5,
+      5e-324, 2.2250738585072009e-308, 0.30000000000000004};
+  for (const double v : values) EXPECT_TRUE(MatchesPrintfAndRoundTrips(v));
+}
+
+TEST(FormatTest, RoundTripMatchesPrintfOnScoreFractions) {
+  // Detect and truth scores are hit counts over world counts: c / t.
+  std::vector<uint64_t> totals;
+  for (uint64_t t = 1; t <= 256; ++t) totals.push_back(t);
+  for (const uint64_t t : {1000u, 2000u, 3000u, 4096u, 9999u, 10000u}) {
+    totals.push_back(t);
+  }
+  for (const uint64_t t : totals) {
+    for (uint64_t c = 0; c <= t; ++c) {
+      ASSERT_TRUE(MatchesPrintfAndRoundTrips(static_cast<double>(c) /
+                                             static_cast<double>(t)))
+          << c << "/" << t;
+    }
+  }
+}
+
+TEST(FormatTest, RoundTripMatchesPrintfOnRandomBitPatterns) {
+  // Every exponent, sign and payload, NaNs and subnormals included.
+  Rng rng(20260417);
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_TRUE(MatchesPrintfAndRoundTrips(std::bit_cast<double>(rng.NextU64())))
+        << "pattern " << i;
+  }
+  // Subnormals are a sliver of the bit space; cover them on their own.
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t mantissa = rng.NextU64() & ((uint64_t{1} << 52) - 1);
+    const uint64_t sign = rng.NextU64() & (uint64_t{1} << 63);
+    ASSERT_TRUE(MatchesPrintfAndRoundTrips(std::bit_cast<double>(sign | mantissa)))
+        << "subnormal " << i;
+  }
+}
+
+TEST(FormatTest, AppendDecimalAndCaseInsensitiveEquality) {
+  std::string text = "n=";
+  AppendDecimal(&text, 0);
+  text += ' ';
+  AppendDecimal(&text, 18446744073709551615u);
+  EXPECT_EQ(text, "n=0 18446744073709551615");
+  EXPECT_TRUE(EqualsIgnoreCase("DeTeCt", "detect"));
+  EXPECT_TRUE(EqualsIgnoreCase("", ""));
+  EXPECT_FALSE(EqualsIgnoreCase("detects", "detect"));
+  EXPECT_FALSE(EqualsIgnoreCase("detec", "detect"));
+  EXPECT_FALSE(EqualsIgnoreCase("d\xC5tect", "detect"));
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace vulnds::serve {
 namespace {
 
@@ -221,6 +227,162 @@ TEST(ProtocolTest, StripWallClockTokensPreservesEveryOtherByte) {
   EXPECT_EQ(StripWallClockTokens("1 46 0.999  trailing"),
             "1 46 0.999  trailing");
   EXPECT_EQ(StripWallClockTokens(""), "");
+}
+
+// Every request line of the tests above (single-space form), plus a detect
+// line with more flags than the tokenizer keeps inline.
+const std::vector<std::string>& RequestCorpus() {
+  static const std::vector<std::string> corpus = [] {
+    std::vector<std::string> lines = {
+        "", "# a comment", "DETECT g 2 bsrbk", "Load g /p",
+        "SETPROB g 3 7 0.75", "addedge g -1 7 0.2", "addedge g 0 1 nan",
+        "addedge g 3 7 0.2 x", "addedge g 3 7 0.25", "addedge g 3 7 nope",
+        "addedge g 3 7", "addedge g 5000000000 7 0.2", "addedge g a 7 0.2",
+        "catalog", "commit g extra", "commit g", "commit", "deledge g 3 7",
+        "deledge g 3", "detect g -1", "detect g 1 delta=-inf",
+        "detect g 1 delta=nan", "detect g 1 eps=inf", "detect g 1 eps=nan",
+        "detect g 2 bsrbk threads=4", "detect g 2 bsrbk wave=adaptive",
+        "detect g 2 method=sn", "detect g 2 threads=-1",
+        "detect g 2 threads=four", "detect g 2 wave=FIXED:250",
+        "detect g 2 wave=fixed", "detect g 2 wave=fixed:-3",
+        "detect g 2 wave=fixed:abc", "detect g 2 wave=maybe", "detect g 2",
+        "detect g 3 NOPE", "detect g 3 eps=", "detect g 3 eps=zero",
+        "detect g 3 wat=1", "detect g 5 bk=4294967298",
+        "detect g 5 order=4294967298", "detect g 5", "detect g abc",
+        "detect g", "evict g", "evict", "exit", "frobnicate g",
+        "load g p extra", "load g", "load mygraph /tmp/g.snap", "quit now",
+        "quit", "save g /tmp/out.graph text", "save g /tmp/out.graph xml",
+        "save g /tmp/out.snap", "setprob g 0 1 inf", "shutdown now",
+        "shutdown", "stats g", "stats", "truth g 10 5000 123", "truth g 10",
+        "truth g ten", "versions g", "versions", "metrics",
+        "detect g 3 BSR eps=0.2 delta=0.05 seed=9 order=3 bk=8 samples=500",
+        "detect g 3 simd=scalar", "detect g 3 simd=gpu", "save g /p TEXT",
+        "detect g 3 WAT=1"};
+    std::string many = "detect g 3 sn";
+    for (int i = 0; i < 20; ++i) many += " seed=" + std::to_string(i);
+    lines.push_back(many);
+    return lines;
+  }();
+  return corpus;
+}
+
+// Every field of a parse result, so two results compare as strings.
+std::string Describe(const Result<ServeRequest>& r) {
+  if (!r.ok()) return "err " + r.status().ToString();
+  const DetectorOptions& o = r->options;
+  return "ok " + std::string(ServeCommandName(r->command)) + " name=" +
+         r->name + " path=" + r->path +
+         " format=" + std::to_string(static_cast<int>(r->format)) +
+         " k=" + std::to_string(r->k) + " samples=" +
+         std::to_string(r->samples) + " seed=" + std::to_string(r->seed) +
+         " src=" + std::to_string(r->src) + " dst=" + std::to_string(r->dst) +
+         " prob=" + FormatRoundTrip(r->prob) +
+         " | method=" + MethodName(o.method) + " k=" + std::to_string(o.k) +
+         " eps=" + FormatRoundTrip(o.eps) + " delta=" +
+         FormatRoundTrip(o.delta) + " naive=" +
+         std::to_string(o.naive_samples) + " order=" +
+         std::to_string(o.bound_order) + " bk=" + std::to_string(o.bk) +
+         " seed=" + std::to_string(o.seed) + " threads=" +
+         std::to_string(o.threads) + " wave=" +
+         std::to_string(static_cast<int>(o.wave_mode)) + ":" +
+         std::to_string(o.wave_size) +
+         " simd=" + std::to_string(static_cast<int>(o.simd_mode));
+}
+
+std::vector<std::string> SplitOnSpace(const std::string& line) {
+  std::vector<std::string> tokens;
+  std::size_t begin = 0;
+  while (begin < line.size()) {
+    std::size_t end = line.find(' ', begin);
+    if (end == std::string::npos) end = line.size();
+    tokens.push_back(line.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return tokens;
+}
+
+TEST(ProtocolTest, WhitespaceAndCommentsAreTokenBoundaries) {
+  // operator>>'s separator set; '\n' never survives line framing.
+  static const char kSeparators[] = {' ', '\t', '\v', '\f', '\r'};
+  Rng rng(91);
+  const auto run = [&](std::size_t min_len) {
+    std::string sep;
+    const std::size_t len = min_len + rng.NextU64() % 4;
+    for (std::size_t i = 0; i < len; ++i) {
+      sep += kSeparators[rng.NextU64() % sizeof(kSeparators)];
+    }
+    return sep;
+  };
+  for (const std::string& line : RequestCorpus()) {
+    const std::string want = Describe(ParseServeRequest(line));
+    const std::vector<std::string> tokens = SplitOnSpace(line);
+    for (int trial = 0; trial < 20; ++trial) {
+      std::string joined = run(0);
+      for (std::size_t i = 0; i < tokens.size(); ++i) {
+        if (i > 0) joined += run(1);
+        joined += tokens[i];
+      }
+      if (rng.NextU64() % 2 == 0) {
+        joined += run(1) + "#" + (rng.NextU64() % 2 == 0 ? "" : " trailing x=1");
+      }
+      joined += run(0);
+      EXPECT_EQ(Describe(ParseServeRequest(joined)), want)
+          << "line '" << line << "' joined as '" << joined << "'";
+    }
+  }
+}
+
+TEST(ProtocolTest, MutatedLinesNeverCrash) {
+  // Runs under the ASan/UBSan job: any out-of-bounds view, overflow or
+  // unchecked conversion on hostile bytes fails there.
+  static const char kInserted[] = {'=', '#', '\0', '\xFF', ' ', ':'};
+  Rng rng(4242);
+  std::size_t ok = 0, err = 0;
+  const auto check = [&](const std::string& mutated) {
+    const Result<ServeRequest> r = ParseServeRequest(mutated);
+    if (r.ok()) {
+      ++ok;
+      EXPECT_LE(static_cast<int>(r->command),
+                static_cast<int>(ServeCommand::kNone));
+    } else {
+      ++err;
+      EXPECT_FALSE(r.status().message().empty()) << mutated;
+    }
+  };
+  for (const std::string& line : RequestCorpus()) {
+    for (int trial = 0; trial < 200; ++trial) {
+      std::string m = line;
+      const int edits = 1 + static_cast<int>(rng.NextU64() % 3);
+      for (int e = 0; e < edits; ++e) {
+        const std::size_t pos = m.empty() ? 0 : rng.NextU64() % (m.size() + 1);
+        switch (rng.NextU64() % 3) {
+          case 0:  // flip bits of one byte
+            if (pos < m.size()) {
+              m[pos] = static_cast<char>(m[pos] ^ (1 + rng.NextU64() % 255));
+            }
+            break;
+          case 1:  // insert a delimiter-ish byte
+            m.insert(pos, 1, kInserted[rng.NextU64() % sizeof(kInserted)]);
+            break;
+          default:  // truncate
+            m.resize(pos);
+            break;
+        }
+      }
+      check(m);
+    }
+    // 64 KiB tokens: a huge number, a huge flag value, a huge name.
+    const std::string huge_digits(64 * 1024, '9');
+    const std::string huge_name(64 * 1024, 'g');
+    for (const std::string& token :
+         {huge_digits, "eps=" + huge_digits, huge_name, "seed=" + huge_digits}) {
+      std::string m = line;
+      m.insert(m.empty() ? 0 : rng.NextU64() % (m.size() + 1), " " + token + " ");
+      check(m);
+    }
+  }
+  EXPECT_GT(ok, 0u);
+  EXPECT_GT(err, 0u);
 }
 
 }  // namespace

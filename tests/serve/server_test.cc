@@ -453,5 +453,30 @@ TEST(ServeLoopTest, OutOfRangeSampleCountsAnswerErr) {
   EXPECT_EQ(lines.back(), "ok bye");
 }
 
+TEST(ServeLoopTest, TruthRejectsKOutsideOneToNLikeDetect) {
+  // truth checks k against the graph as detect does: k = 0 and k > n get
+  // detect's error, not an empty table or all n rows under a header
+  // claiming k.
+  const std::string path = WriteTempGraph(testing::RandomSmallGraph(20, 0.2, 9),
+                                          "serve_k.snap", GraphFileFormat::kBinary);
+  const std::string output = RunScript("load g " + path +
+                                       "\n"
+                                       "truth g 0 100\n"
+                                       "truth g 21 100\n"
+                                       "detect g 0\n"
+                                       "detect g 21\n"
+                                       "truth g 20 100\n"
+                                       "quit\n");
+  const std::vector<std::string> lines = Lines(output);
+  ASSERT_GE(lines.size(), 6u) << output;
+  EXPECT_EQ(lines[1], "err Invalid argument: k must be in [1, n], got 0");
+  EXPECT_EQ(lines[2], "err Invalid argument: k must be in [1, n], got 21");
+  EXPECT_EQ(lines[3], lines[1]);
+  EXPECT_EQ(lines[4], lines[2]);
+  // k = n is still a full answer: the header and all n rows.
+  EXPECT_EQ(lines[5].rfind("ok truth g k=20 samples=100 ", 0), 0u) << lines[5];
+  EXPECT_EQ(lines.size(), 5u + 1u + 20u + 1u + 1u) << output;
+}
+
 }  // namespace
 }  // namespace vulnds::serve

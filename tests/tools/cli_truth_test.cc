@@ -1,0 +1,73 @@
+// The batch CLI's `truth` command, run as a process: it must reject a k
+// outside [1, n] with detect's message instead of printing an empty or
+// truncated table.
+
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <string>
+
+#include "graph/graph_io.h"
+#include "testing/test_graphs.h"
+
+#ifndef VULNDS_CLI_PATH
+#error "VULNDS_CLI_PATH must name the vulnds_cli binary"
+#endif
+
+namespace vulnds {
+namespace {
+
+struct CliRun {
+  int exit_code = -1;
+  std::string output;  // stdout and stderr, interleaved
+};
+
+CliRun RunCli(const std::string& args) {
+  CliRun run;
+  const std::string command =
+      std::string(VULNDS_CLI_PATH) + " " + args + " 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return run;
+  char buf[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+    run.output.append(buf, got);
+  }
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
+  return run;
+}
+
+TEST(CliTruthTest, RejectsKOutsideOneToN) {
+  const std::string path = ::testing::TempDir() + "/cli_truth.snap";
+  ASSERT_TRUE(WriteGraphFile(testing::RandomSmallGraph(20, 0.2, 9), path,
+                             GraphFileFormat::kBinary)
+                  .ok());
+
+  const CliRun zero = RunCli("truth " + path + " 0 100");
+  EXPECT_EQ(zero.exit_code, 1) << zero.output;
+  EXPECT_NE(zero.output.find("k must be in [1, n], got 0"), std::string::npos)
+      << zero.output;
+
+  const CliRun over = RunCli("truth " + path + " 21 100");
+  EXPECT_EQ(over.exit_code, 1) << over.output;
+  EXPECT_NE(over.output.find("k must be in [1, n], got 21"), std::string::npos)
+      << over.output;
+
+  // Detect's batch path reports the same message for the same k.
+  const CliRun detect = RunCli("detect " + path + " 21");
+  EXPECT_EQ(detect.exit_code, 1) << detect.output;
+  EXPECT_NE(detect.output.find("k must be in [1, n], got 21"),
+            std::string::npos)
+      << detect.output;
+
+  const CliRun full = RunCli("truth " + path + " 20 100");
+  EXPECT_EQ(full.exit_code, 0) << full.output;
+  EXPECT_NE(full.output.find("(100 sampled worlds)"), std::string::npos)
+      << full.output;
+}
+
+}  // namespace
+}  // namespace vulnds

@@ -90,6 +90,7 @@
 #include "store/memory_governor.h"
 #include "vulnds/detector.h"
 #include "vulnds/ground_truth.h"
+#include "vulnds/topk.h"
 
 namespace {
 
@@ -291,6 +292,13 @@ int CmdTruth(int argc, char** argv) {
   if (!valid.ok()) {
     std::fprintf(stderr, "%s\n", valid.message().c_str());
     return Usage();
+  }
+  // The range detect enforces, with its message: k = 0 or k > n is an error,
+  // not an empty or truncated table.
+  const Status k_ok = ValidateTopK(k, graph->num_nodes());
+  if (!k_ok.ok()) {
+    std::fprintf(stderr, "truth failed: %s\n", k_ok.ToString().c_str());
+    return 1;
   }
   ThreadPool pool;
   const GroundTruth gt = ComputeGroundTruth(*graph, samples, seed, &pool);
