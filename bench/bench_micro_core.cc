@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the core sampling machinery:
 // per-world cost of forward (128-world blocks) vs reverse sampling, the
-// block kernel's 64-world seeding coin per tier, the bound iterations,
-// candidate reduction and the bottom-k sketch — plus the serve hit path
-// around a cached answer: request parse and response render.
+// block kernel's 64-world seeding coin per tier, the bound iterations and
+// candidate reduction — plus the serve hit path around a cached answer:
+// request parse and response render.
 
 #include <benchmark/benchmark.h>
 
@@ -19,7 +19,6 @@
 #include "serve/session.h"
 #include "simd/coin_kernels.h"
 #include "simd/dispatch.h"
-#include "sketch/bottom_k.h"
 #include "vulnds/basic_sampler.h"
 #include "vulnds/bounds.h"
 #include "vulnds/candidate_reduction.h"
@@ -133,17 +132,6 @@ void BM_CandidateReduction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CandidateReduction);
-
-void BM_BottomKSketchAdd(benchmark::State& state) {
-  const int bk = static_cast<int>(state.range(0));
-  BottomKSketch sketch(bk, 99);
-  uint64_t id = 0;
-  for (auto _ : state) {
-    sketch.Add(id++);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BottomKSketchAdd)->Arg(16)->Arg(64)->Arg(256);
 
 // A sink that discards what it is given, so only the render is timed.
 class NullBuf : public std::streambuf {

@@ -151,9 +151,6 @@ std::size_t EstimateGraphBytes(const UncertainGraph& graph) {
                                            : 0);
 }
 
-GraphCatalog::GraphCatalog(std::size_t capacity)
-    : GraphCatalog(GraphCatalogOptions{.capacity = capacity}) {}
-
 GraphCatalog::GraphCatalog(const GraphCatalogOptions& options)
     : options_(options) {
   if (options_.governor != nullptr) BindGovernor(options_.governor);
@@ -299,7 +296,6 @@ void GraphCatalog::InsertPrepared(std::shared_ptr<CatalogEntry> entry) {
                      held->charged_snapshot_bytes.exchange(0));
     }
   }
-  EnforceBudgets();
 }
 
 void GraphCatalog::RemoveLocked(SlotMap::iterator it) {
@@ -429,21 +425,6 @@ void GraphCatalog::ReclaimOrphanSpills() {
   }
 }
 
-bool GraphCatalog::OverBudgetLocked() const {
-  const std::size_t count = entries_.size();
-  if (count <= 1) return false;  // a lone oversized graph stays resident
-  if (options_.capacity != 0 && count > options_.capacity) return true;
-  return options_.byte_budget != 0 && bytes_ > options_.byte_budget;
-}
-
-void GraphCatalog::EnforceBudgets() {
-  std::lock_guard<std::mutex> lock(mu_);
-  while (OverBudgetLocked()) {
-    ++stats_.evictions;
-    RemoveLocked(entries_.find(lru_.back()));
-  }
-}
-
 std::size_t GraphCatalog::ShedContexts(std::size_t want) {
   // Coldest contexts first: gather every entry carrying a context charge,
   // walking the LRU list from its cold end. A context is a pure function of
@@ -481,8 +462,7 @@ std::size_t GraphCatalog::ShedSnapshots(std::size_t want) {
   // Spill the coldest UNPINNED snapshots to disk until `want`
   // bytes are freed. Without a spill directory this frees nothing —
   // snapshots may be the only copy of a committed version, so they are
-  // never silently dropped under governor pressure (the catalog's own
-  // capacity/byte knobs retain their legacy evict-to-source semantics).
+  // never silently dropped under governor pressure.
   if (options_.spill_dir.empty()) return 0;
   if (!spill_dir_ready_.exchange(true, std::memory_order_relaxed)) {
     ::mkdir(options_.spill_dir.c_str(), 0777);  // best effort; write errors surface below

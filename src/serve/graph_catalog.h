@@ -12,11 +12,12 @@
 // Locking. One mutex guards one name map, one LRU list, the byte
 // accounting and the counters. A Get holds it for a map lookup and a list
 // splice; snapshot parsing, spill writes and page-in reads all happen
-// outside it, so the lock is never held across I/O. Eviction (capacity,
-// byte budget, governor shedding) walks the LRU list from its cold end.
+// outside it, so the lock is never held across I/O. Governor shedding
+// walks the LRU list from its cold end.
 //
-// Byte governance and disk spill. The catalog can charge through a
-// store::MemoryGovernor: every resident graph is charged under
+// Byte governance and disk spill. The catalog has no budget of its own;
+// it can charge through a store::MemoryGovernor, which is then the only
+// bound on residency: every resident graph is charged under
 // ChargeClass::kSnapshot and its warm DetectionContext under
 // ChargeClass::kContext (the query engine recharges the context's
 // ApproxBytes after each batch). When the governor's GLOBAL budget is
@@ -89,7 +90,7 @@ struct CatalogEntry {
   uint64_t uid = 0;
 
   /// Approximate resident footprint of `graph` (CSR arrays + edge list),
-  /// charged against the catalog's byte budget. Fixed at insert time.
+  /// charged to the governor as a snapshot. Fixed at insert time.
   std::size_t bytes = 0;
 
   /// In-flight reference count (ScopedEntryPin). A pinned entry is never
@@ -158,17 +159,15 @@ class ScopedEntryPin {
 struct CatalogStats {
   std::size_t loads = 0;      ///< successful Load/Put calls
   std::size_t reloads = 0;    ///< loads that replaced an existing name
-  std::size_t evictions = 0;  ///< capacity + budget + explicit evictions
+  std::size_t evictions = 0;  ///< explicit Evict calls that removed a graph
   std::size_t hits = 0;       ///< Get() found the name
   std::size_t misses = 0;     ///< Get() did not
   std::size_t spills = 0;     ///< snapshots written to the spill dir
   std::size_t page_ins = 0;   ///< spilled snapshots read back on demand
 };
 
-/// Catalog sizing knobs; zero always means "unbounded" / "default".
+/// Catalog wiring: where snapshots spill and which governor bounds them.
 struct GraphCatalogOptions {
-  std::size_t capacity = 0;     ///< max resident graphs (0 = unbounded)
-  std::size_t byte_budget = 0;  ///< max resident bytes (0 = unbounded)
   /// Directory cold snapshots spill to under governor pressure (created on
   /// first use; empty = spilling disabled, the snapshot class then frees
   /// nothing and the governor moves on to the next shed class).
@@ -181,21 +180,18 @@ struct GraphCatalogOptions {
 /// Approximate bytes a resident graph occupies (dual CSR + edge list +
 /// self-risks, plus the sampling kernels' lazily-built coin columns).
 /// Deterministic in the graph's shape, so budget tests can
-/// predict eviction behavior exactly. Deliberately excludes the entry's
+/// predict spill behavior exactly. Deliberately excludes the entry's
 /// DetectionContext: its warm intermediates grow with query traffic and are
-/// charged separately (ChargeClass::kContext) by the query engine — the
-/// catalog byte budget bounds graph residency, the governor bounds both.
+/// charged separately (ChargeClass::kContext) by the query engine; the
+/// governor bounds both classes.
 std::size_t EstimateGraphBytes(const UncertainGraph& graph);
 
 class GraphCatalog {
  public:
-  /// Creates a catalog keeping at most `capacity` graphs resident
-  /// (0 = unbounded). Beyond capacity the least-recently-used entry is
-  /// evicted.
-  explicit GraphCatalog(std::size_t capacity = 0);
+  /// Creates a catalog with no spill directory and no governor.
+  GraphCatalog() : GraphCatalog(GraphCatalogOptions{}) {}
 
-  /// Creates a catalog with explicit capacity / byte budget / spill +
-  /// governor wiring.
+  /// Creates a catalog with explicit spill + governor wiring.
   explicit GraphCatalog(const GraphCatalogOptions& options);
 
   ~GraphCatalog();
@@ -259,8 +255,6 @@ class GraphCatalog {
   std::vector<std::shared_ptr<CatalogEntry>> SnapshotEntries() const;
 
   std::size_t size() const;
-  std::size_t capacity() const { return options_.capacity; }
-  std::size_t byte_budget() const { return options_.byte_budget; }
   /// Approximate resident bytes.
   std::size_t resident_bytes() const;
   /// Bytes / count of snapshots currently parked in the spill directory.
@@ -303,9 +297,9 @@ class GraphCatalog {
   void Insert(std::shared_ptr<CatalogEntry> entry);
 
   // Registers `entry` under its ALREADY-SET uid (replacing any same-name
-  // entry and superseding any same-name spill record), charges the
-  // governor, then enforces the catalog's own budgets. Called with no
-  // catalog locks held (page-in calls it under page_in_mu_ only).
+  // entry and superseding any same-name spill record), then charges the
+  // governor. Called with no catalog locks held (page-in calls it under
+  // page_in_mu_ only).
   void InsertPrepared(std::shared_ptr<CatalogEntry> entry);
 
   // Removes the slot at `it`: detaches the entry, settles its governor
@@ -339,14 +333,6 @@ class GraphCatalog {
   // governor's shed mutex, so they only ever Discharge, never Charge).
   std::size_t ShedContexts(std::size_t want);
   std::size_t ShedSnapshots(std::size_t want);
-
-  // True when either budget is exceeded (with more than one entry
-  // resident: a single graph larger than the whole byte budget stays, so an
-  // oversized load does not thrash the catalog empty). Caller holds mu_.
-  bool OverBudgetLocked() const;
-
-  // Evicts least-recently-used entries until within budget.
-  void EnforceBudgets();
 
   int64_t NowMicros() const;
 

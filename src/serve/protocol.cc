@@ -177,34 +177,8 @@ Status ApplyDetectFlag(std::string_view token, DetectorOptions* options) {
     options->threads = *v;
     return Status::OK();
   }
-  if (EqualsIgnoreCase(key, "wave")) {
-    // Execution knob like threads=: every wave schedule folds the identical
-    // hash-order stream, so this never fragments the result cache either.
-    const std::string mode = AsciiLower(std::string(value));
-    if (mode == "adaptive") {
-      options->wave_mode = WaveMode::kAdaptive;
-      options->wave_size = 0;
-      return Status::OK();
-    }
-    if (mode == "fixed") {
-      options->wave_mode = WaveMode::kFixed;
-      options->wave_size = 0;
-      return Status::OK();
-    }
-    if (mode.rfind("fixed:", 0) == 0) {
-      Result<std::size_t> n =
-          ParseCount(std::string_view(mode).substr(6), "wave");
-      if (!n.ok()) return n.status();
-      options->wave_mode = WaveMode::kFixed;
-      options->wave_size = *n;
-      return Status::OK();
-    }
-    return Status::InvalidArgument(
-        "wave must be adaptive, fixed or fixed:N, got '" + std::string(value) +
-        "'");
-  }
   if (EqualsIgnoreCase(key, "simd")) {
-    // Execution knob like threads= and wave=: every kernel tier computes
+    // Execution knob like threads=: every kernel tier computes
     // bit-identical results (simd/coin_kernels.h contract), so this never
     // fragments the result cache either.
     Result<simd::SimdMode> m = simd::ParseSimdMode(std::string(value));

@@ -7,8 +7,6 @@
 //                                            seed, samples, order, bk,
 //                                            method, threads (sampling
 //                                            parallelism; 0 = session pool),
-//                                            wave (BSRBK wave schedule:
-//                                            adaptive | fixed | fixed:N),
 //                                            simd (kernel tier: auto |
 //                                            avx2 | scalar; execution-only)
 //   truth <name> <k> [samples] [seed]        Monte-Carlo reference top-k
@@ -101,7 +99,7 @@ Result<ServeRequest> ParseServeRequest(std::string_view line);
 Result<Method> ParseMethodToken(std::string_view name);
 
 /// Applies one "key=value" detect option assignment (method, eps, delta,
-/// seed, samples, order, bk, threads, wave) to `options`. Shared by the
+/// seed, samples, order, bk, threads, simd) to `options`. Shared by the
 /// serve protocol and the batch CLI so the flag vocabulary cannot drift
 /// between them.
 Status ApplyDetectFlag(std::string_view token, DetectorOptions* options);

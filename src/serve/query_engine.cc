@@ -11,11 +11,6 @@ DetectorOptions CanonicalizeOptions(DetectorOptions o) {
   const DetectorOptions defaults;
   o.pool = nullptr;
   o.threads = 0;  // determinism makes thread count a pure execution knob
-  // The wave schedule is execution-only for the same reason: every schedule
-  // folds the identical hash-order stream, so `wave=fixed:100` may be
-  // answered from a cache line computed adaptively (and vice versa).
-  o.wave_mode = defaults.wave_mode;
-  o.wave_size = 0;
   // The kernel tier too: every tier computes bit-identical results (the
   // simd/coin_kernels.h contract), so `simd=scalar` may be answered from a
   // cache line computed with AVX2 (and vice versa).
@@ -556,7 +551,7 @@ void QueryEngine::RefreshMetrics() {
       ->Set(c.misses);
   registry_
       ->GetCounter("vulnds_catalog_evictions_total",
-                   "Catalog evictions (capacity, budget and explicit)")
+                   "Graphs removed from the catalog by explicit evict")
       ->Set(c.evictions);
   registry_
       ->GetCounter("vulnds_catalog_loads_total", "Successful catalog loads")

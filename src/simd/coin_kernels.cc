@@ -37,23 +37,12 @@ uint64_t CoinThreshold(double prob) {
   return x;
 }
 
-std::size_t CoinSurvivors(SimdTier tier, uint64_t seed, const uint64_t* inner,
-                          const uint64_t* threshold, std::size_t n,
-                          uint32_t* out, CoinKernelStats* stats) {
-  if (tier == SimdTier::kAvx2) {
-    return internal::CoinSurvivorsAvx2(seed, inner, threshold, n,
-                                       /*padded=*/false, out, stats);
-  }
-  return internal::CoinSurvivorsScalar(seed, inner, threshold, n, out, stats);
-}
-
 std::size_t CoinSurvivorsPadded(SimdTier tier, uint64_t seed,
                                 const uint64_t* inner,
                                 const uint64_t* threshold, std::size_t n,
                                 uint32_t* out, CoinKernelStats* stats) {
   if (tier == SimdTier::kAvx2) {
-    return internal::CoinSurvivorsAvx2(seed, inner, threshold, n,
-                                       /*padded=*/true, out, stats);
+    return internal::CoinSurvivorsAvx2(seed, inner, threshold, n, out, stats);
   }
   return internal::CoinSurvivorsScalar(seed, inner, threshold, n, out, stats);
 }

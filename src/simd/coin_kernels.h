@@ -84,16 +84,11 @@ inline bool CoinHits(uint64_t seed, uint64_t inner, uint64_t threshold) {
 
 /// Evaluates `n` precomputed coins under `seed` and writes the indices of
 /// the survivors into `out` (capacity >= n) in ascending order; returns the
-/// survivor count. Handles any n: vector-width blocks plus a scalar tail.
-std::size_t CoinSurvivors(SimdTier tier, uint64_t seed, const uint64_t* inner,
-                          const uint64_t* threshold, std::size_t n,
-                          uint32_t* out, CoinKernelStats* stats);
-
-/// Same contract and results as CoinSurvivors, but requires the columns to
-/// be readable (and the thresholds zero — never survive) through the next
-/// multiple of kCoinLanes past n, as CoinColumns guarantees per adjacency
-/// run. The AVX2 tier then runs pure full-width blocks with no scalar tail,
-/// which is the difference between winning and losing on low-degree graphs.
+/// survivor count. Requires the columns to be readable (and the thresholds
+/// zero — never survive) through the next multiple of kCoinLanes past n, as
+/// CoinColumns guarantees per adjacency run. The AVX2 tier then runs pure
+/// full-width blocks with no scalar tail, which is the difference between
+/// winning and losing on low-degree graphs.
 std::size_t CoinSurvivorsPadded(SimdTier tier, uint64_t seed,
                                 const uint64_t* inner,
                                 const uint64_t* threshold, std::size_t n,

@@ -75,16 +75,14 @@ inline int CoinBlockMask(__m256i seed_v, const uint64_t* inner,
 
 std::size_t CoinSurvivorsAvx2(uint64_t seed, const uint64_t* inner,
                               const uint64_t* threshold, std::size_t n,
-                              bool padded, uint32_t* out,
-                              CoinKernelStats* stats) {
+                              uint32_t* out, CoinKernelStats* stats) {
   const __m256i seed_v =
       _mm256_set1_epi64x(static_cast<long long>(seed));
   std::size_t found = 0;
-  // With padded columns the slots in [n, blocks * kCoinLanes) carry
-  // threshold 0 and can never survive, so rounding the loop up is harmless
-  // and leaves no scalar tail at all.
-  const std::size_t blocks =
-      padded ? (n + kCoinLanes - 1) / kCoinLanes : n / kCoinLanes;
+  // The padded slots in [n, blocks * kCoinLanes) carry threshold 0 and can
+  // never survive, so rounding the loop up is harmless and leaves no scalar
+  // tail at all.
+  const std::size_t blocks = (n + kCoinLanes - 1) / kCoinLanes;
   // Mix64's two dependent multiply rounds make one block a ~25-cycle latency
   // chain; a single-block loop runs at chain latency, not multiply
   // throughput. Four independent blocks in flight keep the multiply ports
@@ -134,15 +132,6 @@ std::size_t CoinSurvivorsAvx2(uint64_t seed, const uint64_t* inner,
     }
   }
   if (stats != nullptr) stats->batched_coins += blocks * kCoinLanes;
-  if (!padded) {
-    const std::size_t done = blocks * kCoinLanes;
-    uint32_t tail[kCoinLanes];
-    const std::size_t tail_found = CoinSurvivorsScalar(
-        seed, inner + done, threshold + done, n - done, tail, stats);
-    for (std::size_t i = 0; i < tail_found; ++i) {
-      out[found++] = static_cast<uint32_t>(done) + tail[i];
-    }
-  }
   return found;
 }
 
@@ -259,8 +248,7 @@ bool Avx2Compiled() { return false; }
 
 std::size_t CoinSurvivorsAvx2(uint64_t seed, const uint64_t* inner,
                               const uint64_t* threshold, std::size_t n,
-                              bool /*padded*/, uint32_t* out,
-                              CoinKernelStats* stats) {
+                              uint32_t* out, CoinKernelStats* stats) {
   return CoinSurvivorsScalar(seed, inner, threshold, n, out, stats);
 }
 

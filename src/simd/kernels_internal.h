@@ -26,10 +26,10 @@ bool Avx2Compiled();
 std::size_t CoinSurvivorsScalar(uint64_t seed, const uint64_t* inner,
                                 const uint64_t* threshold, std::size_t n,
                                 uint32_t* out, CoinKernelStats* stats);
+// Requires CoinSurvivorsPadded's padding: it has no scalar tail.
 std::size_t CoinSurvivorsAvx2(uint64_t seed, const uint64_t* inner,
                               const uint64_t* threshold, std::size_t n,
-                              bool padded, uint32_t* out,
-                              CoinKernelStats* stats);
+                              uint32_t* out, CoinKernelStats* stats);
 
 uint64_t CoinMask64Scalar(const uint64_t* seeds, uint64_t inner,
                           uint64_t threshold);

@@ -18,18 +18,18 @@ namespace {
 
 constexpr uint64_t kSampleHashSalt = 0x27220A95FE1D83D5ULL;
 
-// Worlds materialized per worker per wave (the fixed schedule's width and
-// the adaptive schedule's ramp ceiling). Larger waves amortize the
-// ParallelFor synchronization; smaller waves bound the work wasted past the
-// early-stop position (at most one wave). The value never affects results,
-// only cost — the fold below is position-by-position in hash order.
+// Worlds materialized per worker per wave at the ramp's ceiling. Larger
+// waves amortize the ParallelFor synchronization; smaller waves bound the
+// work wasted past the early-stop position (at most one wave). The value
+// never affects results, only cost — the fold below is position-by-position
+// in hash order.
 constexpr std::size_t kWaveWorldsPerWorker = 32;
 
-// The adaptive schedule's default geometric growth factor between waves.
-constexpr std::size_t kDefaultRamp = 2;
+// The geometric growth factor between waves.
+constexpr std::size_t kRamp = 2;
 
 // Memory guardrails for the parallel path; neither changes results (worker
-// count and wave schedule are execution knobs only — property-tested), they
+// count and wave sizes are execution knobs only — property-tested), they
 // only keep a wide pool on a huge graph from ballooning the process.
 // Each ReverseSampler holds ~25 bytes per graph node (three per-node
 // arrays plus two reserved queues); each wave slot holds one bitmap of
@@ -274,47 +274,34 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
       std::max<std::size_t>(1,
                             std::min({workers * kWaveWorldsPerWorker, byte_cap,
                                       t}));
-  const bool adaptive = run.wave.mode == WaveMode::kAdaptive;
-  std::size_t fixed_size = run.wave.fixed_size;
-  if (fixed_size == 0) fixed_size = workers * kWaveWorldsPerWorker;
-  // A hostile fixed:N must not allocate N wave slots up front; the byte cap
-  // and the budget bound the slot vector for every schedule.
-  fixed_size = std::min({fixed_size, byte_cap, t});
-  const std::size_t ramp = run.wave.ramp == 0 ? kDefaultRamp : run.wave.ramp;
-  // Ramp state: grows geometrically regardless of what the estimate clamps
-  // each issued wave to, so a transient underestimate (noisy early prefix
-  // frequency) costs one small wave, not a permanently stalled ramp.
-  std::size_t ramp_size = run.wave.probe_size == 0
-                              ? workers
-                              : std::min(run.wave.probe_size, cap);
-  ramp_size = std::max<std::size_t>(1, std::min(ramp_size, cap));
+  // Ramp state: starts at one world per worker and grows geometrically
+  // regardless of what the estimate clamps each issued wave to, so a
+  // transient underestimate (noisy early prefix frequency) costs one small
+  // wave, not a permanently stalled ramp.
+  std::size_t ramp_size = std::min(workers, cap);
 
-  const std::size_t max_slots = adaptive ? cap : std::max(fixed_size, cap);
   std::vector<std::unique_ptr<ReverseSampler>> samplers;
   samplers.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     samplers.push_back(
         std::make_unique<ReverseSampler>(graph, candidates, columns, tier));
   }
-  std::vector<std::vector<char>> wave_defaulted(max_slots);
-  std::vector<std::size_t> wave_touched(max_slots, 0);
+  std::vector<std::vector<char>> wave_defaulted(cap);
+  std::vector<std::size_t> wave_touched(cap, 0);
   std::vector<double> estimate_scratch;
 
   std::size_t wave_begin = 0;
   while (wave_begin < t) {
-    std::size_t wave = fixed_size;
-    if (adaptive) {
-      wave = ramp_size;
-      const std::size_t distance = folder.EstimateRemainingToStop(
-          run.candidate_lower_bounds, &estimate_scratch);
-      if (distance != kUnknownDistance) {
-        // Clamp the wave to the projected distance-to-stop, but never below
-        // one world per worker: a narrower wave idles workers without
-        // saving any work that the stop would not already save.
-        wave = std::min(wave, std::max(workers, distance));
-      }
-      ramp_size = std::min(cap, ramp_size * ramp);
+    std::size_t wave = ramp_size;
+    const std::size_t distance = folder.EstimateRemainingToStop(
+        run.candidate_lower_bounds, &estimate_scratch);
+    if (distance != kUnknownDistance) {
+      // Clamp the wave to the projected distance-to-stop, but never below
+      // one world per worker: a narrower wave idles workers without saving
+      // any work that the stop would not already save.
+      wave = std::min(wave, std::max(workers, distance));
     }
+    ramp_size = std::min(cap, ramp_size * kRamp);
     const std::size_t count = std::min(wave, t - wave_begin);
     const std::size_t active = std::min(workers, count);
     const std::size_t chunk = (count + active - 1) / active;

@@ -18,14 +18,14 @@
 // parallel, then folds the wave's counts serially in ascending hash order.
 // The fold — and therefore the early-stop position, every counter, kth_hash,
 // samples_processed, nodes_touched and every estimate — is bit-identical to
-// the serial loop for any thread count and ANY wave schedule (fixed or
-// adaptive); only wasted work (worlds materialized past the stop position
-// inside the final wave) varies, and is reported as telemetry.
+// the serial loop for any thread count and however the waves fall; only
+// wasted work (worlds materialized past the stop position inside the final
+// wave) varies, and is reported as telemetry.
 //
-// Wave scheduling. A fixed schedule issues equal-size waves, so every
-// early-stopping run throws away up to wave_size - 1 fully materialized
-// worlds past the stop. The adaptive schedule instead estimates, before each
-// wave, how many more hash-order positions must fold before the stop fires:
+// Wave scheduling. Equal-size waves would throw away all but one world of
+// the final wave, fully materialized, past every early stop. The schedule
+// instead estimates, before each wave, how many more hash-order positions
+// must fold before the stop fires:
 // each unreached candidate's default rate is bounded below by its prefix
 // frequency (count so far / positions folded — the gap between its current
 // bottom-k hash trajectory and the positions still pending) and, when the
@@ -33,10 +33,11 @@
 // rate can only exceed a lower bound, so the per-candidate projection
 // (bk - count) / rate only OVERestimates the distance and clamping to it
 // never cuts a wave short of the stop systematically). The wave then ramps
-// geometrically — small probe waves while the estimate is uncertain, up to
-// workers × kWaveWorldsPerWorker once the stop is provably far — and the
-// final wave is clamped to the estimate. Underestimates cost one extra
-// ParallelFor round; they can never change a result.
+// geometrically — a probe of one world per worker, doubling while the
+// estimate is uncertain, up to workers × kWaveWorldsPerWorker once the stop
+// is provably far — and the final wave is clamped to the estimate.
+// Underestimates cost one extra ParallelFor round; they can never change a
+// result.
 
 #ifndef VULNDS_VULNDS_BSRBK_H_
 #define VULNDS_VULNDS_BSRBK_H_
@@ -71,24 +72,6 @@ BottomKSampleOrder MakeBottomKSampleOrder(
     uint64_t seed, std::size_t t,
     simd::SimdTier tier = simd::DefaultTier());
 
-/// How the parallel path sizes its waves. Execution-only: results are
-/// bit-identical for every mode (and never part of a query's identity).
-enum class WaveMode {
-  kAdaptive = 0,  ///< ramp + stop-distance clamp (default)
-  kFixed,         ///< equal-size waves (PR 3 behavior)
-};
-
-/// Wave schedule knobs; all execution-only. Zero always means "default".
-struct BottomKWavePlan {
-  WaveMode mode = WaveMode::kAdaptive;
-  /// kFixed: worlds per wave (0 = workers × kWaveWorldsPerWorker).
-  std::size_t fixed_size = 0;
-  /// kAdaptive: first probe-wave size (0 = one world per worker).
-  std::size_t probe_size = 0;
-  /// kAdaptive: geometric growth factor between waves (0 = 2).
-  std::size_t ramp = 0;
-};
-
 /// Execution inputs of a bottom-k run, none of which may change a result:
 /// they shape wall-clock time and wasted work only.
 struct BottomKRunOptions {
@@ -97,10 +80,9 @@ struct BottomKRunOptions {
   const BottomKSampleOrder* precomputed = nullptr;
   /// Wave-parallel world materialization (nullptr = serial loop).
   ThreadPool* pool = nullptr;
-  BottomKWavePlan wave;
   /// Optional per-candidate lower bounds on default probability, aligned
-  /// with `candidates`. Sharpens the adaptive stop estimate before any
-  /// counts accumulate; ignored by the fixed schedule.
+  /// with `candidates`. Sharpens the stop-distance estimate that sizes the
+  /// waves before any counts accumulate.
   const std::vector<double>* candidate_lower_bounds = nullptr;
   /// Observability span for the query carrying this run: on completion the
   /// runner publishes its wave-level detail (waves_issued, worlds_wasted,
@@ -111,7 +93,7 @@ struct BottomKRunOptions {
   /// the graph's cached CoinColumns::Shared. Must match `graph` exactly.
   const CoinColumns* coin_columns = nullptr;
   /// Kernel tier for coin batches and count folds. Execution-only like the
-  /// wave plan: every tier computes bit-identical results by the kernel
+  /// pool: every tier computes bit-identical results by the kernel
   /// contract (property-tested in tests/simd/).
   simd::SimdTier simd_tier = simd::DefaultTier();
 };
@@ -131,8 +113,7 @@ struct BottomKRunStats {
   bool early_stopped = false;  ///< true iff `needed` candidates reached bk
 
   // Schedule telemetry — the only fields that legitimately vary with pool
-  // width, wave plan and simd tier (everything above is bit-identical
-  // across them).
+  // width and simd tier (everything above is bit-identical across them).
   std::size_t worlds_wasted = 0;  ///< materialized but never folded
   std::size_t waves_issued = 0;   ///< ParallelFor rounds (0 for serial)
   /// Coin-kernel telemetry over every materialized world (wasted included).
@@ -142,9 +123,9 @@ struct BottomKRunStats {
 /// Runs bottom-k early-stopped reverse sampling over `candidates` with a
 /// budget of `t` worlds, stopping once `needed` candidates reach `bk`
 /// defaults. Requires bk >= 3 (sketch estimator) and needed >= 1. `run`
-/// carries the execution knobs (precomputed order, pool, wave plan, lower
-/// bounds); results are bit-identical across every combination of them,
-/// including serial.
+/// carries the execution knobs (precomputed order, pool, lower bounds);
+/// results are bit-identical across every combination of them, including
+/// serial.
 Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
                                            const std::vector<NodeId>& candidates,
                                            std::size_t t, std::size_t needed,

@@ -55,6 +55,16 @@ Status ValidateDetectorOptions(const UncertainGraph& graph,
     return Status::InvalidArgument("samples must be in [1, " +
                                    std::to_string(kMaxBasicSamples) + "]");
   }
+  // The samplers count worlds in 32 bits. Equation 3's size bounds every
+  // (eps, delta) method's budget, Equation 4's included: (k - k')(|B| - k +
+  // k') <= k (n - k).
+  if (o.method != Method::kNaive &&
+      BasicSampleSize(o.eps, o.delta, o.k, graph.num_nodes()) >
+          kMaxBasicSamples) {
+    return Status::InvalidArgument(
+        "eps and delta need more than " + std::to_string(kMaxBasicSamples) +
+        " samples (Equation 3)");
+  }
   if (o.bound_order < 1) {
     return Status::InvalidArgument("bound_order must be >= 1");
   }
@@ -323,23 +333,19 @@ Result<DetectionResult> DetectTopK(const UncertainGraph& graph,
   BottomKRunOptions exec;
   exec.precomputed = order;
   exec.pool = o.pool;
-  exec.wave.mode = o.wave_mode;
-  exec.wave.fixed_size = o.wave_size;
   exec.trace = o.trace;
   exec.simd_tier = simd_tier;
-  // The adaptive scheduler's analytic floor: each candidate defaults at
-  // least as often as its lower bound says, so the bound sharpens the
+  // The wave scheduler's analytic floor: each candidate defaults at least
+  // as often as its lower bound says, so the bound sharpens the
   // stop-distance estimate before any counts accumulate. Aligned with the
   // candidate set; execution-only (the bounds already shaped the candidate
   // set above — here they only steer wave sizing).
   std::vector<double> candidate_lower;
-  if (o.wave_mode == WaveMode::kAdaptive) {
-    candidate_lower.reserve(reduced->candidates.size());
-    for (const NodeId v : reduced->candidates) {
-      candidate_lower.push_back((*lower)[v]);
-    }
-    exec.candidate_lower_bounds = &candidate_lower;
+  candidate_lower.reserve(reduced->candidates.size());
+  for (const NodeId v : reduced->candidates) {
+    candidate_lower.push_back((*lower)[v]);
   }
+  exec.candidate_lower_bounds = &candidate_lower;
   Result<BottomKRunStats> run = RunBottomKSampling(
       graph, reduced->candidates, t, needed, o.bk, o.seed, exec);
   if (o.trace != nullptr) o.trace->EndStage();

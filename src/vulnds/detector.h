@@ -68,14 +68,8 @@ struct DetectorOptions {
   /// bit-identical for every thread count, so neither field is part of a
   /// query's identity (CanonicalizeOptions clears both).
   std::size_t threads = 0;
-  /// BSRBK wave schedule (serve protocol / CLI `wave=adaptive|fixed:N`).
-  /// Execution-only like `threads`: every schedule folds the identical
-  /// hash-order stream, so results are bit-identical and CanonicalizeOptions
-  /// clears both fields out of the result-cache key.
-  WaveMode wave_mode = WaveMode::kAdaptive;
-  std::size_t wave_size = 0;  ///< fixed-mode worlds per wave (0 = auto)
   /// Kernel tier request (serve protocol / CLI `simd=auto|avx2|scalar`).
-  /// Execution-only like `threads` and `wave`: every tier computes
+  /// Execution-only like `threads`: every tier computes
   /// bit-identical results (simd/coin_kernels.h contract), kAuto defers to
   /// the process default (VULNDS_SIMD env, else CPUID), and an unavailable
   /// tier degrades to scalar. CanonicalizeOptions clears it out of the
@@ -109,7 +103,7 @@ struct DetectionResult {
 
   /// Wave-schedule telemetry of the BSRBK sampling stage (0 for the other
   /// methods and for serial runs). Unlike every field above, these vary
-  /// with pool width and wave plan — they measure the schedule, not the
+  /// with pool width — they measure the schedule, not the
   /// answer — so they are never part of response payloads compared across
   /// thread counts.
   std::size_t worlds_wasted = 0;  ///< worlds materialized past the stop
@@ -171,6 +165,7 @@ inline constexpr std::size_t kMaxDetectThreads = 64;
 /// Validates `options` against `graph` without running anything: k in
 /// [1, n], eps/delta finite and in (0, 1) — NaN is rejected, not merely not
 /// accepted — naive_samples in [1, kMaxBasicSamples] for method N,
+/// Equation 3's sample size <= kMaxBasicSamples for every other method,
 /// bound_order >= 1, bk >= 3, threads <= kMaxDetectThreads.
 /// DetectTopK performs the same check; callers that cache results by
 /// options should validate before consulting their cache so invalid

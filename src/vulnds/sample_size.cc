@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace vulnds {
 
@@ -16,8 +17,12 @@ std::size_t SizeFromPairCount(double eps, double delta, double pairs) {
   assert(eps > 0.0 && eps < 1.0);
   assert(delta > 0.0 && delta < 1.0);
   if (pairs <= 0.0) return 0;
-  const double t = 2.0 / (eps * eps) * std::log(pairs / delta);
-  return std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(t)));
+  const double t = std::ceil(2.0 / (eps * eps) * std::log(pairs / delta));
+  // A size at or past SIZE_MAX (2^64 once rounded to double) saturates
+  // instead of reaching an out-of-range, undefined cast.
+  constexpr std::size_t kMaxSize = std::numeric_limits<std::size_t>::max();
+  if (!(t < static_cast<double>(kMaxSize))) return kMaxSize;
+  return std::max<std::size_t>(1, static_cast<std::size_t>(t));
 }
 
 }  // namespace

@@ -15,7 +15,7 @@ double PairMisorderBound(std::size_t t, double eps);
 /// Equation 3: t = (2 / eps^2) * ln(k (n - k) / delta), the sample size that
 /// makes Algorithm 1 an (eps, delta)-approximation (Theorem 4). Returns at
 /// least 1; returns 0 when the pair count k (n - k) is zero (nothing to
-/// separate: k == 0 or k == n).
+/// separate: k == 0 or k == n). A size past SIZE_MAX saturates to it.
 std::size_t BasicSampleSize(double eps, double delta, std::size_t k, std::size_t n);
 
 /// Equation 4: the reduced size for the reverse-sampling method (Theorem 5)

@@ -81,6 +81,21 @@ TEST(ProtocolTest, DetectRejectsGarbage) {
   EXPECT_FALSE(ParseServeRequest("detect g -1").ok());
 }
 
+TEST(ProtocolTest, DetectWaveFlag) {
+  // wave= is not a detect flag: BSRBK's wave schedule has no options.
+  ASSERT_TRUE(ParseServeRequest("detect g 2 bsrbk").ok());
+  for (const char* line :
+       {"detect g 2 bsrbk wave=adaptive", "detect g 2 wave=FIXED:250",
+        "detect g 2 wave=fixed", "detect g 2 wave=maybe"}) {
+    const Result<ServeRequest> r = ParseServeRequest(line);
+    ASSERT_FALSE(r.ok()) << line;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(r.status().message().find("unknown detect flag 'wave'"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
 TEST(ProtocolTest, Truth) {
   Result<ServeRequest> r = ParseServeRequest("truth g 10 5000 123");
   ASSERT_TRUE(r.ok());
@@ -169,27 +184,6 @@ TEST(ProtocolTest, DetectThreadsFlag) {
   EXPECT_EQ(ParseServeRequest("detect g 2")->options.threads, 0u);
   EXPECT_FALSE(ParseServeRequest("detect g 2 threads=four").ok());
   EXPECT_FALSE(ParseServeRequest("detect g 2 threads=-1").ok());
-}
-
-TEST(ProtocolTest, DetectWaveFlag) {
-  EXPECT_EQ(ParseServeRequest("detect g 2")->options.wave_mode,
-            WaveMode::kAdaptive);
-  Result<ServeRequest> adaptive =
-      ParseServeRequest("detect g 2 bsrbk wave=adaptive");
-  ASSERT_TRUE(adaptive.ok());
-  EXPECT_EQ(adaptive->options.wave_mode, WaveMode::kAdaptive);
-  EXPECT_EQ(adaptive->options.wave_size, 0u);
-  Result<ServeRequest> fixed = ParseServeRequest("detect g 2 wave=fixed");
-  ASSERT_TRUE(fixed.ok());
-  EXPECT_EQ(fixed->options.wave_mode, WaveMode::kFixed);
-  EXPECT_EQ(fixed->options.wave_size, 0u);
-  Result<ServeRequest> sized = ParseServeRequest("detect g 2 wave=FIXED:250");
-  ASSERT_TRUE(sized.ok());
-  EXPECT_EQ(sized->options.wave_mode, WaveMode::kFixed);
-  EXPECT_EQ(sized->options.wave_size, 250u);
-  EXPECT_FALSE(ParseServeRequest("detect g 2 wave=maybe").ok());
-  EXPECT_FALSE(ParseServeRequest("detect g 2 wave=fixed:abc").ok());
-  EXPECT_FALSE(ParseServeRequest("detect g 2 wave=fixed:-3").ok());
 }
 
 TEST(ProtocolTest, UnknownVerbRejected) {
@@ -283,9 +277,7 @@ std::string Describe(const Result<ServeRequest>& r) {
          std::to_string(o.naive_samples) + " order=" +
          std::to_string(o.bound_order) + " bk=" + std::to_string(o.bk) +
          " seed=" + std::to_string(o.seed) + " threads=" +
-         std::to_string(o.threads) + " wave=" +
-         std::to_string(static_cast<int>(o.wave_mode)) + ":" +
-         std::to_string(o.wave_size) +
+         std::to_string(o.threads) +
          " simd=" + std::to_string(static_cast<int>(o.simd_mode));
 }
 

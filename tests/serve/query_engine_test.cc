@@ -133,42 +133,32 @@ TEST(QueryEngineTest, ThreadsKnobIsExecutionOnly) {
   ExpectSameResult(four->result, one->result);
 }
 
-TEST(QueryEngineTest, WaveKnobIsExecutionOnly) {
-  // wave= selects a schedule, never an answer: a fixed-wave request shares
-  // the cache line of its adaptive twin, and with the cache off both
-  // schedules return bit-identical results.
+TEST(QueryEngineTest, WaveScheduleIsExecutionOnly) {
+  // The BSRBK wave schedule follows the pool width, never the answer: with
+  // the cache off, every thread count from 1 to 8 returns the serial
+  // result bit for bit, and only the parallel runs issue waves.
   GraphCatalog catalog;
   ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(30, 0.15, 5)).ok());
-  QueryEngine engine(&catalog);
+  QueryEngineOptions no_cache;
+  no_cache.result_cache_capacity = 0;
+  QueryEngine engine(&catalog, no_cache);
   DetectorOptions options;
   options.method = Method::kBsrbk;
   options.k = 3;
-  options.threads = 3;  // a real pool so the wave machinery actually runs
-  options.wave_mode = WaveMode::kAdaptive;
-  Result<DetectResponse> adaptive = engine.Detect("g", options);
-  ASSERT_TRUE(adaptive.ok());
-  EXPECT_FALSE(adaptive->from_cache);
-  options.wave_mode = WaveMode::kFixed;
-  options.wave_size = 100;
-  Result<DetectResponse> fixed = engine.Detect("g", options);
-  ASSERT_TRUE(fixed.ok());
-  EXPECT_TRUE(fixed->from_cache) << "wave schedule must not fragment the cache";
-  ExpectSameResult(adaptive->result, fixed->result);
-  EXPECT_EQ(CanonicalOptionsKey(options),
-            CanonicalOptionsKey(DetectorOptions{.method = Method::kBsrbk,
-                                                .k = 3}));
-
-  QueryEngineOptions no_cache;
-  no_cache.result_cache_capacity = 0;
-  QueryEngine cold_engine(&catalog, no_cache);
-  Result<DetectResponse> cold_fixed = cold_engine.Detect("g", options);
-  options.wave_mode = WaveMode::kAdaptive;
-  options.wave_size = 0;
-  Result<DetectResponse> cold_adaptive = cold_engine.Detect("g", options);
-  ASSERT_TRUE(cold_fixed.ok() && cold_adaptive.ok());
-  EXPECT_FALSE(cold_fixed->from_cache);
-  EXPECT_FALSE(cold_adaptive->from_cache);
-  ExpectSameResult(cold_fixed->result, cold_adaptive->result);
+  options.threads = 1;
+  Result<DetectResponse> serial = engine.Detect("g", options);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_GT(serial->result.samples_processed, 0u)
+      << "workload drifted: verification answered without sampling";
+  EXPECT_EQ(serial->result.waves_issued, 0u);
+  for (std::size_t threads = 2; threads <= 8; ++threads) {
+    options.threads = threads;
+    Result<DetectResponse> parallel = engine.Detect("g", options);
+    ASSERT_TRUE(parallel.ok());
+    EXPECT_FALSE(parallel->from_cache);
+    EXPECT_GT(parallel->result.waves_issued, 0u) << "threads=" << threads;
+    ExpectSameResult(serial->result, parallel->result);
+  }
 }
 
 TEST(QueryEngineTest, WaveTelemetryCountsExecutedRunsOnly) {

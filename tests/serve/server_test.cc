@@ -432,7 +432,8 @@ TEST(ServeLoopTest, SimdFlagPinsBlockKernelMethodsWithIdenticalBytes) {
 }
 
 TEST(ServeLoopTest, OutOfRangeSampleCountsAnswerErr) {
-  // N needs >= 1 world; N and truth cap at 2^32 - 1 (uint32_t counts).
+  // N needs >= 1 world; N and truth cap at 2^32 - 1 (uint32_t counts), and
+  // so does Equation 3's size for every (eps, delta) method.
   const std::string path = WriteTempGraph(testing::RandomSmallGraph(20, 0.2, 9),
                                           "serve_f.snap", GraphFileFormat::kBinary);
   const std::string output = RunScript("load g " + path +
@@ -441,15 +442,23 @@ TEST(ServeLoopTest, OutOfRangeSampleCountsAnswerErr) {
                                        "detect g 3 N samples=4294967296\n"
                                        "truth g 3 4294967296\n"
                                        "detect g 3 N samples=64\n"
+                                       "detect g 3 BSRBK eps=0.00001\n"
+                                       "detect g 3 SN eps=0.000000001\n"
                                        "quit\n");
   const std::vector<std::string> lines = Lines(output);
-  ASSERT_GE(lines.size(), 5u);
+  ASSERT_GE(lines.size(), 7u);
   EXPECT_EQ(lines[1].rfind("err ", 0), 0u) << lines[1];
   EXPECT_NE(lines[1].find("samples"), std::string::npos) << lines[1];
   EXPECT_EQ(lines[2].rfind("err ", 0), 0u) << lines[2];
   EXPECT_EQ(lines[3].rfind("err ", 0), 0u) << lines[3];
   EXPECT_NE(lines[3].find("samples"), std::string::npos) << lines[3];
   EXPECT_EQ(lines[4].rfind("ok detect g ", 0), 0u) << lines[4];
+  // The two eps requests answer after the N table, just before "ok bye".
+  const std::string eps_err =
+      "err Invalid argument: eps and delta need more than 4294967295 samples "
+      "(Equation 3)";
+  EXPECT_EQ(lines[lines.size() - 3], eps_err);
+  EXPECT_EQ(lines[lines.size() - 2], eps_err);
   EXPECT_EQ(lines.back(), "ok bye");
 }
 

@@ -16,6 +16,7 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "simd/dispatch.h"
+#include "simd/kernels_internal.h"
 
 namespace vulnds::simd {
 namespace {
@@ -142,52 +143,61 @@ CoinRun MakeRun(Rng* rng, std::size_t n, std::size_t padded_capacity) {
 }
 
 TEST(CoinSurvivorsTest, EveryTierMatchesScalarOnEveryTailLength) {
+  // Each tier's padded kernel against the scalar reference, on columns
+  // padded (threshold 0) to the next multiple of kCoinLanes.
   Rng rng(0xFACEu);
-  const std::vector<SimdTier> tiers = AvailableTiers();
-  for (const std::size_t n : RunLengths()) {
-    for (int round = 0; round < 20; ++round) {
-      const CoinRun run = MakeRun(&rng, n, n);
-      const uint64_t seed = rng.NextU64();
-      std::vector<uint32_t> reference(n + 1, 0xDEAD);
-      CoinKernelStats reference_stats;
-      const std::size_t reference_count =
-          CoinSurvivors(SimdTier::kScalar, seed, run.inner.data(),
-                        run.threshold.data(), n, reference.data(),
-                        &reference_stats);
-      ASSERT_LE(reference_count, n);
-      for (const SimdTier tier : tiers) {
-        std::vector<uint32_t> out(n + 1, 0xBEEF);
-        CoinKernelStats stats;
-        const std::size_t count =
-            CoinSurvivors(tier, seed, run.inner.data(), run.threshold.data(),
-                          n, out.data(), &stats);
-        ASSERT_EQ(count, reference_count) << "tier=" << SimdTierName(tier)
-                                          << " n=" << n;
-        for (std::size_t i = 0; i < count; ++i) {
-          EXPECT_EQ(out[i], reference[i]) << "tier=" << SimdTierName(tier)
-                                          << " n=" << n << " i=" << i;
-        }
-        // Telemetry accounts every coin exactly once in some bucket.
-        EXPECT_EQ(stats.batched_coins + stats.tail_coins, n);
-      }
-    }
-  }
-}
-
-TEST(CoinSurvivorsPaddedTest, MatchesUnpaddedOnTheTrueLength) {
-  Rng rng(0xBA5Eu);
   const std::vector<SimdTier> tiers = AvailableTiers();
   for (const std::size_t n : RunLengths()) {
     const std::size_t padded = ((n + kCoinLanes - 1) / kCoinLanes) * kCoinLanes;
     for (int round = 0; round < 20; ++round) {
       const CoinRun run = MakeRun(&rng, n, padded);
       const uint64_t seed = rng.NextU64();
+      std::vector<uint32_t> reference(n + 1, 0xDEAD);
+      const std::size_t reference_count = internal::CoinSurvivorsScalar(
+          seed, run.inner.data(), run.threshold.data(), n, reference.data(),
+          nullptr);
+      ASSERT_LE(reference_count, n);
+      for (const SimdTier tier : tiers) {
+        std::vector<uint32_t> out(n + 1, 0xBEEF);
+        CoinKernelStats stats;
+        const std::size_t count =
+            CoinSurvivorsPadded(tier, seed, run.inner.data(),
+                                run.threshold.data(), n, out.data(), &stats);
+        ASSERT_EQ(count, reference_count) << "tier=" << SimdTierName(tier)
+                                          << " n=" << n;
+        for (std::size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(out[i], reference[i]) << "tier=" << SimdTierName(tier)
+                                          << " n=" << n << " i=" << i;
+        }
+        // Telemetry accounts every evaluated coin exactly once in some
+        // bucket: the scalar tier evaluates the n true coins, the AVX2 tier
+        // whole blocks, padding included.
+        EXPECT_EQ(stats.batched_coins + stats.tail_coins,
+                  tier == SimdTier::kScalar ? n : padded)
+            << "tier=" << SimdTierName(tier) << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(CoinSurvivorsPaddedTest, MatchesUnpaddedOnTheTrueLength) {
+  // Padding slots carry threshold 0 but arbitrary hashes: no tier may report
+  // one of them as a survivor, and each matches the scalar reference run on
+  // the true length alone.
+  Rng rng(0xBA5Eu);
+  const std::vector<SimdTier> tiers = AvailableTiers();
+  for (const std::size_t n : RunLengths()) {
+    const std::size_t padded = ((n + kCoinLanes - 1) / kCoinLanes) * kCoinLanes;
+    for (int round = 0; round < 20; ++round) {
+      CoinRun run = MakeRun(&rng, n, padded);
+      for (std::size_t i = n; i < padded; ++i) {
+        run.inner[i] = CoinInnerHash(rng.NextU64());
+      }
+      const uint64_t seed = rng.NextU64();
       std::vector<uint32_t> reference(n + 1, 0);
-      CoinKernelStats reference_stats;
-      const std::size_t reference_count =
-          CoinSurvivors(SimdTier::kScalar, seed, run.inner.data(),
-                        run.threshold.data(), n, reference.data(),
-                        &reference_stats);
+      const std::size_t reference_count = internal::CoinSurvivorsScalar(
+          seed, run.inner.data(), run.threshold.data(), n, reference.data(),
+          nullptr);
       for (const SimdTier tier : tiers) {
         std::vector<uint32_t> out(padded + 1, 0);
         CoinKernelStats stats;
@@ -198,7 +208,6 @@ TEST(CoinSurvivorsPaddedTest, MatchesUnpaddedOnTheTrueLength) {
                                           << " n=" << n;
         for (std::size_t i = 0; i < count; ++i) {
           EXPECT_EQ(out[i], reference[i]);
-          // Padding slots (threshold 0) must never leak into the survivors.
           EXPECT_LT(out[i], n);
         }
       }

@@ -1,6 +1,7 @@
-// The batch CLI's `truth` command, run as a process: it must reject a k
-// outside [1, n] with detect's message instead of printing an empty or
-// truncated table.
+// The batch CLI run as a process: `truth` must reject a k outside [1, n]
+// with detect's message instead of printing an empty or truncated table,
+// and `detect` / `serve` must reject out-of-range or removed arguments
+// before doing any work.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +28,7 @@ struct CliRun {
 CliRun RunCli(const std::string& args) {
   CliRun run;
   const std::string command =
-      std::string(VULNDS_CLI_PATH) + " " + args + " 2>&1";
+      std::string(VULNDS_CLI_PATH) + " " + args + " 2>&1 </dev/null";
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return run;
   char buf[4096];
@@ -67,6 +68,31 @@ TEST(CliTruthTest, RejectsKOutsideOneToN) {
   EXPECT_EQ(full.exit_code, 0) << full.output;
   EXPECT_NE(full.output.find("(100 sampled worlds)"), std::string::npos)
       << full.output;
+}
+
+TEST(CliDetectTest, RejectsOutOfRangeAndRemovedArguments) {
+  const std::string path = ::testing::TempDir() + "/cli_detect.snap";
+  ASSERT_TRUE(WriteGraphFile(testing::RandomSmallGraph(131, 0.05, 3), path,
+                             GraphFileFormat::kBinary)
+                  .ok());
+  // Equation 3 sizes past 2^32 - 1 worlds fail validation before sampling.
+  for (const char* flags : {"BSRBK eps=1e-9", "BSRBK eps=0.00001",
+                            "SN eps=0.000000001"}) {
+    const CliRun run = RunCli("detect " + path + " 3 " + flags);
+    EXPECT_EQ(run.exit_code, 1) << flags << ": " << run.output;
+    EXPECT_NE(run.output.find("detect failed: Invalid argument: eps and delta "
+                              "need more than 4294967295 samples"),
+              std::string::npos)
+        << flags << ": " << run.output;
+  }
+  // wave= is not a detect flag and catalog_bytes= not a serve argument.
+  const CliRun wave = RunCli("detect " + path + " 3 BSRBK wave=fixed");
+  EXPECT_EQ(wave.exit_code, 2) << wave.output;
+  EXPECT_NE(wave.output.find("unknown detect flag 'wave'"), std::string::npos)
+      << wave.output;
+  const CliRun budget = RunCli("serve catalog_bytes=1");
+  EXPECT_EQ(budget.exit_code, 2) << budget.output;
+  EXPECT_NE(budget.output.find("usage:"), std::string::npos) << budget.output;
 }
 
 }  // namespace

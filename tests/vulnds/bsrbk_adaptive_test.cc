@@ -1,16 +1,19 @@
-// Property tests for the ADAPTIVE wave scheduler: for every thread count,
-// every ramp schedule, and every (honest or adversarial) lower-bound hint,
-// RunBottomKSampling must be bit-identical to the serial loop. The schedule
-// may only move wall-clock time and the worlds_wasted / waves_issued
-// telemetry; the moment it moves anything else, these tests fail.
+// Property tests for the wave scheduler (probe, ramp, stop-distance
+// clamp): for every thread count and every (honest or adversarial)
+// lower-bound hint, RunBottomKSampling must be bit-identical to the serial
+// loop. The schedule may only move wall-clock time and the worlds_wasted /
+// waves_issued telemetry; the moment it moves anything else, these tests
+// fail.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "testing/test_graphs.h"
+#include "vulnds/bounds.h"
 #include "vulnds/bsrbk.h"
 
 namespace vulnds {
@@ -55,78 +58,79 @@ void ExpectBitIdentical(const BottomKRunStats& serial,
   }
 }
 
+// One through eight workers (the probe wave is one world per worker, so
+// each count shifts every wave boundary), plus the hardware width when it
+// is wider.
 std::vector<std::size_t> SweptThreadCounts() {
-  return {1, 2, 7,
-          std::max<std::size_t>(1, std::thread::hardware_concurrency())};
+  std::vector<std::size_t> counts = {1, 2, 3, 4, 5, 6, 7, 8};
+  const std::size_t hardware = std::thread::hardware_concurrency();
+  if (hardware > counts.back()) counts.push_back(hardware);
+  return counts;
 }
 
-BottomKRunOptions AdaptiveRun(ThreadPool* pool, std::size_t probe,
-                              std::size_t ramp,
+BottomKRunOptions AdaptiveRun(ThreadPool* pool,
                               const std::vector<double>* lower = nullptr) {
   BottomKRunOptions run;
   run.pool = pool;
-  run.wave.mode = WaveMode::kAdaptive;
-  run.wave.probe_size = probe;
-  run.wave.ramp = ramp;
   run.candidate_lower_bounds = lower;
   return run;
 }
 
 TEST(BsrbkAdaptiveTest, RampScheduleSweepIsBitIdentical) {
+  // The hints DetectTopK passes: each candidate's order-2 lower bound.
+  // Worker count and seed shape every probe, ramp step and clamp; none of
+  // them may matter.
   const UncertainGraph g = RingWithChords(40, 97);
   const std::vector<NodeId> candidates = AllNodes(g);
-  const auto serial = RunBottomKSampling(g, candidates, 500, 2, 8, 1234);
-  ASSERT_TRUE(serial.ok());
-  // Probe and ramp shape every wave boundary; none of them may matter.
-  const std::size_t probes[] = {0, 1, 3, 64, 1000};
-  const std::size_t ramps[] = {0, 2, 3, 7};
-  for (const std::size_t threads : SweptThreadCounts()) {
-    ThreadPool pool(threads);
-    for (const std::size_t probe : probes) {
-      for (const std::size_t ramp : ramps) {
-        const auto adaptive = RunBottomKSampling(
-            g, candidates, 500, 2, 8, 1234,
-            AdaptiveRun(&pool, probe, ramp));
-        ASSERT_TRUE(adaptive.ok());
-        ExpectBitIdentical(*serial, *adaptive,
-                           ("threads=" + std::to_string(threads) +
-                            " probe=" + std::to_string(probe) +
-                            " ramp=" + std::to_string(ramp))
-                               .c_str());
-      }
+  const Result<std::vector<double>> lower = LowerBounds(g, 2);
+  ASSERT_TRUE(lower.ok());
+  for (const uint64_t seed : {1234u, 99u, 7u}) {
+    const auto serial = RunBottomKSampling(g, candidates, 500, 2, 8, seed);
+    ASSERT_TRUE(serial.ok());
+    for (const std::size_t threads : SweptThreadCounts()) {
+      ThreadPool pool(threads);
+      const auto adaptive = RunBottomKSampling(
+          g, candidates, 500, 2, 8, seed, AdaptiveRun(&pool, &*lower));
+      ASSERT_TRUE(adaptive.ok());
+      ExpectBitIdentical(*serial, *adaptive,
+                         ("seed=" + std::to_string(seed) +
+                          " threads=" + std::to_string(threads))
+                             .c_str());
     }
   }
 }
 
 TEST(BsrbkAdaptiveTest, AdversarialStopAlignments) {
-  // The serial run tells us the stop position S; then a probe wave of
-  // exactly S (stop on the last world of the first wave), S - 1 (stop is
-  // the first world of the second wave), S + 1 (the probe outruns the
-  // stop), and a probe far beyond S (stop deep inside the first wave) must
-  // all fold to the same answer.
+  // A hint that overstates every rate (waves clamp to one world per
+  // worker), one that understates it (waves ramp to the cap) and no hint
+  // put the stop at different offsets inside its wave; every alignment must
+  // fold to the serial answer, with waste bounded by the final wave.
   const UncertainGraph g = RingWithChords(30, 11);
   const std::vector<NodeId> candidates = AllNodes(g);
   const std::size_t t = 2000;
-  const auto serial = RunBottomKSampling(g, candidates, t, 1, 8, 31);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(serial->early_stopped);
-  const std::size_t stop = serial->samples_processed;
-  ASSERT_GT(stop, 1u);
-  for (const std::size_t threads : SweptThreadCounts()) {
-    ThreadPool pool(threads);
-    for (const std::size_t probe : {stop, stop - 1, stop + 1, 4 * stop}) {
-      const auto adaptive = RunBottomKSampling(g, candidates, t, 1, 8, 31,
-                                               AdaptiveRun(&pool, probe, 2));
-      ASSERT_TRUE(adaptive.ok());
-      ExpectBitIdentical(*serial, *adaptive,
-                         ("threads=" + std::to_string(threads) +
-                          " probe=" + std::to_string(probe))
-                             .c_str());
-      if (threads > 1) {
-        // Whatever the alignment, waste is bounded by the final wave and
-        // the telemetry must account exactly for materialized - folded.
-        EXPECT_TRUE(adaptive->early_stopped);
-        EXPECT_GE(adaptive->waves_issued, 1u);
+  const std::vector<double> high(candidates.size(), 0.999);
+  const std::vector<double> low(candidates.size(), 1e-9);
+  for (const uint64_t seed : {31u, 32u, 33u}) {
+    const auto serial = RunBottomKSampling(g, candidates, t, 1, 8, seed);
+    ASSERT_TRUE(serial.ok());
+    ASSERT_TRUE(serial->early_stopped);
+    ASSERT_GT(serial->samples_processed, 1u);
+    for (const std::size_t threads : SweptThreadCounts()) {
+      ThreadPool pool(threads);
+      for (const std::vector<double>* lower :
+           {&high, &low, static_cast<const std::vector<double>*>(nullptr)}) {
+        const auto adaptive = RunBottomKSampling(g, candidates, t, 1, 8, seed,
+                                                 AdaptiveRun(&pool, lower));
+        ASSERT_TRUE(adaptive.ok());
+        ExpectBitIdentical(*serial, *adaptive,
+                           ("seed=" + std::to_string(seed) +
+                            " threads=" + std::to_string(threads))
+                               .c_str());
+        if (threads > 1) {
+          EXPECT_TRUE(adaptive->early_stopped);
+          EXPECT_GE(adaptive->waves_issued, 1u);
+          EXPECT_LT(adaptive->worlds_wasted, 32 * threads);
+        }
       }
     }
   }
@@ -151,7 +155,7 @@ TEST(BsrbkAdaptiveTest, LyingLowerBoundsNeverChangeResults) {
          {&overshoot, &undershoot, &zeros,
           static_cast<const std::vector<double>*>(nullptr)}) {
       const auto adaptive = RunBottomKSampling(
-          g, candidates, t, 2, 6, 77, AdaptiveRun(&pool, 0, 0, lower));
+          g, candidates, t, 2, 6, 77, AdaptiveRun(&pool, lower));
       ASSERT_TRUE(adaptive.ok());
       ExpectBitIdentical(*serial, *adaptive,
                          ("threads=" + std::to_string(threads)).c_str());
@@ -165,7 +169,7 @@ TEST(BsrbkAdaptiveTest, MismatchedLowerBoundSizeIsRejected) {
   ThreadPool pool(2);
   const std::vector<double> wrong(candidates.size() + 1, 0.1);
   const auto run = RunBottomKSampling(g, candidates, 100, 1, 4, 7,
-                                      AdaptiveRun(&pool, 0, 0, &wrong));
+                                      AdaptiveRun(&pool, &wrong));
   EXPECT_FALSE(run.ok());
 }
 
@@ -182,7 +186,7 @@ TEST(BsrbkAdaptiveTest, ExhaustedBudgetWastesNothing) {
   for (const std::size_t threads : SweptThreadCounts()) {
     ThreadPool pool(threads);
     const auto adaptive = RunBottomKSampling(g, candidates, 333, 1, 64, 9,
-                                             AdaptiveRun(&pool, 0, 0));
+                                             AdaptiveRun(&pool));
     ASSERT_TRUE(adaptive.ok());
     ExpectBitIdentical(*serial, *adaptive,
                        ("threads=" + std::to_string(threads)).c_str());
@@ -191,12 +195,12 @@ TEST(BsrbkAdaptiveTest, ExhaustedBudgetWastesNothing) {
   }
 }
 
-TEST(BsrbkAdaptiveTest, AdaptiveWastesLessThanFixedOnShortStop) {
-  // The scheduler's reason to exist: a stop position far inside the fixed
-  // wave. With 4 workers the fixed schedule materializes a 128-world wave;
-  // a stop in the first few dozen positions wastes most of it, while the
-  // adaptive probe-and-clamp schedule wastes a handful. Deterministic given
-  // the seed, so a strict inequality is safe to pin.
+TEST(BsrbkAdaptiveTest, ShortStopWastesLessThanOneFullWave) {
+  // The scheduler's reason to exist: a stop position far inside one
+  // full-width wave. With 4 workers a full wave is 128 worlds, so equal
+  // full waves would waste 128 minus the stop position; the probe-and-clamp
+  // schedule wastes a handful. Deterministic given the seed, so a strict
+  // inequality is safe to pin.
   const UncertainGraph g = RingWithChords(35, 19);
   const std::vector<NodeId> candidates = AllNodes(g);
   const std::size_t t = 4000;
@@ -206,23 +210,16 @@ TEST(BsrbkAdaptiveTest, AdaptiveWastesLessThanFixedOnShortStop) {
   ASSERT_LT(serial->samples_processed, 64u)
       << "workload drifted; pick a seed with a short stop";
   ThreadPool pool(4);
-  BottomKRunOptions fixed;
-  fixed.pool = &pool;
-  fixed.wave.mode = WaveMode::kFixed;
-  const auto fixed_run =
-      RunBottomKSampling(g, candidates, t, 1, 6, 13, fixed);
-  ASSERT_TRUE(fixed_run.ok());
-  const auto adaptive_run = RunBottomKSampling(g, candidates, t, 1, 6, 13,
-                                               AdaptiveRun(&pool, 0, 0));
+  const auto adaptive_run =
+      RunBottomKSampling(g, candidates, t, 1, 6, 13, AdaptiveRun(&pool));
   ASSERT_TRUE(adaptive_run.ok());
-  ExpectBitIdentical(*serial, *fixed_run, "fixed");
   ExpectBitIdentical(*serial, *adaptive_run, "adaptive");
-  EXPECT_LT(adaptive_run->worlds_wasted, fixed_run->worlds_wasted);
+  EXPECT_LT(adaptive_run->worlds_wasted, 128 - serial->samples_processed);
 }
 
 TEST(BsrbkAdaptiveTest, SeedSweepAcrossThreadCountsAndHints) {
-  // Broad property sweep mirroring the fixed-schedule suite: many
-  // (graph, seed) pairs, every thread count, with and without hints.
+  // Broad property sweep mirroring bsrbk_parallel_test's, with hints: many
+  // (graph, seed) pairs, every thread count.
   for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
     const UncertainGraph g = RingWithChords(15 + seed % 7, seed * 13 + 1);
     const std::vector<NodeId> candidates = AllNodes(g);
@@ -233,7 +230,7 @@ TEST(BsrbkAdaptiveTest, SeedSweepAcrossThreadCountsAndHints) {
     for (const std::size_t threads : SweptThreadCounts()) {
       ThreadPool pool(threads);
       const auto adaptive = RunBottomKSampling(
-          g, candidates, t, 2, 5, seed, AdaptiveRun(&pool, 0, 0, &hint));
+          g, candidates, t, 2, 5, seed, AdaptiveRun(&pool, &hint));
       ASSERT_TRUE(adaptive.ok());
       ExpectBitIdentical(*serial, *adaptive,
                          ("seed=" + std::to_string(seed) +

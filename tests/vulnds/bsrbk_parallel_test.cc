@@ -1,11 +1,13 @@
 // Property tests for the wave-parallel bottom-k path: for EVERY thread
-// count and EVERY wave size, RunBottomKSampling must be bit-identical to
-// the serial loop — same estimates, same early-stop position, same
-// nodes_touched. The serial run is the specification; the parallel run is
-// only allowed to change wall-clock time.
+// count, and so for every wave schedule the counts produce,
+// RunBottomKSampling must be bit-identical to the serial loop — same
+// estimates, same early-stop position, same nodes_touched. The serial run
+// is the specification; the parallel run is only allowed to change
+// wall-clock time.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -55,11 +57,14 @@ void ExpectBitIdentical(const BottomKRunStats& serial,
   }
 }
 
-// The thread counts every property below sweeps: serial-by-width, two, an
-// odd count that never divides the budgets, and the hardware width.
+// The thread counts every property below sweeps: serial-by-width through
+// eight workers (each count moves every wave boundary: the first wave is one
+// world per worker), plus the hardware width when it is wider.
 std::vector<std::size_t> SweptThreadCounts() {
-  return {1, 2, 7,
-          std::max<std::size_t>(1, std::thread::hardware_concurrency())};
+  std::vector<std::size_t> counts = {1, 2, 3, 4, 5, 6, 7, 8};
+  const std::size_t hardware = std::thread::hardware_concurrency();
+  if (hardware > counts.back()) counts.push_back(hardware);
+  return counts;
 }
 
 TEST(BsrbkParallelTest, ThreadCountSweepIsBitIdentical) {
@@ -73,7 +78,7 @@ TEST(BsrbkParallelTest, ThreadCountSweepIsBitIdentical) {
       ThreadPool pool(threads);
       const auto parallel =
           RunBottomKSampling(g, candidates, 500, needed, 8, 1234,
-                             {nullptr, &pool, {WaveMode::kFixed, 0}});
+                             {nullptr, &pool});
       ASSERT_TRUE(parallel.ok());
       ExpectBitIdentical(*serial, *parallel,
                          ("threads=" + std::to_string(threads) +
@@ -84,49 +89,72 @@ TEST(BsrbkParallelTest, ThreadCountSweepIsBitIdentical) {
 }
 
 TEST(BsrbkParallelTest, WaveSizeNeverChangesResults) {
-  // Wave boundaries must be invisible: sweep sizes that divide t, don't
-  // divide t, exceed t, and degenerate to one world per wave.
+  // Wave boundaries must be invisible. Waves are capped by the budget t and
+  // by 32 worlds per worker: sweep budgets that degenerate to one world,
+  // fall below the worker count, sit between the caps, and exceed them.
   const UncertainGraph g = RingWithChords(25, 5);
   const std::vector<NodeId> candidates = AllNodes(g);
-  const std::size_t t = 100;  // deliberately not divisible by 7 or 32
-  const auto serial = RunBottomKSampling(g, candidates, t, 2, 6, 77);
-  ASSERT_TRUE(serial.ok());
-  ThreadPool pool(3);
-  for (const std::size_t wave : {std::size_t{1}, std::size_t{7},
-                                 std::size_t{25}, std::size_t{100},
-                                 std::size_t{1000}}) {
-    const auto parallel = RunBottomKSampling(
-        g, candidates, t, 2, 6, 77, {nullptr, &pool, {WaveMode::kFixed, wave}});
-    ASSERT_TRUE(parallel.ok());
-    ExpectBitIdentical(*serial, *parallel,
-                       ("wave=" + std::to_string(wave)).c_str());
+  for (const std::size_t t : {std::size_t{1}, std::size_t{7}, std::size_t{25},
+                              std::size_t{100}, std::size_t{1000}}) {
+    const auto serial = RunBottomKSampling(g, candidates, t, 2, 6, 77);
+    ASSERT_TRUE(serial.ok());
+    for (const std::size_t threads : SweptThreadCounts()) {
+      ThreadPool pool(threads);
+      const auto parallel =
+          RunBottomKSampling(g, candidates, t, 2, 6, 77, {nullptr, &pool});
+      ASSERT_TRUE(parallel.ok());
+      ExpectBitIdentical(*serial, *parallel,
+                         ("t=" + std::to_string(t) +
+                          " threads=" + std::to_string(threads))
+                             .c_str());
+    }
   }
 }
 
+// Every node defaults in every world (self-risk 1, no edges), so every
+// candidate reaches bk at hash-order position bk exactly, whatever the
+// seed. That makes the wave schedule predictable: with W workers the
+// first wave is a W-world probe (no estimate exists yet), after which each
+// candidate's prefix frequency is 1 and the next wave is clamped to
+// max(W, bk - W) worlds.
+UncertainGraph AlwaysDefaults(std::size_t n) {
+  UncertainGraphBuilder b(n);
+  for (NodeId v = 0; v < n; ++v) testing::CheckOk(b.SetSelfRisk(v, 1.0));
+  return b.Build().MoveValue();
+}
+
 TEST(BsrbkParallelTest, EarlyStopOnWaveBoundaryEdgeCases) {
-  // Engineer the hardest alignment: the serial run tells us the stop
-  // position S, then waves of exactly S (bk reached on the LAST sample of
-  // the first wave), S - 1 (stop is the first sample of the second wave)
-  // and S + 1 (wave outruns the stop) must all fold to the same answer.
-  const UncertainGraph g = RingWithChords(30, 11);
+  // The two hardest alignments, engineered per worker count W: bk = 2W
+  // stops on the LAST world of the second wave (nothing wasted), bk = W + 1
+  // on the FIRST world of the second wave (the rest of it, W - 1 worlds,
+  // wasted). Both must fold to the serial answer, and the telemetry must
+  // show that the alignment was actually hit.
+  const UncertainGraph g = AlwaysDefaults(6);
   const std::vector<NodeId> candidates = AllNodes(g);
-  const std::size_t t = 2000;
-  const auto serial = RunBottomKSampling(g, candidates, t, 1, 8, 31);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(serial->early_stopped);
-  const std::size_t stop = serial->samples_processed;
-  ASSERT_GT(stop, 1u);
-  for (const std::size_t threads : SweptThreadCounts()) {
-    ThreadPool pool(threads);
-    for (const std::size_t wave : {stop, stop - 1, stop + 1}) {
-      const auto parallel =
-          RunBottomKSampling(g, candidates, t, 1, 8, 31,
-                             {nullptr, &pool, {WaveMode::kFixed, wave}});
-      ASSERT_TRUE(parallel.ok());
-      ExpectBitIdentical(*serial, *parallel,
-                         ("threads=" + std::to_string(threads) +
-                          " wave=" + std::to_string(wave))
-                             .c_str());
+  const std::size_t t = 1000;
+  for (const uint64_t seed : {3u, 31u, 314u}) {
+    for (std::size_t workers = 2; workers <= 8; ++workers) {
+      ThreadPool pool(workers);
+      const struct {
+        int bk;
+        std::size_t wasted;
+      } cases[] = {{static_cast<int>(2 * workers), 0},
+                   {static_cast<int>(workers + 1), workers - 1}};
+      for (const auto& c : cases) {
+        const std::string what = "seed=" + std::to_string(seed) +
+                                 " workers=" + std::to_string(workers) +
+                                 " bk=" + std::to_string(c.bk);
+        const auto serial = RunBottomKSampling(g, candidates, t, 1, c.bk, seed);
+        ASSERT_TRUE(serial.ok());
+        ASSERT_TRUE(serial->early_stopped);
+        ASSERT_EQ(serial->samples_processed, static_cast<std::size_t>(c.bk));
+        const auto parallel = RunBottomKSampling(g, candidates, t, 1, c.bk,
+                                                 seed, {nullptr, &pool});
+        ASSERT_TRUE(parallel.ok());
+        ExpectBitIdentical(*serial, *parallel, what.c_str());
+        EXPECT_EQ(parallel->waves_issued, 2u) << what;
+        EXPECT_EQ(parallel->worlds_wasted, c.wasted) << what;
+      }
     }
   }
 }
@@ -145,8 +173,7 @@ TEST(BsrbkParallelTest, ExhaustedBudgetMatchesAcrossThreadCounts) {
   for (const std::size_t threads : SweptThreadCounts()) {
     ThreadPool pool(threads);
     const auto parallel =
-        RunBottomKSampling(g, candidates, 333, 1, 64, 9,
-                           {nullptr, &pool, {WaveMode::kFixed, 0}});
+        RunBottomKSampling(g, candidates, 333, 1, 64, 9, {nullptr, &pool});
     ASSERT_TRUE(parallel.ok());
     ExpectBitIdentical(*serial, *parallel,
                        ("threads=" + std::to_string(threads)).c_str());
@@ -165,8 +192,7 @@ TEST(BsrbkParallelTest, PrecomputedOrderAndPoolCompose) {
   ASSERT_TRUE(serial.ok());
   ThreadPool pool(4);
   const auto parallel =
-      RunBottomKSampling(g, candidates, 400, 2, 8, 55,
-                         {&order, &pool, {WaveMode::kFixed, 0}});
+      RunBottomKSampling(g, candidates, 400, 2, 8, 55, {&order, &pool});
   ASSERT_TRUE(parallel.ok());
   ExpectBitIdentical(*serial, *parallel, "precomputed order");
 }
@@ -182,8 +208,7 @@ TEST(BsrbkParallelTest, SeedSweepPropertyAcrossThreadCounts) {
     for (const std::size_t threads : SweptThreadCounts()) {
       ThreadPool pool(threads);
       const auto parallel = RunBottomKSampling(
-          g, candidates, 200 + seed * 37, 2, 5, seed,
-          {nullptr, &pool, {WaveMode::kFixed, 0}});
+          g, candidates, 200 + seed * 37, 2, 5, seed, {nullptr, &pool});
       ASSERT_TRUE(parallel.ok());
       ExpectBitIdentical(*serial, *parallel,
                          ("seed=" + std::to_string(seed) +

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "exact/possible_world.h"
 #include "gen/datasets.h"
@@ -46,6 +47,25 @@ TEST(DetectorTest, ValidatesParameters) {
   o = BaseOptions(Method::kBsrbk, 2);
   o.threads = kMaxDetectThreads + 1;
   EXPECT_FALSE(DetectTopK(g, o).ok());
+  // Equation 3 sizes past kMaxBasicSamples (32-bit world counts) are
+  // rejected up front for every (eps, delta) method: eps=1e-5 needs ~8e10
+  // worlds, eps=1e-9 ~8e18, and eps=1e-12 more than 2^64.
+  for (const Method method : {Method::kSampleNaive, Method::kSampleReverse,
+                              Method::kBsr, Method::kBsrbk}) {
+    for (const double eps : {1e-5, 1e-9, 1e-12}) {
+      o = BaseOptions(method, 2);
+      o.eps = eps;
+      const Status st = ValidateDetectorOptions(g, o);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+          << MethodName(method) << " eps=" << eps;
+      EXPECT_EQ(DetectTopK(g, o).status().code(), StatusCode::kInvalidArgument)
+          << MethodName(method) << " eps=" << eps;
+    }
+  }
+  // Method N never reads eps: its budget is samples=.
+  o = BaseOptions(Method::kNaive, 2);
+  o.eps = 1e-9;
+  EXPECT_TRUE(ValidateDetectorOptions(g, o).ok());
 }
 
 TEST(DetectorTest, ValidatesNaiveSampleCount) {
@@ -82,6 +102,22 @@ TEST(DetectorTest, ValidationRejectsNonFiniteEpsDelta) {
     EXPECT_EQ(ValidateDetectorOptions(g, o).code(),
               StatusCode::kInvalidArgument);
   }
+  // Finite but tiny eps (or delta) drives the sample-size math out of
+  // range instead: the size is computed in double and rejected, never cast.
+  for (const double tiny : {1e-5, 1e-9, std::numeric_limits<double>::min()}) {
+    DetectorOptions o = BaseOptions(Method::kBsrbk, 2);
+    o.eps = tiny;
+    EXPECT_EQ(DetectTopK(g, o).status().code(), StatusCode::kInvalidArgument)
+        << "eps=" << tiny;
+    o = BaseOptions(Method::kSampleNaive, 2);
+    o.eps = tiny;
+    EXPECT_EQ(DetectTopK(g, o).status().code(), StatusCode::kInvalidArgument)
+        << "eps=" << tiny;
+  }
+  // pairs / delta overflows to inf: an infinite size, rejected like the rest.
+  DetectorOptions o = BaseOptions(Method::kSampleNaive, 2);
+  o.delta = std::numeric_limits<double>::min();
+  EXPECT_EQ(ValidateDetectorOptions(g, o).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DetectorTest, MethodNamesMatchPaper) {

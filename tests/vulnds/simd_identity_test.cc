@@ -1,8 +1,9 @@
 // End-to-end tier bit-identity: the simd= knob must never change a single
 // bit of any result — rankings, scores, the early-stop position, kth hash
-// order, samples_processed — for any (tier, thread count, wave schedule)
-// combination. On hosts without AVX2 the forced-avx2 mode legally degrades
-// to scalar, so every assertion still holds (identity becomes trivial);
+// order, samples_processed — for any (tier, thread count) combination,
+// and so for every wave schedule the thread counts produce. On hosts
+// without AVX2 the forced-avx2 mode legally degrades to scalar, so every
+// assertion still holds (identity becomes trivial);
 // tests/simd/ covers the kernels lane-by-lane.
 
 #include <gtest/gtest.h>
@@ -139,24 +140,21 @@ TEST(SimdIdentityTest, BottomKRunIsIdenticalAcrossTiersThreadsAndWaves) {
   for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2, &pool7}) {
     for (const simd::SimdTier tier :
          {simd::SimdTier::kScalar, simd::BestSupportedTier()}) {
-      for (const WaveMode mode : {WaveMode::kAdaptive, WaveMode::kFixed}) {
-        BottomKRunOptions run;
-        run.pool = pool;
-        run.simd_tier = tier;
-        run.wave.mode = mode;
-        const Result<BottomKRunStats> stats =
-            RunBottomKSampling(g, candidates, 1500, 3, 8, 99, run);
-        ASSERT_TRUE(stats.ok());
-        const std::string what = std::string("tier=") + simd::SimdTierName(tier);
-        EXPECT_EQ(stats->samples_processed, reference->samples_processed) << what;
-        EXPECT_EQ(stats->early_stopped, reference->early_stopped) << what;
-        EXPECT_EQ(stats->nodes_touched, reference->nodes_touched) << what;
-        EXPECT_EQ(stats->reached_bk, reference->reached_bk) << what;
-        ASSERT_EQ(stats->estimates.size(), reference->estimates.size());
-        for (std::size_t c = 0; c < stats->estimates.size(); ++c) {
-          EXPECT_EQ(stats->estimates[c], reference->estimates[c])
-              << what << " candidate " << c;
-        }
+      BottomKRunOptions run;
+      run.pool = pool;
+      run.simd_tier = tier;
+      const Result<BottomKRunStats> stats =
+          RunBottomKSampling(g, candidates, 1500, 3, 8, 99, run);
+      ASSERT_TRUE(stats.ok());
+      const std::string what = std::string("tier=") + simd::SimdTierName(tier);
+      EXPECT_EQ(stats->samples_processed, reference->samples_processed) << what;
+      EXPECT_EQ(stats->early_stopped, reference->early_stopped) << what;
+      EXPECT_EQ(stats->nodes_touched, reference->nodes_touched) << what;
+      EXPECT_EQ(stats->reached_bk, reference->reached_bk) << what;
+      ASSERT_EQ(stats->estimates.size(), reference->estimates.size());
+      for (std::size_t c = 0; c < stats->estimates.size(); ++c) {
+        EXPECT_EQ(stats->estimates[c], reference->estimates[c])
+            << what << " candidate " << c;
       }
     }
   }

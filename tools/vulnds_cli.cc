@@ -12,22 +12,21 @@
 //       Runs top-k detection (method one of N, SN, SR, BSR, BSRBK; default
 //       BSRBK) and prints the ranked nodes with scores. Flags: eps=, delta=,
 //       seed=, samples= (method N budget), order= (bound order z), bk=,
-//       threads= (sampling threads; 0 = one per hardware core), wave=
-//       (BSRBK wave schedule: adaptive | fixed | fixed:N), simd= (kernel
-//       tier: auto | avx2 | scalar; VULNDS_SIMD sets the process default).
-//       Results are bit-identical for every thread count, wave schedule
-//       and kernel tier.
+//       threads= (sampling threads; 0 = one per hardware core), simd=
+//       (kernel tier: auto | avx2 | scalar; VULNDS_SIMD sets the process
+//       default). Results are bit-identical for every thread count and
+//       kernel tier.
 //   vulnds_cli truth <graph> <k> [samples] [seed]
 //       Prints the Monte-Carlo reference top-k (default 20000 worlds).
-//   vulnds_cli serve [cache_capacity] [threads=N] [catalog_bytes=N]
+//   vulnds_cli serve [cache_capacity] [threads=N]
 //              [mem_bytes=N] [spill_dir=DIR] [journal=PATH]
 //              [journal_compact_bytes=N] [slowlog=path] [slowlog_ms=N]
 //              [tcp=PORT] [unix=PATH] [max_conns=N]
 //              [idle_timeout_ms=N] [read_timeout_ms=N] [write_timeout_ms=N]
 //       Speaks the line-oriented serve protocol on stdin/stdout: graphs are
-//       loaded once into a catalog (catalog_bytes= resident byte budget,
-//       optional) and repeated queries hit an LRU result cache of
-//       cache_capacity entries; each is one structure behind one mutex.
+//       loaded once into a catalog and repeated queries hit an LRU result
+//       cache of cache_capacity entries; each is one structure behind one
+//       mutex.
 //       Storage hierarchy: mem_bytes=N puts the whole memory hierarchy
 //       (snapshots + warm detection contexts + cached results) under one
 //       global byte budget; under pressure the coldest contexts are dropped
@@ -112,9 +111,9 @@ int Usage() {
                "  vulnds_cli stats <graph>\n"
                "  vulnds_cli detect <graph> <k> [method] [key=value ...]\n"
                "      keys: eps= delta= seed= samples= order= bk= method= threads=\n"
-               "            wave=adaptive|fixed|fixed:N simd=auto|avx2|scalar\n"
+               "            simd=auto|avx2|scalar\n"
                "  vulnds_cli truth <graph> <k> [samples] [seed]\n"
-               "  vulnds_cli serve [cache_capacity] [threads=N] [catalog_bytes=N]\n"
+               "  vulnds_cli serve [cache_capacity] [threads=N]\n"
                "             [mem_bytes=N] [spill_dir=DIR] [journal=PATH]\n"
                "             [journal_compact_bytes=N]\n"
                "             [slowlog=path] [slowlog_ms=N]\n"
@@ -265,10 +264,9 @@ int CmdDetect(int argc, char** argv) {
               result->verified_count, result->candidate_count,
               result->early_stopped ? " (early stop)" : "");
   if (options.method == Method::kBsrbk && result->waves_issued > 0) {
-    // Schedule telemetry (varies with threads/wave; the ranking does not).
-    std::printf("waves=%zu wasted_worlds=%zu wave_mode=%s\n",
-                result->waves_issued, result->worlds_wasted,
-                options.wave_mode == WaveMode::kAdaptive ? "adaptive" : "fixed");
+    // Schedule telemetry (varies with threads; the ranking does not).
+    std::printf("waves=%zu wasted_worlds=%zu\n", result->waves_issued,
+                result->worlds_wasted);
   }
   return 0;
 }
@@ -423,15 +421,6 @@ int CmdServe(int argc, char** argv) {
         return Usage();
       }
       threads = n;
-    } else if (arg.rfind("catalog_bytes=", 0) == 0) {
-      if (catalog_options.byte_budget != 0) {
-        std::fprintf(stderr, "duplicate catalog_bytes= argument\n");
-        return Usage();
-      }
-      if (!ParseArgOr(ParseUint64, "catalog_bytes", arg.substr(14),
-                      &catalog_options.byte_budget)) {
-        return Usage();
-      }
     } else if (arg.rfind("mem_bytes=", 0) == 0) {
       if (mem_bytes != 0) {
         std::fprintf(stderr, "duplicate mem_bytes= argument\n");
