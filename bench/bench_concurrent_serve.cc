@@ -1,6 +1,7 @@
 // Concurrent serving: aggregate cached-query throughput and latency
 // percentiles as the number of concurrent sessions grows, over one shared
-// QueryEngine fronted by ServeServer sessions.
+// QueryEngine: each session is a ServeSession on its own thread, all of them
+// reporting into one ServerStats.
 //
 // Sessions are prewarmed so every timed request is a result-cache hit: the
 // scaling measured here is the serve stack's (catalog lookup, per-request
@@ -36,7 +37,7 @@
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "serve/protocol.h"
-#include "serve/serve_server.h"
+#include "serve/session.h"
 
 namespace {
 
@@ -54,6 +55,13 @@ std::string StripTimes(const std::string& text) {
     rebuilt += serve::StripWallClockTokens(line) + "\n";
   }
   return rebuilt;
+}
+
+// A session over the shared engine, counted in `stats` as a front counts it.
+serve::ServeSession NewSession(serve::QueryEngine* engine,
+                               serve::ServerStats* stats) {
+  stats->sessions_started.fetch_add(1, std::memory_order_relaxed);
+  return serve::ServeSession(engine, nullptr, stats);
 }
 
 struct SessionRun {
@@ -206,7 +214,7 @@ int main(int argc, char** argv) {
 
   serve::GraphCatalog catalog;
   serve::QueryEngine engine(&catalog);
-  serve::ServeServer server(&engine);
+  serve::ServerStats stats;
 
   // One modest graph per session slot; distinct seeds so catalog entries
   // and cache lines are genuinely distinct.
@@ -232,7 +240,7 @@ int main(int argc, char** argv) {
   // cached response block each timed request must reproduce.
   std::vector<std::string> expected_blocks(kGraphs);
   {
-    serve::ServeSession session = server.NewSession();
+    serve::ServeSession session = NewSession(&engine, &stats);
     for (std::size_t g = 0; g < kGraphs; ++g) {
       std::ostringstream warm;
       session.HandleLine(queries[g], warm);  // cold
@@ -260,7 +268,7 @@ int main(int argc, char** argv) {
     WallTimer wall;
     for (std::size_t s = 0; s < sessions; ++s) {
       threads.emplace_back([&, s] {
-        serve::ServeSession session = server.NewSession();
+        serve::ServeSession session = NewSession(&engine, &stats);
         SessionRun& run = runs[s];
         run.latencies.reserve(kRepeats);
         std::ostringstream out;
@@ -312,9 +320,9 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.ToString().c_str());
 
   const double scaling = qps1 > 0 ? qps8 / qps1 : 0.0;
-  const serve::ServerStatsSnapshot stats = server.stats();
   std::printf("sessions: %zu, requests: %zu, errors: %zu\n",
-              stats.sessions_started, stats.requests, stats.errors);
+              stats.sessions_started.load(), stats.requests.load(),
+              stats.errors.load());
   std::printf("aggregate scaling at 8 sessions: %.2fx\n", scaling);
 
   // Cross-check the serving stack's own latency histogram against the

@@ -166,7 +166,7 @@ BENCHMARK(BM_RenderDetectResponse)->Arg(64)->Arg(256)->Arg(1024);
 void BM_ParseServeRequest(benchmark::State& state) {
   const std::string lines[] = {
       "detect g7 25 BSRBK seed=123",
-      "detect citation 50 SR eps=0.2 delta=0.05 seed=9 threads=2",
+      "detect citation 50 SR eps=0.2 delta=0.05 seed=9",
       "truth g 10 5000 123",
       "setprob g 3 7 0.10000000000000001",
   };

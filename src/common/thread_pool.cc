@@ -41,14 +41,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::ParallelFor(std::size_t n,
@@ -61,11 +55,9 @@ void ThreadPool::ParallelFor(std::size_t n,
   }
   const std::size_t chunk = (n + threads - 1) / threads;
   // Per-call completion state: this call returns when ITS chunks finish,
-  // not when the whole pool drains. Wait() waits for global idleness,
-  // which is right for a task-fan owner (ServeServer::Join) but would make
-  // concurrent ParallelFor callers — e.g. two serve sessions cold-detecting
-  // different graphs on the shared sampling pool — convoy behind every
-  // other caller's in-flight work.
+  // not when the whole pool drains, so concurrent ParallelFor callers —
+  // e.g. two serve sessions cold-detecting different graphs on the shared
+  // sampling pool — never convoy behind each other's in-flight work.
   struct CallState {
     std::mutex m;
     std::condition_variable cv;
@@ -97,10 +89,6 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) done_cv_.notify_all();
-    }
   }
 }
 

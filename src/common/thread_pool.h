@@ -18,7 +18,7 @@
 
 namespace vulnds {
 
-/// Fixed-size worker pool.
+/// Fixed-size worker pool. Work enters only through ParallelFor.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (0 means hardware concurrency).
@@ -31,30 +31,24 @@ class ThreadPool {
   /// Number of worker threads.
   std::size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueues a task; tasks may run in any order.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void Wait();
-
   /// Runs fn(i) for every i in [0, n) across the pool and blocks until done.
   /// Chunking is static, so work assignment is deterministic in n. Blocks
-  /// only on this call's own chunks (unlike Wait), so concurrent callers
-  /// sharing one pool never convoy behind each other's work.
+  /// only on this call's own chunks, so concurrent callers sharing one pool
+  /// never convoy behind each other's work.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Process-wide shared pool (created on first use).
   static ThreadPool& Global();
 
  private:
+  /// Enqueues a task; tasks may run in any order.
+  void Submit(std::function<void()> task);
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
-  std::condition_variable task_cv_;   // signals workers
-  std::condition_variable done_cv_;   // signals Wait()
-  std::size_t in_flight_ = 0;
+  std::condition_variable task_cv_;  // signals workers
   bool stop_ = false;
 };
 

@@ -6,9 +6,9 @@
 // self-pipe; each admitted connection gets a dedicated thread running the
 // blocking read -> LineSplitter -> ServeSession -> send loop (sessions are
 // long-lived blocking loops, so they must never run on the engine's
-// sampling pool — see serve_server.h). The protocol spoken over a socket is
-// byte-identical to the stdin front: both feed the same ServeSession through
-// the same splitter.
+// sampling pool: a session blocks on its detect's fan-out over that pool).
+// The protocol spoken over a socket is byte-identical to the stdin front:
+// both feed the same ServeSession through the same splitter.
 //
 // Traffic discipline:
 //   * Admission control. At most `max_connections` connections are live;

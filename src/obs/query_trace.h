@@ -2,9 +2,7 @@
 // request and records wall-time per pipeline stage (bounds fixpoint,
 // candidate reduction, sampling waves, cache insert) plus wave-level detail
 // from the bottom-k runner. One trace belongs to one query; it is NOT
-// thread-safe on its own. When a batch leader executes a follower's job the
-// promise/future handoff already orders the leader's writes before the
-// follower's reads, so the single-owner contract holds across threads.
+// thread-safe on its own, and the query's own thread is its only writer.
 //
 // The clock is injectable (ClockMicros) so tests and the serve protocol's
 // time= token can be made deterministic; SteadyNowMicros() is the

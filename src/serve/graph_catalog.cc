@@ -429,7 +429,7 @@ std::size_t GraphCatalog::ShedContexts(std::size_t want) {
   // Coldest contexts first: gather every entry carrying a context charge,
   // walking the LRU list from its cold end. A context is a pure function of
   // (graph, query key), so dropping one costs recompute, never
-  // correctness; busy contexts (a batch leader holds context_mu) are
+  // correctness; busy contexts (a cold detect holds context_mu) are
   // skipped via try_lock rather than waited on — shedding must not block
   // behind a long detect.
   std::vector<std::shared_ptr<CatalogEntry>> warm;

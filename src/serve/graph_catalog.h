@@ -20,7 +20,7 @@
 // bound on residency: every resident graph is charged under
 // ChargeClass::kSnapshot and its warm DetectionContext under
 // ChargeClass::kContext (the query engine recharges the context's
-// ApproxBytes after each batch). When the governor's GLOBAL budget is
+// ApproxBytes after each cold detect). When the governor's GLOBAL budget is
 // exceeded it sheds through the catalog's registered shedders: coldest
 // contexts are dropped first (pure recompute, no correctness cost), then —
 // when a spill directory is configured — the coldest UNPINNED snapshots

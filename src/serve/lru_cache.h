@@ -92,7 +92,8 @@ class LruCache {
 
   /// Returns the cached value without touching counters or recency. For
   /// re-checks that already counted their lookup (the query engine's
-  /// in-batch recheck): counting again would double-book the hit rate.
+  /// recheck under the context lock): counting again would double-book the
+  /// hit rate.
   std::shared_ptr<const V> Peek(const std::string& key) const {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(key);

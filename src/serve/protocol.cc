@@ -169,18 +169,10 @@ Status ApplyDetectFlag(std::string_view token, DetectorOptions* options) {
     options->naive_samples = *v;
     return Status::OK();
   }
-  if (EqualsIgnoreCase(key, "threads")) {
-    // Execution knob, not identity: results are bit-identical for every
-    // thread count, so this never fragments the result cache.
-    Result<std::size_t> v = ParseCount(value, "threads");
-    if (!v.ok()) return v.status();
-    options->threads = *v;
-    return Status::OK();
-  }
   if (EqualsIgnoreCase(key, "simd")) {
-    // Execution knob like threads=: every kernel tier computes
+    // Execution knob, not identity: every kernel tier computes
     // bit-identical results (simd/coin_kernels.h contract), so this never
-    // fragments the result cache either.
+    // fragments the result cache.
     Result<simd::SimdMode> m = simd::ParseSimdMode(std::string(value));
     if (!m.ok()) return m.status();
     options->simd_mode = *m;

@@ -5,10 +5,9 @@
 //   save <name> <path> [text|binary]         write a snapshot (default binary)
 //   detect <name> <k> [method] [key=value…]  top-k query; keys: eps, delta,
 //                                            seed, samples, order, bk,
-//                                            method, threads (sampling
-//                                            parallelism; 0 = session pool),
-//                                            simd (kernel tier: auto |
-//                                            avx2 | scalar; execution-only)
+//                                            method, simd (kernel tier:
+//                                            auto | avx2 | scalar;
+//                                            execution-only)
 //   truth <name> <k> [samples] [seed]        Monte-Carlo reference top-k
 //   stats [<name>]                           graph stats / engine counters
 //   metrics                                  Prometheus text exposition of
@@ -99,9 +98,9 @@ Result<ServeRequest> ParseServeRequest(std::string_view line);
 Result<Method> ParseMethodToken(std::string_view name);
 
 /// Applies one "key=value" detect option assignment (method, eps, delta,
-/// seed, samples, order, bk, threads, simd) to `options`. Shared by the
-/// serve protocol and the batch CLI so the flag vocabulary cannot drift
-/// between them.
+/// seed, samples, order, bk, simd) to `options`. Shared by the serve
+/// protocol and the batch CLI so the flag vocabulary cannot drift between
+/// them (the CLI's own `threads=` pool width is parsed before this).
 Status ApplyDetectFlag(std::string_view token, DetectorOptions* options);
 
 /// A double as its own string, in AppendRoundTrip's 17-digit form

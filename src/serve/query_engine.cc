@@ -1,5 +1,6 @@
 #include "serve/query_engine.h"
 
+#include <mutex>
 #include <utility>
 
 #include "common/parse.h"
@@ -9,8 +10,7 @@ namespace vulnds::serve {
 
 DetectorOptions CanonicalizeOptions(DetectorOptions o) {
   const DetectorOptions defaults;
-  o.pool = nullptr;
-  o.threads = 0;  // determinism makes thread count a pure execution knob
+  o.pool = nullptr;  // determinism makes the pool a pure execution knob
   // The kernel tier too: every tier computes bit-identical results (the
   // simd/coin_kernels.h contract), so `simd=scalar` may be answered from a
   // cache line computed with AVX2 (and vice versa).
@@ -136,7 +136,8 @@ QueryEngine::QueryEngine(GraphCatalog* catalog, QueryEngineOptions options)
                                          kRequestsHelp, {{"verb", "truth"}});
   batched_queries_ = registry_->GetCounter(
       "vulnds_engine_batched_queries_total",
-      "Detect jobs drained inside another request's context-lock acquisition");
+      "Cold detects that waited for another detect holding their graph's "
+      "context");
   worlds_wasted_ = registry_->GetCounter(
       "vulnds_engine_worlds_wasted_total",
       "Worlds materialized past the bottom-k early stop, executed runs only");
@@ -232,7 +233,7 @@ Result<DetectResponse> QueryEngine::Detect(const std::string& name,
   trace.BeginStage("cache_lookup");
   // GetOrLoad pages a spilled snapshot back in transparently; the pin then
   // keeps it resident (never re-spilled) for this query's whole flight,
-  // including the wait on a batch leader.
+  // including the wait on the context lock.
   Result<std::shared_ptr<CatalogEntry>> resolved = catalog_->GetOrLoad(name);
   if (!resolved.ok()) return resolved.status();
   const std::shared_ptr<CatalogEntry> entry = resolved.MoveValue();
@@ -250,98 +251,67 @@ Result<DetectResponse> QueryEngine::Detect(const std::string& name,
   const std::string key = name + "#" + std::to_string(entry->uid) + "|" +
                           CanonicalOptionsKey(options);
   detect_queries_->Increment();
-  const std::shared_ptr<const DetectionResult> cached = detect_cache_.Get(key);
-  if (cached != nullptr) {
-    trace.EndStage();
-    // Copy outside the cache lock: the cache hands out shared ownership
-    // exactly so the hot cached path holds its mutex only for the lookup,
-    // not for copying a k-row result.
-    DetectResponse response;
-    response.result = *cached;
-    response.from_cache = true;
-    FinishQuery(0, name, key, trace, start, true, &response.seconds);
-    return response;
-  }
-  trace.EndStage();
-
-  options.pool = PoolFor(options.threads);
-  // The trace rides with the job: whoever executes it (this thread as batch
-  // leader, or another request's leader) records the pipeline stages onto
-  // it. The promise/future handoff orders those writes before the reads
-  // below, so the single-owner trace contract holds across threads.
-  options.trace = &trace;
-
-  // Queue the job for this snapshot; the first arrival leads the batch and
-  // executes every queued same-graph job under one context-lock
-  // acquisition, later arrivals block on their future.
-  auto job = std::make_shared<DetectJob>();
-  job->options = options;
-  job->key = key;
-  std::future<std::pair<Result<DetectionResult>, bool>> future =
-      job->promise.get_future();
-  bool lead = false;
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    GraphBatch& batch = batches_[entry->uid];
-    batch.queue.push_back(std::move(job));
-    if (!batch.leader_active) {
-      batch.leader_active = true;
-      lead = true;
-    }
-  }
-  if (lead) RunDetectBatch(entry);
-
-  std::pair<Result<DetectionResult>, bool> outcome = future.get();
-  if (!outcome.first.ok()) return outcome.first.status();
   DetectResponse response;
-  response.result = outcome.first.MoveValue();
-  response.from_cache = outcome.second;
-  FinishQuery(0, name, key, trace, start, response.from_cache,
-              &response.seconds);
-  return response;
-}
-
-void QueryEngine::RunDetectBatch(const std::shared_ptr<CatalogEntry>& entry) {
-  // ONE lock acquisition for however many jobs drain: this is the
-  // same-graph batching the concurrent server relies on.
-  std::lock_guard<std::mutex> context_lock(entry->context_mu);
-  std::size_t jobs_run = 0;
-  std::deque<std::shared_ptr<DetectJob>> handoff;
-  for (;;) {
-    std::shared_ptr<DetectJob> job;
-    {
-      std::lock_guard<std::mutex> lock(batch_mu_);
-      const auto it = batches_.find(entry->uid);
-      if (it->second.queue.empty()) {
-        // Dropping the map entry clears leader_active: the next arrival
-        // (even one racing this erase) starts a fresh batch and leads it.
-        batches_.erase(it);
-        break;
-      }
-      // Fairness bound: under a sustained cache-missing flood the queue
-      // refills faster than it drains, and an unbounded drain would pin
-      // this leader's session forever. At the cap the leader takes the
-      // jobs already queued (it still owes them a result — nobody else
-      // will resolve their promises) and closes the batch, so the next
-      // arrival leads a fresh one and simply waits on the context mutex.
-      if (jobs_run >= kMaxBatchJobs) {
-        handoff = std::move(it->second.queue);
-        batches_.erase(it);
-        break;
-      }
-      job = std::move(it->second.queue.front());
-      it->second.queue.pop_front();
-      if (++jobs_run > 1) batched_queries_->Increment();
+  std::shared_ptr<const DetectionResult> cached = detect_cache_.Get(key);
+  trace.EndStage();
+  if (cached == nullptr) {
+    // Cold: the context lock orders same-graph detects. Under it the cache
+    // is checked again — a detect that held the lock before us may have
+    // computed this very key — with an uncounted Peek: the query already
+    // counted its one lookup (the miss above), so counting again would
+    // double-book hits+misses against detect_queries.
+    std::unique_lock<std::mutex> context_lock(entry->context_mu,
+                                              std::try_to_lock);
+    if (!context_lock.owns_lock()) {
+      batched_queries_->Increment();
+      context_lock.lock();
     }
-    ExecuteDetectJob(entry, *job);
+    trace.BeginStage("cache_check");
+    cached = detect_cache_.Peek(key);
+    trace.EndStage();
+    if (cached == nullptr) {
+      options.pool = pool_;
+      options.trace = &trace;
+      Result<DetectionResult> result = [&]() -> Result<DetectionResult> {
+        try {
+          return DetectTopK(entry->graph, options, &entry->context);
+        } catch (const std::exception& e) {
+          return Status::Internal(std::string("detection failed: ") +
+                                  e.what());
+        }
+      }();
+      // Still under context_mu: the run may have grown the context's
+      // intermediates by megabytes, failed runs included.
+      RechargeContext(entry);
+      if (!result.ok()) return result.status();
+      // Schedule telemetry counts executed runs only: a cached replay
+      // re-reports the original run's answer, not its wasted worlds.
+      worlds_wasted_->Increment(result->worlds_wasted);
+      waves_issued_->Increment(result->waves_issued);
+      simd_batched_coins_->Increment(result->simd_batched_coins);
+      simd_tail_coins_->Increment(result->simd_tail_coins);
+      // The computed result outranks the cache insert: if Put throws
+      // (allocation pressure copying a large result), the caller still
+      // gets its answer and only the cache line is lost.
+      trace.BeginStage("cache_insert");
+      try {
+        detect_cache_.Put(key, *result);
+      } catch (...) {
+      }
+      trace.EndStage();
+      context_lock.unlock();
+      response.result = result.MoveValue();
+      FinishQuery(0, name, key, trace, start, false, &response.seconds);
+      return response;
+    }
   }
-  for (const std::shared_ptr<DetectJob>& job : handoff) {
-    batched_queries_->Increment();
-    ExecuteDetectJob(entry, *job);
-  }
-  // One recharge per batch, still under context_mu: the jobs above may
-  // have grown the context's intermediates by megabytes.
-  RechargeContext(entry);
+  // Copy outside the cache lock: the cache hands out shared ownership
+  // exactly so the hot cached path holds its mutex only for the lookup,
+  // not for copying a k-row result.
+  response.result = *cached;
+  response.from_cache = true;
+  FinishQuery(0, name, key, trace, start, true, &response.seconds);
+  return response;
 }
 
 void QueryEngine::RechargeContext(const std::shared_ptr<CatalogEntry>& entry) {
@@ -359,91 +329,6 @@ void QueryEngine::RechargeContext(const std::shared_ptr<CatalogEntry>& entry) {
   if (entry->detached.load(std::memory_order_acquire)) {
     gov->Discharge(store::ChargeClass::kContext,
                    entry->charged_context_bytes.exchange(0));
-  }
-}
-
-void QueryEngine::ExecuteDetectJob(const std::shared_ptr<CatalogEntry>& entry,
-                                   DetectJob& job) {
-  // Whatever happens here, the promise must resolve: an unresolved job
-  // blocks its session forever (the batch machinery has no other wake-up).
-  // Every job re-checks the cache — including a leader's own first job:
-  // between its miss in Detect and taking leadership, a previous batch may
-  // have computed and cached this very key, and skipping the recheck would
-  // recompute it (breaking compute-exactly-once). The recheck is an
-  // uncounted Peek: the query already counted its one lookup (the miss in
-  // Detect), so counting again would double-book hits+misses against
-  // detect_queries and distort the reported hit rate.
-  obs::QueryTrace* trace = job.options.trace;
-  try {
-    {
-      if (trace != nullptr) trace->BeginStage("cache_check");
-      const std::shared_ptr<const DetectionResult> cached =
-          detect_cache_.Peek(job.key);
-      if (trace != nullptr) trace->EndStage();
-      if (cached != nullptr) {
-        job.promise.set_value({Result<DetectionResult>(*cached), true});
-        return;
-      }
-    }
-    Result<DetectionResult> result = [&]() -> Result<DetectionResult> {
-      try {
-        return DetectTopK(entry->graph, job.options, &entry->context);
-      } catch (const std::exception& e) {
-        return Status::Internal(std::string("detection failed: ") + e.what());
-      }
-    }();
-    if (result.ok()) {
-      // Schedule telemetry counts executed runs only: a cached replay
-      // re-reports the original run's answer, not its wasted worlds.
-      worlds_wasted_->Increment(result->worlds_wasted);
-      waves_issued_->Increment(result->waves_issued);
-      simd_batched_coins_->Increment(result->simd_batched_coins);
-      simd_tail_coins_->Increment(result->simd_tail_coins);
-      // The computed result outranks the cache insert: if Put throws
-      // (allocation pressure copying a large result), the caller still
-      // gets its answer and only the cache line is lost.
-      if (trace != nullptr) trace->BeginStage("cache_insert");
-      try {
-        detect_cache_.Put(job.key, *result);
-      } catch (...) {
-      }
-      if (trace != nullptr) trace->EndStage();
-    }
-    job.promise.set_value({std::move(result), false});
-  } catch (...) {
-    try {
-      job.promise.set_value(
-          {Status::Internal("detect job failed before producing a result"),
-           false});
-    } catch (...) {  // promise already satisfied — nothing left to resolve
-    }
-  }
-}
-
-ThreadPool* QueryEngine::PoolFor(std::size_t threads) {
-  if (threads == 0) return pool_;
-  if (pool_ != nullptr && pool_->num_threads() == threads) return pool_;
-  std::lock_guard<std::mutex> lock(pools_mu_);
-  const auto it = extra_pools_.find(threads);
-  if (it != extra_pools_.end()) return it->second.get();
-  // Existing pools may be referenced by in-flight requests, so they are
-  // never destroyed while the engine lives; instead both the number of
-  // distinct counts and the summed thread budget are bounded. Past either
-  // cap — or if the OS refuses more threads — fall back to the session
-  // default, which is always legal: results are bit-identical for every
-  // thread count, so the knob only shapes latency.
-  if (extra_pools_.size() >= kMaxExtraPools ||
-      extra_pool_threads_ + threads > kMaxExtraPoolThreads) {
-    return pool_;
-  }
-  try {
-    ThreadPool* pool = extra_pools_
-                           .emplace(threads, std::make_unique<ThreadPool>(threads))
-                           .first->second.get();
-    extra_pool_threads_ += threads;
-    return pool;
-  } catch (...) {  // thread exhaustion or allocation failure — degrade, not die
-    return pool_;
   }
 }
 
@@ -564,7 +449,7 @@ void QueryEngine::RefreshMetrics() {
                  "Approximate bytes of resident graphs")
       ->Set(static_cast<double>(catalog_->resident_bytes()));
   // Warm-context residency, same try_lock discipline as the stats verb: a
-  // batch leader may hold an entry's context for minutes, and a scrape must
+  // cold detect may hold an entry's context for minutes, and a scrape must
   // not stall behind it — busy entries are skipped and counted.
   std::size_t context_bytes = 0;
   std::size_t context_busy = 0;

@@ -21,30 +21,24 @@
 // for the lookup (the value is shared, and copied outside the lock), which
 // measured no slower than a sharded cache under concurrent cached traffic.
 //
-// Same-graph query batching. Concurrent cache-missing Detects against one
-// snapshot are queued per snapshot uid; the first arrival becomes the batch
-// leader, takes the entry's context lock ONCE, and drains every queued job
-// (its own plus any that arrive while it runs) before releasing. Followers
-// block on a future instead of the mutex, so N concurrent queries cost one
-// context-lock acquisition, and a job whose key was computed earlier in the
-// same batch is answered from the result cache without re-running. Results
-// are bit-identical either way (detection is deterministic given graph +
-// canonical options, warm or cold context), so batching is invisible on the
-// wire except for `cached=` flips that concurrency makes inherent.
+// Same-graph ordering. A cache-missing Detect takes its entry's context_mu
+// for the whole cold run, re-checks the result cache under it and only then
+// computes, so concurrent identical queries compute once: the first runs,
+// the others wait on the mutex and are answered by the re-check. That one
+// mutex per graph context is the only same-graph ordering. Results are
+// bit-identical either way (detection is deterministic given graph +
+// canonical options, warm or cold context), so the lock is invisible on the
+// wire except for `cached=` flips that concurrency makes inherent. Lock
+// order: context_mu may be held while taking a result-cache mutex (the
+// re-check and the insert); never the reverse.
 
 #ifndef VULNDS_SERVE_QUERY_ENGINE_H_
 #define VULNDS_SERVE_QUERY_ENGINE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/status.h"
@@ -61,10 +55,9 @@
 namespace vulnds::serve {
 
 /// Returns `options` with every field the method ignores reset to its
-/// default, and `pool` / `threads` cleared: execution resources are never
-/// part of a query's identity — detection results are bit-identical for
-/// every thread count, so `detect g 5 threads=4` may legitimately be
-/// answered from a cache line computed single-threaded.
+/// default, and `pool` cleared: execution resources are never part of a
+/// query's identity — detection results are bit-identical for every thread
+/// count, so engines with different pool widths compute the same cache line.
 DetectorOptions CanonicalizeOptions(DetectorOptions options);
 
 /// Stable cache-key text for a detect request ("method=BSRBK k=5 ...").
@@ -113,8 +106,8 @@ struct TruthResponse {
 struct EngineStats {
   std::size_t detect_queries = 0;
   std::size_t truth_queries = 0;
-  /// Detect jobs executed inside another request's context-lock acquisition
-  /// (same-graph batching): every job after the first a leader drains.
+  /// Cold detects that found their graph's context held by another detect
+  /// and waited for it (their try_lock failed).
   std::size_t batched_queries = 0;
   /// BSRBK wave-schedule telemetry summed over executed (non-cached)
   /// detects: worlds materialized past the early stop, and parallel waves
@@ -139,12 +132,7 @@ class QueryEngine {
   ~QueryEngine();
 
   /// Runs (or serves from cache) a detection query against graph `name`.
-  /// `options.pool` is overridden: with the engine's pool by default, or —
-  /// when the request carries `options.threads > 0` — with a pool of that
-  /// many workers (constructed once per distinct count and kept for the
-  /// engine's lifetime; `threads=1` forces a serial run). Once the engine's
-  /// pool budget (kMaxExtraPools / kMaxExtraPoolThreads) is spent, further
-  /// counts run on the default pool — results are identical either way.
+  /// `options.pool` is overridden with the engine's pool.
   Result<DetectResponse> Detect(const std::string& name, DetectorOptions options);
 
   /// Runs (or serves from cache) a Monte-Carlo ground-truth query.
@@ -153,11 +141,6 @@ class QueryEngine {
 
   GraphCatalog& catalog() { return *catalog_; }
   EngineStats stats() const;
-
-  /// The engine's default sampling pool (may be nullptr). Exposed so a
-  /// session front can refuse to run blocking sessions on it (deadlock:
-  /// sessions wait on detect fan-out, fan-out waits for pool workers).
-  ThreadPool* sampling_pool() const { return pool_; }
 
   /// The registry every engine metric lives in (never nullptr: either the
   /// one injected via options or the engine-owned default).
@@ -180,53 +163,11 @@ class QueryEngine {
   void RefreshMetrics();
 
  private:
-  /// One queued cache-missing Detect: execution options (pool resolved),
-  /// result-cache key, and the promise its issuer blocks on. The bool is
-  /// from_cache: true when answered by the in-batch cache re-check.
-  struct DetectJob {
-    DetectorOptions options;
-    std::string key;
-    std::promise<std::pair<Result<DetectionResult>, bool>> promise;
-  };
-
-  /// Pending jobs for one snapshot uid plus whether a leader is draining.
-  struct GraphBatch {
-    std::deque<std::shared_ptr<DetectJob>> queue;
-    bool leader_active = false;
-  };
-
-  /// Fairness bound on one leadership: after this many drained jobs the
-  /// leader takes what is queued, closes the batch (the next arrival leads
-  /// a fresh one), finishes its obligations and returns to its session.
-  static constexpr std::size_t kMaxBatchJobs = 32;
-
-  /// Drains the batch for `entry` under one context-lock acquisition.
-  void RunDetectBatch(const std::shared_ptr<CatalogEntry>& entry);
-
   /// Re-publishes the entry's context byte charge to the governor after a
-  /// batch mutated the context. Must run under the entry's context_mu (it
+  /// detect mutated the context. Must run under the entry's context_mu (it
   /// excludes the context shedder); the detached double-check settles the
   /// race against a concurrent evict/replace/spill of the entry.
   void RechargeContext(const std::shared_ptr<CatalogEntry>& entry);
-
-  /// Executes one job (cache re-check, detection, cache fill) and always
-  /// resolves its promise, exceptions included.
-  void ExecuteDetectJob(const std::shared_ptr<CatalogEntry>& entry,
-                        DetectJob& job);
-  /// Caps on the pools built for non-default threads= requests: at most
-  /// kMaxExtraPools distinct counts AND at most kMaxExtraPoolThreads OS
-  /// threads summed across them (pools live for the engine's lifetime
-  /// because in-flight requests may hold them). Requests past either
-  /// budget — or hitting a pool-creation failure — fall back to the
-  /// default pool, so a client cycling threads= values cannot grow the
-  /// process's thread count without bound.
-  static constexpr std::size_t kMaxExtraPools = 8;
-  static constexpr std::size_t kMaxExtraPoolThreads = 128;
-
-  /// The pool serving requests that ask for `threads` workers (0 = the
-  /// engine default). Extra pools are created lazily, one per distinct
-  /// count up to kMaxExtraPools, and live for the engine's lifetime.
-  ThreadPool* PoolFor(std::size_t threads);
 
   /// Completes a finished detect/truth request: stamps response seconds,
   /// feeds the latency and per-stage histograms, and offers the query to
@@ -261,10 +202,6 @@ class QueryEngine {
   store::MemoryGovernor* governor_;
   bool bound_catalog_governor_ = false;
 
-  std::mutex pools_mu_;  // guards extra_pools_ and extra_pool_threads_
-  std::map<std::size_t, std::unique_ptr<ThreadPool>> extra_pools_;
-  std::size_t extra_pool_threads_ = 0;  // sum of extra_pools_ widths
-
   // Internally synchronized (one mutex each); no engine-wide cache lock
   // exists. Request counters and wave telemetry are registry-backed
   // lock-free counters — each individually exact, read as a moment-in-time
@@ -284,12 +221,6 @@ class QueryEngine {
   // Pre-resolved per-stage histograms for the pipeline's own stage names.
   static constexpr std::size_t kKnownStages = 7;
   std::pair<const char*, obs::Histogram*> stage_micros_[kKnownStages];
-
-  // Same-graph batching state, keyed by snapshot uid. Lock order: an
-  // entry's context_mu may be held while taking batch_mu_ or a result-cache
-  // mutex (the leader does both); never the reverse.
-  mutable std::mutex batch_mu_;
-  std::unordered_map<uint64_t, GraphBatch> batches_;
 };
 
 }  // namespace vulnds::serve

@@ -15,7 +15,19 @@ ServeLoopStats RunServeLoop(std::istream& in, std::ostream& out,
     server->sessions_started.fetch_add(1, std::memory_order_relaxed);
   }
   ServeSession session(&engine, updates, server);
-  DriveSession(session, in, out);
+  std::string line;
+  for (;;) {
+    const ReadLineResult read = ReadRequestLine(in, &line);
+    if (read == ReadLineResult::kEof) break;
+    bool keep_going = true;
+    if (read == ReadLineResult::kOversized) {
+      session.HandleOversizedLine(out);
+    } else {
+      keep_going = session.HandleLine(line, out);
+    }
+    out.flush();
+    if (!keep_going) break;
+  }
   if (server != nullptr) {
     server->sessions_finished.fetch_add(1, std::memory_order_relaxed);
   }

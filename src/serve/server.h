@@ -7,9 +7,10 @@
 // die because one client sent garbage. Streams rather than stdio so a
 // scripted session is a plain stringstream in tests.
 //
-// This is the single-session front: all parse/dispatch/respond logic lives
-// in ServeSession (session.h); concurrent multi-session serving lives in
-// ServeServer (serve_server.h). Both speak byte-identical protocol.
+// All parse/dispatch/respond logic lives in ServeSession (session.h). Many
+// loops may run concurrently on their own threads over one engine, sharing
+// one ServerStats; the socket front (net/net_server.h) runs one session per
+// connection the same way. Every front speaks byte-identical protocol.
 
 #ifndef VULNDS_SERVE_SERVER_H_
 #define VULNDS_SERVE_SERVER_H_
@@ -27,9 +28,9 @@ namespace vulnds::serve {
 /// handles the dynamic-update verbs (addedge/deledge/setprob/commit/
 /// versions); when nullptr those verbs answer with an error and everything
 /// else works as before. `server` (optional) receives the shared server
-/// counters — the CLI passes one so the single-session front's `stats` and
-/// `metrics` verbs export the same vulnds_server_* families a ServeServer
-/// does; session start/finish are counted here, mirroring ServeServer.
+/// counters — the CLI passes one so the stdin front's `stats` and `metrics`
+/// verbs export the same vulnds_server_* families the socket front does;
+/// session start/finish are counted here.
 ServeLoopStats RunServeLoop(std::istream& in, std::ostream& out,
                             QueryEngine& engine,
                             UpdateBackend* updates = nullptr,

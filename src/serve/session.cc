@@ -55,22 +55,6 @@ ReadLineResult ReadRequestLine(std::istream& in, std::string* line,
   }
 }
 
-void DriveSession(ServeSession& session, std::istream& in, std::ostream& out) {
-  std::string line;
-  for (;;) {
-    const ReadLineResult read = ReadRequestLine(in, &line);
-    if (read == ReadLineResult::kEof) break;
-    bool keep_going = true;
-    if (read == ReadLineResult::kOversized) {
-      session.HandleOversizedLine(out);
-    } else {
-      keep_going = session.HandleLine(line, out);
-    }
-    out.flush();
-    if (!keep_going) break;
-  }
-}
-
 ServeSession::ServeSession(QueryEngine* engine, UpdateBackend* updates,
                            ServerStats* server)
     : engine_(engine), updates_(updates), server_(server) {}
@@ -355,8 +339,8 @@ void ServeSession::HandleStats(const ServeRequest& r, std::ostream& out) {
     // Warm DetectionContext intermediates grow with query traffic and are
     // deliberately NOT charged to the catalog byte budget; reported
     // separately so catalog_bytes= does not understate hot-graph residency.
-    // try_lock, never block: a batch leader holds an entry's context_mu for
-    // a whole drain of sampling runs, and a monitoring probe must not stall
+    // try_lock, never block: a cold detect holds an entry's context_mu for
+    // its whole sampling run, and a monitoring probe must not stall
     // behind minutes of query work — an entry busy right now is skipped and
     // counted, so the figure is a moment-in-time lower bound (like every
     // other aggregate this verb prints).
@@ -406,10 +390,16 @@ void ServeSession::HandleStats(const ServeRequest& r, std::ostream& out) {
   out << "max_degree=" << s.max_degree << "\n";
   out << "source=" << entry->source << "\n";
   {
-    std::lock_guard<std::mutex> lock(entry->context_mu);
-    out << "context_reuse_hits=" << entry->context.reuse_hits << "\n";
-    out << "context_reuse_misses=" << entry->context.reuse_misses << "\n";
-    out << "context_bytes=" << entry->context.ApproxBytes() << "\n";
+    // try_lock like the engine-level figures: a monitoring probe never
+    // waits out a cold detect on this graph.
+    std::unique_lock<std::mutex> lock(entry->context_mu, std::try_to_lock);
+    if (lock.owns_lock()) {
+      out << "context_reuse_hits=" << entry->context.reuse_hits << "\n";
+      out << "context_reuse_misses=" << entry->context.reuse_misses << "\n";
+      out << "context_bytes=" << entry->context.ApproxBytes() << "\n";
+    } else {
+      out << "context_busy=1\n";
+    }
   }
   out << ".\n";
 }

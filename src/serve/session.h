@@ -5,8 +5,9 @@
 // QueryEngine / UpdateBackend; it never owns a stream. Callers feed it one
 // request line at a time (HandleLine) and hand it an ostream to write the
 // response to, so the same object serves a blocking stdin loop
-// (RunServeLoop in server.h), a multiplexed ServeServer session
-// (serve_server.h), or a benchmark that times each request individually.
+// (RunServeLoop in server.h), one socket connection (net/net_server.h), or
+// a benchmark that times each request individually. Concurrent serving is
+// many sessions on their own threads over one engine, sharing a ServerStats.
 //
 // Counter consistency story (the serve stack's single source of truth):
 //   * ServeLoopStats is per-session and plain — exactly one session thread
@@ -44,7 +45,7 @@ struct ServeLoopStats {
   std::size_t updates = 0;   ///< accepted update verbs (incl. commits)
 };
 
-/// Server-level counters shared by every session of one ServeServer.
+/// Server-level counters shared by every session of one front end.
 /// Relaxed atomics: see the consistency story above.
 struct ServerStats {
   std::atomic<std::size_t> sessions_started{0};
@@ -52,15 +53,6 @@ struct ServerStats {
   std::atomic<std::size_t> requests{0};
   std::atomic<std::size_t> errors{0};
   std::atomic<std::size_t> updates{0};
-};
-
-/// A plain copy of ServerStats for reporting.
-struct ServerStatsSnapshot {
-  std::size_t sessions_started = 0;
-  std::size_t sessions_finished = 0;
-  std::size_t requests = 0;
-  std::size_t errors = 0;
-  std::size_t updates = 0;
 };
 
 /// Hard cap on one protocol line: a hostile client streaming bytes without a
@@ -84,7 +76,7 @@ ReadLineResult ReadRequestLine(std::istream& in, std::string* line,
 
 /// One serve session over a shared engine. Not thread-safe: a session
 /// belongs to exactly one client/thread; concurrency comes from running
-/// many sessions (ServeServer), never from sharing one.
+/// many sessions, never from sharing one.
 class ServeSession {
  public:
   /// `updates` may be nullptr (update verbs answer errors); `server` may be
@@ -105,7 +97,7 @@ class ServeSession {
   /// trigger (NetServer::BeginDrain for sockets; a no-op for the stdin
   /// front, where ending the one session IS the drain). The session answers
   /// "ok draining", invokes the hook, and ends like `quit`. Without a hook
-  /// the verb still drains whatever front called DriveSession, because the
+  /// the verb still drains whatever front drives the session, because the
   /// session ends.
   void set_drain_hook(std::function<void()> hook) {
     drain_hook_ = std::move(hook);
@@ -154,11 +146,6 @@ class ServeSession {
   static constexpr std::size_t kVerbSlots = 16;
   obs::Histogram* verb_micros_[kVerbSlots] = {};
 };
-
-/// Feeds `session` from `in` (through the capped reader) until `quit` or
-/// EOF, flushing `out` after every response. The one protocol read loop;
-/// RunServeLoop and ServeServer::ServeStream are both thin fronts over it.
-void DriveSession(ServeSession& session, std::istream& in, std::ostream& out);
 
 }  // namespace vulnds::serve
 

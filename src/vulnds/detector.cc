@@ -71,10 +71,6 @@ Status ValidateDetectorOptions(const UncertainGraph& graph,
   if (o.bk < 3) {
     return Status::InvalidArgument("bk must be >= 3");
   }
-  if (o.threads > kMaxDetectThreads) {
-    return Status::InvalidArgument("threads must be <= " +
-                                   std::to_string(kMaxDetectThreads));
-  }
   return Status::OK();
 }
 

@@ -61,15 +61,12 @@ struct DetectorOptions {
   int bound_order = 2;               ///< z of Algorithms 2 and 3
   int bk = 16;                       ///< bottom-k parameter of BSRBK
   uint64_t seed = 42;                ///< RNG seed (worlds and hashes)
-  ThreadPool* pool = nullptr;        ///< optional sampling parallelism
-  /// Requested sampling parallelism for transports that construct the pool
-  /// on the caller's behalf (serve protocol / CLI `threads=`): 0 means "the
-  /// session default". DetectTopK itself only consumes `pool`; results are
-  /// bit-identical for every thread count, so neither field is part of a
-  /// query's identity (CanonicalizeOptions clears both).
-  std::size_t threads = 0;
+  /// Optional sampling parallelism. Results are bit-identical for every
+  /// pool width, so the pool is never part of a query's identity
+  /// (CanonicalizeOptions clears it).
+  ThreadPool* pool = nullptr;
   /// Kernel tier request (serve protocol / CLI `simd=auto|avx2|scalar`).
-  /// Execution-only like `threads`: every tier computes
+  /// Execution-only like `pool`: every tier computes
   /// bit-identical results (simd/coin_kernels.h contract), kAuto defers to
   /// the process default (VULNDS_SIMD env, else CPUID), and an unavailable
   /// tier degrades to scalar. CanonicalizeOptions clears it out of the
@@ -155,18 +152,16 @@ struct DetectionContext {
   std::size_t ApproxBytes() const;
 };
 
-/// The hard cap on DetectorOptions::threads: a transport-facing sanity bound
-/// so a hostile `threads=` request cannot make the serving process spawn an
-/// unbounded number of OS threads. Kept at or below the serve engine's
-/// per-engine pool budget so every value that validates can actually be
-/// honored by a fresh engine.
+/// The hard cap on the `threads=N` pool width the CLI accepts (one-shot
+/// `detect` and the `serve` engine pool): a sanity bound so a mistyped
+/// argument cannot make the process spawn an unbounded number of OS threads.
 inline constexpr std::size_t kMaxDetectThreads = 64;
 
 /// Validates `options` against `graph` without running anything: k in
 /// [1, n], eps/delta finite and in (0, 1) — NaN is rejected, not merely not
 /// accepted — naive_samples in [1, kMaxBasicSamples] for method N,
 /// Equation 3's sample size <= kMaxBasicSamples for every other method,
-/// bound_order >= 1, bk >= 3, threads <= kMaxDetectThreads.
+/// bound_order >= 1, bk >= 3.
 /// DetectTopK performs the same check; callers that cache results by
 /// options should validate before consulting their cache so invalid
 /// requests fail identically warm or cold.

@@ -11,22 +11,6 @@
 namespace vulnds {
 namespace {
 
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitOnIdlePoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not deadlock
-  SUCCEED();
-}
-
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
   ThreadPool pool(8);
   const std::size_t n = 10000;

@@ -91,7 +91,7 @@ std::string StdinBaseline(const std::string& script) {
 }
 
 // Load, cold detect, cached detect, stage + commit, detect the new version —
-// the same per-graph script ServeServerTest uses, now over a socket.
+// the same per-graph script ConcurrentSessionsTest uses, now over a socket.
 std::string SessionScript(const std::string& name, const std::string& path) {
   return "load " + name + " " + path + "\n" +
          "detect " + name + " 3 BSRBK seed=7\n" +

@@ -1,12 +1,11 @@
-// ServeServer: many concurrent sessions over one shared engine must behave
-// like the same sessions run alone — byte-identical responses. The one
+// Concurrent sessions: many RunServeLoop sessions on their own threads over
+// one shared engine must behave like the same sessions run alone —
+// byte-identical responses. The one
 // nondeterministic byte in the protocol, the wall-clock time= token, is
 // pinned by injecting a constant clock into the engine and the update
 // manager, so transcripts compare EXACTLY — no token stripping. These tests
 // run under the TSan CI job like the rest of the suite, so interleavings
 // are also race-checked.
-
-#include "serve/serve_server.h"
 
 #include <gtest/gtest.h>
 
@@ -16,10 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "dyn/update_manager.h"
 #include "graph/graph_io.h"
-#include "serve/protocol.h"
 #include "serve/server.h"
 #include "testing/test_graphs.h"
 
@@ -52,6 +49,20 @@ QueryEngineOptions FixedClockOptions() {
   return options;
 }
 
+// Runs one RunServeLoop per stream pair, each on its own thread, over one
+// engine and one ServerStats; returns when every session has ended.
+void RunConcurrently(QueryEngine& engine, UpdateBackend* updates,
+                     ServerStats* stats, std::vector<std::istringstream>& ins,
+                     std::vector<std::ostringstream>& outs) {
+  std::vector<std::thread> sessions;
+  for (std::size_t i = 0; i < ins.size(); ++i) {
+    sessions.emplace_back([&, i] {
+      RunServeLoop(ins[i], outs[i], engine, updates, stats);
+    });
+  }
+  for (std::thread& session : sessions) session.join();
+}
+
 // One disjoint-graph session script: load, cold detect, cached detect,
 // stage + commit, detect the new version.
 std::string SessionScript(const std::string& name, const std::string& path) {
@@ -64,7 +75,7 @@ std::string SessionScript(const std::string& name, const std::string& path) {
          "quit\n";
 }
 
-TEST(ServeServerTest, ConcurrentDisjointSessionsMatchSerialTranscripts) {
+TEST(ConcurrentSessionsTest, ConcurrentDisjointSessionsMatchSerialTranscripts) {
   constexpr int kSessions = 4;
   std::vector<std::string> paths, scripts, baselines;
   for (int i = 0; i < kSessions; ++i) {
@@ -85,37 +96,37 @@ TEST(ServeServerTest, ConcurrentDisjointSessionsMatchSerialTranscripts) {
   GraphCatalog catalog;
   QueryEngine engine(&catalog, FixedClockOptions());
   dyn::UpdateManager updates(&catalog, ZeroClock());
-  ServeServer server(&engine, &updates);
+  ServerStats stats;
   std::vector<std::istringstream> ins;
   std::vector<std::ostringstream> outs(kSessions);
   for (int i = 0; i < kSessions; ++i) ins.emplace_back(scripts[i]);
-  for (int i = 0; i < kSessions; ++i) server.Submit(&ins[i], &outs[i]);
-  server.Join();
+  RunConcurrently(engine, &updates, &stats, ins, outs);
 
   for (int i = 0; i < kSessions; ++i) {
     EXPECT_EQ(outs[i].str(), baselines[i])
         << "session " << i << " diverged from its single-session transcript";
   }
-  const ServerStatsSnapshot stats = server.stats();
-  EXPECT_EQ(stats.sessions_started, static_cast<std::size_t>(kSessions));
-  EXPECT_EQ(stats.sessions_finished, static_cast<std::size_t>(kSessions));
+  EXPECT_EQ(stats.sessions_started.load(),
+            static_cast<std::size_t>(kSessions));
+  EXPECT_EQ(stats.sessions_finished.load(),
+            static_cast<std::size_t>(kSessions));
   // 7 non-blank lines per script.
-  EXPECT_EQ(stats.requests, static_cast<std::size_t>(7 * kSessions));
-  EXPECT_EQ(stats.errors, 0u);
-  EXPECT_EQ(stats.updates, static_cast<std::size_t>(2 * kSessions));
+  EXPECT_EQ(stats.requests.load(), static_cast<std::size_t>(7 * kSessions));
+  EXPECT_EQ(stats.errors.load(), 0u);
+  EXPECT_EQ(stats.updates.load(), static_cast<std::size_t>(2 * kSessions));
 }
 
-TEST(ServeServerTest, SameGraphConcurrentCachedQueriesAreBitIdentical) {
+TEST(ConcurrentSessionsTest, SameGraphConcurrentCachedQueriesAreBitIdentical) {
   GraphCatalog catalog;
   QueryEngine engine(&catalog, FixedClockOptions());
   ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(24, 0.2, 11)).ok());
-  ServeServer server(&engine);
+  ServerStats stats;
 
   // Baseline: one session answers the query once (cold), then cached.
   const std::string query = "detect g 3 BSRBK seed=5\n";
   std::istringstream warm_in(query + "quit\n");
   std::ostringstream warm_out;
-  server.ServeStream(warm_in, warm_out);
+  RunServeLoop(warm_in, warm_out, engine, nullptr, &stats);
   std::vector<std::string> baseline = Lines(warm_out.str());
   baseline.pop_back();  // "ok bye"
   // After warm-up every response must be the cached block.
@@ -129,8 +140,7 @@ TEST(ServeServerTest, SameGraphConcurrentCachedQueriesAreBitIdentical) {
   std::vector<std::istringstream> ins;
   std::vector<std::ostringstream> outs(kSessions);
   for (int i = 0; i < kSessions; ++i) ins.emplace_back(script);
-  for (int i = 0; i < kSessions; ++i) server.Submit(&ins[i], &outs[i]);
-  server.Join();
+  RunConcurrently(engine, nullptr, &stats, ins, outs);
 
   // The cached block, with cached=1 in the header.
   std::vector<std::string> cached_block = baseline;
@@ -146,7 +156,7 @@ TEST(ServeServerTest, SameGraphConcurrentCachedQueriesAreBitIdentical) {
   }
 }
 
-TEST(ServeServerTest, InterleavedUpdatesOnSharedGraphApplyExactlyOnce) {
+TEST(ConcurrentSessionsTest, InterleavedUpdatesOnSharedGraphApplyExactlyOnce) {
   // Two sessions stage one edge each on the SAME graph and both commit.
   // The staging area is shared, so which commit carries which ops is a
   // race — but every op lands exactly once: the ops summed over versions
@@ -155,18 +165,17 @@ TEST(ServeServerTest, InterleavedUpdatesOnSharedGraphApplyExactlyOnce) {
   QueryEngine engine(&catalog);
   dyn::UpdateManager updates(&catalog);
   ASSERT_TRUE(catalog.Put("g", testing::PaperExampleGraph(0.2)).ok());
-  ServeServer server(&engine, &updates);
+  ServerStats stats;
 
-  std::istringstream in_a("addedge g 4 0 0.5\ncommit g\nquit\n");
-  std::istringstream in_b("addedge g 4 1 0.5\ncommit g\nquit\n");
-  std::ostringstream out_a, out_b;
-  server.Submit(&in_a, &out_a);
-  server.Submit(&in_b, &out_b);
-  server.Join();
+  std::vector<std::istringstream> ins;
+  ins.emplace_back("addedge g 4 0 0.5\ncommit g\nquit\n");
+  ins.emplace_back("addedge g 4 1 0.5\ncommit g\nquit\n");
+  std::vector<std::ostringstream> outs(2);
+  RunConcurrently(engine, &updates, &stats, ins, outs);
 
   std::istringstream check_in("versions g\nquit\n");
   std::ostringstream check_out;
-  server.ServeStream(check_in, check_out);
+  RunServeLoop(check_in, check_out, engine, &updates, &stats);
   std::size_t total_ops = 0;
   std::istringstream lines(check_out.str());
   std::string line;
@@ -176,23 +185,22 @@ TEST(ServeServerTest, InterleavedUpdatesOnSharedGraphApplyExactlyOnce) {
     total_ops += std::stoul(line.substr(pos + 5));
   }
   EXPECT_EQ(total_ops, 2u) << check_out.str();
-  const ServerStatsSnapshot stats = server.stats();
-  EXPECT_EQ(stats.sessions_finished, 3u);
+  EXPECT_EQ(stats.sessions_finished.load(), 3u);
   // Both addedges always succeed; a commit can race to an empty staging
   // area and answer err, so updates is 3 or 4 and errors the complement.
-  EXPECT_GE(stats.updates, 3u);
-  EXPECT_LE(stats.updates, 4u);
-  EXPECT_EQ(stats.errors, 4u - stats.updates);
+  EXPECT_GE(stats.updates.load(), 3u);
+  EXPECT_LE(stats.updates.load(), 4u);
+  EXPECT_EQ(stats.errors.load(), 4u - stats.updates.load());
 }
 
-TEST(ServeServerTest, StatsVerbReportsServerAndShardDetail) {
+TEST(ConcurrentSessionsTest, StatsVerbReportsServerAndShardDetail) {
   GraphCatalog catalog;
   QueryEngine engine(&catalog);
   ASSERT_TRUE(catalog.Put("g", testing::ChainGraph(0.3, 0.6)).ok());
-  ServeServer server(&engine);
+  ServerStats stats;
   std::istringstream in("detect g 2\nstats\nquit\n");
   std::ostringstream out;
-  server.ServeStream(in, out);
+  RunServeLoop(in, out, engine, nullptr, &stats);
   const std::string text = out.str();
   EXPECT_NE(text.find("batched_queries=0"), std::string::npos) << text;
   EXPECT_NE(text.find("catalog_bytes="), std::string::npos);
@@ -209,14 +217,14 @@ TEST(ServeServerTest, StatsVerbReportsServerAndShardDetail) {
             std::string::npos);
 }
 
-TEST(ServeServerTest, MetricsVerbRendersPrometheusExposition) {
+TEST(ConcurrentSessionsTest, MetricsVerbRendersPrometheusExposition) {
   GraphCatalog catalog;
   QueryEngine engine(&catalog, FixedClockOptions());
   ASSERT_TRUE(catalog.Put("g", testing::ChainGraph(0.3, 0.6)).ok());
-  ServeServer server(&engine);
+  ServerStats stats;
   std::istringstream in("detect g 2\nmetrics\nquit\n");
   std::ostringstream out;
-  server.ServeStream(in, out);
+  RunServeLoop(in, out, engine, nullptr, &stats);
   const std::string text = out.str();
   EXPECT_NE(text.find("ok metrics\n"), std::string::npos) << text;
   // Engine, cache, catalog and server families all flow through the one
@@ -237,36 +245,9 @@ TEST(ServeServerTest, MetricsVerbRendersPrometheusExposition) {
   EXPECT_NE(text.find("\n.\n"), std::string::npos);
 }
 
-TEST(ServeServerTest, SessionPoolFallsBackWhenItIsTheSamplingPool) {
-  // Running blocking sessions on the engine's sampling pool would deadlock
-  // (sessions wait for detect fan-out; fan-out waits for pool workers that
-  // are all sessions). The server must detect the aliasing and use
-  // dedicated threads; this test deadlocks (and times out) if it does not.
-  ThreadPool pool(2);
-  GraphCatalog catalog;
-  QueryEngineOptions options;
-  options.pool = &pool;
-  QueryEngine engine(&catalog, options);
-  ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(24, 0.2, 3)).ok());
-  ServeServer server(&engine, nullptr, &pool);
-  constexpr int kSessions = 4;  // more sessions than pool workers
-  std::vector<std::istringstream> ins;
-  std::vector<std::ostringstream> outs(kSessions);
-  for (int i = 0; i < kSessions; ++i) {
-    ins.emplace_back("detect g 3 BSRBK seed=9\nquit\n");
-  }
-  for (int i = 0; i < kSessions; ++i) server.Submit(&ins[i], &outs[i]);
-  server.Join();
-  EXPECT_EQ(server.stats().sessions_finished,
-            static_cast<std::size_t>(kSessions));
-  for (int i = 0; i < kSessions; ++i) {
-    EXPECT_NE(outs[i].str().find("ok detect g "), std::string::npos);
-  }
-}
-
-TEST(ServeServerTest, ConcurrentColdSameGraphQueriesBatchCorrectly) {
+TEST(ConcurrentSessionsTest, ConcurrentColdSameGraphQueriesBatchCorrectly) {
   // Distinct seeds on one graph issued concurrently: whichever requests
-  // overlap share a context-lock acquisition (batched_queries counts them,
+  // overlap wait on the graph's context lock (batched_queries counts them,
   // timing-dependent), and every response must match its single-session
   // counterpart computed on a fresh engine.
   constexpr int kSessions = 4;
@@ -288,12 +269,11 @@ TEST(ServeServerTest, ConcurrentColdSameGraphQueriesBatchCorrectly) {
   GraphCatalog catalog;
   QueryEngine engine(&catalog, FixedClockOptions());
   ASSERT_TRUE(catalog.Load("shared", path).ok());
-  ServeServer server(&engine);
+  ServerStats stats;
   std::vector<std::istringstream> ins;
   std::vector<std::ostringstream> outs(kSessions);
   for (int i = 0; i < kSessions; ++i) ins.emplace_back(scripts[i]);
-  for (int i = 0; i < kSessions; ++i) server.Submit(&ins[i], &outs[i]);
-  server.Join();
+  RunConcurrently(engine, nullptr, &stats, ins, outs);
   for (int i = 0; i < kSessions; ++i) {
     EXPECT_EQ(outs[i].str(), baselines[i]) << "session " << i;
   }

@@ -178,12 +178,18 @@ TEST(ProtocolTest, DetectRejectsNonFiniteNumbers) {
 }
 
 TEST(ProtocolTest, DetectThreadsFlag) {
-  Result<ServeRequest> r = ParseServeRequest("detect g 2 bsrbk threads=4");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->options.threads, 4u);
-  EXPECT_EQ(ParseServeRequest("detect g 2")->options.threads, 0u);
-  EXPECT_FALSE(ParseServeRequest("detect g 2 threads=four").ok());
-  EXPECT_FALSE(ParseServeRequest("detect g 2 threads=-1").ok());
+  // threads= is not a detect flag: a served detect runs on the engine's one
+  // pool, sized by `serve threads=N`.
+  for (const char* line :
+       {"detect g 2 bsrbk threads=4", "detect g 2 THREADS=1",
+        "detect g 2 threads=four", "detect g 2 threads=-1"}) {
+    const Result<ServeRequest> r = ParseServeRequest(line);
+    ASSERT_FALSE(r.ok()) << line;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(r.status().message().find("unknown detect flag 'threads'"),
+              std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 TEST(ProtocolTest, UnknownVerbRejected) {
@@ -276,8 +282,7 @@ std::string Describe(const Result<ServeRequest>& r) {
          FormatRoundTrip(o.delta) + " naive=" +
          std::to_string(o.naive_samples) + " order=" +
          std::to_string(o.bound_order) + " bk=" + std::to_string(o.bk) +
-         " seed=" + std::to_string(o.seed) + " threads=" +
-         std::to_string(o.threads) +
+         " seed=" + std::to_string(o.seed) +
          " simd=" + std::to_string(static_cast<int>(o.simd_mode));
 }
 

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds::serve {
@@ -17,6 +21,20 @@ void ExpectSameResult(const DetectionResult& a, const DetectionResult& b) {
     EXPECT_EQ(a.scores[i], b.scores[i]);  // bit-exact
   }
 }
+
+// An engine over its own catalog holding `graph` as "g", sampling on
+// `pool`; the result cache is off unless `cache` is set.
+struct PooledEngine {
+  PooledEngine(const UncertainGraph& graph, ThreadPool* pool, bool cache) {
+    EXPECT_TRUE(catalog.Put("g", graph).ok());
+    QueryEngineOptions options;
+    options.pool = pool;
+    if (!cache) options.result_cache_capacity = 0;
+    engine = std::make_unique<QueryEngine>(&catalog, options);
+  }
+  GraphCatalog catalog;
+  std::unique_ptr<QueryEngine> engine;
+};
 
 TEST(CanonicalizeOptionsTest, IrrelevantFieldsNormalized) {
   DetectorOptions a;
@@ -100,60 +118,55 @@ TEST(QueryEngineTest, IrrelevantKnobsShareACacheLine) {
 }
 
 TEST(QueryEngineTest, ThreadsKnobIsExecutionOnly) {
-  // threads= selects a pool, never an answer: a request pinned to any
-  // thread count returns the bit-identical result and shares the cache line
-  // of its serial twin (parallel BSRBK is deterministic by construction).
-  GraphCatalog catalog;
-  ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(30, 0.15, 5)).ok());
-  QueryEngine engine(&catalog);
+  // The engine's pool width selects an execution, never an answer: an
+  // engine of every width from 1 to 8 returns the bit-identical result, and
+  // a request carrying some other pool shares the cache line its engine's
+  // pool computed (parallel BSRBK is deterministic by construction).
+  const UncertainGraph graph = testing::RandomSmallGraph(30, 0.15, 5);
   DetectorOptions options;
   options.method = Method::kBsrbk;
   options.k = 3;
-  options.threads = 3;
-  Result<DetectResponse> parallel = engine.Detect("g", options);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_FALSE(parallel->from_cache);
-  options.threads = 1;
-  Result<DetectResponse> serial = engine.Detect("g", options);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_TRUE(serial->from_cache) << "thread count must not fragment the cache";
-  ExpectSameResult(parallel->result, serial->result);
-
-  // And with the cache off, a genuinely serial re-run still matches.
-  QueryEngineOptions no_cache;
-  no_cache.result_cache_capacity = 0;
-  QueryEngine cold_engine(&catalog, no_cache);
-  options.threads = 4;
-  Result<DetectResponse> four = cold_engine.Detect("g", options);
-  options.threads = 1;
-  Result<DetectResponse> one = cold_engine.Detect("g", options);
-  ASSERT_TRUE(four.ok() && one.ok());
-  EXPECT_FALSE(four->from_cache);
-  EXPECT_FALSE(one->from_cache);
-  ExpectSameResult(four->result, one->result);
+  ThreadPool serial_pool(1);
+  PooledEngine serial(graph, &serial_pool, /*cache=*/false);
+  Result<DetectResponse> reference = serial.engine->Detect("g", options);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_FALSE(reference->from_cache);
+  ThreadPool other_pool(2);
+  for (std::size_t threads = 1; threads <= 8; ++threads) {
+    ThreadPool pool(threads);
+    PooledEngine pooled(graph, &pool, /*cache=*/true);
+    options.pool = nullptr;
+    Result<DetectResponse> cold = pooled.engine->Detect("g", options);
+    ASSERT_TRUE(cold.ok()) << "threads=" << threads;
+    EXPECT_FALSE(cold->from_cache);
+    ExpectSameResult(reference->result, cold->result);
+    options.pool = &other_pool;
+    Result<DetectResponse> again = pooled.engine->Detect("g", options);
+    ASSERT_TRUE(again.ok()) << "threads=" << threads;
+    EXPECT_TRUE(again->from_cache) << "the pool must not fragment the cache";
+    ExpectSameResult(reference->result, again->result);
+  }
 }
 
 TEST(QueryEngineTest, WaveScheduleIsExecutionOnly) {
   // The BSRBK wave schedule follows the pool width, never the answer: with
-  // the cache off, every thread count from 1 to 8 returns the serial
+  // the cache off, an engine of every width from 1 to 8 returns the serial
   // result bit for bit, and only the parallel runs issue waves.
-  GraphCatalog catalog;
-  ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(30, 0.15, 5)).ok());
-  QueryEngineOptions no_cache;
-  no_cache.result_cache_capacity = 0;
-  QueryEngine engine(&catalog, no_cache);
+  const UncertainGraph graph = testing::RandomSmallGraph(30, 0.15, 5);
   DetectorOptions options;
   options.method = Method::kBsrbk;
   options.k = 3;
-  options.threads = 1;
-  Result<DetectResponse> serial = engine.Detect("g", options);
+  ThreadPool serial_pool(1);
+  PooledEngine serial_engine(graph, &serial_pool, /*cache=*/false);
+  Result<DetectResponse> serial = serial_engine.engine->Detect("g", options);
   ASSERT_TRUE(serial.ok());
   ASSERT_GT(serial->result.samples_processed, 0u)
       << "workload drifted: verification answered without sampling";
   EXPECT_EQ(serial->result.waves_issued, 0u);
   for (std::size_t threads = 2; threads <= 8; ++threads) {
-    options.threads = threads;
-    Result<DetectResponse> parallel = engine.Detect("g", options);
+    ThreadPool pool(threads);
+    PooledEngine pooled(graph, &pool, /*cache=*/false);
+    Result<DetectResponse> parallel = pooled.engine->Detect("g", options);
     ASSERT_TRUE(parallel.ok());
     EXPECT_FALSE(parallel->from_cache);
     EXPECT_GT(parallel->result.waves_issued, 0u) << "threads=" << threads;
@@ -164,13 +177,13 @@ TEST(QueryEngineTest, WaveScheduleIsExecutionOnly) {
 TEST(QueryEngineTest, WaveTelemetryCountsExecutedRunsOnly) {
   // worlds_wasted / waves_issued aggregate over executed detects; a cached
   // replay must not re-book the original run's schedule telemetry.
-  GraphCatalog catalog;
-  ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(40, 0.2, 7)).ok());
-  QueryEngine engine(&catalog);
+  ThreadPool pool(4);  // wave machinery engaged -> waves_issued > 0
+  PooledEngine pooled(testing::RandomSmallGraph(40, 0.2, 7), &pool,
+                      /*cache=*/true);
+  QueryEngine& engine = *pooled.engine;
   DetectorOptions options;
   options.method = Method::kBsrbk;
   options.k = 2;
-  options.threads = 4;  // wave machinery engaged -> waves_issued > 0
   Result<DetectResponse> cold = engine.Detect("g", options);
   ASSERT_TRUE(cold.ok());
   ASSERT_GT(cold->result.samples_processed, 0u)
@@ -185,38 +198,6 @@ TEST(QueryEngineTest, WaveTelemetryCountsExecutedRunsOnly) {
   const EngineStats after_cached = engine.stats();
   EXPECT_EQ(after_cached.waves_issued, after_cold.waves_issued);
   EXPECT_EQ(after_cached.worlds_wasted, after_cold.worlds_wasted);
-}
-
-TEST(QueryEngineTest, ManyDistinctThreadCountsStayBoundedAndCorrect) {
-  // Cycling threads= must not accumulate unbounded pools: past the
-  // engine's cap the request falls back to the default pool, which is
-  // invisible in the results (thread count never changes an answer).
-  GraphCatalog catalog;
-  ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(20, 0.2, 5)).ok());
-  QueryEngineOptions no_cache;
-  no_cache.result_cache_capacity = 0;
-  QueryEngine engine(&catalog, no_cache);
-  DetectorOptions options;
-  options.k = 2;
-  Result<DetectResponse> reference = engine.Detect("g", options);
-  ASSERT_TRUE(reference.ok());
-  for (std::size_t threads = 2; threads <= 14; ++threads) {
-    options.threads = threads;
-    Result<DetectResponse> r = engine.Detect("g", options);
-    ASSERT_TRUE(r.ok()) << "threads=" << threads;
-    ExpectSameResult(reference->result, r->result);
-  }
-}
-
-TEST(QueryEngineTest, OverlargeThreadsRequestIsRejected) {
-  GraphCatalog catalog;
-  ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(10, 0.2, 5)).ok());
-  QueryEngine engine(&catalog);
-  DetectorOptions options;
-  options.k = 2;
-  options.threads = kMaxDetectThreads + 1;
-  EXPECT_EQ(engine.Detect("g", options).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(QueryEngineTest, CacheIsPerGraph) {
@@ -341,9 +322,10 @@ TEST(QueryEngineTest, InvalidOptionsPropagateStatus) {
 
 TEST(QueryEngineTest, ConcurrentIdenticalDetectsComputeOnce) {
   // Whatever the interleaving, an identical concurrent query either hits
-  // the result cache outright, or joins the leader's batch and is answered
-  // by the in-batch cache re-check — in every case the detection runs (and
-  // the cache is filled) exactly once, and all callers see identical bytes.
+  // the result cache outright, or waits on the graph's context lock and is
+  // answered by the cache re-check under it — in every case the detection
+  // runs (and the cache is filled) exactly once, and all callers see
+  // identical bytes.
   GraphCatalog catalog;
   ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(24, 0.2, 17)).ok());
   QueryEngine engine(&catalog);
@@ -376,9 +358,9 @@ TEST(QueryEngineTest, ConcurrentIdenticalDetectsComputeOnce) {
 }
 
 TEST(QueryEngineTest, BatchedDistinctQueriesMatchSerialResults) {
-  // Distinct seeds force distinct cache keys; concurrent issuance may
-  // batch them under one context-lock acquisition, and each result must
-  // equal the one a serial engine computes.
+  // Distinct seeds force distinct cache keys; concurrent issuance queues
+  // them on the graph's context lock, and each result must equal the one a
+  // serial engine computes.
   GraphCatalog catalog;
   ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(24, 0.2, 17)).ok());
   QueryEngine engine(&catalog);
@@ -413,6 +395,46 @@ TEST(QueryEngineTest, BatchedDistinctQueriesMatchSerialResults) {
     EXPECT_EQ(serial->result.topk, responses[i]->result.topk);
     EXPECT_EQ(serial->result.scores, responses[i]->result.scores);
   }
+}
+
+TEST(QueryEngineTest, ColdDetectsWaitingOnTheContextLockAreCounted) {
+  // Two identical cold detects find the graph's context held (as a running
+  // detect holds it). Each is counted in batched_queries before it blocks;
+  // once the lock is free, one computes and the other is answered by the
+  // cache re-check under the lock.
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(24, 0.2, 17)).ok());
+  QueryEngine engine(&catalog);
+  DetectorOptions options;
+  options.k = 4;
+  options.seed = 23;
+  const auto entry = catalog.Get("g");
+  ASSERT_NE(entry, nullptr);
+  std::unique_lock<std::mutex> hold(entry->context_mu);
+  std::vector<Result<DetectResponse>> responses;
+  for (int i = 0; i < 2; ++i) responses.push_back(Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back(
+        [&, i] { responses[i] = engine.Detect("g", options); });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.stats().batched_queries < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::size_t waiting = engine.stats().batched_queries;
+  hold.unlock();
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(waiting, 2u) << "both detects must count before blocking";
+  ASSERT_TRUE(responses[0].ok());
+  ASSERT_TRUE(responses[1].ok());
+  ExpectSameResult(responses[0]->result, responses[1]->result);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.detect_queries, 2u);
+  EXPECT_EQ(stats.result_cache.inserts, 1u)
+      << "the detection must have run exactly once";
 }
 
 }  // namespace

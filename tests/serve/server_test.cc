@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <fstream>
+#include <future>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -485,6 +489,55 @@ TEST(ServeLoopTest, TruthRejectsKOutsideOneToNLikeDetect) {
   // k = n is still a full answer: the header and all n rows.
   EXPECT_EQ(lines[5].rfind("ok truth g k=20 samples=100 ", 0), 0u) << lines[5];
   EXPECT_EQ(lines.size(), 5u + 1u + 20u + 1u + 1u) << output;
+}
+
+TEST(ServeLoopTest, GraphStatsAnswerWhileAColdDetectHoldsTheContext) {
+  // A monitoring probe never waits out a cold detect: with the graph's
+  // context lock held (as a running detect holds it), `stats g` answers at
+  // once and reports the context as busy instead of its three figures.
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(30, 0.15, 5)).ok());
+  QueryEngine engine(&catalog);
+  const auto entry = catalog.Get("g");
+  ASSERT_NE(entry, nullptr);
+  std::unique_lock<std::mutex> hold(entry->context_mu);
+  std::promise<std::string> answer;
+  std::future<std::string> answered = answer.get_future();
+  std::thread session([&] {
+    std::istringstream in("stats g\nquit\n");
+    std::ostringstream out;
+    RunServeLoop(in, out, engine);
+    answer.set_value(out.str());
+  });
+  const bool in_time = answered.wait_for(std::chrono::seconds(5)) ==
+                       std::future_status::ready;
+  hold.unlock();
+  session.join();
+  ASSERT_TRUE(in_time) << "stats g waited for the held context lock";
+  const std::string busy = answered.get();
+  EXPECT_EQ(busy.rfind("ok stats g\n", 0), 0u) << busy;
+  EXPECT_NE(busy.find("\ncontext_busy=1\n.\n"), std::string::npos) << busy;
+  EXPECT_EQ(busy.find("context_bytes="), std::string::npos) << busy;
+
+  // Free again: the three context lines are back.
+  std::istringstream in("stats g\nquit\n");
+  std::ostringstream out;
+  RunServeLoop(in, out, engine);
+  EXPECT_NE(out.str().find("\ncontext_reuse_hits=0\ncontext_reuse_misses=0\n"
+                           "context_bytes="),
+            std::string::npos)
+      << out.str();
+  EXPECT_EQ(out.str().find("context_busy"), std::string::npos) << out.str();
+}
+
+TEST(ServeLoopTest, DetectThreadsFlagAnswersUnknownFlag) {
+  // Every served detect runs on the engine's one pool (`serve threads=N`);
+  // a per-request threads= is an unknown flag like any other.
+  const std::string output = RunScript("detect g 2 bsrbk threads=4\nquit\n");
+  const std::vector<std::string> lines = Lines(output);
+  ASSERT_EQ(lines.size(), 2u) << output;
+  EXPECT_EQ(lines[0], "err unknown detect flag 'threads'");
+  EXPECT_EQ(lines[1], "ok bye");
 }
 
 }  // namespace

@@ -95,5 +95,30 @@ TEST(CliDetectTest, RejectsOutOfRangeAndRemovedArguments) {
   EXPECT_NE(budget.output.find("usage:"), std::string::npos) << budget.output;
 }
 
+TEST(CliDetectTest, ThreadsArgumentSizesThePoolWithinItsCap) {
+  const std::string path = ::testing::TempDir() + "/cli_detect_threads.snap";
+  ASSERT_TRUE(WriteGraphFile(testing::RandomSmallGraph(30, 0.15, 5), path,
+                             GraphFileFormat::kBinary)
+                  .ok());
+  // threads= is the one-shot command's own argument: any width up to the
+  // cap runs, and every width prints the same ranking.
+  const CliRun serial = RunCli("detect " + path + " 3 BSRBK threads=1");
+  EXPECT_EQ(serial.exit_code, 0) << serial.output;
+  const CliRun four = RunCli("detect " + path + " 3 BSRBK threads=4 seed=42");
+  EXPECT_EQ(four.exit_code, 0) << four.output;
+  const auto table = [](const std::string& output) {
+    return output.substr(0, output.find("method="));
+  };
+  EXPECT_EQ(table(four.output), table(serial.output));
+  EXPECT_NE(four.output.find("rank"), std::string::npos) << four.output;
+  // Past kMaxDetectThreads the command refuses before doing any work.
+  const CliRun over = RunCli("detect " + path + " 3 BSRBK threads=65");
+  EXPECT_EQ(over.exit_code, 2) << over.output;
+  EXPECT_NE(over.output.find("threads must be <= 64"), std::string::npos)
+      << over.output;
+  const CliRun bad = RunCli("detect " + path + " 3 threads=four");
+  EXPECT_EQ(bad.exit_code, 2) << bad.output;
+}
+
 }  // namespace
 }  // namespace vulnds

@@ -44,9 +44,6 @@ TEST(DetectorTest, ValidatesParameters) {
   o = BaseOptions(Method::kBsrbk, 2);
   o.bk = 2;
   EXPECT_FALSE(DetectTopK(g, o).ok());
-  o = BaseOptions(Method::kBsrbk, 2);
-  o.threads = kMaxDetectThreads + 1;
-  EXPECT_FALSE(DetectTopK(g, o).ok());
   // Equation 3 sizes past kMaxBasicSamples (32-bit world counts) are
   // rejected up front for every (eps, delta) method: eps=1e-5 needs ~8e10
   // worlds, eps=1e-9 ~8e18, and eps=1e-12 more than 2^64.

@@ -41,8 +41,8 @@
 //       arms IO fault injection (see README "Fault injection & recovery").
 //       See README "Storage & durability".
 //       Sampling runs on the process-wide pool by default; threads=N pins a
-//       dedicated pool of N workers (requests can override per query with
-//       the detect threads= key). Dynamic updates are enabled:
+//       dedicated pool of N workers that serves every query. Dynamic updates
+//       are enabled:
 //       addedge/deledge/setprob stage edge mutations, commit materializes
 //       them as a new immutable version registered under <name>@vN, and
 //       versions lists the history.
@@ -110,8 +110,8 @@ int Usage() {
                "  vulnds_cli convert <in.graph> <out.graph> <text|binary>\n"
                "  vulnds_cli stats <graph>\n"
                "  vulnds_cli detect <graph> <k> [method] [key=value ...]\n"
-               "      keys: eps= delta= seed= samples= order= bk= method= threads=\n"
-               "            simd=auto|avx2|scalar\n"
+               "      keys: eps= delta= seed= samples= order= bk= method=\n"
+               "            simd=auto|avx2|scalar threads=N\n"
                "  vulnds_cli truth <graph> <k> [samples] [seed]\n"
                "  vulnds_cli serve [cache_capacity] [threads=N]\n"
                "             [mem_bytes=N] [spill_dir=DIR] [journal=PATH]\n"
@@ -229,20 +229,30 @@ int CmdDetect(int argc, char** argv) {
     options.method = *method;
     ++next;
   }
+  std::size_t threads = 0;
   for (; next < argc; ++next) {
-    const Status st = serve::ApplyDetectFlag(argv[next], &options);
+    const std::string arg = argv[next];
+    // The pool width is this command's own argument, not a query flag: a
+    // served detect runs on the engine's one pool.
+    if (AsciiLower(arg.substr(0, 8)) == "threads=") {
+      if (!ParseArgOr(ParseUint64, "threads", arg.substr(8), &threads)) {
+        return Usage();
+      }
+      if (threads > kMaxDetectThreads) {
+        std::fprintf(stderr, "threads must be <= %zu\n", kMaxDetectThreads);
+        return Usage();
+      }
+      continue;
+    }
+    const Status st = serve::ApplyDetectFlag(arg, &options);
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.message().c_str());
       return Usage();
     }
   }
-  if (options.threads > kMaxDetectThreads) {
-    std::fprintf(stderr, "threads must be <= %zu\n", kMaxDetectThreads);
-    return Usage();
-  }
   // threads=0 (the default) sizes the pool to the hardware; the results are
   // the same either way, only the wall time moves.
-  ThreadPool pool(options.threads);
+  ThreadPool pool(threads);
   options.pool = &pool;
 
   WallTimer timer;
