@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <numeric>
 #include <ostream>
 #include <streambuf>
@@ -22,6 +23,7 @@
 #include "vulnds/basic_sampler.h"
 #include "vulnds/bounds.h"
 #include "vulnds/candidate_reduction.h"
+#include "vulnds/coin_columns.h"
 #include "vulnds/reverse_sampler.h"
 
 namespace {
@@ -94,7 +96,12 @@ void BM_ReverseSampleWorld(benchmark::State& state) {
   const auto lower = LowerBounds(graph, 2);
   const auto reduced =
       ReduceCandidates(*lower, *upper, graph.num_nodes() / 20);
-  ReverseSampler sampler(graph, reduced->candidates);
+  // The columns BSRBK's samplers use on this graph (null below the density
+  // gate).
+  const std::shared_ptr<const CoinColumns> columns =
+      CoinColumns::Worthwhile(graph) ? CoinColumns::Shared(graph) : nullptr;
+  ReverseSampler sampler;
+  sampler.Bind(graph, reduced->candidates, columns.get());
   std::vector<char> defaulted;
   uint64_t world = 0;
   for (auto _ : state) {

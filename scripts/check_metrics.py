@@ -47,6 +47,7 @@ REQUIRED_FAMILIES = [
     "vulnds_simd_tier",
     "vulnds_simd_batched_coins_total",
     "vulnds_simd_scalar_tail_coins_total",
+    "vulnds_sampler_scratch_bytes",
     "vulnds_cache_hits_total",
     "vulnds_cache_misses_total",
     "vulnds_cache_entries",

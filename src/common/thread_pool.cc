@@ -4,6 +4,10 @@
 
 namespace vulnds {
 
+namespace {
+thread_local bool t_on_worker = false;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -79,6 +83,7 @@ void ThreadPool::ParallelFor(std::size_t n,
 }
 
 void ThreadPool::WorkerLoop() {
+  t_on_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -96,5 +101,7 @@ ThreadPool& ThreadPool::Global() {
   static ThreadPool pool;
   return pool;
 }
+
+bool ThreadPool::OnWorkerThread() { return t_on_worker; }
 
 }  // namespace vulnds

@@ -40,6 +40,10 @@ class ThreadPool {
   /// Process-wide shared pool (created on first use).
   static ThreadPool& Global();
 
+  /// True on a worker thread of any pool; false on a caller's thread, where
+  /// ParallelFor runs a call of one chunk inline.
+  static bool OnWorkerThread();
+
  private:
   /// Enqueues a task; tasks may run in any order.
   void Submit(std::function<void()> task);

@@ -5,6 +5,7 @@
 
 #include "common/parse.h"
 #include "simd/dispatch.h"
+#include "vulnds/reverse_sampler.h"
 
 namespace vulnds::serve {
 
@@ -469,6 +470,13 @@ void QueryEngine::RefreshMetrics() {
       ->GetGauge("vulnds_catalog_context_busy",
                  "Contexts skipped by the scrape because a query held them")
       ->Set(static_cast<double>(context_busy));
+  // BSRBK's per-pool-thread sampler state: process memory outside the
+  // governor's mem_bytes budget, so the scrape shows it.
+  registry_
+      ->GetGauge("vulnds_sampler_scratch_bytes",
+                 "Bytes of per-node state held by live BSRBK samplers "
+                 "(one per pool thread between queries)")
+      ->Set(static_cast<double>(SamplerScratchBytes()));
 
   // The byte-governed memory hierarchy (vulnds_store_*): one budget over
   // snapshots + contexts + cached results, spill residency, shed activity.

@@ -31,15 +31,32 @@ constexpr std::size_t kRamp = 2;
 // Memory guardrails for the parallel path; neither changes results (worker
 // count and wave sizes are execution knobs only — property-tested), they
 // only keep a wide pool on a huge graph from ballooning the process.
-// Each ReverseSampler holds ~25 bytes per graph node (three per-node
-// arrays plus two reserved queues); each wave slot holds one bitmap of
+// Every pool thread keeps one ReverseSampler for its lifetime, sized to the
+// largest graph it has sampled, so the pool retains up to its width times
+// one sampler's per-node state; a graph that would push that past
+// kMaxSamplerBytes runs the serial loop. Each wave slot holds one bitmap of
 // |candidates| bytes.
 constexpr std::size_t kMaxSamplerBytes = std::size_t{512} << 20;
 constexpr std::size_t kMaxWaveBytes = std::size_t{64} << 20;
-constexpr std::size_t kSamplerBytesPerNode = 25;
 
 // Sentinel for "no candidate trajectory supports a stop estimate yet".
 constexpr std::size_t kUnknownDistance = std::numeric_limits<std::size_t>::max();
+
+// The sampler a wave task runs on: its pool thread's, which lives as long
+// as the thread, or — on the calling thread, where a one-task wave runs
+// inline — `*caller`, which lives for the run. Sets *built when this call
+// created it.
+ReverseSampler& TaskSampler(std::unique_ptr<ReverseSampler>* caller,
+                            bool* built) {
+  thread_local std::unique_ptr<ReverseSampler> pool_thread_sampler;
+  std::unique_ptr<ReverseSampler>& slot =
+      ThreadPool::OnWorkerThread() ? pool_thread_sampler : *caller;
+  if (slot == nullptr) {
+    slot = std::make_unique<ReverseSampler>();
+    *built = true;
+  }
+  return *slot;
+}
 
 // Publishes the run's wave-level detail onto the query's trace span. The
 // early-stop position is the count of worlds folded — the hash-order prefix
@@ -241,13 +258,17 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
 
   ThreadPool* pool = run.pool;
   std::size_t workers = pool == nullptr ? 1 : std::min(pool->num_threads(), t);
-  const std::size_t per_sampler = kSamplerBytesPerNode * graph.num_nodes() + 1;
-  workers = std::min(
-      workers, std::max<std::size_t>(1, kMaxSamplerBytes / per_sampler));
+  if (pool != nullptr && pool->num_threads() * graph.num_nodes() *
+                                 ReverseSampler::kStateBytesPerNode >
+                             kMaxSamplerBytes) {
+    workers = 1;
+  }
   if (workers <= 1) {
     // The serial loop stops exactly at the stop position: zero waste, no
     // wave machinery (worlds_wasted == waves_issued == 0 by definition).
-    ReverseSampler sampler(graph, candidates, columns, tier);
+    ReverseSampler sampler;
+    sampler.Bind(graph, candidates, columns, tier);
+    stats.samplers_built = 1;
     std::vector<char> defaulted;
     for (std::size_t pos = 0; pos < t; ++pos) {
       const uint32_t sample_id = order[pos];
@@ -262,12 +283,13 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
   }
 
   // Wave-parallel: materialize the bitmaps of the next wave of consecutive
-  // hash-order positions in parallel (one persistent sampler per worker, a
-  // contiguous slice of the wave each), then fold serially. SampleWorld's
-  // memoization is per-world, so a world's bitmap and touch count are pure
-  // in its seed — independent of which sampler materializes it and of what
-  // that sampler processed before. The wave schedule below only decides how
-  // far past the fold frontier to speculate; the fold itself never sees it.
+  // hash-order positions in parallel (each task rebinds its pool thread's
+  // sampler and takes a contiguous slice of the wave), then fold serially.
+  // SampleWorld's memoization is per-world, so a world's bitmap and touch
+  // count are pure in its seed — independent of which sampler materializes
+  // it and of what that sampler processed before, in this query or another.
+  // The wave schedule below only decides how far past the fold frontier to
+  // speculate; the fold itself never sees it.
   const std::size_t byte_cap = std::max(
       workers, kMaxWaveBytes / std::max<std::size_t>(1, candidates.size()));
   const std::size_t cap =
@@ -280,12 +302,13 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
   // wave, not a permanently stalled ramp.
   std::size_t ramp_size = std::min(workers, cap);
 
-  std::vector<std::unique_ptr<ReverseSampler>> samplers;
-  samplers.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    samplers.push_back(
-        std::make_unique<ReverseSampler>(graph, candidates, columns, tier));
-  }
+  // Per-task telemetry of the current wave, summed in task order.
+  struct TaskTelemetry {
+    simd::CoinKernelStats coins;
+    bool built = false;
+  };
+  std::vector<TaskTelemetry> tasks(workers);
+  std::unique_ptr<ReverseSampler> caller_sampler;  // see TaskSampler
   std::vector<std::vector<char>> wave_defaulted(cap);
   std::vector<std::size_t> wave_touched(cap, 0);
   std::vector<double> estimate_scratch;
@@ -306,14 +329,25 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
     const std::size_t active = std::min(workers, count);
     const std::size_t chunk = (count + active - 1) / active;
     pool->ParallelFor(active, [&](std::size_t w) {
+      TaskTelemetry& task = tasks[w];
+      task.built = false;
+      ReverseSampler& sampler = TaskSampler(&caller_sampler, &task.built);
+      task.built |= sampler.Bind(graph, candidates, columns, tier);
       const std::size_t begin = w * chunk;
       const std::size_t end = std::min(count, begin + chunk);
       for (std::size_t i = begin; i < end; ++i) {
-        wave_touched[i] = samplers[w]->SampleWorld(
+        wave_touched[i] = sampler.SampleWorld(
             WorldSeed(seed, order[wave_begin + i]), &wave_defaulted[i]);
       }
+      task.coins = sampler.coin_stats();
     });
     ++stats.waves_issued;
+    // Coin telemetry covers every materialized world, wasted ones included
+    // (it measures cost).
+    for (std::size_t w = 0; w < active; ++w) {
+      stats.coin_stats.Add(tasks[w].coins);
+      stats.samplers_built += tasks[w].built ? 1 : 0;
+    }
     bool stop = false;
     std::size_t folded = 0;
     for (std::size_t i = 0; i < count && !stop; ++i) {
@@ -326,11 +360,6 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
       break;
     }
     wave_begin += count;
-  }
-  // Worker-order sum, like nodes_touched: coin telemetry covers every
-  // materialized world, wasted ones included (it measures cost).
-  for (const auto& sampler : samplers) {
-    stats.coin_stats.Add(sampler->coin_stats());
   }
   folder.FinishEstimates(t);
   ExportTraceDetail(stats, run.trace);

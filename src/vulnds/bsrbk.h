@@ -16,6 +16,9 @@
 // of WorldSeed(seed, sample_id), so with a ThreadPool the run materializes
 // the `defaulted` bitmaps of a wave of consecutive hash-order positions in
 // parallel, then folds the wave's counts serially in ascending hash order.
+// Each pool thread samples with the one ReverseSampler it keeps for its
+// lifetime, rebound to the query in O(1), so a warm pool builds no O(n)
+// sampler state per query.
 // The fold — and therefore the early-stop position, every counter, kth_hash,
 // samples_processed, nodes_touched and every estimate — is bit-identical to
 // the serial loop for any thread count and however the waves fall; only
@@ -118,6 +121,10 @@ struct BottomKRunStats {
   std::size_t waves_issued = 0;   ///< ParallelFor rounds (0 for serial)
   /// Coin-kernel telemetry over every materialized world (wasted included).
   simd::CoinKernelStats coin_stats;
+  /// Samplers that allocated per-node state in this run: created, or grown
+  /// to a graph larger than any they had sampled. 1 for the serial loop; 0
+  /// for a parallel run whose pool threads already hold samplers that fit.
+  std::size_t samplers_built = 0;
 };
 
 /// Runs bottom-k early-stopped reverse sampling over `candidates` with a

@@ -1,6 +1,7 @@
 #include "vulnds/reverse_sampler.h"
 
-#include <utility>
+#include <algorithm>
+#include <atomic>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -12,6 +13,9 @@ namespace {
 constexpr uint64_t kNodeSalt = 0x9AE16A3B2F90404FULL;
 constexpr uint64_t kEdgeSalt = 0xC2B2AE3D27D4EB4FULL;
 constexpr uint64_t kWorldSalt = 0x165667B19E3779F9ULL;
+
+// Per-node bytes of every live sampler (SamplerScratchBytes).
+std::atomic<std::size_t> g_scratch_bytes{0};
 }  // namespace
 
 uint64_t WorldSeed(uint64_t seed, uint64_t sample_index) {
@@ -34,27 +38,44 @@ bool WorldEdgeSurvives(uint64_t world_seed, EdgeId e, double prob) {
   return UniformHash(EdgeCoinSeed(world_seed)).HashUnit(e) < prob;
 }
 
-ReverseSampler::ReverseSampler(const UncertainGraph& graph,
-                               std::vector<NodeId> candidates,
-                               const CoinColumns* columns,
-                               simd::SimdTier tier)
-    : graph_(graph),
-      candidates_(std::move(candidates)),
-      columns_(columns),
-      tier_(tier),
-      conclusion_stamp_(graph.num_nodes(), 0),
-      conclusion_(graph.num_nodes(), 0),
-      visited_stamp_(graph.num_nodes(), 0) {
-  if (columns_ == nullptr && CoinColumns::Worthwhile(graph)) {
-    owned_columns_ = CoinColumns::Shared(graph);
-    columns_ = owned_columns_.get();
-  }
-  queue_.reserve(graph.num_nodes());
-  explored_.reserve(graph.num_nodes());
-  // columns_ may stay null on sparse graphs (below the density gate): the
+ReverseSampler::~ReverseSampler() {
+  g_scratch_bytes.fetch_sub(state_.size() * kStateBytesPerNode,
+                            std::memory_order_relaxed);
+}
+
+std::size_t SamplerScratchBytes() {
+  return g_scratch_bytes.load(std::memory_order_relaxed);
+}
+
+bool ReverseSampler::Bind(const UncertainGraph& graph,
+                          std::span<const NodeId> candidates,
+                          const CoinColumns* columns, simd::SimdTier tier) {
+  graph_ = &graph;
+  candidates_ = candidates;
+  // columns_ may stay null (sparse graphs, below the density gate): the
   // sampler then evaluates coins directly off the arcs — same inner hash,
   // same exact threshold, so bit-identical — with no column build at all.
-  if (columns_ != nullptr) survivor_scratch_.resize(columns_->max_run);
+  columns_ = columns;
+  tier_ = tier;
+  coin_stats_ = {};
+  if (columns_ != nullptr && survivor_scratch_.size() < columns_->max_run) {
+    survivor_scratch_.resize(columns_->max_run);
+  }
+  const std::size_t n = graph.num_nodes();
+  if (n <= state_.size()) return false;
+  // Exactly n zeroed entries: 0 is below every stamp in use, since both
+  // stamps are bumped before their first use and restart at 1 on a wrap.
+  g_scratch_bytes.fetch_add((n - state_.size()) * kStateBytesPerNode,
+                            std::memory_order_relaxed);
+  state_ = std::vector<Stamp>(n);
+  visited_ = std::vector<Stamp>(n);
+  return true;
+}
+
+void ReverseSampler::SetStampsForTesting(Stamp sample_stamp,
+                                         Stamp visit_stamp) {
+  sample_stamp_ = sample_stamp;
+  visit_stamp_ = visit_stamp;
 }
 
 bool ReverseSampler::NodeSelfDefaults(NodeId v) {
@@ -63,20 +84,10 @@ bool ReverseSampler::NodeSelfDefaults(NodeId v) {
   ++coin_stats_.tail_coins;
   if (columns_ == nullptr) {
     return simd::CoinHits(node_seed_, simd::CoinInnerHash(v),
-                          simd::CoinThreshold(graph_.self_risk(v)));
+                          simd::CoinThreshold(graph_->self_risk(v)));
   }
   return simd::CoinHits(node_seed_, columns_->node_inner[v],
                         columns_->node_threshold[v]);
-}
-
-ReverseSampler::Conclusion ReverseSampler::GetConclusion(NodeId v) const {
-  if (conclusion_stamp_[v] != sample_stamp_) return Conclusion::kUnknown;
-  return static_cast<Conclusion>(conclusion_[v]);
-}
-
-void ReverseSampler::SetConclusion(NodeId v, Conclusion c) {
-  conclusion_stamp_[v] = sample_stamp_;
-  conclusion_[v] = static_cast<char>(c);
 }
 
 bool ReverseSampler::EvaluateCandidate(NodeId v, std::size_t* touched) {
@@ -89,11 +100,14 @@ bool ReverseSampler::EvaluateCandidate(NodeId v, std::size_t* touched) {
     case Conclusion::kUnknown:
       break;
   }
-  ++visit_stamp_;
+  if (++visit_stamp_ == 0) {
+    std::fill(visited_.begin(), visited_.end(), 0);
+    visit_stamp_ = 1;
+  }
   queue_.clear();
   explored_.clear();
   queue_.push_back(v);
-  visited_stamp_[v] = visit_stamp_;
+  visited_[v] = visit_stamp_;
 
   bool found_default = false;
   for (std::size_t head = 0; head < queue_.size() && !found_default; ++head) {
@@ -122,27 +136,27 @@ bool ReverseSampler::EvaluateCandidate(NodeId v, std::size_t* touched) {
     if (columns_ == nullptr) {
       // Sparse graph below the density gate: direct per-arc coins, in the
       // same ascending arc order as the padded kernel's survivor list.
-      for (const Arc& arc : graph_.InArcs(u)) {
+      for (const Arc& arc : graph_->InArcs(u)) {
         ++coin_stats_.tail_coins;
         if (!simd::CoinHits(edge_seed_, simd::CoinInnerHash(arc.edge),
                             simd::CoinThreshold(arc.prob))) {
           continue;
         }
-        if (visited_stamp_[arc.neighbor] == visit_stamp_) continue;
-        visited_stamp_[arc.neighbor] = visit_stamp_;
+        if (visited_[arc.neighbor] == visit_stamp_) continue;
+        visited_[arc.neighbor] = visit_stamp_;
         queue_.push_back(arc.neighbor);
       }
     } else {
       const std::size_t run_begin = columns_->pad_offsets[u];
       const std::size_t survivors = simd::CoinSurvivorsPadded(
           tier_, edge_seed_, columns_->edge_inner.data() + run_begin,
-          columns_->edge_threshold.data() + run_begin, graph_.InDegree(u),
+          columns_->edge_threshold.data() + run_begin, graph_->InDegree(u),
           survivor_scratch_.data(), &coin_stats_);
       for (std::size_t s = 0; s < survivors; ++s) {
         const NodeId neighbor =
             columns_->edge_neighbor[run_begin + survivor_scratch_[s]];
-        if (visited_stamp_[neighbor] == visit_stamp_) continue;
-        visited_stamp_[neighbor] = visit_stamp_;
+        if (visited_[neighbor] == visit_stamp_) continue;
+        visited_[neighbor] = visit_stamp_;
         queue_.push_back(neighbor);
       }
     }
@@ -163,7 +177,10 @@ std::size_t ReverseSampler::SampleWorld(uint64_t world_seed,
                                         std::vector<char>* defaulted) {
   edge_seed_ = EdgeCoinSeed(world_seed);
   node_seed_ = NodeCoinSeed(world_seed);
-  ++sample_stamp_;
+  if (++sample_stamp_ == kSampleStampLimit) {
+    std::fill(state_.begin(), state_.end(), 0);
+    sample_stamp_ = 1;
+  }
   defaulted->assign(candidates_.size(), 0);
   std::size_t touched = 0;
   for (std::size_t i = 0; i < candidates_.size(); ++i) {

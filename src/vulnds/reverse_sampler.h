@@ -24,16 +24,18 @@
 //
 // Two consumers, two evaluators. BSRBK folds worlds one at a time in hash
 // order and stops after a few dozen positions, so it keeps the per-world
-// ReverseSampler below. SR and BSR draw every world of their budget, so
-// RunReverseSampling runs the block kernel of basic_sampler.h over the
-// candidates' reverse closure instead — the same worlds, so the same
-// estimates bit for bit as SampleWorld's flags summed over worlds 0..t-1.
+// ReverseSampler below, one per pool thread, rebound to each query in O(1).
+// SR and BSR draw every world of their budget, so RunReverseSampling runs
+// the block kernel of basic_sampler.h over the candidates' reverse closure
+// instead — the same worlds, so the same estimates bit for bit as
+// SampleWorld's flags summed over worlds 0..t-1.
 
 #ifndef VULNDS_VULNDS_REVERSE_SAMPLER_H_
 #define VULNDS_VULNDS_REVERSE_SAMPLER_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -61,7 +63,14 @@ bool WorldNodeSelfDefaults(uint64_t world_seed, NodeId v, double self_risk);
 bool WorldEdgeSurvives(uint64_t world_seed, EdgeId e, double prob);
 
 /// Evaluates candidate default indicators world-by-world. One instance per
-/// thread; reusable across samples.
+/// thread; Bind() points it at a query in O(1), so a pool thread keeps one
+/// sampler for its whole life and reuses it across queries and graphs.
+///
+/// Per-node state is two stamp arrays of kStateBytesPerNode bytes per node
+/// in all: a conclusion in the low 2 bits under a 30-bit sample stamp, and a
+/// 32-bit visit stamp. The stamps keep counting across SampleWorld calls,
+/// queries and graphs, so no array is re-zeroed until its stamp wraps; the
+/// arrays are reallocated only for a graph larger than any seen so far.
 ///
 /// Coins run through the batched kernel layer (simd/coin_kernels.h): the
 /// whole in-arc run of a BFS node is tested per iteration against the
@@ -70,56 +79,79 @@ bool WorldEdgeSurvives(uint64_t world_seed, EdgeId e, double prob);
 /// WorldEdgeSurvives loop for every tier.
 class ReverseSampler {
  public:
-  /// Prepares a sampler for the given candidate set (node ids into `graph`).
-  /// `columns` must be the graph's columns when supplied (worker samplers
-  /// share the run's instance); passing nullptr uses the graph's cached
-  /// CoinColumns::Shared. `tier` picks the kernel implementation —
-  /// execution-only, results are identical.
-  ReverseSampler(const UncertainGraph& graph, std::vector<NodeId> candidates,
-                 const CoinColumns* columns = nullptr,
-                 simd::SimdTier tier = simd::DefaultTier());
+  using Stamp = uint32_t;
+  /// Bytes of per-node state a sampler holds for each node of the largest
+  /// graph it has been bound to.
+  static constexpr std::size_t kStateBytesPerNode = 2 * sizeof(Stamp);
+  /// Sample stamps live above the 2 conclusion bits, so they wrap here.
+  static constexpr Stamp kSampleStampLimit = Stamp{1} << 30;
 
-  /// The candidate set, in the order `defaulted` entries are reported.
-  const std::vector<NodeId>& candidates() const { return candidates_; }
+  ReverseSampler() = default;
+  ~ReverseSampler();
+  ReverseSampler(const ReverseSampler&) = delete;
+  ReverseSampler& operator=(const ReverseSampler&) = delete;
+
+  /// Points the sampler at `candidates` (node ids into `graph`) and resets
+  /// coin_stats(). Keeps only pointers — graph, candidates and columns must
+  /// outlive every SampleWorld call until the next Bind. `columns` must be
+  /// the graph's columns or nullptr, which evaluates coins directly off the
+  /// arcs (bit-identical). `tier` picks the kernel implementation —
+  /// execution-only, results are identical. O(1) unless `graph` is larger
+  /// than every graph bound before; returns true iff it allocated per-node
+  /// state.
+  bool Bind(const UncertainGraph& graph, std::span<const NodeId> candidates,
+            const CoinColumns* columns = nullptr,
+            simd::SimdTier tier = simd::DefaultTier());
 
   /// Evaluates all candidates in the world identified by `world_seed`.
   /// Writes one flag per candidate into `defaulted` (resized to the
   /// candidate count) and returns the number of node expansions performed.
   std::size_t SampleWorld(uint64_t world_seed, std::vector<char>* defaulted);
 
-  /// Kernel telemetry accumulated across every SampleWorld call so far.
+  /// Kernel telemetry accumulated across the SampleWorld calls since Bind.
   const simd::CoinKernelStats& coin_stats() const { return coin_stats_; }
 
+  /// Starts the stamps at the given values (sample < kSampleStampLimit), so
+  /// tests can drive both arrays across their wrap.
+  void SetStampsForTesting(Stamp sample_stamp, Stamp visit_stamp);
+
  private:
-  enum class Conclusion : char { kUnknown = 0, kDefaulted, kSafe };
+  enum class Conclusion : Stamp { kUnknown = 0, kDefaulted, kSafe };
 
   // Evaluates one candidate in the current sample; assumes stamps are set.
   bool EvaluateCandidate(NodeId v, std::size_t* touched);
 
   bool NodeSelfDefaults(NodeId v);
-  Conclusion GetConclusion(NodeId v) const;
-  void SetConclusion(NodeId v, Conclusion c);
+  Conclusion GetConclusion(NodeId v) const {
+    const Stamp s = state_[v];
+    return (s >> 2) == sample_stamp_ ? static_cast<Conclusion>(s & 3)
+                                     : Conclusion::kUnknown;
+  }
+  void SetConclusion(NodeId v, Conclusion c) {
+    state_[v] = (sample_stamp_ << 2) | static_cast<Stamp>(c);
+  }
 
-  const UncertainGraph& graph_;
-  std::vector<NodeId> candidates_;
-  // Keeps the graph's shared columns alive when none were passed in.
-  std::shared_ptr<const CoinColumns> owned_columns_;
-  const CoinColumns* columns_;
-  simd::SimdTier tier_;
+  const UncertainGraph* graph_ = nullptr;
+  std::span<const NodeId> candidates_;
+  const CoinColumns* columns_ = nullptr;
+  simd::SimdTier tier_ = simd::SimdTier::kScalar;
 
-  uint64_t edge_seed_ = 0;     // EdgeCoinSeed of the current world
-  uint64_t node_seed_ = 0;     // NodeCoinSeed of the current world
-  uint64_t sample_stamp_ = 0;  // bumped per SampleWorld
-  uint64_t visit_stamp_ = 0;   // bumped per candidate BFS
+  uint64_t edge_seed_ = 0;  // EdgeCoinSeed of the current world
+  uint64_t node_seed_ = 0;  // NodeCoinSeed of the current world
+  Stamp sample_stamp_ = 0;  // bumped per SampleWorld
+  Stamp visit_stamp_ = 0;   // bumped per candidate BFS
 
-  std::vector<uint64_t> conclusion_stamp_;
-  std::vector<char> conclusion_;
-  std::vector<uint64_t> visited_stamp_;
+  std::vector<Stamp> state_;    // sample_stamp << 2 | Conclusion, per node
+  std::vector<Stamp> visited_;  // visit stamp, per node
   std::vector<NodeId> queue_;
   std::vector<NodeId> explored_;
   std::vector<uint32_t> survivor_scratch_;
   simd::CoinKernelStats coin_stats_;
 };
+
+/// Bytes of per-node state held by live ReverseSamplers in this process:
+/// between queries, the samplers the pool threads keep.
+std::size_t SamplerScratchBytes();
 
 /// Estimates each candidate's default probability from worlds 0..t-1 of
 /// `seed` (estimates in candidate order). Runs the block kernel

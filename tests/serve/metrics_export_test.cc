@@ -18,6 +18,7 @@
 #include "serve/query_engine.h"
 #include "serve/session.h"
 #include "testing/test_graphs.h"
+#include "vulnds/reverse_sampler.h"
 
 namespace vulnds::serve {
 namespace {
@@ -79,6 +80,10 @@ TEST(MetricsExportTest, ExpositionCoversEveryServeSubsystem) {
   EXPECT_NE(text.find("vulnds_catalog_resident_graphs 1"), std::string::npos);
   // Neither structure is sharded, so no per-shard family is exported.
   EXPECT_EQ(text.find("_shard_"), std::string::npos);
+  // Sampler state kept by pool threads, outside the governed budget.
+  EXPECT_NE(text.find("\nvulnds_sampler_scratch_bytes " +
+                      std::to_string(SamplerScratchBytes()) + "\n"),
+            std::string::npos);
   // Server counters mirrored from ServerStats.
   EXPECT_NE(text.find("vulnds_server_sessions_started_total 3"),
             std::string::npos);

@@ -129,7 +129,8 @@ std::vector<double> PerWorldEstimates(const UncertainGraph& g,
                                       const std::vector<NodeId>& candidates,
                                       std::size_t t, uint64_t seed,
                                       std::size_t* defaults) {
-  ReverseSampler sampler(g, candidates);
+  ReverseSampler sampler;
+  sampler.Bind(g, candidates);
   std::vector<uint32_t> counts(candidates.size(), 0);
   std::vector<char> flags;
   for (std::size_t i = 0; i < t; ++i) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +15,8 @@
 #include "common/thread_pool.h"
 #include "testing/test_graphs.h"
 #include "vulnds/bsrbk.h"
+#include "vulnds/detector.h"
+#include "vulnds/reverse_sampler.h"
 
 namespace vulnds {
 namespace {
@@ -216,6 +219,118 @@ TEST(BsrbkParallelTest, SeedSweepPropertyAcrossThreadCounts) {
                              .c_str());
     }
   }
+}
+
+// Pool threads keep their samplers across queries; a query on a warm pool
+// must answer exactly what it answers on a fresh one, whatever graphs the
+// samplers saw before.
+DetectionResult DetectBsrbk(const UncertainGraph& g, std::size_t k,
+                            uint64_t seed, ThreadPool* pool) {
+  DetectorOptions options;
+  options.method = Method::kBsrbk;
+  options.k = k;
+  options.seed = seed;
+  options.pool = pool;
+  Result<DetectionResult> result = DetectTopK(g, options);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? result.MoveValue() : DetectionResult{};
+}
+
+void ExpectSameAnswer(const DetectionResult& want, const DetectionResult& got,
+                      const std::string& what) {
+  EXPECT_EQ(want.topk, got.topk) << what;
+  ASSERT_EQ(want.scores.size(), got.scores.size()) << what;
+  for (std::size_t i = 0; i < want.scores.size(); ++i) {
+    EXPECT_EQ(0, std::memcmp(&want.scores[i], &got.scores[i], sizeof(double)))
+        << what << " score " << i;
+  }
+  EXPECT_EQ(want.samples_processed, got.samples_processed) << what;
+  EXPECT_EQ(want.nodes_touched, got.nodes_touched) << what;
+  EXPECT_EQ(want.early_stopped, got.early_stopped) << what;
+}
+
+TEST(BsrbkParallelTest, SamplerReuseAcrossGraphsIsBitIdentical) {
+  const UncertainGraph large = RingWithChords(4000, 17);
+  const UncertainGraph small = RingWithChords(300, 29);
+  const struct {
+    const UncertainGraph* graph;
+    std::size_t k;
+    uint64_t seed;
+  } queries[] = {{&large, 40, 7}, {&small, 5, 8}, {&large, 25, 9}};
+  ThreadPool shared(4);
+  for (const auto& q : queries) {
+    const std::string what = "n=" + std::to_string(q.graph->num_nodes()) +
+                             " k=" + std::to_string(q.k);
+    ThreadPool fresh(4);
+    const DetectionResult want = DetectBsrbk(*q.graph, q.k, q.seed, &fresh);
+    EXPECT_GT(want.waves_issued, 0u) << what;  // the pool path ran
+    ExpectSameAnswer(want, DetectBsrbk(*q.graph, q.k, q.seed, &shared), what);
+  }
+}
+
+TEST(BsrbkParallelTest, ConcurrentQueriesOnOnePoolMatchSerial) {
+  // Two clients detect on different graphs through one shared pool, as the
+  // serve engine's sessions do: pool threads alternate between the graphs
+  // from task to task, and every answer must still be the serial one.
+  const UncertainGraph graphs[2] = {RingWithChords(500, 41),
+                                    RingWithChords(200, 43)};
+  const std::size_t ks[2] = {8, 3};
+  const DetectionResult want[2] = {DetectBsrbk(graphs[0], ks[0], 5, nullptr),
+                                   DetectBsrbk(graphs[1], ks[1], 6, nullptr)};
+  ThreadPool pool(4);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (int round = 0; round < 200; ++round) {
+        ExpectSameAnswer(want[c],
+                         DetectBsrbk(graphs[c], ks[c], 5 + c, &pool),
+                         "client " + std::to_string(c) + " round " +
+                             std::to_string(round));
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+}
+
+TEST(BsrbkParallelTest, WarmPoolBuildsNoSamplersAndBoundsScratch) {
+  // Each pool thread allocates its sampler's per-node state once; after
+  // that a query on the same graph builds nothing, and the pool retains at
+  // most its width times one sampler sized to the largest graph.
+  const UncertainGraph g = RingWithChords(2000, 61);
+  const std::vector<NodeId> candidates = AllNodes(g);
+  const std::size_t baseline = SamplerScratchBytes();
+  {
+    ThreadPool pool(4);
+    const BottomKRunOptions run{nullptr, &pool};
+    std::size_t built = 0;
+    // Tasks go to whichever thread is free, so warm until every thread has
+    // sampled once (one query normally suffices).
+    for (int round = 0; round < 200 && built < pool.num_threads(); ++round) {
+      const auto warmup = RunBottomKSampling(g, candidates, 4000, 8, 16,
+                                             100 + round, run);
+      ASSERT_TRUE(warmup.ok());
+      built += warmup->samplers_built;
+    }
+    ASSERT_EQ(built, pool.num_threads());
+    const auto warm = RunBottomKSampling(g, candidates, 4000, 8, 16, 99, run);
+    ASSERT_TRUE(warm.ok());
+    EXPECT_GT(warm->waves_issued, 0u);
+    EXPECT_EQ(warm->samplers_built, 0u);
+    EXPECT_EQ(SamplerScratchBytes() - baseline,
+              pool.num_threads() * ReverseSampler::kStateBytesPerNode *
+                  g.num_nodes());
+    // A smaller graph reuses the larger state as it is.
+    const UncertainGraph small = RingWithChords(100, 62);
+    const auto small_run =
+        RunBottomKSampling(small, AllNodes(small), 4000, 8, 16, 99, run);
+    ASSERT_TRUE(small_run.ok());
+    EXPECT_EQ(small_run->samplers_built, 0u);
+    EXPECT_EQ(SamplerScratchBytes() - baseline,
+              pool.num_threads() * ReverseSampler::kStateBytesPerNode *
+                  g.num_nodes());
+  }
+  // The samplers die with their threads.
+  EXPECT_EQ(SamplerScratchBytes(), baseline);
 }
 
 }  // namespace

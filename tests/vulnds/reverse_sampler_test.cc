@@ -54,7 +54,9 @@ class ReverseForwardEquivalence : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ReverseForwardEquivalence, MatchesForwardEvaluationWorldByWorld) {
   const uint64_t seed = GetParam();
   UncertainGraph g = testing::RandomSmallGraph(9, 0.3, seed);
-  ReverseSampler sampler(g, AllNodes(g));
+  const std::vector<NodeId> candidates = AllNodes(g);
+  ReverseSampler sampler;
+  sampler.Bind(g, candidates);
   std::vector<char> reverse_flags;
   for (uint64_t sample = 0; sample < 200; ++sample) {
     const uint64_t w = WorldSeed(seed ^ 0x5555, sample);
@@ -82,7 +84,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReverseForwardEquivalence,
 TEST(ReverseSamplerTest, CandidateSubsetOnly) {
   UncertainGraph g = testing::PaperExampleGraph(0.3);
   const std::vector<NodeId> candidates = {3, 4};
-  ReverseSampler sampler(g, candidates);
+  ReverseSampler sampler;
+  sampler.Bind(g, candidates);
   std::vector<char> flags;
   sampler.SampleWorld(WorldSeed(1, 0), &flags);
   EXPECT_EQ(flags.size(), 2u);
@@ -133,7 +136,9 @@ TEST(ReverseSamplerTest, SharedWorldAcrossCandidates) {
   ASSERT_TRUE(b.AddEdge(0, 1, 1.0).ok());
   ASSERT_TRUE(b.AddEdge(1, 2, 1.0).ok());
   UncertainGraph g = b.Build().MoveValue();
-  ReverseSampler sampler(g, {2, 1, 0});
+  const std::vector<NodeId> candidates = {2, 1, 0};
+  ReverseSampler sampler;
+  sampler.Bind(g, candidates);
   std::vector<char> flags;
   for (uint64_t s = 0; s < 50; ++s) {
     sampler.SampleWorld(WorldSeed(3, s), &flags);
@@ -143,11 +148,84 @@ TEST(ReverseSamplerTest, SharedWorldAcrossCandidates) {
 
 TEST(ReverseSamplerTest, TouchedIsBoundedByCandidateWork) {
   UncertainGraph g = testing::PaperExampleGraph(0.2);
-  ReverseSampler sampler(g, {4});
+  const std::vector<NodeId> candidates = {4};
+  ReverseSampler sampler;
+  sampler.Bind(g, candidates);
   std::vector<char> flags;
   const std::size_t touched = sampler.SampleWorld(WorldSeed(9, 0), &flags);
   // One candidate can touch at most every node once.
   EXPECT_LE(touched, g.num_nodes());
+}
+
+TEST(ReverseSamplerTest, StampWrapMatchesFreshSampler) {
+  // Stamps keep counting across worlds, queries and graphs, and each array
+  // is re-zeroed only when its stamp wraps. Leave stamp 1 in every entry of
+  // both arrays, then sample 8 worlds across the wrap, where stamp 1 comes
+  // round again: a stale entry would read as visited or as concluded safe.
+  constexpr std::size_t kNodes = 60;
+  UncertainGraphBuilder ring(kNodes);  // certain ring, no self-risk
+  for (NodeId v = 0; v < kNodes; ++v) {
+    testing::CheckOk(ring.AddEdge(v, (v + 1) % kNodes, 1.0));
+  }
+  const UncertainGraph dirty = ring.Build().MoveValue();
+  const std::vector<NodeId> root = {0};
+  ReverseSampler wrapped;
+  wrapped.Bind(dirty, root);
+  std::vector<char> flags;
+  // One BFS over the whole ring finds no default: every node is visited and
+  // concluded safe under stamp 1.
+  wrapped.SampleWorld(WorldSeed(77, 0), &flags);
+  ASSERT_EQ(flags, std::vector<char>{0});
+
+  Rng rng(404);
+  UncertainGraphBuilder b(kNodes);
+  for (NodeId v = 0; v < kNodes; ++v) {
+    testing::CheckOk(b.SetSelfRisk(v, 0.1 * rng.NextDouble()));
+    for (int e = 0; e < 3; ++e) {
+      const NodeId u = static_cast<NodeId>(rng.NextBounded(kNodes));
+      if (u != v) testing::CheckOk(b.AddEdge(u, v, 0.3 + 0.6 * rng.NextDouble()));
+    }
+  }
+  const UncertainGraph g = b.Build().MoveValue();
+  std::vector<NodeId> candidates;
+  for (NodeId v = 0; v < kNodes; v += 3) candidates.push_back(v);
+  wrapped.Bind(g, candidates);
+  wrapped.SetStampsForTesting(ReverseSampler::kSampleStampLimit - 2,
+                              ReverseSampler::Stamp(-2));
+  ReverseSampler fresh;
+  fresh.Bind(g, candidates);
+  std::vector<char> want;
+  std::size_t defaults = 0;
+  for (uint64_t s = 0; s < 8; ++s) {
+    const std::size_t want_touched = fresh.SampleWorld(WorldSeed(5, s), &want);
+    EXPECT_EQ(wrapped.SampleWorld(WorldSeed(5, s), &flags), want_touched)
+        << "world " << s;
+    EXPECT_EQ(flags, want) << "world " << s;
+    for (const char f : want) defaults += f;
+  }
+  EXPECT_GT(defaults, 0u);  // a stale "safe" would have been visible
+}
+
+TEST(ReverseSamplerTest, RebindAcrossGraphsMatchesFreshSampler) {
+  // One sampler moves between graphs of different sizes, as a pool
+  // thread's does between queries; every world matches a fresh sampler.
+  const UncertainGraph graphs[3] = {testing::RandomSmallGraph(80, 0.06, 1),
+                                    testing::RandomSmallGraph(20, 0.2, 2),
+                                    testing::RandomSmallGraph(80, 0.06, 3)};
+  ReverseSampler reused;
+  for (const UncertainGraph& g : graphs) {
+    const std::vector<NodeId> candidates = AllNodes(g);
+    EXPECT_EQ(reused.Bind(g, candidates), &g == &graphs[0]);
+    ReverseSampler fresh;
+    fresh.Bind(g, candidates);
+    std::vector<char> want;
+    std::vector<char> got;
+    for (uint64_t s = 0; s < 20; ++s) {
+      EXPECT_EQ(reused.SampleWorld(WorldSeed(9, s), &got),
+                fresh.SampleWorld(WorldSeed(9, s), &want));
+      EXPECT_EQ(got, want);
+    }
+  }
 }
 
 }  // namespace

@@ -79,7 +79,8 @@ WorldFlags SampleWorlds(const UncertainGraph& g,
   const std::size_t workers = pool == nullptr ? 1 : pool->num_threads();
   const std::size_t chunk = (t + workers - 1) / workers;
   const auto run = [&](std::size_t w) {
-    ReverseSampler sampler(g, candidates, columns, tier);
+    ReverseSampler sampler;
+    sampler.Bind(g, candidates, columns, tier);
     for (std::size_t i = w * chunk; i < std::min(t, (w + 1) * chunk); ++i) {
       out.touched[i] = sampler.SampleWorld(WorldSeed(seed, i), &out.flags[i]);
     }
