@@ -60,6 +60,7 @@ REQUIRED_FAMILIES = [
     "vulnds_store_spilled_bytes",
     "vulnds_store_spilled_graphs",
     "vulnds_store_spills_total",
+    "vulnds_store_spill_writes_total",
     "vulnds_store_page_ins_total",
     "vulnds_store_page_in_micros",
     "vulnds_store_spill_micros",

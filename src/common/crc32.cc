@@ -38,9 +38,10 @@ constexpr Crc32Tables kTables = MakeTables();
 
 }  // namespace
 
-uint32_t Crc32(const void* data, std::size_t len) {
+uint32_t Crc32Extend(uint32_t prev, const void* data, std::size_t len) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  uint32_t crc = 0xFFFFFFFFu;
+  // Undo the previous final xor to recover the running register.
+  uint32_t crc = prev ^ 0xFFFFFFFFu;
   // The sliced loop reads little-endian words; a big-endian host simply
   // takes the byte loop below for the whole buffer.
   if constexpr (std::endian::native == std::endian::little) {

@@ -17,8 +17,16 @@
 
 namespace vulnds {
 
+/// Continues a CRC-32 over `len` more bytes at `data`: `prev` is the CRC of
+/// everything before them (0 for an empty prefix), so
+/// Crc32Extend(Crc32(a), b) == Crc32(a followed by b). Lets a reader check a
+/// file column by column as the columns arrive.
+uint32_t Crc32Extend(uint32_t prev, const void* data, std::size_t len);
+
 /// CRC-32 over `len` bytes at `data`.
-uint32_t Crc32(const void* data, std::size_t len);
+inline uint32_t Crc32(const void* data, std::size_t len) {
+  return Crc32Extend(0, data, len);
+}
 
 }  // namespace vulnds
 

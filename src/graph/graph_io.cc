@@ -1,6 +1,7 @@
 #include "graph/graph_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -17,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/failpoint.h"
 #include "common/parse.h"
 #include "graph/builder.h"
@@ -104,6 +107,137 @@ Status GetArray(std::istream& in, std::vector<T>* values, std::size_t count,
     done += chunk;
   }
   return Status::OK();
+}
+
+// magic + u32 version + u64 n + u64 m.
+constexpr std::size_t kBinaryHeaderBytes =
+    sizeof(kBinaryMagic) + sizeof(uint32_t) + 2 * sizeof(uint64_t);
+
+// Offsets are read straight into the graph's own size_t column.
+static_assert(sizeof(std::size_t) == sizeof(uint64_t),
+              "v2 offsets are u64 and adopted as size_t");
+
+// Rejects a version or dimensions no v2 snapshot can carry.
+Status CheckBinaryHeader(uint32_t version, uint64_t n, uint64_t m) {
+  if (version != kBinaryVersion) {
+    return Status::InvalidArgument("unsupported snapshot version " +
+                                   std::to_string(version));
+  }
+  if (n > std::numeric_limits<NodeId>::max() ||
+      m > std::numeric_limits<EdgeId>::max()) {
+    return Status::InvalidArgument("snapshot dimensions exceed id width");
+  }
+  return Status::OK();
+}
+
+// Bytes after the header of a v2 snapshot of n nodes and m edges. Cannot
+// overflow: CheckBinaryHeader bounds n and m to 32 bits.
+uint64_t BinaryPayloadBytes(uint64_t n, uint64_t m) {
+  return n * sizeof(double) +                              // risks
+         (n + 1) * sizeof(uint64_t) +                      // offsets
+         m * (2 * sizeof(uint32_t) + sizeof(double));      // dsts, probs, ids
+}
+
+// The five v2 columns, as read off disk and not yet trusted.
+struct BinaryColumns {
+  std::vector<double> risks;
+  std::vector<std::size_t> offsets;
+  std::vector<uint32_t> dsts;
+  std::vector<double> probs;
+  std::vector<uint32_t> edge_ids;
+};
+
+// Validates every probability and every CSR invariant the builder would
+// have enforced on a text load, naming the offending index, then assembles
+// the graph. Snapshot loads and spill pages both end here, so they cannot
+// drift apart. `cols` must hold n risks, n + 1 offsets and m of each arc
+// column.
+Result<UncertainGraph> AssembleBinary(BinaryColumns cols) {
+  const std::size_t n = cols.risks.size();
+  const std::size_t m = cols.dsts.size();
+  const std::vector<double>& risks = cols.risks;
+  const std::vector<std::size_t>& offsets = cols.offsets;
+  const std::vector<uint32_t>& dsts = cols.dsts;
+  const std::vector<double>& probs = cols.probs;
+  const std::vector<uint32_t>& edge_ids = cols.edge_ids;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (!(risks[v] >= 0.0 && risks[v] <= 1.0)) {  // NaN fails both
+      return Status::InvalidArgument(
+          "corrupt snapshot: self-risk of node " + std::to_string(v) + " is " +
+          std::to_string(risks[v]) + ", outside [0,1]");
+    }
+  }
+  if (offsets[0] != 0) {
+    return Status::InvalidArgument("corrupt snapshot: CSR offset 0 is " +
+                                   std::to_string(offsets[0]) + ", want 0");
+  }
+  if (offsets[n] != m) {
+    return Status::InvalidArgument(
+        "corrupt snapshot: CSR offset " + std::to_string(n) + " is " +
+        std::to_string(offsets[n]) + ", want edge count " + std::to_string(m));
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    if (offsets[v] > offsets[v + 1]) {
+      return Status::InvalidArgument(
+          "corrupt snapshot: CSR offsets decrease at node " + std::to_string(v));
+    }
+  }
+
+  // Recover the insertion-order edge list through the edge-id column while
+  // checking it is a permutation of [0, m); simultaneously validate each
+  // arc's endpoint and probability and the builder's canonical within-group
+  // order (ascending edge id), which samplers rely on for bit-identical
+  // coin-flip sequences.
+  std::vector<UncertainEdge> edge_list(m);
+  std::vector<Arc> out_arcs(m);
+  std::vector<char> seen(m, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      const uint32_t dst = dsts[i];
+      const double prob = probs[i];
+      const uint32_t e = edge_ids[i];
+      if (dst >= n) {
+        return Status::InvalidArgument(
+            "corrupt snapshot: arc " + std::to_string(i) + " points at node " +
+            std::to_string(dst) + " outside the graph of " + std::to_string(n) +
+            " nodes");
+      }
+      if (dst == v) {
+        return Status::InvalidArgument("corrupt snapshot: arc " +
+                                       std::to_string(i) + " is a self-loop on node " +
+                                       std::to_string(v));
+      }
+      if (!(prob >= 0.0 && prob <= 1.0)) {  // NaN fails both
+        return Status::InvalidArgument(
+            "corrupt snapshot: arc " + std::to_string(i) + " has probability " +
+            std::to_string(prob) + ", outside [0,1]");
+      }
+      if (e >= m || seen[e]) {
+        return Status::InvalidArgument(
+            "corrupt snapshot: edge ids are not a permutation (arc " +
+            std::to_string(i) + " carries id " + std::to_string(e) + ")");
+      }
+      if (i > offsets[v] && edge_ids[i - 1] >= e) {
+        return Status::InvalidArgument(
+            "corrupt snapshot: edge ids of node " + std::to_string(v) +
+            " not ascending at arc " + std::to_string(i));
+      }
+      seen[e] = 1;
+      edge_list[e] = UncertainEdge{v, dst, prob};
+      out_arcs[i] = Arc{dst, prob, e};
+    }
+  }
+
+  // The reverse CSR is rebuilt through the builder's own canonical helper,
+  // so the snapshot path can never drift from a from-scratch build.
+  // FromParts adopts the columns directly — no counting sort, no per-edge
+  // revalidation — which keeps snapshot loads I/O-bound.
+  std::vector<std::size_t> in_offsets;
+  std::vector<Arc> in_arcs;
+  BuildInCsr(edge_list, n, &in_offsets, &in_arcs);
+  return UncertainGraph::FromParts(
+      std::move(cols.risks), std::move(cols.offsets), std::move(out_arcs),
+      std::move(in_offsets), std::move(in_arcs), std::move(edge_list));
 }
 
 }  // namespace
@@ -310,26 +444,17 @@ Result<UncertainGraph> ReadGraphBinary(std::istream& in) {
     return Status::InvalidArgument("bad binary snapshot magic");
   }
   uint32_t version = 0;
-  VULNDS_RETURN_NOT_OK(GetPod(in, &version, "version"));
-  if (version != kBinaryVersion) {
-    return Status::InvalidArgument("unsupported snapshot version " +
-                                   std::to_string(version));
-  }
   uint64_t n = 0;
   uint64_t m = 0;
+  VULNDS_RETURN_NOT_OK(GetPod(in, &version, "version"));
   VULNDS_RETURN_NOT_OK(GetPod(in, &n, "node count"));
   VULNDS_RETURN_NOT_OK(GetPod(in, &m, "edge count"));
-  if (n > std::numeric_limits<NodeId>::max() ||
-      m > std::numeric_limits<EdgeId>::max()) {
-    return Status::InvalidArgument("snapshot dimensions exceed id width");
-  }
+  VULNDS_RETURN_NOT_OK(CheckBinaryHeader(version, n, m));
 
   // Bound the declared payload against the actual stream size before any
   // allocation: a corrupt or hostile header must fail cleanly, not OOM the
-  // serving process. (n, m fit in 32 bits, so the sum cannot overflow.)
-  const uint64_t expected_bytes = n * sizeof(double) +                // risks
-                                  (n + 1) * sizeof(uint64_t) +       // offsets
-                                  m * (2 * sizeof(uint32_t) + sizeof(double));
+  // serving process.
+  const uint64_t expected_bytes = BinaryPayloadBytes(n, m);
   const std::istream::pos_type data_pos = in.tellg();
   if (data_pos != std::istream::pos_type(-1)) {
     in.seekg(0, std::ios::end);
@@ -343,99 +468,97 @@ Result<UncertainGraph> ReadGraphBinary(std::istream& in) {
     }
   }
 
-  std::vector<double> risks;
-  std::vector<uint64_t> offsets;
-  std::vector<uint32_t> dsts;
-  std::vector<double> probs;
-  std::vector<uint32_t> edge_ids;
-  VULNDS_RETURN_NOT_OK(GetArray(in, &risks, n, "self risks"));
-  VULNDS_RETURN_NOT_OK(GetArray(in, &offsets, n + 1, "CSR offsets"));
-  VULNDS_RETURN_NOT_OK(GetArray(in, &dsts, m, "arc destinations"));
-  VULNDS_RETURN_NOT_OK(GetArray(in, &probs, m, "arc probabilities"));
-  VULNDS_RETURN_NOT_OK(GetArray(in, &edge_ids, m, "arc edge ids"));
+  BinaryColumns cols;
+  VULNDS_RETURN_NOT_OK(GetArray(in, &cols.risks, n, "self risks"));
+  VULNDS_RETURN_NOT_OK(GetArray(in, &cols.offsets, n + 1, "CSR offsets"));
+  VULNDS_RETURN_NOT_OK(GetArray(in, &cols.dsts, m, "arc destinations"));
+  VULNDS_RETURN_NOT_OK(GetArray(in, &cols.probs, m, "arc probabilities"));
+  VULNDS_RETURN_NOT_OK(GetArray(in, &cols.edge_ids, m, "arc edge ids"));
+  return AssembleBinary(std::move(cols));
+}
 
-  // The arrays came off disk, so nothing in them may be trusted: validate
-  // every probability and every CSR invariant the builder would have
-  // enforced on a text load, naming the offending index, before the graph
-  // is assembled. FromParts then adopts the columns directly — no counting
-  // sort, no per-edge revalidation — which keeps snapshot loads I/O-bound.
-  for (std::size_t v = 0; v < n; ++v) {
-    if (!(risks[v] >= 0.0 && risks[v] <= 1.0)) {  // NaN fails both
-      return Status::InvalidArgument(
-          "corrupt snapshot: self-risk of node " + std::to_string(v) + " is " +
-          std::to_string(risks[v]) + ", outside [0,1]");
-    }
+Result<UncertainGraph> ReadGraphPage(
+    const std::string& path, uint32_t expected_crc,
+    const std::function<void()>& before_alloc) {
+  VULNDS_RETURN_NOT_OK(CheckLittleEndian());
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IOError("cannot open " + path + ": " + std::strerror(errno));
   }
-  if (offsets[0] != 0) {
-    return Status::InvalidArgument("corrupt snapshot: CSR offset 0 is " +
-                                   std::to_string(offsets[0]) + ", want 0");
+  struct FdCloser {
+    explicit FdCloser(int owned) : fd(owned) {}
+    FdCloser(const FdCloser&) = delete;
+    FdCloser& operator=(const FdCloser&) = delete;
+    ~FdCloser() { ::close(fd); }
+    int fd;
+  } closer(fd);
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) {
+    return Status::IOError("cannot stat " + path + ": " + std::strerror(errno));
   }
-  if (offsets[n] != m) {
-    return Status::InvalidArgument(
-        "corrupt snapshot: CSR offset " + std::to_string(n) + " is " +
-        std::to_string(offsets[n]) + ", want edge count " + std::to_string(m));
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    if (offsets[v] > offsets[v + 1]) {
-      return Status::InvalidArgument(
-          "corrupt snapshot: CSR offsets decrease at node " + std::to_string(v));
-    }
-  }
+  const auto file_bytes = static_cast<uint64_t>(st.st_size);
+  const auto corrupt = [&](const std::string& what) {
+    return Status::InvalidArgument("corrupt spill page " + path + ": " + what);
+  };
 
-  // Recover the insertion-order edge list through the edge-id column while
-  // checking it is a permutation of [0, m); simultaneously validate each
-  // arc's endpoint and probability and the builder's canonical within-group
-  // order (ascending edge id), which samplers rely on for bit-identical
-  // coin-flip sequences.
-  std::vector<UncertainEdge> edge_list(m);
-  std::vector<Arc> out_arcs(m);
-  std::vector<char> seen(m, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      const uint32_t dst = dsts[i];
-      const double prob = probs[i];
-      const uint32_t e = edge_ids[i];
-      if (dst >= n) {
-        return Status::InvalidArgument(
-            "corrupt snapshot: arc " + std::to_string(i) + " points at node " +
-            std::to_string(dst) + " outside the graph of " + std::to_string(n) +
-            " nodes");
+  // Reads exactly `len` bytes into `dst` in bounded chunks, extending `crc`
+  // over each chunk while it is still in cache. A file that ends early is
+  // corrupt (it shrank since the size check), not an IO failure.
+  uint32_t crc = 0;
+  const auto read_exact = [&](void* dst, std::size_t len) -> Status {
+    constexpr std::size_t kChunkBytes = std::size_t{1} << 18;
+    auto* out = static_cast<char*>(dst);
+    while (len > 0) {
+      const ssize_t got = ::read(fd, out, std::min(len, kChunkBytes));
+      if (got < 0) {
+        if (errno == EINTR) continue;
+        return Status::IOError("read of " + path +
+                               " failed: " + std::strerror(errno));
       }
-      if (dst == v) {
-        return Status::InvalidArgument("corrupt snapshot: arc " +
-                                       std::to_string(i) + " is a self-loop on node " +
-                                       std::to_string(v));
-      }
-      if (!(prob >= 0.0 && prob <= 1.0)) {  // NaN fails both
-        return Status::InvalidArgument(
-            "corrupt snapshot: arc " + std::to_string(i) + " has probability " +
-            std::to_string(prob) + ", outside [0,1]");
-      }
-      if (e >= m || seen[e]) {
-        return Status::InvalidArgument(
-            "corrupt snapshot: edge ids are not a permutation (arc " +
-            std::to_string(i) + " carries id " + std::to_string(e) + ")");
-      }
-      if (i > offsets[v] && edge_ids[i - 1] >= e) {
-        return Status::InvalidArgument(
-            "corrupt snapshot: edge ids of node " + std::to_string(v) +
-            " not ascending at arc " + std::to_string(i));
-      }
-      seen[e] = 1;
-      edge_list[e] = UncertainEdge{v, dst, prob};
-      out_arcs[i] = Arc{dst, prob, e};
+      if (got == 0) return corrupt("file ends early");
+      crc = Crc32Extend(crc, out, static_cast<std::size_t>(got));
+      out += got;
+      len -= static_cast<std::size_t>(got);
     }
+    return Status::OK();
+  };
+
+  if (file_bytes < kBinaryHeaderBytes) return corrupt("header truncated");
+  char header[kBinaryHeaderBytes] = {};
+  VULNDS_RETURN_NOT_OK(read_exact(header, sizeof(header)));
+  if (std::memcmp(header, kBinaryMagic, sizeof(kBinaryMagic)) != 0) {
+    return corrupt("bad magic");
+  }
+  uint32_t version = 0;
+  uint64_t n = 0;
+  uint64_t m = 0;
+  std::memcpy(&version, header + 8, sizeof(version));
+  std::memcpy(&n, header + 12, sizeof(n));
+  std::memcpy(&m, header + 20, sizeof(m));
+  if (const Status ok = CheckBinaryHeader(version, n, m); !ok.ok()) {
+    return corrupt(ok.message());
+  }
+  // The page is exactly one snapshot: its length is fixed by the header,
+  // and is checked before any column is allocated.
+  const uint64_t expected_bytes = kBinaryHeaderBytes + BinaryPayloadBytes(n, m);
+  if (file_bytes != expected_bytes) {
+    return corrupt("header declares " + std::to_string(expected_bytes) +
+                   " bytes, file has " + std::to_string(file_bytes));
   }
 
-  // The reverse CSR is rebuilt through the builder's own canonical helper,
-  // so the snapshot path can never drift from a from-scratch build.
-  std::vector<std::size_t> out_offsets(offsets.begin(), offsets.end());
-  std::vector<std::size_t> in_offsets;
-  std::vector<Arc> in_arcs;
-  BuildInCsr(edge_list, n, &in_offsets, &in_arcs);
-  return UncertainGraph::FromParts(std::move(risks), std::move(out_offsets),
-                                   std::move(out_arcs), std::move(in_offsets),
-                                   std::move(in_arcs), std::move(edge_list));
+  if (before_alloc) before_alloc();
+  BinaryColumns cols;
+  const auto read_column = [&](auto* column, std::size_t count) {
+    column->resize(count);
+    return read_exact(column->data(), count * sizeof(column->front()));
+  };
+  VULNDS_RETURN_NOT_OK(read_column(&cols.risks, n));
+  VULNDS_RETURN_NOT_OK(read_column(&cols.offsets, n + 1));
+  VULNDS_RETURN_NOT_OK(read_column(&cols.dsts, m));
+  VULNDS_RETURN_NOT_OK(read_column(&cols.probs, m));
+  VULNDS_RETURN_NOT_OK(read_column(&cols.edge_ids, m));
+  if (crc != expected_crc) return corrupt("CRC mismatch");
+  return AssembleBinary(std::move(cols));
 }
 
 Result<UncertainGraph> ReadGraphFile(const std::string& path) {

@@ -25,6 +25,8 @@
 #ifndef VULNDS_GRAPH_GRAPH_IO_H_
 #define VULNDS_GRAPH_GRAPH_IO_H_
 
+#include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -55,6 +57,18 @@ Result<UncertainGraph> ReadGraph(std::istream& in);
 
 /// Parses a graph from the v2 binary snapshot format.
 Result<UncertainGraph> ReadGraphBinary(std::istream& in);
+
+/// Reads a v2 snapshot page from `path` (the serving catalog's spill
+/// files) straight into the graph's columns, with no whole-file buffer.
+/// The file length must equal what the header declares; once it does,
+/// `before_alloc` (if set) runs, and only then are the columns allocated.
+/// The CRC-32 of the whole file must equal `expected_crc` (checked before
+/// anything is assembled); assembly then validates exactly as
+/// ReadGraphBinary does. Returns IOError when the file cannot be opened or
+/// read (worth a retry) and InvalidArgument when its bytes are wrong.
+Result<UncertainGraph> ReadGraphPage(
+    const std::string& path, uint32_t expected_crc,
+    const std::function<void()>& before_alloc = {});
 
 /// Reads a graph from `path`, auto-detecting text vs binary by magic.
 Result<UncertainGraph> ReadGraphFile(const std::string& path);

@@ -96,9 +96,9 @@ Status WriteFileAtomic(const std::string& data, const std::string& path,
   return Status::OK();
 }
 
-// Reads `path` into `out`, which is sized once from fstat and filled in
-// place (a file that shrank mid-read comes back short, and the caller's CRC
-// check rejects it); false on any IO error.
+// Reads `path` (a manifest) into `out`, which is sized once from fstat and
+// filled in place (a file that shrank mid-read comes back short); false on
+// any IO error.
 bool ReadFileAll(const std::string& path, std::string* out) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return false;
@@ -164,11 +164,14 @@ GraphCatalog::~GraphCatalog() {
   // startup GC.
   {
     std::lock_guard<std::mutex> lock(spill_mu_);
-    for (const auto& [name, record] : spilled_) {
-      std::remove(record.path.c_str());
+    for (const auto* records : {&spilled_, &kept_}) {
+      for (const auto& [name, record] : *records) {
+        std::remove(record.path.c_str());
+      }
     }
     spilled_.clear();
-    if (!options_.spill_dir.empty()) std::remove(ManifestPath().c_str());
+    kept_.clear();
+    if (manifest_written_) std::remove(ManifestPath().c_str());
   }
   // Settle outstanding governor charges so a governor that outlives the
   // catalog (tests, shared governors) does not account ghost bytes.
@@ -257,16 +260,32 @@ void GraphCatalog::Insert(std::shared_ptr<CatalogEntry> entry) {
   InsertPrepared(std::move(entry));
 }
 
-void GraphCatalog::InsertPrepared(std::shared_ptr<CatalogEntry> entry) {
+bool GraphCatalog::InsertPrepared(std::shared_ptr<CatalogEntry> entry,
+                                  const PageIn* page) {
   entry->bytes = EstimateGraphBytes(entry->graph);
   const std::size_t bytes = entry->bytes;
   const std::string name = entry->name;
+  const uint64_t uid = entry->uid;
   // Keep a reference past the move: the governor-settling tail below works
   // on the entry after it has been published to (and possibly already
   // detached from) the catalog.
   std::shared_ptr<CatalogEntry> held = entry;
+  std::string superseded;  // spill file the new entry makes obsolete
   {
+    // The name's spill record is settled in the critical section that
+    // publishes the entry, so a shed (whose victim scan takes mu_) never
+    // sees the entry with its record unsettled, and this settle never
+    // undoes a re-spill. It is settled BEFORE the governor charge, so a
+    // shed triggered by that charge can re-spill the new entry. Only the
+    // maps change here; the file I/O follows outside both locks.
     std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> spill_lock(spill_mu_);
+    if (page != nullptr) {
+      const auto record = spilled_.find(name);
+      if (record == spilled_.end() || record->second.uid != page->record_uid) {
+        return false;
+      }
+    }
     ++stats_.loads;
     const auto it = entries_.find(name);
     if (it != entries_.end()) {
@@ -276,26 +295,34 @@ void GraphCatalog::InsertPrepared(std::shared_ptr<CatalogEntry> entry) {
     lru_.push_front(name);
     bytes_ += bytes;
     entries_.emplace(name, Slot{std::move(entry), lru_.begin()});
+    if (page == nullptr || !page->keep_page ||
+        !MovePageLocked(name, uid, /*to_spilled=*/false)) {
+      superseded = TakeSpillRecordLocked(name);
+    }
   }
-  // The new resident entry supersedes any spilled generation of the name:
-  // dropped AFTER the insert so a concurrent GetOrLoad always finds the
-  // name in at least one of the two places, and BEFORE the governor charge
-  // so a shed triggered by that charge can re-spill the new entry without
-  // this drop deleting the fresh record.
-  DropSpillRecord(name);
+  if (!superseded.empty()) {
+    {
+      std::lock_guard<std::mutex> lock(spill_mu_);
+      RewriteManifestLocked();
+    }
+    std::remove(superseded.c_str());
+  }
   auto* gov = governor();
   if (gov != nullptr) {
-    // Charge before publishing the amount, then re-check detachment: if a
-    // concurrent Evict/replace removed the entry between the publish and
-    // its detach-side settle, exactly one side wins the exchange and
+    // Charge (or turn a page-in's reservation into the charge) before
+    // publishing the amount, then re-check detachment: if a concurrent
+    // Evict/replace removed the entry between the publish and its
+    // detach-side settle, exactly one side wins the exchange and
     // discharges — the balance nets to zero in every interleaving.
-    gov->Charge(store::ChargeClass::kSnapshot, bytes);
+    gov->Recharge(store::ChargeClass::kSnapshot,
+                  page != nullptr ? page->reserved : 0, bytes);
     held->charged_snapshot_bytes.store(bytes, std::memory_order_release);
     if (held->detached.load(std::memory_order_acquire)) {
       gov->Discharge(store::ChargeClass::kSnapshot,
                      held->charged_snapshot_bytes.exchange(0));
     }
   }
+  return true;
 }
 
 void GraphCatalog::RemoveLocked(SlotMap::iterator it) {
@@ -318,24 +345,55 @@ void GraphCatalog::RemoveLocked(SlotMap::iterator it) {
 }
 
 bool GraphCatalog::DropSpillRecord(const std::string& name) {
-  SpillRecord record;
+  std::string path;
   {
     std::lock_guard<std::mutex> lock(spill_mu_);
-    const auto it = spilled_.find(name);
-    if (it == spilled_.end()) return false;
-    record = std::move(it->second);
-    spilled_.erase(it);
-    spilled_bytes_.fetch_sub(record.bytes, std::memory_order_relaxed);
-    spilled_count_.fetch_sub(1, std::memory_order_relaxed);
+    path = TakeSpillRecordLocked(name);
+    if (path.empty()) return false;
     RewriteManifestLocked();
   }
-  std::remove(record.path.c_str());
+  std::remove(path.c_str());
   return true;
 }
 
-std::string GraphCatalog::SpillPathFor(const CatalogEntry& entry) const {
+std::string GraphCatalog::TakeSpillRecordLocked(const std::string& name) {
+  std::string path;
+  if (const auto it = spilled_.find(name); it != spilled_.end()) {
+    spilled_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
+    spilled_count_.fetch_sub(1, std::memory_order_relaxed);
+    path = std::move(it->second.path);
+    spilled_.erase(it);
+  } else if (const auto kept = kept_.find(name); kept != kept_.end()) {
+    path = std::move(kept->second.path);
+    kept_.erase(kept);
+  }
+  return path;
+}
+
+bool GraphCatalog::MovePageLocked(const std::string& name, uint64_t uid,
+                                  bool to_spilled) {
+  auto& from = to_spilled ? kept_ : spilled_;
+  auto& to = to_spilled ? spilled_ : kept_;
+  const auto it = from.find(name);
+  if (it == from.end() || it->second.uid != uid) return false;
+  const std::size_t bytes = it->second.bytes;
+  if (to_spilled) {
+    spilled_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    spilled_count_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    spilled_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+    spilled_count_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  to[name] = std::move(it->second);
+  from.erase(it);
+  return true;
+}
+
+std::string GraphCatalog::SpillPathFor(const CatalogEntry& entry) {
+  const uint64_t file =
+      next_spill_file_.fetch_add(1, std::memory_order_relaxed);
   return options_.spill_dir + "/" + SanitizeForFilename(entry.name) + "." +
-         std::to_string(entry.uid) + ".vg2";
+         std::to_string(entry.uid) + "." + std::to_string(file) + ".vg2";
 }
 
 std::string GraphCatalog::ManifestPath() const {
@@ -348,12 +406,15 @@ void GraphCatalog::RewriteManifestLocked() {
   // process' startup GC away from this process' live files, so basenames
   // (what that GC sees in its directory scan) are the natural key.
   std::string body;
-  for (const auto& [name, record] : spilled_) {
-    const std::size_t slash = record.path.find_last_of('/');
-    body.append(slash == std::string::npos ? record.path
-                                           : record.path.substr(slash + 1));
-    body.push_back('\n');
+  for (const auto* records : {&spilled_, &kept_}) {
+    for (const auto& [name, record] : *records) {
+      const std::size_t slash = record.path.find_last_of('/');
+      body.append(slash == std::string::npos ? record.path
+                                             : record.path.substr(slash + 1));
+      body.push_back('\n');
+    }
   }
+  manifest_written_ = true;
   const Status written = WriteFileAtomic(body, ManifestPath(),
                                          fail::points::kSpillManifestWrite);
   if (!written.ok()) {
@@ -458,6 +519,47 @@ std::size_t GraphCatalog::ShedContexts(std::size_t want) {
   return freed;
 }
 
+bool GraphCatalog::WriteSpillPage(const CatalogEntry& victim) {
+  // Serialize and write the spill file OUTSIDE the catalog lock (sheds run
+  // under the governor's shed mutex only). The CRC over the serialized
+  // bytes travels in the spill record so page-in can prove the file came
+  // back intact before assembling it; the temp+rename write means no
+  // reader ever sees a truncated snapshot under the final name.
+  const std::string path = SpillPathFor(victim);
+  std::ostringstream serialized;
+  if (!WriteGraphBinary(victim.graph, serialized).ok()) return false;
+  const std::string payload = std::move(serialized).str();
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  auto* reg = registry_.load(std::memory_order_acquire);
+  Status written = Status::OK();
+  for (int attempt = 0; attempt < kSpillIoAttempts; ++attempt) {
+    written = WriteFileAtomic(payload, path, fail::points::kSpillWrite);
+    if (written.ok()) {
+      if (attempt > 0) CountIoError(reg, "spill_write", "retried");
+      break;
+    }
+  }
+  if (!written.ok()) {
+    // Never drop a snapshot we failed to park: the entry stays resident
+    // (the governor simply frees less this round) — degraded memory
+    // pressure, never a lost graph.
+    CountIoError(reg, "spill_write", "error");
+    return false;
+  }
+  std::string stale;  // a page of an older generation of the name
+  {
+    std::lock_guard<std::mutex> lock(spill_mu_);
+    stale = TakeSpillRecordLocked(victim.name);
+    spilled_[victim.name] =
+        SpillRecord{path, victim.source, victim.uid, victim.bytes, crc};
+    spilled_bytes_.fetch_add(victim.bytes, std::memory_order_relaxed);
+    spilled_count_.fetch_add(1, std::memory_order_relaxed);
+    RewriteManifestLocked();
+  }
+  if (!stale.empty()) std::remove(stale.c_str());
+  return true;
+}
+
 std::size_t GraphCatalog::ShedSnapshots(std::size_t want) {
   // Spill the coldest UNPINNED snapshots to disk until `want`
   // bytes are freed. Without a spill directory this frees nothing —
@@ -482,50 +584,28 @@ std::size_t GraphCatalog::ShedSnapshots(std::size_t want) {
       }
     }
     if (victim == nullptr) return freed;  // everything pinned or empty
-    // Serialize and write the spill file OUTSIDE the catalog lock (we run
-    // under the governor's shed mutex only). The CRC over the serialized
-    // bytes travels in the spill record so page-in can prove the file came
-    // back intact before deserializing it; the temp+rename write means no
-    // reader ever sees a truncated snapshot under the final name.
     const int64_t start = NowMicros();
-    const std::string path = SpillPathFor(*victim);
-    std::ostringstream serialized;
-    if (!WriteGraphBinary(victim->graph, serialized).ok()) return freed;
-    const std::string payload = std::move(serialized).str();
-    const uint32_t crc = Crc32(payload.data(), payload.size());
-    auto* reg = registry_.load(std::memory_order_acquire);
-    Status written = Status::OK();
-    for (int attempt = 0; attempt < kSpillIoAttempts; ++attempt) {
-      written = WriteFileAtomic(payload, path, fail::points::kSpillWrite);
-      if (written.ok()) {
-        if (attempt > 0) CountIoError(reg, "spill_write", "retried");
-        break;
-      }
-    }
-    if (!written.ok()) {
-      // Never drop a snapshot we failed to park: the entry stays resident
-      // (the governor simply frees less this round) — degraded memory
-      // pressure, never a lost graph.
-      CountIoError(reg, "spill_write", "error");
-      return freed;
-    }
-    // Record the spill BEFORE detaching the resident entry: a concurrent
-    // GetOrLoad must find the name in at least one of the two places.
+    // A clean page — the victim paged in under this uid and its file is
+    // still on disk — moves back to spilled_ instead of being written, as
+    // an OS evicts a clean page. Either way the record is in spilled_
+    // BEFORE the resident entry is detached: a concurrent GetOrLoad must
+    // find the name in at least one of the two places.
+    bool clean = false;
     {
       std::lock_guard<std::mutex> lock(spill_mu_);
-      spilled_[victim->name] =
-          SpillRecord{path, victim->source, victim->uid, victim->bytes, crc};
-      spilled_bytes_.fetch_add(victim->bytes, std::memory_order_relaxed);
-      spilled_count_.fetch_add(1, std::memory_order_relaxed);
-      RewriteManifestLocked();
+      clean = MovePageLocked(victim->name, victim->uid, /*to_spilled=*/true);
     }
+    if (!clean && !WriteSpillPage(*victim)) return freed;
     bool detached = false;
+    bool still_resident = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
+      if (!clean) ++stats_.spill_writes;
       const auto it = entries_.find(victim->name);
       // The entry may have been replaced, evicted, or pinned since the
       // scan; spilling it then would park a stale (or in-use) snapshot.
-      if (it != entries_.end() && it->second.entry == victim &&
+      still_resident = it != entries_.end() && it->second.entry == victim;
+      if (still_resident &&
           victim->pins.load(std::memory_order_relaxed) == 0) {
         ++stats_.spills;
         const std::size_t context_bytes =
@@ -536,8 +616,16 @@ std::size_t GraphCatalog::ShedSnapshots(std::size_t want) {
       }
     }
     if (!detached) {
-      // Undo: the resident entry stays authoritative.
-      DropSpillRecord(victim->name);
+      // Undo: the resident entry stays authoritative. A clean page goes
+      // back to kept_; a file just written (or the page of a replaced
+      // entry) is deleted.
+      bool restored = false;
+      if (clean && still_resident) {
+        std::lock_guard<std::mutex> lock(spill_mu_);
+        restored = MovePageLocked(victim->name, victim->uid,
+                                  /*to_spilled=*/false);
+      }
+      if (!restored) DropSpillRecord(victim->name);
       // The victim scan would pick the same entry again only if it is
       // still coldest AND unpinned — a pinned victim repeats forever, so
       // stop this round instead; the governor retries on later charges.
@@ -589,65 +677,93 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::GetOrLoad(
   const int64_t start = NowMicros();
   auto* reg = registry_.load(std::memory_order_acquire);
 
-  // Read the whole spill file (bounded retries), then verify the CRC taken
-  // at spill time BEFORE deserializing: a corrupted page is detected here
-  // and can never become a servable — but wrong — graph.
-  std::string blob;
-  Status page = Status::OK();
+  // Reserve first: once the page's header has checked out against its
+  // length, its bytes are charged before any column is allocated, so the
+  // governor sheds the victim before the new columns exist and the two
+  // never sit in memory together. The reservation becomes the entry's
+  // charge, or is released on failure.
+  auto* gov = governor();
+  PageIn page{record.uid, SourceIsReloadable(record.source), 0};
+  const auto reserve = [&] {
+    if (gov == nullptr || page.reserved != 0) return;  // retries reserve once
+    page.reserved = record.bytes;
+    gov->Charge(store::ChargeClass::kSnapshot, page.reserved);
+  };
+  const auto release = [&] {
+    if (gov != nullptr) {
+      gov->Discharge(store::ChargeClass::kSnapshot, page.reserved);
+    }
+  };
+  // A Load, Put or Evict of the name that raced the read superseded the
+  // record and deleted its file: the failed read is then no fault, and the
+  // name's newer state answers instead.
+  const auto fail_page_in =
+      [&](Status status) -> Result<std::shared_ptr<CatalogEntry>> {
+    release();
+    bool current = false;
+    {
+      std::lock_guard<std::mutex> lock(spill_mu_);
+      const auto it = spilled_.find(name);
+      current = it != spilled_.end() && it->second.uid == record.uid;
+    }
+    if (!current) return Get(name);
+    CountIoError(reg, "spill_page_in", "error");
+    return status;
+  };
+
+  // Read the page straight into the graph's columns (bounded retries on
+  // IO errors). The reader verifies the CRC taken at spill time BEFORE
+  // assembling: a corrupted page is detected here and can never become a
+  // servable — but wrong — graph.
+  Result<UncertainGraph> graph = Status::IOError("spill file not read");
   for (int attempt = 0; attempt < kSpillIoAttempts; ++attempt) {
     if (const auto o = fail::Check(fail::points::kSpillPageIn);
         o != fail::Outcome::kNone) {
-      page = Status::IOError("read of " + record.path + " failed: " +
-                             std::strerror(fail::InjectedErrno(o)) +
-                             " (injected)");
+      graph = Status::IOError("read of " + record.path + " failed: " +
+                              std::strerror(fail::InjectedErrno(o)) +
+                              " (injected)");
       continue;
     }
-    if (!ReadFileAll(record.path, &blob)) {
-      page = Status::IOError("read of " + record.path +
-                             " failed: " + std::strerror(errno));
-      continue;
-    }
-    if (attempt > 0) CountIoError(reg, "spill_page_in", "retried");
-    page = Status::OK();
-    break;
-  }
-  Result<UncertainGraph> graph = Status::IOError("spill file not read");
-  if (page.ok()) {
-    if (Crc32(blob.data(), blob.size()) != record.crc) {
-      page = Status::IOError("spill file " + record.path +
-                             " failed its CRC check (corrupted on disk)");
-    } else {
-      std::istringstream in(std::move(blob));  // adopts the buffer, no copy
-      graph = ReadGraphBinary(in);
-      if (!graph.ok()) page = graph.status();
+    graph = ReadGraphPage(record.path, record.crc, reserve);
+    if (graph.ok() || graph.status().code() != StatusCode::kIOError) {
+      if (attempt > 0) CountIoError(reg, "spill_page_in", "retried");
+      break;
     }
   }
 
-  if (!page.ok()) {
+  auto entry = std::make_shared<CatalogEntry>();
+  entry->name = name;
+  entry->source = record.source;
+  // The original uid survives the round trip: result-cache lines keyed on
+  // (name, uid, options) keep answering for the paged-back snapshot, which
+  // is bit-identical to the spilled one by the v2 format's losslessness.
+  entry->uid = record.uid;
+  // A snapshot with a reloadable source keeps its file as a clean page
+  // (page.keep_page), which its next spill re-activates without a write.
+  // Other snapshots drop theirs: their only copy must never be a file
+  // written before their last page-in.
+  if (graph.ok()) {
+    entry->graph = graph.MoveValue();
+  } else {
     // Degraded path: the spilled copy is gone or corrupt. When the entry
     // originally came from a real snapshot file, reload that source and
     // keep serving. Entries that only ever lived in memory have nothing to
     // fall back to.
+    const Status& read = graph.status();
     if (!SourceIsReloadable(record.source)) {
-      CountIoError(reg, "spill_page_in", "error");
-      return Status::IOError("page-in of '" + name + "' from " + record.path +
-                             " failed (" + page.message() +
-                             ") and the snapshot has no on-disk source; "
-                             "graph unavailable");
+      return fail_page_in(Status::IOError(
+          "page-in of '" + name + "' from " + record.path + " failed (" +
+          read.message() +
+          ") and the snapshot has no on-disk source; graph unavailable"));
     }
     Result<UncertainGraph> reloaded = ReadGraphFile(record.source);
     if (!reloaded.ok()) {
-      CountIoError(reg, "spill_page_in", "error");
-      return Status::IOError("page-in of '" + name + "' from " + record.path +
-                             " failed (" + page.message() +
-                             ") and reloading its source " + record.source +
-                             " failed: " + reloaded.status().message() +
-                             "; graph unavailable");
+      return fail_page_in(Status::IOError(
+          "page-in of '" + name + "' from " + record.path + " failed (" +
+          read.message() + ") and reloading its source " + record.source +
+          " failed: " + reloaded.status().message() + "; graph unavailable"));
     }
     CountIoError(reg, "spill_page_in", "degraded");
-    auto entry = std::make_shared<CatalogEntry>();
-    entry->name = name;
-    entry->source = record.source;
     entry->graph = reloaded.MoveValue();
     // Did the reload reconstruct the exact snapshot we lost? Re-serialize
     // and compare against the CRC taken at spill time: serialization is
@@ -665,38 +781,19 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::GetOrLoad(
       const std::string bytes = std::move(reserialized).str();
       bit_identical = Crc32(bytes.data(), bytes.size()) == record.crc;
     }
-    std::shared_ptr<CatalogEntry> held = entry;
-    if (bit_identical) {
-      entry->uid = record.uid;
-      InsertPrepared(std::move(entry));
-    } else {
-      // Insert mints the fresh uid; both paths drop the broken spill
-      // record and file.
-      Insert(std::move(entry));
+    if (!bit_identical) {
+      entry->uid = next_uid_.fetch_add(1, std::memory_order_relaxed);
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.page_ins;
-    }
-    if (auto* histogram = page_in_micros_.load(std::memory_order_acquire)) {
-      histogram->Observe(static_cast<double>(NowMicros() - start));
-    }
-    return held;
+    page.keep_page = false;  // the broken file goes with its record
   }
-
-  auto entry = std::make_shared<CatalogEntry>();
-  entry->name = name;
-  entry->source = record.source;
-  entry->graph = graph.MoveValue();
-  // The original uid survives the round trip: result-cache lines keyed on
-  // (name, uid, options) keep answering for the paged-back snapshot, which
-  // is bit-identical to the spilled one by the v2 format's losslessness.
-  entry->uid = record.uid;
   std::shared_ptr<CatalogEntry> held = entry;
-  // InsertPrepared drops the spill record (and file) once the entry is
+  // InsertPrepared keeps or drops the spill record once the entry is
   // resident, and may itself re-spill under pressure — the returned
   // reference stays valid either way.
-  InsertPrepared(std::move(entry));
+  if (!InsertPrepared(std::move(entry), &page)) {
+    release();
+    return Get(name);  // superseded while reading: the newer state answers
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.page_ins;

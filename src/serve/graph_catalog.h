@@ -31,16 +31,42 @@
 // Queries pin entries (ScopedEntryPin) for their in-flight duration;
 // pinned snapshots are never spilled or shed.
 //
+// Clean pages. A snapshot that pages back in under its uid keeps its spill
+// file and record when its source is reloadable (a real snapshot file):
+// the record moves from the spilled set to a kept set, its file is then a
+// clean page of the resident snapshot, and the next spill of that entry
+// writes nothing — it moves the record back and detaches the entry, as an
+// OS evicts a clean page. So each (name, uid)
+// is written at most once (CatalogStats::spill_writes). Evicting,
+// reloading or replacing the name deletes its kept file, as does the
+// catalog's destructor. "<memory>" and "commit:" snapshots keep no page:
+// with no source to fall back to, they must never depend on a file
+// written before their last page-in, so each of their spills writes anew.
+//
+// Reserve-first page-in. GetOrLoad reads a page straight into the graph's
+// columns (ReadGraphPage: no whole-file buffer). Once the page's header
+// checks out against the file length, the record's bytes are charged to
+// the governor BEFORE any column is allocated, so the victim is shed
+// before the new arrays exist; that reservation becomes the entry's
+// charge, or is released when the page-in fails.
+//
 // Spill integrity and crash consistency. Spill files carry a CRC-32 over
 // the serialized snapshot, verified on page-in: a corrupted page is never
 // deserialized into a servable graph — the catalog falls back to reloading
-// the entry's original on-disk source (fresh uid: cached results against
-// the lost snapshot are unreachable, never wrong) or surfaces an error
-// while everything else keeps serving. Spill files are process-private; a
+// the entry's original on-disk source (same uid when the source still
+// holds the spilled snapshot, else a fresh uid: cached results against the
+// lost snapshot are unreachable, never wrong) or surfaces an error while
+// everything else keeps serving. Spill files are process-private; a
 // per-process manifest (`MANIFEST.<pid>`, rewritten atomically under the
-// spill lock) names the live ones, and construction reclaims any *.vg2
+// spill lock, and only when the set of files on disk changes) names the
+// live ones, kept pages included, and construction reclaims any *.vg2
 // debris in the spill directory that no live process' manifest references —
 // before this GC, files orphaned by kill -9 persisted until path reuse.
+// The manifest is per process, not per catalog: at most one catalog of a
+// process should spill into a given directory (a second one's GC treats
+// the first's files as live, but their manifest rewrites would clobber
+// each other). A catalog removes the manifest on destruction only if it
+// wrote it.
 // Spill files and the manifest are written to a sibling temp file and
 // rename()d into place, so a reader or GC scan never sees a torn file, but
 // they are NOT fsynced: they are scratch that dies with the process (the
@@ -162,8 +188,12 @@ struct CatalogStats {
   std::size_t evictions = 0;  ///< explicit Evict calls that removed a graph
   std::size_t hits = 0;       ///< Get() found the name
   std::size_t misses = 0;     ///< Get() did not
-  std::size_t spills = 0;     ///< snapshots written to the spill dir
+  std::size_t spills = 0;     ///< snapshots detached to the spill dir
   std::size_t page_ins = 0;   ///< spilled snapshots read back on demand
+  /// Spill files written. A clean re-spill (the snapshot's file is still
+  /// on disk from its last spill) writes nothing, so this stays at most
+  /// the number of distinct (name, uid) pairs that spilled.
+  std::size_t spill_writes = 0;
 };
 
 /// Catalog wiring: where snapshots spill and which governor bounds them.
@@ -239,9 +269,9 @@ class GraphCatalog {
   /// hit counters (existence checks must not perturb LRU order).
   bool Contains(const std::string& name) const;
 
-  /// Removes `name` — resident or spilled (the spill file is deleted);
-  /// returns whether it existed. In-flight holders of the entry keep it
-  /// alive until they drop their reference.
+  /// Removes `name` — resident or spilled (its spill file or kept page is
+  /// deleted); returns whether it existed. In-flight holders of the entry
+  /// keep it alive until they drop their reference.
   bool Evict(const std::string& name);
 
   /// Resident names, most-recently-used first, then spilled names (coldest
@@ -283,7 +313,7 @@ class GraphCatalog {
   };
   using SlotMap = std::unordered_map<std::string, Slot>;
 
-  /// A snapshot parked on disk: where it is, what loaded it originally,
+  /// A snapshot file on disk: where it is, what loaded it originally,
   /// and the identity/size it resumes on page-in.
   struct SpillRecord {
     std::string path;
@@ -296,11 +326,24 @@ class GraphCatalog {
   // Mints a fresh uid for `entry`, then registers it (see InsertPrepared).
   void Insert(std::shared_ptr<CatalogEntry> entry);
 
-  // Registers `entry` under its ALREADY-SET uid (replacing any same-name
-  // entry and superseding any same-name spill record), then charges the
-  // governor. Called with no catalog locks held (page-in calls it under
-  // page_in_mu_ only).
-  void InsertPrepared(std::shared_ptr<CatalogEntry> entry);
+  // What a page-in publishes along with its entry.
+  struct PageIn {
+    uint64_t record_uid = 0;   // uid of the spill record that was read
+    bool keep_page = false;    // keep that record's file as a clean page
+    std::size_t reserved = 0;  // snapshot bytes already charged for it
+  };
+
+  // Registers `entry` under its ALREADY-SET uid, replacing any same-name
+  // entry, then charges the governor; the name's spill record and file are
+  // deleted. For a page-in (`page` set) the entry is published only while
+  // the record it was read from is still the name's spilled record — a
+  // Load, Put or Evict that raced the read superseded it, and the call then
+  // changes nothing and returns false. A page-in's `keep_page` moves the
+  // record to kept_ instead of deleting it, and its `reserved` bytes become
+  // the entry's charge. Called with no catalog locks held (page-in calls it
+  // under page_in_mu_ only).
+  bool InsertPrepared(std::shared_ptr<CatalogEntry> entry,
+                      const PageIn* page = nullptr);
 
   // Removes the slot at `it`: detaches the entry, settles its governor
   // charges, and adjusts the byte accounting. Caller holds mu_ and is
@@ -311,14 +354,28 @@ class GraphCatalog {
   // existed. Takes spill_mu_.
   bool DropSpillRecord(const std::string& name);
 
-  // The spill file for `entry` inside spill_dir (name sanitized, uid
-  // suffix keeps distinct generations of one name distinct on disk).
-  std::string SpillPathFor(const CatalogEntry& entry) const;
+  // Erases `name`'s record from spilled_ or kept_ and returns its file's
+  // path ("" when there was none) for the caller to delete and to rewrite
+  // the manifest. Caller holds spill_mu_.
+  std::string TakeSpillRecordLocked(const std::string& name);
+
+  // Moves `name`'s record with `uid` between kept_ and spilled_ (`to_spilled`
+  // picks the direction), keeping the spilled byte/count gauges in step;
+  // false when the source map holds no such record. The file stays, so the
+  // manifest does not change. Caller holds spill_mu_.
+  bool MovePageLocked(const std::string& name, uint64_t uid, bool to_spilled);
+
+  // A fresh spill file path for `entry` inside spill_dir: the sanitized
+  // name, the uid, and a per-catalog write number. No path is ever used
+  // twice, so deleting a superseded page (outside spill_mu_) can never
+  // remove a newer page of the same (name, uid).
+  std::string SpillPathFor(const CatalogEntry& entry);
 
   // This process' spill manifest path (spill_dir/MANIFEST.<pid>).
   std::string ManifestPath() const;
 
-  // Atomically rewrites the manifest from spilled_. Caller holds spill_mu_.
+  // Atomically rewrites the manifest from spilled_ and kept_ (every file
+  // on disk). Caller holds spill_mu_.
   // Failures are counted (site=spill_manifest) and swallowed: the in-memory
   // records stay authoritative for this process, the manifest only protects
   // the files from another process' startup GC.
@@ -328,6 +385,10 @@ class GraphCatalog {
   // manifests) in spill_dir that no live process' manifest references,
   // counting reclaimed files in spill_orphans_reclaimed_.
   void ReclaimOrphanSpills();
+
+  // Serializes `victim` to its spill file and records it as spilled;
+  // false (the entry stays resident) when the write fails.
+  bool WriteSpillPage(const CatalogEntry& victim);
 
   // Governor shedders (registered by BindGovernor; run under the
   // governor's shed mutex, so they only ever Discharge, never Charge).
@@ -352,12 +413,18 @@ class GraphCatalog {
   // governor's shed mutex; page_in_mu_ is taken before everything
   // (serializes the read-back I/O so racing queries for one spilled name
   // do the disk read once).
+  // spilled_ holds the snapshots parked on disk, kept_ the clean pages of
+  // resident ones; a name has a record in at most one of the two. Only
+  // spilled_ is counted in the gauges and paged in.
   mutable std::mutex spill_mu_;
   std::unordered_map<std::string, SpillRecord> spilled_;
+  std::unordered_map<std::string, SpillRecord> kept_;
+  bool manifest_written_ = false;  // this catalog wrote ManifestPath()
   std::atomic<std::size_t> spilled_bytes_{0};
   std::atomic<std::size_t> spilled_count_{0};
   std::mutex page_in_mu_;
   std::atomic<bool> spill_dir_ready_{false};
+  std::atomic<uint64_t> next_spill_file_{0};
   std::atomic<std::size_t> spill_orphans_reclaimed_{0};
 
   // Late-bound runtime (engine wires these in its constructor; atomics so

@@ -517,8 +517,12 @@ void QueryEngine::RefreshMetrics() {
       ->Set(static_cast<double>(catalog_->spilled_count()));
   registry_
       ->GetCounter("vulnds_store_spills_total",
-                   "Snapshots written to the spill directory")
+                   "Snapshots detached to the spill directory")
       ->Set(c.spills);
+  registry_
+      ->GetCounter("vulnds_store_spill_writes_total",
+                   "Spill files written (a clean re-spill writes none)")
+      ->Set(c.spill_writes);
   registry_
       ->GetCounter("vulnds_store_page_ins_total",
                    "Spilled snapshots paged back in on demand")

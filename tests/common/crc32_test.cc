@@ -54,6 +54,24 @@ TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
   }
 }
 
+// Extending a CRC chunk by chunk equals one pass over the whole buffer, at
+// every split point, so a reader can check a file column by column.
+TEST(Crc32Test, ExtendOverAnySplitEqualsOnePass) {
+  std::mt19937 rng(20260517);
+  std::vector<unsigned char> buffer(300);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(rng());
+  const uint32_t whole = Crc32(buffer.data(), buffer.size());
+  EXPECT_EQ(Crc32Extend(0, buffer.data(), buffer.size()), whole);
+  for (std::size_t a = 0; a <= buffer.size(); ++a) {
+    for (std::size_t b = a; b <= buffer.size(); b += 37) {
+      uint32_t crc = Crc32(buffer.data(), a);
+      crc = Crc32Extend(crc, buffer.data() + a, b - a);
+      crc = Crc32Extend(crc, buffer.data() + b, buffer.size() - b);
+      ASSERT_EQ(crc, whole) << "split " << a << "/" << b;
+    }
+  }
+}
+
 TEST(Crc32Test, JournalFrameBytesArePinned) {
   // [len u32 LE][crc u32 LE][payload] for one commit barrier record. A
   // change here means journals written by earlier builds no longer replay.

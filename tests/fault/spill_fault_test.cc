@@ -46,6 +46,34 @@ std::vector<std::string> ListDir(const std::string& dir) {
   return names;
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// The one spill file of `name` in `dir` ("" when there is none).
+std::string SpillFileOf(const std::string& dir, const std::string& name) {
+  std::string found;
+  for (const std::string& fname : ListDir(dir)) {
+    if (fname.rfind(name + ".", 0) == 0) found = dir + "/" + fname;
+  }
+  return found;
+}
+
+// Flips one byte in the middle of `path`'s payload, past the 28-byte v2
+// header: the page still opens and sizes up, and fails only its CRC.
+void CorruptPayload(const std::string& path) {
+  std::string blob = ReadFile(path);
+  ASSERT_GT(blob.size(), 64u) << path;
+  blob[blob.size() / 2] ^= 0x41;
+  std::ofstream out(path, std::ios::binary | std::ios::in | std::ios::out);
+  out.seekp(0);
+  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
 void WriteFile(const std::string& path, const std::string& data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << data;
@@ -335,6 +363,111 @@ TEST_F(SpillFaultTest, FailedSpillWriteKeepsSnapshotResident) {
   fail::DisarmAll();
   governor.MaybeShed();
   EXPECT_EQ(catalog.spilled_count(), 1u);
+}
+
+// A clean page corrupted while its snapshot is resident: the re-spill
+// writes nothing (the corruption stays on disk), and the next page-in
+// catches it by CRC and serves the reloadable source under the same uid
+// through the degraded path.
+TEST_F(SpillFaultTest, CorruptedKeptPageFallsBackToSourceUnderSameUid) {
+  const std::string dir = TempPath("spill_kept_a");
+  SpillRig rig = SpillOne(dir, "kept_a");
+  GraphCatalog& catalog = *rig.catalog;
+  ASSERT_TRUE(catalog.GetOrLoad("g1").ok());  // g1 resident, page kept
+  const std::string kept = SpillFileOf(dir, "g1");
+  ASSERT_FALSE(kept.empty());
+  CorruptPayload(kept);
+
+  const std::size_t writes = catalog.stats().spill_writes;
+  ASSERT_TRUE(catalog.GetOrLoad("g2").ok());  // clean re-spill of g1
+  EXPECT_EQ(catalog.stats().spill_writes, writes);
+  EXPECT_EQ(catalog.Get("g1"), nullptr);
+
+  Result<std::shared_ptr<CatalogEntry>> paged = catalog.GetOrLoad("g1");
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  ASSERT_NE(*paged, nullptr);
+  EXPECT_EQ((*paged)->uid, rig.g1_uid);
+  const std::string out = TempPath("kept_a_roundtrip.snap");
+  ASSERT_TRUE(
+      WriteGraphFile((*paged)->graph, out, GraphFileFormat::kBinary).ok());
+  EXPECT_EQ(ReadFile(out), ReadFile(rig.source_path));
+  // The broken page went with its record; the next spill writes afresh.
+  EXPECT_TRUE(SpillFileOf(dir, "g1").empty());
+}
+
+// A <memory> snapshot has no source to fall back to, so it never keeps a
+// page: after every page-in its file is gone, and every spill writes a new
+// one. It keeps answering through the whole cycle.
+TEST_F(SpillFaultTest, MemoryEntryNeverReusesASpillFile) {
+  const std::string dir = TempPath("spill_kept_b");
+  const UncertainGraph g1 = testing::RandomSmallGraph(60, 0.2, 611);
+  const UncertainGraph g2 = testing::RandomSmallGraph(60, 0.2, 622);
+  store::MemoryGovernorOptions governor_options;
+  governor_options.budget_bytes =
+      std::max(EstimateGraphBytes(g1), EstimateGraphBytes(g2)) + 512;
+  store::MemoryGovernor governor(governor_options);
+  GraphCatalogOptions options;
+  options.spill_dir = dir;
+  options.governor = &governor;
+  GraphCatalog catalog(options);
+  ASSERT_TRUE(catalog.Put("g1", g1).ok());
+  ASSERT_TRUE(catalog.Put("g2", g2).ok());  // g1 spills
+  const std::string want = TempPath("kept_b_want.snap");
+  ASSERT_TRUE(WriteGraphFile(g1, want, GraphFileFormat::kBinary).ok());
+
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    SCOPED_TRACE(cycle);
+    const std::size_t writes = catalog.stats().spill_writes;
+    Result<std::shared_ptr<CatalogEntry>> paged = catalog.GetOrLoad("g1");
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    ASSERT_NE(*paged, nullptr);
+    EXPECT_TRUE(SpillFileOf(dir, "g1").empty()) << "page kept";
+    const std::string out = TempPath("kept_b_roundtrip.snap");
+    ASSERT_TRUE(
+        WriteGraphFile((*paged)->graph, out, GraphFileFormat::kBinary).ok());
+    EXPECT_EQ(ReadFile(out), ReadFile(want));
+    ASSERT_TRUE(catalog.GetOrLoad("g2").ok());  // re-spills g1: a write
+    EXPECT_FALSE(SpillFileOf(dir, "g1").empty());
+    EXPECT_EQ(catalog.stats().spill_writes, writes + 2);  // g2 in, g1 out
+  }
+}
+
+// Reserve first: a page-in charges its snapshot's bytes once the page's
+// header checks out, BEFORE the columns are read, so the victim is already
+// spilled when a corrupt body fails the read — and the reservation is
+// released with the failure, leaving nothing charged for a graph that
+// never arrived.
+TEST_F(SpillFaultTest, FailedPageInHasShedTheVictimAndReleasedItsCharge) {
+  const std::string dir = TempPath("spill_reserve_a");
+  const UncertainGraph g1 = testing::RandomSmallGraph(60, 0.2, 711);
+  const UncertainGraph g2 = testing::RandomSmallGraph(60, 0.2, 722);
+  store::MemoryGovernorOptions governor_options;
+  governor_options.budget_bytes =
+      std::max(EstimateGraphBytes(g1), EstimateGraphBytes(g2)) + 512;
+  store::MemoryGovernor governor(governor_options);
+  GraphCatalogOptions options;
+  options.spill_dir = dir;
+  options.governor = &governor;
+  GraphCatalog catalog(options);
+  ASSERT_TRUE(catalog.Put("g1", g1).ok());
+  ASSERT_TRUE(catalog.Put("g2", g2).ok());  // g1 spills
+  const std::string page = SpillFileOf(dir, "g1");
+  ASSERT_FALSE(page.empty());
+  CorruptPayload(page);
+
+  Result<std::shared_ptr<CatalogEntry>> paged = catalog.GetOrLoad("g1");
+  EXPECT_FALSE(paged.ok());
+  EXPECT_EQ(catalog.Get("g2"), nullptr) << "victim not shed before the read";
+  EXPECT_TRUE(catalog.Contains("g2"));
+  EXPECT_EQ(governor.charged(store::ChargeClass::kSnapshot), 0u);
+  EXPECT_EQ(governor.total_charged(), 0u);
+
+  // The victim was parked, not lost.
+  Result<std::shared_ptr<CatalogEntry>> back = catalog.GetOrLoad("g2");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_NE(*back, nullptr);
+  EXPECT_EQ(governor.charged(store::ChargeClass::kSnapshot),
+            EstimateGraphBytes(g2));
 }
 
 }  // namespace

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstddef>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +23,7 @@
 #include "serve/query_engine.h"
 #include "store/memory_governor.h"
 #include "testing/test_graphs.h"
+#include "vulnds/detector.h"
 
 namespace vulnds::serve {
 namespace {
@@ -33,6 +39,65 @@ std::string FileBytes(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+// The spill files of `name` in `dir` (basenames start "<name>.").
+std::vector<std::string> SpillFilesOf(const std::string& dir,
+                                      const std::string& name) {
+  std::vector<std::string> files;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return files;
+  while (dirent* ent = ::readdir(d)) {
+    const std::string fname = ent->d_name;
+    if (fname.rfind(name + ".", 0) == 0) files.push_back(dir + "/" + fname);
+  }
+  ::closedir(d);
+  return files;
+}
+
+// This process' manifest in `dir`.
+std::string ManifestOf(const std::string& dir) {
+  return FileBytes(dir + "/MANIFEST." + std::to_string(::getpid()));
+}
+
+// Two file-backed graphs under a budget that fits one, and a catalog over
+// a fresh spill dir: loading the second spills the first.
+struct TwoGraphRig {
+  std::string dir;
+  UncertainGraph g1, g2;
+  std::string p1, p2;
+  std::unique_ptr<store::MemoryGovernor> governor;
+  std::unique_ptr<GraphCatalog> catalog;
+};
+
+std::unique_ptr<TwoGraphRig> MakeTwoGraphRig(const std::string& tag) {
+  auto rig = std::make_unique<TwoGraphRig>();
+  rig->dir = ::testing::TempDir() + "/spill_dir_" + tag;
+  rig->g1 = testing::RandomSmallGraph(60, 0.2, 511);
+  rig->g2 = testing::RandomSmallGraph(60, 0.2, 522);
+  rig->p1 = WriteTempGraph(rig->g1, tag + "_a.snap");
+  rig->p2 = WriteTempGraph(rig->g2, tag + "_b.snap");
+  store::MemoryGovernorOptions governor_options;
+  governor_options.budget_bytes =
+      std::max(EstimateGraphBytes(rig->g1), EstimateGraphBytes(rig->g2)) +
+      512;
+  rig->governor = std::make_unique<store::MemoryGovernor>(governor_options);
+  GraphCatalogOptions options;
+  options.spill_dir = rig->dir;
+  options.governor = rig->governor.get();
+  rig->catalog = std::make_unique<GraphCatalog>(options);
+  EXPECT_TRUE(rig->catalog->Load("g1", rig->p1).ok());
+  EXPECT_TRUE(rig->catalog->Load("g2", rig->p2).ok());
+  EXPECT_EQ(rig->catalog->spilled_count(), 1u);
+  return rig;
+}
+
+// Pages `name` in (spilling the other graph) and returns the entry.
+std::shared_ptr<CatalogEntry> PageIn(GraphCatalog& catalog,
+                                     const std::string& name) {
+  Result<std::shared_ptr<CatalogEntry>> entry = catalog.GetOrLoad(name);
+  EXPECT_TRUE(entry.ok()) << entry.status().ToString();
+  return entry.ok() ? *entry : nullptr;
 }
 
 TEST(StoreSpillTest, ColdSnapshotSpillsAndPagesBackBitIdentical) {
@@ -334,6 +399,195 @@ TEST(StoreSpillTest, ConcurrentGetOrLoadUnderPressureIsSafe) {
   EXPECT_TRUE(catalog.Contains("c1"));
   EXPECT_TRUE(catalog.Contains("c2"));
   EXPECT_TRUE(catalog.Contains("c3"));
+}
+
+// A snapshot that pages back in under its uid keeps its spill file as a
+// clean page: re-spilling it detaches the entry without writing, so each
+// (name, uid) is written once however often it cycles, the file is never
+// replaced, and every answer stays bit-identical.
+TEST(StoreSpillTest, CleanPagesAreWrittenOncePerNameAndUid) {
+  auto rig = MakeTwoGraphRig("clean_once");
+  GraphCatalog& catalog = *rig->catalog;
+  DetectorOptions options;
+  options.k = 3;
+  options.method = Method::kBsrbk;
+  const Result<DetectionResult> want1 = DetectTopK(rig->g1, options);
+  const Result<DetectionResult> want2 = DetectTopK(rig->g2, options);
+  ASSERT_TRUE(want1.ok() && want2.ok());
+
+  const std::vector<std::string> g1_files = SpillFilesOf(rig->dir, "g1");
+  ASSERT_EQ(g1_files.size(), 1u);
+  struct stat first{};
+  ASSERT_EQ(::stat(g1_files[0].c_str(), &first), 0);
+  const CatalogStats before = catalog.stats();
+  EXPECT_EQ(before.spill_writes, 1u);
+
+  constexpr std::size_t kCycles = 8;
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    const bool one = i % 2 == 0;
+    const auto entry = PageIn(catalog, one ? "g1" : "g2");
+    ASSERT_NE(entry, nullptr);
+    const Result<DetectionResult> got = DetectTopK(entry->graph, options);
+    ASSERT_TRUE(got.ok());
+    const DetectionResult& want = one ? *want1 : *want2;
+    EXPECT_EQ(got->topk, want.topk) << "cycle " << i;
+    EXPECT_EQ(got->scores, want.scores) << "cycle " << i;
+    // Both names now hold exactly one file on disk, never rewritten.
+    EXPECT_EQ(SpillFilesOf(rig->dir, "g1").size(), 1u);
+    EXPECT_LE(SpillFilesOf(rig->dir, "g2").size(), 1u);
+    struct stat now{};
+    ASSERT_EQ(::stat(g1_files[0].c_str(), &now), 0);
+    EXPECT_EQ(now.st_ino, first.st_ino) << "cycle " << i;
+  }
+  const CatalogStats after = catalog.stats();
+  EXPECT_EQ(after.spills - before.spills, kCycles);
+  EXPECT_EQ(after.page_ins - before.page_ins, kCycles);
+  EXPECT_EQ(after.spill_writes, 2u);  // (g1, uid) and (g2, uid), once each
+  // Only the spilled name (g1, after an even number of cycles) counts as
+  // spilled; the resident one's clean page is not.
+  EXPECT_EQ(catalog.spilled_count(), 1u);
+  EXPECT_EQ(catalog.spilled_bytes(), EstimateGraphBytes(rig->g1));
+  EXPECT_EQ(catalog.Names().size(), 2u);
+}
+
+// The kept page of a resident name is deleted (and leaves the manifest)
+// whenever the name stops being that snapshot: Evict, a reload from disk,
+// a Put, or a commit's Put.
+TEST(StoreSpillTest, KeptPageIsDeletedWhenTheNameChanges) {
+  const std::vector<std::string> actions = {"evict", "reload", "put",
+                                            "commit"};
+  for (const std::string& action : actions) {
+    SCOPED_TRACE(action);
+    auto rig = MakeTwoGraphRig("kept_drop_" + action);
+    GraphCatalog& catalog = *rig->catalog;
+    ASSERT_NE(PageIn(catalog, "g1"), nullptr);  // g1 resident, page kept
+    const std::vector<std::string> kept = SpillFilesOf(rig->dir, "g1");
+    ASSERT_EQ(kept.size(), 1u);
+    const std::string basename = kept[0].substr(rig->dir.size() + 1);
+    EXPECT_NE(ManifestOf(rig->dir).find(basename), std::string::npos);
+
+    if (action == "evict") {
+      EXPECT_TRUE(catalog.Evict("g1"));
+    } else if (action == "reload") {
+      ASSERT_TRUE(catalog.Load("g1", rig->p1).ok());
+    } else if (action == "put") {
+      ASSERT_TRUE(catalog.Put("g1", rig->g1).ok());
+    } else {
+      ASSERT_TRUE(catalog.Put("g1", rig->g1, "commit:g1@v1").ok());
+    }
+    EXPECT_TRUE(SpillFilesOf(rig->dir, "g1").empty());
+    EXPECT_EQ(ManifestOf(rig->dir).find(basename), std::string::npos);
+  }
+}
+
+// Kept pages are live files: the manifest lists them from the page-in
+// on, across clean re-spills (which do not rewrite it), so another
+// catalog's startup GC leaves them alone; a catalog that never spilled
+// leaves the manifest in place when it goes; and the owning catalog's
+// destructor removes the pages with the manifest.
+TEST(StoreSpillTest, KeptPagesSurviveForeignGcAndDieWithTheCatalog) {
+  auto rig = MakeTwoGraphRig("kept_gc");
+  ASSERT_NE(PageIn(*rig->catalog, "g1"), nullptr);  // g1 kept, g2 spilled
+  const std::vector<std::string> g1_files = SpillFilesOf(rig->dir, "g1");
+  const std::vector<std::string> g2_files = SpillFilesOf(rig->dir, "g2");
+  ASSERT_EQ(g1_files.size(), 1u);
+  ASSERT_EQ(g2_files.size(), 1u);
+  const std::string g1_base = g1_files[0].substr(rig->dir.size() + 1);
+  const std::string g2_base = g2_files[0].substr(rig->dir.size() + 1);
+  const auto expect_manifest_lists_both = [&] {
+    const std::string manifest = ManifestOf(rig->dir);
+    EXPECT_NE(manifest.find(g1_base), std::string::npos);
+    EXPECT_NE(manifest.find(g2_base), std::string::npos);
+  };
+  const auto expect_gc_keeps_both = [&] {
+    {
+      GraphCatalogOptions options;
+      options.spill_dir = rig->dir;
+      GraphCatalog other(options);
+      EXPECT_EQ(other.spill_orphans_reclaimed(), 0u);
+    }
+    EXPECT_EQ(SpillFilesOf(rig->dir, "g1"), g1_files);
+    EXPECT_EQ(SpillFilesOf(rig->dir, "g2"), g2_files);
+    expect_manifest_lists_both();
+  };
+  expect_manifest_lists_both();
+  expect_gc_keeps_both();
+  // Clean re-spills and page-ins in both directions keep both files live.
+  ASSERT_NE(PageIn(*rig->catalog, "g2"), nullptr);
+  expect_gc_keeps_both();
+  ASSERT_NE(PageIn(*rig->catalog, "g1"), nullptr);
+  expect_gc_keeps_both();
+  EXPECT_EQ(rig->catalog->stats().spill_writes, 2u);
+
+  const std::string dir = rig->dir;
+  rig->catalog.reset();
+  EXPECT_TRUE(SpillFilesOf(dir, "g1").empty());
+  EXPECT_TRUE(SpillFilesOf(dir, "g2").empty());
+  EXPECT_TRUE(SpillFilesOf(dir, "MANIFEST").empty());
+}
+
+// Races page-ins (and the clean re-spills they trigger) against reloads
+// and Puts of the same names. Run under TSan this sees every order in
+// which the catalog takes its locks on those paths. Every lookup answers,
+// and when the traffic stops each name is either resident or spilled,
+// never both and never lost.
+TEST(StoreSpillTest, GetOrLoadRacesReloadsAndPutsOfTheSameNames) {
+  const std::vector<UncertainGraph> graphs = {
+      testing::RandomSmallGraph(50, 0.2, 231),
+      testing::RandomSmallGraph(50, 0.2, 232),
+      testing::RandomSmallGraph(50, 0.2, 233)};
+  std::vector<std::string> names, paths;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    names.push_back("r" + std::to_string(i));
+    paths.push_back(
+        WriteTempGraph(graphs[i], "spill_race_" + std::to_string(i) + ".snap"));
+  }
+  store::MemoryGovernorOptions governor_options;
+  governor_options.budget_bytes = EstimateGraphBytes(graphs[0]) +
+                                  EstimateGraphBytes(graphs[1]) / 2;
+  store::MemoryGovernor governor(governor_options);
+  GraphCatalogOptions options;
+  options.spill_dir = ::testing::TempDir() + "/spill_dir_race";
+  options.governor = &governor;
+  GraphCatalog catalog(options);
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    ASSERT_TRUE(catalog.Load(names[i], paths[i]).ok());
+  }
+
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 3; ++t) {
+    workers.emplace_back([&, t] {
+      Rng rng(900 + t);
+      for (int i = 0; i < 60; ++i) {
+        const std::size_t pick = rng.NextBounded(graphs.size());
+        Result<std::shared_ptr<CatalogEntry>> entry =
+            catalog.GetOrLoad(names[pick]);
+        ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+        if (*entry == nullptr) continue;  // paged in between its two checks
+        ScopedEntryPin pin(*entry);
+        ASSERT_EQ((*entry)->graph.num_edges(), graphs[pick].num_edges());
+      }
+    });
+  }
+  workers.emplace_back([&] {
+    Rng rng(990);
+    for (int i = 0; i < 30; ++i) {
+      const std::size_t pick = rng.NextBounded(graphs.size());
+      if (i % 2 == 0) {
+        ASSERT_TRUE(catalog.Load(names[pick], paths[pick]).ok());
+      } else {
+        ASSERT_TRUE(catalog.Put(names[pick], graphs[pick]).ok());
+      }
+    }
+  });
+  for (std::thread& w : workers) w.join();
+
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(catalog.Contains(name));
+  }
+  EXPECT_EQ(catalog.size() + catalog.spilled_count(), names.size());
+  EXPECT_EQ(catalog.Names().size(), names.size());
 }
 
 }  // namespace

@@ -70,6 +70,10 @@
 #include <optional>
 #include <string>
 
+#ifdef __GLIBC__  // defined by the C library headers above
+#include <malloc.h>
+#endif
+
 #include "common/failpoint.h"
 #include "common/parse.h"
 #include "common/table.h"
@@ -323,6 +327,13 @@ int CmdTruth(int argc, char** argv) {
 
 int CmdServe(int argc, char** argv) {
   if (argc > 20) return Usage();
+#ifdef __GLIBC__
+  // One malloc arena for the whole server, set before any thread starts:
+  // the columns a spill frees on one session thread are then reused by the
+  // next page-in on another, instead of each thread's arena holding its
+  // own high-water mark. This keeps peak RSS near the mem_bytes= budget.
+  mallopt(M_ARENA_MAX, 1);
+#endif
   serve::QueryEngineOptions engine_options;
   serve::GraphCatalogOptions catalog_options;
   net::NetServerOptions net_options;
