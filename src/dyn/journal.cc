@@ -8,6 +8,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/atomic_file.h"
 #include "common/failpoint.h"
 
 namespace vulnds::dyn {
@@ -50,6 +51,13 @@ void AppendFrame(std::string* out, const std::string& payload) {
   PutU32(head, static_cast<uint32_t>(payload.size()));
   PutU32(head + 4, Crc32(payload.data(), payload.size()));
   std::memcpy(out->data() + base + 8, payload.data(), payload.size());
+}
+
+Status CheckRecordSize(const std::string& payload) {
+  if (payload.size() <= DeltaJournal::kMaxRecordBytes) return Status::OK();
+  return Status::InvalidArgument("journal record of " +
+                                 std::to_string(payload.size()) +
+                                 " bytes exceeds the 1 MiB record cap");
 }
 
 }  // namespace
@@ -120,47 +128,30 @@ Status DeltaJournal::Append(const std::string& payload) {
     return Status::IOError("journal '" + path_ +
                            "' is wedged after an unrecoverable write error");
   }
-  if (payload.size() > kMaxRecordBytes) {
-    return Status::InvalidArgument("journal record of " +
-                                   std::to_string(payload.size()) +
-                                   " bytes exceeds the 1 MiB record cap");
-  }
+  VULNDS_RETURN_NOT_OK(CheckRecordSize(payload));
   std::string frame;
   AppendFrame(&frame, payload);
 
-  int failed_errno = 0;
+  // One write() per record: a crash leaves at most one torn record at the
+  // tail, which the next Open() truncates away. An injected short write
+  // models a torn one: half the frame really lands, then the "syscall"
+  // fails, and the boundary rollback below must peel the partial record off.
   const fail::Outcome injected =
       fail::Check(fail::points::kJournalAppendWrite);
-  if (injected == fail::Outcome::kShortWrite) {
-    // Model a torn write: half the frame really lands, then the "syscall"
-    // fails. The boundary rollback below must peel the partial record off.
-    std::size_t done = 0;
-    const std::size_t half = frame.size() / 2;
-    while (done < half) {
-      const ssize_t n = ::write(fd_, frame.data() + done, half - done);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      done += static_cast<std::size_t>(n);
+  int failed_errno = fail::InjectedErrno(injected);
+  const std::size_t len = injected == fail::Outcome::kNone ? frame.size()
+                          : injected == fail::Outcome::kShortWrite
+                              ? frame.size() / 2
+                              : 0;
+  std::size_t done = 0;
+  while (done < len) {
+    const ssize_t n = ::write(fd_, frame.data() + done, len - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (failed_errno == 0) failed_errno = errno;
+      break;
     }
-    failed_errno = EIO;
-  } else if (injected != fail::Outcome::kNone) {
-    failed_errno = fail::InjectedErrno(injected);
-  } else {
-    // One write() per record: a crash leaves at most one torn record at the
-    // tail, which the next Open() truncates away.
-    std::size_t done = 0;
-    while (done < frame.size()) {
-      const ssize_t n =
-          ::write(fd_, frame.data() + done, frame.size() - done);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        failed_errno = errno;
-        break;
-      }
-      done += static_cast<std::size_t>(n);
-    }
+    done += static_cast<std::size_t>(n);
   }
   if (failed_errno != 0) {
     // Roll the file back to the last good record boundary so a retried
@@ -204,84 +195,36 @@ Status DeltaJournal::Sync() {
 
 Status DeltaJournal::ReplaceWith(const std::vector<std::string>& payloads) {
   for (const std::string& payload : payloads) {
-    if (payload.size() > kMaxRecordBytes) {
-      return Status::InvalidArgument("journal record of " +
-                                     std::to_string(payload.size()) +
-                                     " bytes exceeds the 1 MiB record cap");
-    }
+    VULNDS_RETURN_NOT_OK(CheckRecordSize(payload));
   }
-  const std::string tmp_path =
-      path_ + ".compact.tmp." + std::to_string(::getpid());
-  const int tmp_fd =
-      ::open(tmp_path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (tmp_fd < 0) {
-    return Status::IOError("cannot open compaction temp '" + tmp_path +
-                           "': " + std::strerror(errno));
-  }
-  auto fail_with = [&](std::string msg) {
-    ::close(tmp_fd);
-    ::unlink(tmp_path.c_str());
-    return Status::IOError(std::move(msg));
-  };
+  AtomicFileOptions options;
+  options.fsync = true;
+  options.write_failpoint = fail::points::kJournalCompactWrite;
+  options.fsync_failpoint = fail::points::kJournalCompactFsync;
+  options.rename_failpoint = fail::points::kJournalCompactRename;
+  std::string frame;
+  std::size_t bytes = 0;
+  int fd = -1;
+  VULNDS_RETURN_NOT_OK(ReplaceFileAtomic(
+      path_, options,
+      [&](ByteSink& out) -> Status {
+        for (const std::string& payload : payloads) {
+          frame.clear();
+          AppendFrame(&frame, payload);
+          VULNDS_RETURN_NOT_OK(out.Append(frame.data(), frame.size()));
+          bytes += frame.size();
+        }
+        return Status::OK();
+      },
+      nullptr, &fd));
 
-  std::string body;
-  for (const std::string& payload : payloads) AppendFrame(&body, payload);
-
-  const fail::Outcome write_fault =
-      fail::Check(fail::points::kJournalCompactWrite);
-  if (write_fault == fail::Outcome::kShortWrite) {
-    // A prefix really lands in the temp file, then the write "fails"; the
-    // temp is discarded so the live journal is untouched either way.
-    (void)!::write(tmp_fd, body.data(), body.size() / 2);
-    return fail_with("journal compaction write to '" + tmp_path +
-                     "' failed: " + std::strerror(EIO) + " (injected)");
-  }
-  if (write_fault != fail::Outcome::kNone) {
-    return fail_with("journal compaction write to '" + tmp_path +
-                     "' failed: " +
-                     std::strerror(fail::InjectedErrno(write_fault)) +
-                     " (injected)");
-  }
-  std::size_t done = 0;
-  while (done < body.size()) {
-    const ssize_t n = ::write(tmp_fd, body.data() + done, body.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return fail_with("journal compaction write to '" + tmp_path +
-                       "' failed: " + std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(n);
-  }
-
-  if (const auto o = fail::Check(fail::points::kJournalCompactFsync);
-      o != fail::Outcome::kNone) {
-    return fail_with("journal compaction fsync of '" + tmp_path +
-                     "' failed: " + std::strerror(fail::InjectedErrno(o)) +
-                     " (injected)");
-  }
-  if (::fsync(tmp_fd) != 0) {
-    return fail_with("journal compaction fsync of '" + tmp_path +
-                     "' failed: " + std::strerror(errno));
-  }
-
-  if (const auto o = fail::Check(fail::points::kJournalCompactRename);
-      o != fail::Outcome::kNone) {
-    return fail_with("journal compaction rename to '" + path_ +
-                     "' failed: " + std::strerror(fail::InjectedErrno(o)) +
-                     " (injected)");
-  }
-  if (::rename(tmp_path.c_str(), path_.c_str()) != 0) {
-    return fail_with("journal compaction rename to '" + path_ +
-                     "' failed: " + std::strerror(errno));
-  }
-
-  // rename() moved the inode we already hold open as tmp_fd under the
-  // journal path, so adopting tmp_fd — not reopening by name — leaves no
-  // window where appends could go to a stale file.
+  // rename() moved the inode the writer still holds open under the journal
+  // path, so adopting that fd — not reopening by name — leaves no window
+  // where appends could go to a stale file.
   ::close(fd_);
-  fd_ = tmp_fd;
+  fd_ = fd;
   wedged_ = false;
-  bytes_ = body.size();
+  bytes_ = bytes;
   records_ = payloads.size();
   if (::lseek(fd_, static_cast<off_t>(bytes_), SEEK_SET) < 0) {
     wedged_ = true;

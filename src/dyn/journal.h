@@ -76,12 +76,13 @@ class DeltaJournal {
   /// fsync()s the journal file (commit barrier).
   Status Sync();
 
-  /// Atomically replaces the journal contents with `payloads` (compaction):
-  /// writes a fully framed temp file next to the journal, fsyncs it, and
-  /// rename()s it over the journal path. A crash at any step leaves either
-  /// the complete old journal or the complete new one. On success the
-  /// journal continues appending to the new file; on failure the old file
-  /// and write cursor are untouched.
+  /// Atomically replaces the journal contents with `payloads` (compaction)
+  /// through ReplaceFileAtomic: a fully framed temp file next to the
+  /// journal, fsynced and rename()d over the journal path. A crash at any
+  /// step leaves either the complete old journal or the complete new one.
+  /// On success the journal adopts the writer's fd and continues appending
+  /// to the new file; on failure the old file and write cursor are
+  /// untouched.
   Status ReplaceWith(const std::vector<std::string>& payloads);
 
   /// Payloads recovered by Open(), in append order. Cleared by

@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/atomic_file.h"
 #include "common/parse.h"
 #include "graph/graph_io.h"
 #include "serve/io_metrics.h"
@@ -19,19 +20,6 @@ namespace {
 // Attempts per journal syscall before the failure is surfaced: transient
 // errors are absorbed, persistent ones fail fast with no sleeps.
 constexpr int kJournalIoAttempts = 3;
-
-// Filesystem-safe rendition of a catalog name for snapshot side files
-// ("g@v3" -> "g_v3"), mirroring the spill path convention.
-std::string SanitizeForPath(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '-' ||
-                    c == '.';
-    if (!ok) c = '_';
-  }
-  return out;
-}
 
 // The base graph of a catalog entry, kept alive by the entry itself.
 std::shared_ptr<const UncertainGraph> GraphOf(
@@ -485,8 +473,9 @@ Status UpdateManager::CompactNowLocked() {
                                " for compaction: " +
                                resolved.status().message());
       }
-      const std::string side_path = journal_->path() + ".v." +
-                                    SanitizeForPath(v.catalog_name) + ".vg2";
+      const std::string side_path =
+          journal_->path() + ".v." + SanitizeForFilename(v.catalog_name) +
+          ".vg2";
       VULNDS_RETURN_NOT_OK(WriteGraphFile((*resolved)->graph, side_path,
                                           GraphFileFormat::kBinary));
       referenced_side_files.insert(side_path);

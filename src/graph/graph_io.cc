@@ -5,9 +5,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <bit>
-#include <cstdio>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -65,50 +65,6 @@ Status CheckLittleEndian() {
   return Status::OK();
 }
 
-template <typename T>
-void PutPod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-void PutArray(std::ostream& out, const std::vector<T>& values) {
-  if (values.empty()) return;
-  out.write(reinterpret_cast<const char*>(values.data()),
-            static_cast<std::streamsize>(values.size() * sizeof(T)));
-}
-
-template <typename T>
-Status GetPod(std::istream& in, T* value, const char* what) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(T))) {
-    return Status::IOError(std::string("truncated snapshot: ") + what);
-  }
-  return Status::OK();
-}
-
-// Reads `count` elements in bounded chunks, so memory grows only as data
-// actually arrives: a forged element count on a non-seekable stream (where
-// the up-front size check cannot run) fails with IOError when the stream
-// ends, never by over-allocating first.
-template <typename T>
-Status GetArray(std::istream& in, std::vector<T>* values, std::size_t count,
-                const char* what) {
-  constexpr std::size_t kChunkElements = (std::size_t{1} << 20) / sizeof(T);
-  values->clear();
-  std::size_t done = 0;
-  while (done < count) {
-    const std::size_t chunk = std::min(count - done, kChunkElements);
-    values->resize(done + chunk);
-    const auto bytes = static_cast<std::streamsize>(chunk * sizeof(T));
-    in.read(reinterpret_cast<char*>(values->data() + done), bytes);
-    if (in.gcount() != bytes) {
-      return Status::IOError(std::string("truncated snapshot: ") + what);
-    }
-    done += chunk;
-  }
-  return Status::OK();
-}
-
 // magic + u32 version + u64 n + u64 m.
 constexpr std::size_t kBinaryHeaderBytes =
     sizeof(kBinaryMagic) + sizeof(uint32_t) + 2 * sizeof(uint64_t);
@@ -149,8 +105,7 @@ struct BinaryColumns {
 
 // Validates every probability and every CSR invariant the builder would
 // have enforced on a text load, naming the offending index, then assembles
-// the graph. Snapshot loads and spill pages both end here, so they cannot
-// drift apart. `cols` must hold n risks, n + 1 offsets and m of each arc
+// the graph. `cols` must hold n risks, n + 1 offsets and m of each arc
 // column.
 Result<UncertainGraph> AssembleBinary(BinaryColumns cols) {
   const std::size_t n = cols.risks.size();
@@ -240,17 +195,16 @@ Result<UncertainGraph> AssembleBinary(BinaryColumns cols) {
       std::move(in_offsets), std::move(in_arcs), std::move(edge_list));
 }
 
-}  // namespace
-
-Status WriteGraph(const UncertainGraph& graph, std::ostream& out) {
-  // Text is built in a bounded buffer and written in chunks; every double
-  // takes the 17-digit round-trip form, so the snapshot re-reads to the
-  // same bits.
+// The text format, built in a bounded buffer and handed to the sink in
+// chunks. Every double takes the 17-digit round-trip form, so the snapshot
+// re-reads to the same bits.
+Status EncodeGraphText(const UncertainGraph& graph, ByteSink& sink) {
   constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
   std::string text = "vulnds-graph 1\n";
+  Status status;
   const auto flush_if_full = [&] {
-    if (text.size() < kChunkBytes) return;
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    if (text.size() < kChunkBytes || !status.ok()) return;
+    status = sink.Append(text.data(), text.size());
     text.clear();
   };
   const std::size_t n = graph.num_nodes();
@@ -273,133 +227,81 @@ Status WriteGraph(const UncertainGraph& graph, std::ostream& out) {
     text += '\n';
     flush_if_full();
   }
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  if (!out) return Status::IOError("stream write failed");
-  return Status::OK();
+  VULNDS_RETURN_NOT_OK(status);
+  return sink.Append(text.data(), text.size());
 }
 
-Status WriteGraphBinary(const UncertainGraph& graph, std::ostream& out) {
-  VULNDS_RETURN_NOT_OK(CheckLittleEndian());
-  const std::size_t n = graph.num_nodes();
-  const std::size_t m = graph.num_edges();
+}  // namespace
 
-  out.write(kBinaryMagic, sizeof(kBinaryMagic));
-  PutPod(out, kBinaryVersion);
-  PutPod(out, static_cast<uint64_t>(n));
-  PutPod(out, static_cast<uint64_t>(m));
-
-  // Stream each column straight out of the CSR through a bounded buffer, so
-  // a save issued to a serving process never doubles the graph's footprint.
-  const std::span<const double> risks = graph.self_risks();
-  if (!risks.empty()) {
-    out.write(reinterpret_cast<const char*>(risks.data()),
-              static_cast<std::streamsize>(risks.size() * sizeof(double)));
-  }
-
-  const auto write_column = [&](auto project) {
-    using T = decltype(project(std::declval<const Arc&>()));
-    std::vector<T> buffer;
-    buffer.reserve(std::min<std::size_t>(m, std::size_t{1} << 16));
-    for (NodeId v = 0; v < n; ++v) {
-      for (const Arc& arc : graph.OutArcs(v)) {
-        buffer.push_back(project(arc));
-        if (buffer.size() == buffer.capacity()) {
-          PutArray(out, buffer);
-          buffer.clear();
-        }
-      }
+Status WriteGraph(const UncertainGraph& graph, std::ostream& out) {
+  class StreamSink final : public ByteSink {
+   public:
+    explicit StreamSink(std::ostream& out) : out_(out) {}
+    Status Append(const void* data, std::size_t len) override {
+      out_.write(static_cast<const char*>(data),
+                 static_cast<std::streamsize>(len));
+      return out_ ? Status::OK() : Status::IOError("stream write failed");
     }
-    PutArray(out, buffer);
+
+   private:
+    std::ostream& out_;
+  } sink(out);
+  return EncodeGraphText(graph, sink);
+}
+
+Status EncodeGraphBinary(const UncertainGraph& graph, ByteSink& sink) {
+  VULNDS_RETURN_NOT_OK(CheckLittleEndian());
+  const uint64_t n = graph.num_nodes();
+  const uint64_t m = graph.num_edges();
+  char header[kBinaryHeaderBytes];
+  std::memcpy(header, kBinaryMagic, sizeof(kBinaryMagic));
+  std::memcpy(header + 8, &kBinaryVersion, sizeof(kBinaryVersion));
+  std::memcpy(header + 12, &n, sizeof(n));
+  std::memcpy(header + 20, &m, sizeof(m));
+  VULNDS_RETURN_NOT_OK(sink.Append(header, sizeof(header)));
+  const std::span<const double> risks = graph.self_risks();
+  VULNDS_RETURN_NOT_OK(sink.Append(risks.data(), risks.size_bytes()));
+
+  // The other columns are projected out of the CSR through a bounded
+  // chunk, so a save issued to a serving process never doubles the graph's
+  // footprint. `value_at` is called for 0, 1, ..., count - 1 in order.
+  const auto put_column = [&](std::size_t count, auto value_at) -> Status {
+    std::array<decltype(value_at(0)), 4096> chunk;
+    for (std::size_t i = 0; i < count; i += chunk.size()) {
+      const std::size_t len = std::min(chunk.size(), count - i);
+      for (std::size_t j = 0; j < len; ++j) chunk[j] = value_at(i + j);
+      VULNDS_RETURN_NOT_OK(sink.Append(chunk.data(), len * sizeof(chunk[0])));
+    }
+    return Status::OK();
   };
-
   uint64_t offset = 0;
-  PutPod(out, offset);
-  for (NodeId v = 0; v < n; ++v) {
-    offset += graph.OutDegree(v);
-    PutPod(out, offset);
-  }
-  write_column([](const Arc& arc) { return arc.neighbor; });
-  write_column([](const Arc& arc) { return arc.prob; });
-  write_column([](const Arc& arc) { return arc.edge; });
-
-  if (!out) return Status::IOError("stream write failed");
-  return Status::OK();
+  VULNDS_RETURN_NOT_OK(put_column(n + 1, [&](std::size_t v) {
+    if (v > 0) offset += graph.OutDegree(static_cast<NodeId>(v - 1));
+    return offset;
+  }));
+  const std::span<const Arc> arcs = graph.out_arcs();
+  VULNDS_RETURN_NOT_OK(
+      put_column(m, [&](std::size_t i) { return arcs[i].neighbor; }));
+  VULNDS_RETURN_NOT_OK(
+      put_column(m, [&](std::size_t i) { return arcs[i].prob; }));
+  return put_column(m, [&](std::size_t i) { return arcs[i].edge; });
 }
 
 Status WriteGraphFile(const UncertainGraph& graph, const std::string& path,
                       GraphFileFormat format) {
-  // Crash-safe: write a sibling temp file, fsync it, then rename() over the
-  // destination. A reader (or a restart paging a spilled snapshot back in)
-  // therefore only ever sees the complete old file or the complete new one —
-  // never a truncated snapshot that ReadGraphBinary would reject. The temp
-  // name is pid- and serial-qualified so concurrent writers to one path
-  // cannot clobber each other's temp file.
-  static std::atomic<uint64_t> temp_serial{0};
-  const std::string temp_path =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
-      std::to_string(temp_serial.fetch_add(1, std::memory_order_relaxed));
-  if (const auto o = fail::Check(fail::points::kSnapshotWriteOpen);
-      o != fail::Outcome::kNone) {
-    return Status::IOError("cannot open " + temp_path + " for writing: " +
-                           std::strerror(fail::InjectedErrno(o)) +
-                           " (injected)");
-  }
-  {
-    std::ofstream out(temp_path, format == GraphFileFormat::kBinary
-                                     ? std::ios::out | std::ios::binary
-                                     : std::ios::out);
-    if (!out) {
-      return Status::IOError("cannot open " + temp_path + " for writing");
-    }
-    Status written = format == GraphFileFormat::kBinary
-                         ? WriteGraphBinary(graph, out)
-                         : WriteGraph(graph, out);
-    if (written.ok()) {
-      if (const auto o = fail::Check(fail::points::kSnapshotWriteData);
-          o != fail::Outcome::kNone) {
-        // kShortWrite leaves the truncated temp behind the error so callers
-        // see the same world a crashed writer leaves: a temp file that never
-        // got renamed over the destination.
-        written =
-            Status::IOError("write to " + temp_path + " failed: " +
-                            std::strerror(fail::InjectedErrno(o)) +
-                            " (injected)");
-      }
-    }
-    if (written.ok()) out.flush();
-    if (!written.ok() || !out) {
-      out.close();
-      std::remove(temp_path.c_str());
-      return written.ok() ? Status::IOError("write to " + temp_path + " failed")
-                          : written;
-    }
-  }
-  // ofstream has no portable fsync; reopen the flushed file by fd to force
-  // its bytes down before the rename publishes it.
-  if (const auto o = fail::Check(fail::points::kSnapshotWriteFsync);
-      o != fail::Outcome::kNone) {
-    std::remove(temp_path.c_str());
-    return Status::IOError("cannot fsync " + temp_path + ": " +
-                           std::strerror(fail::InjectedErrno(o)) +
-                           " (injected)");
-  }
-  const int fd = ::open(temp_path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-  if (const auto o = fail::Check(fail::points::kSnapshotWriteRename);
-      o != fail::Outcome::kNone) {
-    std::remove(temp_path.c_str());
-    return Status::IOError("cannot rename " + temp_path + " to " + path +
-                           ": " + std::strerror(fail::InjectedErrno(o)) +
-                           " (injected)");
-  }
-  if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
-    std::remove(temp_path.c_str());
-    return Status::IOError("cannot rename " + temp_path + " to " + path);
-  }
-  return Status::OK();
+  // Saves, conversions and journal side files are durable state (a journal
+  // version record points at its side file), so they are fsynced before
+  // the rename publishes them.
+  AtomicFileOptions options;
+  options.fsync = true;
+  options.open_failpoint = fail::points::kSnapshotWriteOpen;
+  options.write_failpoint = fail::points::kSnapshotWriteData;
+  options.fsync_failpoint = fail::points::kSnapshotWriteFsync;
+  options.rename_failpoint = fail::points::kSnapshotWriteRename;
+  return ReplaceFileAtomic(path, options, [&](ByteSink& out) {
+    return format == GraphFileFormat::kBinary ? EncodeGraphBinary(graph, out)
+                                              : EncodeGraphText(graph, out);
+  });
 }
 
 Result<UncertainGraph> ReadGraph(std::istream& in) {
@@ -417,11 +319,18 @@ Result<UncertainGraph> ReadGraph(std::istream& in) {
   std::size_t m = 0;
   VULNDS_RETURN_NOT_OK(ReadToken(in, &n, "node count"));
   VULNDS_RETURN_NOT_OK(ReadToken(in, &m, "edge count"));
-  UncertainGraphBuilder builder(n);
+  // The self-risks are read before anything is sized from `n`, so memory
+  // grows only as tokens arrive: a forged node count fails when the input
+  // ends, never by allocating for nodes that are not there.
+  std::vector<double> risks;
   for (std::size_t v = 0; v < n; ++v) {
     double p = 0.0;
     VULNDS_RETURN_NOT_OK(ReadToken(in, &p, "self-risk"));
-    VULNDS_RETURN_NOT_OK(builder.SetSelfRisk(static_cast<NodeId>(v), p));
+    risks.push_back(p);
+  }
+  UncertainGraphBuilder builder(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    VULNDS_RETURN_NOT_OK(builder.SetSelfRisk(static_cast<NodeId>(v), risks[v]));
   }
   for (std::size_t i = 0; i < m; ++i) {
     NodeId src = 0;
@@ -435,50 +344,8 @@ Result<UncertainGraph> ReadGraph(std::istream& in) {
   return builder.Build();
 }
 
-Result<UncertainGraph> ReadGraphBinary(std::istream& in) {
-  VULNDS_RETURN_NOT_OK(CheckLittleEndian());
-  char magic[sizeof(kBinaryMagic)] = {};
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(magic)) ||
-      std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("bad binary snapshot magic");
-  }
-  uint32_t version = 0;
-  uint64_t n = 0;
-  uint64_t m = 0;
-  VULNDS_RETURN_NOT_OK(GetPod(in, &version, "version"));
-  VULNDS_RETURN_NOT_OK(GetPod(in, &n, "node count"));
-  VULNDS_RETURN_NOT_OK(GetPod(in, &m, "edge count"));
-  VULNDS_RETURN_NOT_OK(CheckBinaryHeader(version, n, m));
-
-  // Bound the declared payload against the actual stream size before any
-  // allocation: a corrupt or hostile header must fail cleanly, not OOM the
-  // serving process.
-  const uint64_t expected_bytes = BinaryPayloadBytes(n, m);
-  const std::istream::pos_type data_pos = in.tellg();
-  if (data_pos != std::istream::pos_type(-1)) {
-    in.seekg(0, std::ios::end);
-    const std::istream::pos_type end_pos = in.tellg();
-    in.seekg(data_pos);
-    if (end_pos == std::istream::pos_type(-1) ||
-        static_cast<uint64_t>(end_pos - data_pos) < expected_bytes) {
-      return Status::IOError("truncated snapshot: header declares " +
-                             std::to_string(expected_bytes) +
-                             " payload bytes, stream has fewer");
-    }
-  }
-
-  BinaryColumns cols;
-  VULNDS_RETURN_NOT_OK(GetArray(in, &cols.risks, n, "self risks"));
-  VULNDS_RETURN_NOT_OK(GetArray(in, &cols.offsets, n + 1, "CSR offsets"));
-  VULNDS_RETURN_NOT_OK(GetArray(in, &cols.dsts, m, "arc destinations"));
-  VULNDS_RETURN_NOT_OK(GetArray(in, &cols.probs, m, "arc probabilities"));
-  VULNDS_RETURN_NOT_OK(GetArray(in, &cols.edge_ids, m, "arc edge ids"));
-  return AssembleBinary(std::move(cols));
-}
-
 Result<UncertainGraph> ReadGraphPage(
-    const std::string& path, uint32_t expected_crc,
+    const std::string& path, std::optional<uint32_t> expected_crc,
     const std::function<void()>& before_alloc) {
   VULNDS_RETURN_NOT_OK(CheckLittleEndian());
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -498,12 +365,13 @@ Result<UncertainGraph> ReadGraphPage(
   }
   const auto file_bytes = static_cast<uint64_t>(st.st_size);
   const auto corrupt = [&](const std::string& what) {
-    return Status::InvalidArgument("corrupt spill page " + path + ": " + what);
+    return Status::InvalidArgument("corrupt snapshot " + path + ": " + what);
   };
 
   // Reads exactly `len` bytes into `dst` in bounded chunks, extending `crc`
-  // over each chunk while it is still in cache. A file that ends early is
-  // corrupt (it shrank since the size check), not an IO failure.
+  // (when one is expected) over each chunk while it is still in cache. A
+  // file that ends early is corrupt (it shrank since the size check), not
+  // an IO failure.
   uint32_t crc = 0;
   const auto read_exact = [&](void* dst, std::size_t len) -> Status {
     constexpr std::size_t kChunkBytes = std::size_t{1} << 18;
@@ -516,7 +384,9 @@ Result<UncertainGraph> ReadGraphPage(
                                " failed: " + std::strerror(errno));
       }
       if (got == 0) return corrupt("file ends early");
-      crc = Crc32Extend(crc, out, static_cast<std::size_t>(got));
+      if (expected_crc) {
+        crc = Crc32Extend(crc, out, static_cast<std::size_t>(got));
+      }
       out += got;
       len -= static_cast<std::size_t>(got);
     }
@@ -538,7 +408,7 @@ Result<UncertainGraph> ReadGraphPage(
   if (const Status ok = CheckBinaryHeader(version, n, m); !ok.ok()) {
     return corrupt(ok.message());
   }
-  // The page is exactly one snapshot: its length is fixed by the header,
+  // The file is exactly one snapshot: its length is fixed by the header,
   // and is checked before any column is allocated.
   const uint64_t expected_bytes = kBinaryHeaderBytes + BinaryPayloadBytes(n, m);
   if (file_bytes != expected_bytes) {
@@ -557,7 +427,7 @@ Result<UncertainGraph> ReadGraphPage(
   VULNDS_RETURN_NOT_OK(read_column(&cols.dsts, m));
   VULNDS_RETURN_NOT_OK(read_column(&cols.probs, m));
   VULNDS_RETURN_NOT_OK(read_column(&cols.edge_ids, m));
-  if (crc != expected_crc) return corrupt("CRC mismatch");
+  if (expected_crc && crc != *expected_crc) return corrupt("CRC mismatch");
   return AssembleBinary(std::move(cols));
 }
 
@@ -568,15 +438,21 @@ Result<UncertainGraph> ReadGraphFile(const std::string& path) {
                            std::strerror(fail::InjectedErrno(o)) +
                            " (injected)");
   }
-  std::ifstream in(path, std::ios::in | std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  char magic[sizeof(kBinaryMagic)] = {};
-  in.read(magic, sizeof(magic));
-  const bool binary = in.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
-                      std::memcmp(magic, kBinaryMagic, sizeof(magic)) == 0;
-  in.clear();
-  in.seekg(0);
-  return binary ? ReadGraphBinary(in) : ReadGraph(in);
+  {
+    std::ifstream in(path, std::ios::in | std::ios::binary);
+    if (!in) return Status::IOError("cannot open " + path);
+    char magic[sizeof(kBinaryMagic)] = {};
+    in.read(magic, sizeof(magic));
+    const bool binary =
+        in.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
+        std::memcmp(magic, kBinaryMagic, sizeof(magic)) == 0;
+    if (!binary) {
+      in.clear();
+      in.seekg(0);
+      return ReadGraph(in);
+    }
+  }
+  return ReadGraphPage(path);
 }
 
 }  // namespace vulnds

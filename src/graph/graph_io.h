@@ -21,6 +21,26 @@
 // (and hence the exact dual-CSR layout the builder produces) is recovered,
 // so a graph loaded from a snapshot is indistinguishable from one loaded
 // from text — detection results are bit-identical.
+//
+// One writer, one reader. EncodeGraphBinary is the only v2 encoder: it
+// streams the columns into any ByteSink (common/atomic_file.h), so a save,
+// a journal side file and a spill page are the same bytes written through
+// ReplaceFileAtomic, and a checksum-only sink re-derives a page's CRC
+// without holding the bytes. ReadGraphPage is the only v2 reader: `load`,
+// `convert`, journal replay (through ReadGraphFile) and the catalog's
+// page-in all read through it, straight into the graph's columns.
+//
+// Exact length. A v2 file is exactly one snapshot: its length must equal
+// the 28-byte header plus what the header's n and m declare, and that is
+// checked before any column is allocated. A file that is shorter
+// (truncated) or longer (trailing bytes) is rejected.
+//
+// Failures. IOError means the file could not be opened, sized or read (or
+// a failpoint fired): worth a retry. InvalidArgument means its bytes are
+// wrong: bad magic or version, dimensions beyond the id width, a length
+// that disagrees with the header, a CRC mismatch, or a column that breaks
+// a probability or CSR invariant (the message names the offending index).
+// Retrying cannot fix those.
 
 #ifndef VULNDS_GRAPH_GRAPH_IO_H_
 #define VULNDS_GRAPH_GRAPH_IO_H_
@@ -28,8 +48,10 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 
+#include "common/atomic_file.h"
 #include "common/status.h"
 #include "graph/uncertain_graph.h"
 
@@ -44,30 +66,24 @@ enum class GraphFileFormat {
 /// Writes `graph` in the vulnds-graph text format.
 Status WriteGraph(const UncertainGraph& graph, std::ostream& out);
 
-/// Writes `graph` as a v2 binary snapshot. `out` must be a binary stream.
-Status WriteGraphBinary(const UncertainGraph& graph, std::ostream& out);
+/// Streams `graph` as a v2 binary snapshot into `sink`, each column
+/// projected out of the CSR through a bounded buffer.
+Status EncodeGraphBinary(const UncertainGraph& graph, ByteSink& sink);
 
-/// Writes `graph` to `path` in the requested format; overwrites existing
-/// content.
+/// Replaces `path` with `graph` in the requested format through
+/// ReplaceFileAtomic, fsynced before the rename.
 Status WriteGraphFile(const UncertainGraph& graph, const std::string& path,
                       GraphFileFormat format = GraphFileFormat::kText);
 
 /// Parses a graph from the vulnds-graph text format.
 Result<UncertainGraph> ReadGraph(std::istream& in);
 
-/// Parses a graph from the v2 binary snapshot format.
-Result<UncertainGraph> ReadGraphBinary(std::istream& in);
-
-/// Reads a v2 snapshot page from `path` (the serving catalog's spill
-/// files) straight into the graph's columns, with no whole-file buffer.
-/// The file length must equal what the header declares; once it does,
-/// `before_alloc` (if set) runs, and only then are the columns allocated.
-/// The CRC-32 of the whole file must equal `expected_crc` (checked before
-/// anything is assembled); assembly then validates exactly as
-/// ReadGraphBinary does. Returns IOError when the file cannot be opened or
-/// read (worth a retry) and InvalidArgument when its bytes are wrong.
+/// Reads the v2 snapshot at `path` straight into the graph's columns.
+/// `before_alloc` (if set) runs once the length checks out, before any
+/// column is allocated; `expected_crc` (if set) must match the whole file
+/// before anything is assembled.
 Result<UncertainGraph> ReadGraphPage(
-    const std::string& path, uint32_t expected_crc,
+    const std::string& path, std::optional<uint32_t> expected_crc = {},
     const std::function<void()>& before_alloc = {});
 
 /// Reads a graph from `path`, auto-detecting text vs binary by magic.

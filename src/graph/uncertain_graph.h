@@ -66,6 +66,10 @@ class UncertainGraph {
             out_offsets_[v + 1] - out_offsets_[v]};
   }
 
+  /// Every out-arc, grouped by source node in id order (OutArcs(0), then
+  /// OutArcs(1), ...).
+  std::span<const Arc> out_arcs() const { return out_arcs_; }
+
   /// In-arcs of v: edges (u, v); Arc::neighbor is the in-neighbor u.
   /// This is the paper's N(v) together with p(v|u).
   std::span<const Arc> InArcs(NodeId v) const {

@@ -1,7 +1,6 @@
 #include "serve/graph_catalog.h"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -11,11 +10,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
+#include <fstream>
 #include <unordered_set>
 #include <utility>
 
-#include "common/crc32.h"
+#include "common/atomic_file.h"
 #include "common/failpoint.h"
 #include "graph/graph_io.h"
 #include "serve/io_metrics.h"
@@ -25,103 +24,16 @@ namespace vulnds::serve {
 
 namespace {
 
-// Spill-file-safe rendering of a catalog name: anything outside
-// [A-Za-z0-9._-] becomes '_' (the uid suffix keeps sanitized collisions
-// like "a/b" vs "a_b" distinct on disk).
-std::string SanitizeForFilename(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) c = '_';
-  }
-  return out;
-}
-
 // IO attempts per spill/page-in seam before the failure is surfaced.
 constexpr int kSpillIoAttempts = 3;
 
-// Writes `data` to `path` through a sibling temp + rename, with `failpoint`
-// injected at the data write. A reader only ever sees the complete old file
-// or the complete new one. There is no fsync: the only callers write
-// process-private spill scratch, which a crash leaves to the startup GC.
-Status WriteFileAtomic(const std::string& data, const std::string& path,
-                       const char* failpoint) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::IOError("cannot open " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  auto fail_with = [&](std::string msg) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return Status::IOError(std::move(msg));
-  };
-  const fail::Outcome injected = fail::Check(failpoint);
-  if (injected == fail::Outcome::kShortWrite) {
-    // A prefix really lands (the torn-temp world a crash leaves), then the
-    // "syscall" fails; the temp is discarded, the destination untouched.
-    (void)!::write(fd, data.data(), data.size() / 2);
-    return fail_with("write to " + tmp + " failed: " + std::strerror(EIO) +
-                     " (injected)");
-  }
-  if (injected != fail::Outcome::kNone) {
-    return fail_with("write to " + tmp + " failed: " +
-                     std::strerror(fail::InjectedErrno(injected)) +
-                     " (injected)");
-  }
-  std::size_t done = 0;
-  while (done < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return fail_with("write to " + tmp + " failed: " +
-                       std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  // Without an fsync, close is the last call that can report a write error.
-  if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    return Status::IOError("close of " + tmp + " failed: " +
-                           std::strerror(errno));
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return Status::IOError("cannot rename " + tmp + " to " + path + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-// Reads `path` (a manifest) into `out`, which is sized once from fstat and
-// filled in place (a file that shrank mid-read comes back short); false on
-// any IO error.
-bool ReadFileAll(const std::string& path, std::string* out) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return false;
-  }
-  out->resize(static_cast<std::size_t>(st.st_size));
-  std::size_t done = 0;
-  while (done < out->size()) {
-    const ssize_t n = ::read(fd, out->data() + done, out->size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return false;
-    }
-    if (n == 0) break;
-    done += static_cast<std::size_t>(n);
-  }
-  ::close(fd);
-  out->resize(done);
-  return true;
+// Spill pages and the manifest are scratch that dies with the process (the
+// startup GC reclaims whatever a crash leaves), so they are replaced
+// atomically but not fsynced.
+AtomicFileOptions SpillFileOptions(const char* write_failpoint) {
+  AtomicFileOptions options;
+  options.write_failpoint = write_failpoint;
+  return options;
 }
 
 // True when the entry's source is a real on-disk file a degraded page-in
@@ -415,8 +327,9 @@ void GraphCatalog::RewriteManifestLocked() {
     }
   }
   manifest_written_ = true;
-  const Status written = WriteFileAtomic(body, ManifestPath(),
-                                         fail::points::kSpillManifestWrite);
+  const Status written = ReplaceFileAtomic(
+      ManifestPath(), SpillFileOptions(fail::points::kSpillManifestWrite),
+      [&](ByteSink& out) { return out.Append(body.data(), body.size()); });
   if (!written.ok()) {
     // In-memory records stay authoritative for this process; a stale
     // manifest risks only that a concurrently-starting process reclaims a
@@ -438,7 +351,7 @@ void GraphCatalog::ReclaimOrphanSpills() {
       manifests.push_back(fname);
     } else if (fname.find(".vg2") != std::string::npos) {
       // Catches both finished spill files (*.vg2) and torn atomic-write
-      // temps (*.vg2.tmp.<pid>) a crash left behind.
+      // temps (*.vg2.tmp.<pid>.<serial>) a crash left behind.
       spill_files.push_back(fname);
     }
   }
@@ -465,17 +378,16 @@ void GraphCatalog::ReclaimOrphanSpills() {
       std::remove(mpath.c_str());
       continue;
     }
-    std::string body;
-    if (!ReadFileAll(mpath, &body)) {
+    std::ifstream lines(mpath);
+    std::string line;
+    while (std::getline(lines, line)) {
+      if (!line.empty()) referenced.insert(line);
+    }
+    if (!lines.eof()) {
       // Unreadable manifest of a live process: we cannot tell its files
       // apart from orphans, so skip the sweep rather than risk deleting a
       // live spill out from under it.
       return;
-    }
-    std::istringstream lines(body);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (!line.empty()) referenced.insert(line);
     }
   }
   for (const std::string& fname : spill_files) {
@@ -520,20 +432,20 @@ std::size_t GraphCatalog::ShedContexts(std::size_t want) {
 }
 
 bool GraphCatalog::WriteSpillPage(const CatalogEntry& victim) {
-  // Serialize and write the spill file OUTSIDE the catalog lock (sheds run
-  // under the governor's shed mutex only). The CRC over the serialized
-  // bytes travels in the spill record so page-in can prove the file came
-  // back intact before assembling it; the temp+rename write means no
-  // reader ever sees a truncated snapshot under the final name.
+  // Encode and write the spill file OUTSIDE the catalog lock (sheds run
+  // under the governor's shed mutex only). The writer's CRC over the
+  // encoded bytes travels in the spill record so page-in can prove the
+  // file came back intact before assembling it; the temp+rename write
+  // means no reader ever sees a truncated snapshot under the final name.
   const std::string path = SpillPathFor(victim);
-  std::ostringstream serialized;
-  if (!WriteGraphBinary(victim.graph, serialized).ok()) return false;
-  const std::string payload = std::move(serialized).str();
-  const uint32_t crc = Crc32(payload.data(), payload.size());
+  uint32_t crc = 0;
   auto* reg = registry_.load(std::memory_order_acquire);
   Status written = Status::OK();
   for (int attempt = 0; attempt < kSpillIoAttempts; ++attempt) {
-    written = WriteFileAtomic(payload, path, fail::points::kSpillWrite);
+    written = ReplaceFileAtomic(
+        path, SpillFileOptions(fail::points::kSpillWrite),
+        [&](ByteSink& out) { return EncodeGraphBinary(victim.graph, out); },
+        &crc);
     if (written.ok()) {
       if (attempt > 0) CountIoError(reg, "spill_write", "retried");
       break;
@@ -654,12 +566,32 @@ std::shared_ptr<CatalogEntry> GraphCatalog::Get(const std::string& name) {
 Result<std::shared_ptr<CatalogEntry>> GraphCatalog::GetOrLoad(
     const std::string& name) {
   if (auto entry = Get(name)) return entry;
-  {
-    std::lock_guard<std::mutex> lock(spill_mu_);
-    if (spilled_.find(name) == spilled_.end()) {
-      return std::shared_ptr<CatalogEntry>();  // absent, not an error
+  for (;;) {
+    // Before answering absent, look at residency and the spill record
+    // together, under mu_ then spill_mu_. A page-in or reload publishes its
+    // entry and drops the record under both locks, so this look sees one or
+    // the other, never the gap between them. It counts no second miss.
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      std::lock_guard<std::mutex> spill_lock(spill_mu_);
+      if (const auto it = entries_.find(name); it != entries_.end()) {
+        ++stats_.hits;
+        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+        return it->second.entry;
+      }
+      if (spilled_.find(name) == spilled_.end()) {
+        return std::shared_ptr<CatalogEntry>();  // absent, not an error
+      }
     }
+    Result<std::shared_ptr<CatalogEntry>> paged = PageInSpilled(name);
+    if (!paged.ok() || *paged != nullptr) return paged;
+    // A load, Put, Evict or another page-in of the name overtook this one:
+    // look again.
   }
+}
+
+Result<std::shared_ptr<CatalogEntry>> GraphCatalog::PageInSpilled(
+    const std::string& name) {
   // One page-in at a time: racing queries for the same spilled name block
   // here and find the entry resident on their double-check instead of
   // each reading the file.
@@ -669,8 +601,6 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::GetOrLoad(
   {
     std::lock_guard<std::mutex> lock(spill_mu_);
     const auto it = spilled_.find(name);
-    // Paged in and already evicted again between our checks: treat as
-    // absent, exactly as a plain Get after that eviction would.
     if (it == spilled_.end()) return std::shared_ptr<CatalogEntry>();
     record = it->second;
   }
@@ -696,7 +626,7 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::GetOrLoad(
   };
   // A Load, Put or Evict of the name that raced the read superseded the
   // record and deleted its file: the failed read is then no fault, and the
-  // name's newer state answers instead.
+  // caller looks up the name's newer state instead.
   const auto fail_page_in =
       [&](Status status) -> Result<std::shared_ptr<CatalogEntry>> {
     release();
@@ -706,7 +636,7 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::GetOrLoad(
       const auto it = spilled_.find(name);
       current = it != spilled_.end() && it->second.uid == record.uid;
     }
-    if (!current) return Get(name);
+    if (!current) return std::shared_ptr<CatalogEntry>();
     CountIoError(reg, "spill_page_in", "error");
     return status;
   };
@@ -765,23 +695,19 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::GetOrLoad(
     }
     CountIoError(reg, "spill_page_in", "degraded");
     entry->graph = reloaded.MoveValue();
-    // Did the reload reconstruct the exact snapshot we lost? Re-serialize
-    // and compare against the CRC taken at spill time: serialization is
-    // deterministic, so a match proves the source file is unchanged and
-    // the reloaded graph is bit-identical to the spilled one. Then the
-    // original uid survives — result-cache lines stay valid and update
+    // Did the reload reconstruct the exact snapshot we lost? Re-encode it
+    // into a checksum-only sink and compare against the CRC taken at spill
+    // time: encoding is deterministic, so a match proves the source file is
+    // unchanged and the reloaded graph is bit-identical to the spilled one.
+    // Then the original uid survives — result-cache lines stay valid and update
     // lineages rooted on this snapshot do NOT see a base reload (which
     // would restart them and discard their committed-version listing).
     // A mismatch means the source really changed on disk: mint a fresh
     // uid so stale cached results become unreachable and lineage code can
     // apply its reload semantics.
-    bool bit_identical = false;
-    std::ostringstream reserialized;
-    if (WriteGraphBinary(entry->graph, reserialized).ok()) {
-      const std::string bytes = std::move(reserialized).str();
-      bit_identical = Crc32(bytes.data(), bytes.size()) == record.crc;
-    }
-    if (!bit_identical) {
+    Crc32Sink reencoded;
+    if (!EncodeGraphBinary(entry->graph, reencoded).ok() ||
+        reencoded.crc() != record.crc) {
       entry->uid = next_uid_.fetch_add(1, std::memory_order_relaxed);
     }
     page.keep_page = false;  // the broken file goes with its record
@@ -792,7 +718,7 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::GetOrLoad(
   // reference stays valid either way.
   if (!InsertPrepared(std::move(entry), &page)) {
     release();
-    return Get(name);  // superseded while reading: the newer state answers
+    return std::shared_ptr<CatalogEntry>();  // superseded while reading
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -839,13 +765,23 @@ std::vector<std::string> GraphCatalog::Names() const {
   return names;
 }
 
-std::vector<std::shared_ptr<CatalogEntry>> GraphCatalog::SnapshotEntries()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
+ContextResidency GraphCatalog::WarmContexts() const {
   std::vector<std::shared_ptr<CatalogEntry>> entries;
-  entries.reserve(entries_.size());
-  for (const auto& [name, slot] : entries_) entries.push_back(slot.entry);
-  return entries;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries.reserve(entries_.size());
+    for (const auto& [name, slot] : entries_) entries.push_back(slot.entry);
+  }
+  ContextResidency residency;
+  for (const auto& entry : entries) {
+    std::unique_lock<std::mutex> lock(entry->context_mu, std::try_to_lock);
+    if (lock.owns_lock()) {
+      residency.bytes += entry->context.ApproxBytes();
+    } else {
+      ++residency.busy;
+    }
+  }
+  return residency;
 }
 
 std::size_t GraphCatalog::size() const {

@@ -51,7 +51,7 @@
 // charge, or is released when the page-in fails.
 //
 // Spill integrity and crash consistency. Spill files carry a CRC-32 over
-// the serialized snapshot, verified on page-in: a corrupted page is never
+// the encoded snapshot, verified on page-in: a corrupted page is never
 // deserialized into a servable graph — the catalog falls back to reloading
 // the entry's original on-disk source (same uid when the source still
 // holds the spilled snapshot, else a fresh uid: cached results against the
@@ -67,11 +67,11 @@
 // the first's files as live, but their manifest rewrites would clobber
 // each other). A catalog removes the manifest on destruction only if it
 // wrote it.
-// Spill files and the manifest are written to a sibling temp file and
-// rename()d into place, so a reader or GC scan never sees a torn file, but
-// they are NOT fsynced: they are scratch that dies with the process (the
-// startup GC reclaims whatever a crash leaves), and durable state comes
-// from the entries' sources and the journal, never from the spill
+// Spill files and the manifest are written through ReplaceFileAtomic
+// (common/atomic_file.h), so a reader or GC scan never sees a torn file,
+// but they are NOT fsynced: they are scratch that dies with the process
+// (the startup GC reclaims whatever a crash leaves), and durable state
+// comes from the entries' sources and the journal, never from the spill
 // directory. IO failures at the spill seams are retried (3 attempts, no
 // sleeps) and counted in vulnds_store_io_errors_total{site,outcome}.
 //
@@ -181,6 +181,12 @@ class ScopedEntryPin {
   std::shared_ptr<CatalogEntry> entry_;
 };
 
+/// Warm-context residency summed over resident entries (WarmContexts).
+struct ContextResidency {
+  std::size_t bytes = 0;  ///< ApproxBytes of the contexts that were free
+  std::size_t busy = 0;   ///< contexts a query held, skipped
+};
+
 /// Counters exposed through `stats <name>` / benches.
 struct CatalogStats {
   std::size_t loads = 0;      ///< successful Load/Put calls
@@ -278,11 +284,12 @@ class GraphCatalog {
   /// of all, unordered).
   std::vector<std::string> Names() const;
 
-  /// Shared references to every resident entry, in no particular order.
-  /// Unlike Get this touches neither recency nor hit counters: the stats
-  /// path must observe residency (e.g. summing DetectionContext bytes)
-  /// without perturbing LRU order.
-  std::vector<std::shared_ptr<CatalogEntry>> SnapshotEntries() const;
+  /// Bytes of the warm DetectionContexts of resident entries, for the
+  /// `stats` verb and the metrics scrape. Each context is try_locked, never
+  /// waited on: a cold detect holds its context for its whole sampling run,
+  /// and a monitoring probe must not stall behind it. Busy contexts are
+  /// skipped and counted, so the sum is a moment-in-time lower bound.
+  ContextResidency WarmContexts() const;
 
   std::size_t size() const;
   /// Approximate resident bytes.
@@ -325,6 +332,11 @@ class GraphCatalog {
 
   // Mints a fresh uid for `entry`, then registers it (see InsertPrepared).
   void Insert(std::shared_ptr<CatalogEntry> entry);
+
+  // The page-in behind GetOrLoad: reads `name`'s spill record back and
+  // publishes it. Ok(nullptr) means the name was not paged in (it became
+  // resident, was superseded or dropped meanwhile): the caller looks again.
+  Result<std::shared_ptr<CatalogEntry>> PageInSpilled(const std::string& name);
 
   // What a page-in publishes along with its entry.
   struct PageIn {

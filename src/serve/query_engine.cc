@@ -449,27 +449,15 @@ void QueryEngine::RefreshMetrics() {
       ->GetGauge("vulnds_catalog_resident_bytes",
                  "Approximate bytes of resident graphs")
       ->Set(static_cast<double>(catalog_->resident_bytes()));
-  // Warm-context residency, same try_lock discipline as the stats verb: a
-  // cold detect may hold an entry's context for minutes, and a scrape must
-  // not stall behind it — busy entries are skipped and counted.
-  std::size_t context_bytes = 0;
-  std::size_t context_busy = 0;
-  for (const auto& entry : catalog_->SnapshotEntries()) {
-    std::unique_lock<std::mutex> lock(entry->context_mu, std::try_to_lock);
-    if (lock.owns_lock()) {
-      context_bytes += entry->context.ApproxBytes();
-    } else {
-      ++context_busy;
-    }
-  }
+  const ContextResidency contexts = catalog_->WarmContexts();
   registry_
       ->GetGauge("vulnds_catalog_context_bytes",
                  "Approximate bytes of warm per-graph detection contexts")
-      ->Set(static_cast<double>(context_bytes));
+      ->Set(static_cast<double>(contexts.bytes));
   registry_
       ->GetGauge("vulnds_catalog_context_busy",
                  "Contexts skipped by the scrape because a query held them")
-      ->Set(static_cast<double>(context_busy));
+      ->Set(static_cast<double>(contexts.busy));
   // BSRBK's per-pool-thread sampler state: process memory outside the
   // governor's mem_bytes budget, so the scrape shows it.
   registry_

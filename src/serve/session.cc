@@ -339,23 +339,9 @@ void ServeSession::HandleStats(const ServeRequest& r, std::ostream& out) {
     // Warm DetectionContext intermediates grow with query traffic and are
     // deliberately NOT charged to the catalog byte budget; reported
     // separately so catalog_bytes= does not understate hot-graph residency.
-    // try_lock, never block: a cold detect holds an entry's context_mu for
-    // its whole sampling run, and a monitoring probe must not stall
-    // behind minutes of query work — an entry busy right now is skipped and
-    // counted, so the figure is a moment-in-time lower bound (like every
-    // other aggregate this verb prints).
-    std::size_t context_bytes = 0;
-    std::size_t context_busy = 0;
-    for (const auto& entry : catalog.SnapshotEntries()) {
-      std::unique_lock<std::mutex> lock(entry->context_mu, std::try_to_lock);
-      if (lock.owns_lock()) {
-        context_bytes += entry->context.ApproxBytes();
-      } else {
-        ++context_busy;
-      }
-    }
-    out << "context_bytes=" << context_bytes << "\n";
-    out << "context_busy=" << context_busy << "\n";
+    const ContextResidency contexts = catalog.WarmContexts();
+    out << "context_bytes=" << contexts.bytes << "\n";
+    out << "context_busy=" << contexts.busy << "\n";
     out << "catalog_evictions=" << c.evictions << "\n";
     if (server_ != nullptr) {
       // Relaxed snapshot: each counter exact, the set read at one moment.

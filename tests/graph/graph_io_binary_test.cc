@@ -1,3 +1,8 @@
+// The v2 snapshot codec through files: EncodeGraphBinary's bytes are
+// written to disk and read back through ReadGraphFile, the path `load`,
+// `convert` and journal replay take. A file whose length disagrees with its
+// header, or whose columns break an invariant, is InvalidArgument.
+
 #include "graph/graph_io.h"
 
 #include <gtest/gtest.h>
@@ -6,10 +11,14 @@
 #include <limits>
 #include <sstream>
 
+#include "testing/snapshot_bytes.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds {
 namespace {
+
+using testing::SnapshotBytes;
+using testing::WriteBytes;
 
 void ExpectGraphsEqual(const UncertainGraph& a, const UncertainGraph& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
@@ -24,11 +33,20 @@ void ExpectGraphsEqual(const UncertainGraph& a, const UncertainGraph& b) {
   }
 }
 
+// Reads `bytes` back as a snapshot file named `name`.
+Result<UncertainGraph> LoadBytes(const std::string& bytes,
+                                 const std::string& name) {
+  return ReadGraphFile(WriteBytes(bytes, name));
+}
+
+Status LoadStatus(const std::string& bytes) {
+  return LoadBytes(bytes, "graph_io_binary_patched.snap").status();
+}
+
 TEST(GraphIoBinaryTest, RoundTripPreservesEverything) {
   const UncertainGraph g = testing::RandomSmallGraph(9, 0.4, 1234);
-  std::stringstream buf;
-  ASSERT_TRUE(WriteGraphBinary(g, buf).ok());
-  Result<UncertainGraph> back = ReadGraphBinary(buf);
+  Result<UncertainGraph> back =
+      LoadBytes(SnapshotBytes(g), "graph_io_binary_round_trip.snap");
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ExpectGraphsEqual(g, *back);
 }
@@ -36,11 +54,10 @@ TEST(GraphIoBinaryTest, RoundTripPreservesEverything) {
 TEST(GraphIoBinaryTest, BinaryEqualsTextRoundTrip) {
   const UncertainGraph g = testing::PaperExampleGraph(0.2);
   std::stringstream text_buf;
-  std::stringstream bin_buf;
   ASSERT_TRUE(WriteGraph(g, text_buf).ok());
-  ASSERT_TRUE(WriteGraphBinary(g, bin_buf).ok());
   Result<UncertainGraph> from_text = ReadGraph(text_buf);
-  Result<UncertainGraph> from_bin = ReadGraphBinary(bin_buf);
+  Result<UncertainGraph> from_bin =
+      LoadBytes(SnapshotBytes(g), "graph_io_binary_vs_text.snap");
   ASSERT_TRUE(from_text.ok());
   ASSERT_TRUE(from_bin.ok());
   ExpectGraphsEqual(*from_text, *from_bin);
@@ -49,35 +66,48 @@ TEST(GraphIoBinaryTest, BinaryEqualsTextRoundTrip) {
 TEST(GraphIoBinaryTest, EmptyGraphRoundTrip) {
   UncertainGraphBuilder b(0);
   const UncertainGraph g = b.Build().MoveValue();
-  std::stringstream buf;
-  ASSERT_TRUE(WriteGraphBinary(g, buf).ok());
-  Result<UncertainGraph> back = ReadGraphBinary(buf);
+  Result<UncertainGraph> back =
+      LoadBytes(SnapshotBytes(g), "graph_io_binary_empty.snap");
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->num_nodes(), 0u);
   EXPECT_EQ(back->num_edges(), 0u);
 }
 
 TEST(GraphIoBinaryTest, BadMagicRejected) {
-  std::stringstream buf("NOTMAGIC........................");
-  EXPECT_EQ(ReadGraphBinary(buf).status().code(), StatusCode::kInvalidArgument);
+  // Not the v2 magic, so ReadGraphFile hands it to the text reader, which
+  // rejects the magic too; ReadGraphPage, which never guesses, rejects it
+  // itself.
+  const std::string path =
+      WriteBytes("NOTMAGIC........................", "graph_io_bad_magic.snap");
+  EXPECT_EQ(ReadGraphFile(path).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ReadGraphPage(path).status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(GraphIoBinaryTest, TruncatedHeaderRejected) {
-  const UncertainGraph g = testing::ChainGraph(0.3, 0.6);
-  std::stringstream buf;
-  ASSERT_TRUE(WriteGraphBinary(g, buf).ok());
-  const std::string full = buf.str();
-  std::stringstream cut(full.substr(0, 10));
-  EXPECT_EQ(ReadGraphBinary(cut).status().code(), StatusCode::kIOError);
+  // Ten bytes carry the whole magic, so the file is taken for a snapshot
+  // and fails its length check.
+  const std::string full = SnapshotBytes(testing::ChainGraph(0.3, 0.6));
+  EXPECT_EQ(LoadStatus(full.substr(0, 10)).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(GraphIoBinaryTest, TruncatedPayloadRejected) {
-  const UncertainGraph g = testing::RandomSmallGraph(6, 0.5, 7);
-  std::stringstream buf;
-  ASSERT_TRUE(WriteGraphBinary(g, buf).ok());
-  const std::string full = buf.str();
-  std::stringstream cut(full.substr(0, full.size() - 3));
-  EXPECT_EQ(ReadGraphBinary(cut).status().code(), StatusCode::kIOError);
+  const std::string full = SnapshotBytes(testing::RandomSmallGraph(6, 0.5, 7));
+  const Status st = LoadStatus(full.substr(0, full.size() - 3));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("header declares"), std::string::npos)
+      << st.ToString();
+}
+
+// The exact-length rule holds both ways: bytes after the last column are
+// rejected, not ignored.
+TEST(GraphIoBinaryTest, TrailingBytesRejected) {
+  std::string bytes = SnapshotBytes(testing::RandomSmallGraph(6, 0.5, 7));
+  bytes.append("\0\0\0\0", 4);
+  const Status st = LoadStatus(bytes);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("header declares"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(GraphIoBinaryTest, FileRoundTripAndAutoDetect) {
@@ -104,8 +134,7 @@ TEST(GraphIoBinaryTest, HostileHeaderCountsRejectedWithoutAllocating) {
   bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
   bytes.append(reinterpret_cast<const char*>(&n), sizeof(n));
   bytes.append(reinterpret_cast<const char*>(&m), sizeof(m));
-  std::stringstream buf(bytes);
-  EXPECT_EQ(ReadGraphBinary(buf).status().code(), StatusCode::kIOError);
+  EXPECT_EQ(LoadStatus(bytes).code(), StatusCode::kInvalidArgument);
 }
 
 // Byte layout of a v2 snapshot (graph_io.h): 8 magic + 4 version + 8 n +
@@ -133,22 +162,10 @@ SnapshotLayout LayoutOf(const UncertainGraph& g) {
   return l;
 }
 
-std::string SnapshotBytes(const UncertainGraph& g) {
-  std::stringstream buf;
-  const Status st = WriteGraphBinary(g, buf);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  return buf.str();
-}
-
 template <typename T>
 void Patch(std::string* bytes, std::size_t offset, T value) {
   ASSERT_LE(offset + sizeof(T), bytes->size());
   std::memcpy(bytes->data() + offset, &value, sizeof(T));
-}
-
-Status LoadStatus(const std::string& bytes) {
-  std::stringstream in(bytes);
-  return ReadGraphBinary(in).status();
 }
 
 TEST(GraphIoBinaryTest, CorruptProbabilityRejectedWithIndex) {
@@ -229,10 +246,7 @@ TEST(GraphIoBinaryTest, OutOfOrderEdgeIdsRejected) {
 }
 
 TEST(GraphIoBinaryTest, CorruptEdgeIdsRejected) {
-  const UncertainGraph g = testing::ChainGraph(0.3, 0.6);
-  std::stringstream buf;
-  ASSERT_TRUE(WriteGraphBinary(g, buf).ok());
-  std::string bytes = buf.str();
+  std::string bytes = SnapshotBytes(testing::ChainGraph(0.3, 0.6));
   // The edge-id column is the last 2 * sizeof(uint32_t) bytes; duplicate the
   // first id into the second so the permutation check must fire.
   ASSERT_GE(bytes.size(), 8u);
@@ -240,9 +254,7 @@ TEST(GraphIoBinaryTest, CorruptEdgeIdsRejected) {
   bytes[bytes.size() - 3] = bytes[bytes.size() - 7];
   bytes[bytes.size() - 2] = bytes[bytes.size() - 6];
   bytes[bytes.size() - 1] = bytes[bytes.size() - 5];
-  std::stringstream corrupted(bytes);
-  EXPECT_EQ(ReadGraphBinary(corrupted).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadStatus(bytes).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

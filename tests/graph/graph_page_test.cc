@@ -1,50 +1,37 @@
-// ReadGraphPage, the spill-page reader: a clean page reads back
-// bit-identical, and a seeded mutation sweep (truncate, extend, flip header
-// and body bytes, with the expected CRC either the original one or the
-// mutated bytes' own) never crashes, reads out of bounds or over-allocates.
-// Every mutant is rejected or comes back as a graph that passes the same
-// structural checks as a snapshot load. Run under ASan + UBSan in CI.
+// ReadGraphPage, the one v2 reader: a clean page reads back bit-identical,
+// and a seeded mutation sweep (truncate, extend, flip header and body
+// bytes, with the expected CRC either the original one or the mutated
+// bytes' own) never crashes, reads out of bounds or over-allocates. Every
+// mutant is rejected or comes back as a graph that passes the same
+// structural checks as a snapshot load. A second sweep mutates text
+// snapshots read through ReadGraphFile. Run under ASan + UBSan in CI.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "graph/graph_io.h"
+#include "testing/snapshot_bytes.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds {
 namespace {
 
+using testing::SnapshotBytes;
+
 constexpr std::size_t kHeaderBytes = 28;  // magic, version, n, m
 
-std::string SnapshotBytes(const UncertainGraph& g) {
-  std::stringstream buf;
-  EXPECT_TRUE(WriteGraphBinary(g, buf).ok());
-  return buf.str();
-}
-
 std::string WritePage(const std::string& bytes, const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  EXPECT_TRUE(out.good()) << path;
-  return path;
+  return testing::WriteBytes(bytes, name);
 }
 
-// A graph a page read accepted must be what a snapshot load of the same
-// bytes accepts, re-serialize to exactly those bytes, and carry a reverse
-// CSR consistent with its forward one.
-void ExpectStructurallySound(const UncertainGraph& g,
-                             const std::string& bytes) {
-  EXPECT_EQ(SnapshotBytes(g), bytes);
-  std::stringstream in(bytes);
-  EXPECT_TRUE(ReadGraphBinary(in).ok());
+// A reverse CSR consistent with the forward one and the edge list.
+void ExpectReverseCsrSound(const UncertainGraph& g) {
   std::size_t in_arcs = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (const Arc& arc : g.InArcs(v)) {
@@ -56,6 +43,16 @@ void ExpectStructurallySound(const UncertainGraph& g,
     }
   }
   EXPECT_EQ(in_arcs, g.num_edges());
+}
+
+// A graph a page read accepted must be what a snapshot load of the same
+// bytes accepts, re-encode to exactly those bytes, and carry a reverse CSR
+// consistent with its forward one.
+void ExpectStructurallySound(const UncertainGraph& g,
+                             const std::string& bytes) {
+  EXPECT_EQ(SnapshotBytes(g), bytes);
+  EXPECT_TRUE(ReadGraphFile(WritePage(bytes, "page_sound.snap")).ok());
+  ExpectReverseCsrSound(g);
 }
 
 TEST(GraphPageTest, CleanPageReadsBackBitIdentical) {
@@ -162,6 +159,84 @@ TEST(GraphPageTest, SeededMutationSweepRejectsOrYieldsSoundGraphs) {
   }
   EXPECT_GT(rejected, 0u);
   EXPECT_GT(accepted, 0u);  // some body flips land on valid values
+}
+
+enum class TextMutation { kTruncate, kExtend, kFlip, kDigit };
+
+std::string MutateText(const std::string& text, TextMutation mutation,
+                       Rng& rng) {
+  static constexpr char kAlphabet[] = "0123456789 .-e\n#x";
+  std::string out = text;
+  switch (mutation) {
+    case TextMutation::kTruncate:
+      out.resize(rng.NextBounded(text.size()));
+      break;
+    case TextMutation::kExtend:
+      for (uint64_t i = 1 + rng.NextBounded(16); i > 0; --i) {
+        out.push_back(kAlphabet[rng.NextBounded(sizeof(kAlphabet) - 1)]);
+      }
+      break;
+    case TextMutation::kFlip:
+      for (uint64_t i = 1 + rng.NextBounded(3); i > 0; --i) {
+        out[rng.NextBounded(out.size())] ^=
+            static_cast<char>(1 + rng.NextBounded(255));
+      }
+      break;
+    case TextMutation::kDigit:
+      // Stays inside the grammar's alphabet, so most mutants still tokenize
+      // and reach the builder's checks (ids, probabilities, self-loops).
+      for (uint64_t i = 1 + rng.NextBounded(3); i > 0; --i) {
+        out[rng.NextBounded(out.size())] =
+            kAlphabet[rng.NextBounded(sizeof(kAlphabet) - 1)];
+      }
+      break;
+  }
+  return out;
+}
+
+// The text loader behind ReadGraphFile under the same kind of sweep: every
+// mutant is rejected, or loads as a graph whose own text re-reads to it and
+// whose reverse CSR is sound.
+TEST(GraphPageTest, SeededTextMutationSweepRejectsOrYieldsSoundGraphs) {
+  Rng rng(20261018);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int seed = 0; seed < 400; ++seed) {
+    const UncertainGraph g = testing::RandomSmallGraph(
+        2 + rng.NextBounded(30), 0.05 + rng.NextDouble() * 0.3, 1300 + seed);
+    std::stringstream text;
+    ASSERT_TRUE(WriteGraph(g, text).ok());
+    const auto mutation = static_cast<TextMutation>(seed % 4);
+    const std::string mutated = MutateText(text.str(), mutation, rng);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " mutation " +
+                 std::to_string(seed % 4));
+    Result<UncertainGraph> back =
+        ReadGraphFile(WritePage(mutated, "text_mutant.graph"));
+    if (!back.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    std::stringstream again;
+    ASSERT_TRUE(WriteGraph(*back, again).ok());
+    Result<UncertainGraph> reread = ReadGraph(again);
+    ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+    std::stringstream twice;
+    ASSERT_TRUE(WriteGraph(*reread, twice).ok());
+    EXPECT_EQ(twice.str(), again.str());
+    ExpectReverseCsrSound(*back);
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(accepted, 0u);  // e.g. trailing comments, a changed digit
+}
+
+// A text header may declare any node count; the loader must not size
+// anything from it before the self-risks it promises have arrived.
+TEST(GraphPageTest, HostileTextNodeCountFailsWithoutAllocating) {
+  const std::string path = WritePage(
+      "vulnds-graph 1\n1000000000000 1\n0.5 0.5\n", "text_hostile.graph");
+  Result<UncertainGraph> back = ReadGraphFile(path);
+  EXPECT_FALSE(back.ok());
 }
 
 }  // namespace

@@ -563,7 +563,9 @@ TEST(StoreSpillTest, GetOrLoadRacesReloadsAndPutsOfTheSameNames) {
         Result<std::shared_ptr<CatalogEntry>> entry =
             catalog.GetOrLoad(names[pick]);
         ASSERT_TRUE(entry.ok()) << entry.status().ToString();
-        if (*entry == nullptr) continue;  // paged in between its two checks
+        // Every name always exists, resident or spilled: a page-in or
+        // reload racing the lookup must never make it answer absent.
+        ASSERT_NE(*entry, nullptr) << names[pick];
         ScopedEntryPin pin(*entry);
         ASSERT_EQ((*entry)->graph.num_edges(), graphs[pick].num_edges());
       }
