@@ -67,12 +67,13 @@ void BM_ForwardSampleBlock(benchmark::State& state) {
 BENCHMARK(BM_ForwardSampleBlock)->Arg(0)->Arg(1)->Arg(2);
 
 // One node's self-risk coin under 64 world seeds (coins/s = items/s).
-// Arg: 0 = scalar tier, 1 = avx2 tier (skipped where AVX2 is unavailable).
+// Arg: the SimdTier value, 0 = scalar, 1 = avx2, 2 = avx512 (a vector tier
+// is skipped where the host lacks it).
 void BM_CoinMask64(benchmark::State& state) {
-  const simd::SimdTier tier = state.range(0) == 0 ? simd::SimdTier::kScalar
-                                                  : simd::SimdTier::kAvx2;
-  if (tier == simd::SimdTier::kAvx2 && !simd::Avx2Available()) {
-    state.SkipWithError("AVX2 unavailable");
+  const auto tier = static_cast<simd::SimdTier>(state.range(0));
+  if ((tier == simd::SimdTier::kAvx2 && !simd::Avx2Available()) ||
+      (tier == simd::SimdTier::kAvx512 && !simd::Avx512Available())) {
+    state.SkipWithError("tier unavailable on this host");
     return;
   }
   Rng rng(17);
@@ -86,7 +87,7 @@ void BM_CoinMask64(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * simd::kCoinMaskWorlds);
 }
-BENCHMARK(BM_CoinMask64)->Arg(0)->Arg(1);
+BENCHMARK(BM_CoinMask64)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_ReverseSampleWorld(benchmark::State& state) {
   const UncertainGraph& graph =

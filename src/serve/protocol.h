@@ -6,7 +6,8 @@
 //   detect <name> <k> [method] [key=value…]  top-k query; keys: eps, delta,
 //                                            seed, samples, order, bk,
 //                                            method, simd (kernel tier:
-//                                            auto | avx2 | scalar;
+//                                            auto | avx512 | avx2 |
+//                                            scalar;
 //                                            execution-only)
 //   truth <name> <k> [samples] [seed]        Monte-Carlo reference top-k
 //   stats [<name>]                           graph stats / engine counters

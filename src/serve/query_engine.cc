@@ -154,12 +154,13 @@ QueryEngine::QueryEngine(GraphCatalog* catalog, QueryEngineOptions options)
       "Coin slots evaluated one at a time outside a full lane, "
       "executed runs only");
   // The process-default kernel tier as a numeric gauge (0 = scalar,
-  // 1 = avx2): scrape-friendly, and the label carries the name. Set once —
-  // the default is resolved once per process (VULNDS_SIMD env, else CPUID)
-  // and per-query overrides never change it.
+  // 1 = avx2, 2 = avx512): scrape-friendly, and the label carries the name.
+  // Set once — the default is resolved once per process (VULNDS_SIMD env,
+  // else CPUID) and per-query overrides never change it.
   registry_
       ->GetGauge("vulnds_simd_tier",
-                 "Process-default SIMD kernel tier (0=scalar, 1=avx2)",
+                 "Process-default SIMD kernel tier "
+                 "(0=scalar, 1=avx2, 2=avx512)",
                  {{"tier", simd::SimdTierName(simd::DefaultTier())}})
       ->Set(static_cast<double>(simd::DefaultTier()));
   const std::vector<double>& buckets = obs::LatencyBucketsMicros();

@@ -37,11 +37,15 @@ uint64_t CoinThreshold(double prob) {
   return x;
 }
 
+// CoinSurvivorsPadded, HashBatch and FindActive have no AVX-512 body: the
+// avx512 tier runs their AVX2 bodies (`tier >= kAvx2`), so BSRBK executes
+// the same instructions under both tiers.
+
 std::size_t CoinSurvivorsPadded(SimdTier tier, uint64_t seed,
                                 const uint64_t* inner,
                                 const uint64_t* threshold, std::size_t n,
                                 uint32_t* out, CoinKernelStats* stats) {
-  if (tier == SimdTier::kAvx2) {
+  if (tier >= SimdTier::kAvx2) {
     return internal::CoinSurvivorsAvx2(seed, inner, threshold, n, out, stats);
   }
   return internal::CoinSurvivorsScalar(seed, inner, threshold, n, out, stats);
@@ -49,15 +53,20 @@ std::size_t CoinSurvivorsPadded(SimdTier tier, uint64_t seed,
 
 uint64_t CoinMask64(SimdTier tier, const uint64_t* seeds, uint64_t inner,
                     uint64_t threshold) {
-  if (tier == SimdTier::kAvx2) {
-    return internal::CoinMask64Avx2(seeds, inner, threshold);
+  switch (tier) {
+    case SimdTier::kAvx512:
+      return internal::CoinMask64Avx512(seeds, inner, threshold);
+    case SimdTier::kAvx2:
+      return internal::CoinMask64Avx2(seeds, inner, threshold);
+    case SimdTier::kScalar:
+      break;
   }
   return internal::CoinMask64Scalar(seeds, inner, threshold);
 }
 
 void HashBatch(SimdTier tier, uint64_t seed, uint64_t base, std::size_t n,
                uint64_t* out, CoinKernelStats* stats) {
-  if (tier == SimdTier::kAvx2) {
+  if (tier >= SimdTier::kAvx2) {
     internal::HashBatchAvx2(seed, base, n, out, stats);
   } else {
     internal::HashBatchScalar(seed, base, n, out, stats);
@@ -67,7 +76,7 @@ void HashBatch(SimdTier tier, uint64_t seed, uint64_t base, std::size_t n,
 std::size_t FindActive(SimdTier tier, const unsigned char* flags,
                        const unsigned char* veto, std::size_t n,
                        uint32_t* out) {
-  if (tier == SimdTier::kAvx2) {
+  if (tier >= SimdTier::kAvx2) {
     return internal::FindActiveAvx2(flags, veto, n, out);
   }
   return internal::FindActiveScalar(flags, veto, n, out);

@@ -1,7 +1,18 @@
-// Batched possible-world kernels: the four hot loops of the sampling
+// Batched possible-world kernels: the five hot loops of the sampling
 // pipeline (BSRBK's per-world coin evaluation, the block kernel's 64-world
-// self-risk seeding, bottom-k hash precompute, candidate-bitmap folds)
-// behind a tier-dispatched, bit-identical-by-contract interface.
+// self-risk seeding and its per-arc edge coins over the open worlds,
+// bottom-k hash precompute, candidate-bitmap folds) behind a
+// tier-dispatched, bit-identical-by-contract interface.
+//
+// What each tier vectorizes:
+//   scalar  nothing; the reference every other tier is tested against.
+//   avx2    CoinSurvivorsPadded, CoinMask64, HashBatch and FindActive, four
+//           u64 lanes (32 bytes) at a time; CoinMaskOpen64 stays the scalar
+//           per-bit loop.
+//   avx512  CoinMask64 and CoinMaskOpen64, eight u64 lanes at a time with
+//           the native 64-bit multiply (vpmullq). Everything else runs the
+//           AVX2 bodies, so BSRBK executes the same instructions under
+//           avx512 as under avx2.
 //
 // The determinism contract. A world coin is the predicate
 //
@@ -21,8 +32,9 @@
 // is false) maps to T = 0, prob >= 1 to T = 2^53 > every hash. Likewise the
 // seed-independent inner round Mix64(id + C) is precomputed per entity
 // (CoinInnerHash), so a per-world coin is one Mix64 and one integer compare
-// in every tier. The AVX2 tier evaluates the identical integer arithmetic
-// four lanes at a time; tests/simd/ proves tier-for-tier bit-identity.
+// in every tier. The vector tiers evaluate the identical integer arithmetic
+// four or eight lanes at a time; tests/simd/ proves tier-for-tier
+// bit-identity.
 //
 // Evaluating a coin is free of side effects (worlds are pure functions), so
 // batched callers may evaluate MORE coins than the scalar code would have —
@@ -40,8 +52,9 @@
 
 namespace vulnds::simd {
 
-/// The u64 lane width of the widest vector tier (AVX2: 4 × u64). Callers
-/// that pad coin columns pad runs to a multiple of this.
+/// The u64 lane width CoinSurvivorsPadded runs at (AVX2: 4 × u64, which
+/// the avx512 tier shares). Callers that pad coin columns pad runs to a
+/// multiple of this.
 inline constexpr std::size_t kCoinLanes = 4;
 
 /// One past the largest value Hash64(id) >> 11 can take; the threshold of
@@ -103,6 +116,52 @@ inline constexpr std::size_t kCoinMaskWorlds = 64;
 /// harmless to evaluate). The block kernel's self-risk seeding runs here.
 uint64_t CoinMask64(SimdTier tier, const uint64_t* seeds, uint64_t inner,
                     uint64_t threshold);
+
+namespace internal {
+// CoinMaskOpen64's AVX-512 body (kernels_avx512.cc): the hits, and the
+// lanes it evaluated for the telemetry. Returned in two registers, so the
+// caller's count need not live in memory.
+struct OpenHits {
+  uint64_t hits;
+  uint64_t lanes;
+};
+OpenHits CoinMaskOpen64Avx512(const uint64_t* seeds, uint64_t inner,
+                              uint64_t threshold, uint64_t open);
+}  // namespace internal
+
+/// One entity's coin in the `open` worlds of a 64-world word: returns the
+/// bits j of `open` with CoinHits(seeds[j], inner, threshold), so the result
+/// is a subset of `open`. All 64 seeds must be readable; only the open
+/// worlds' seeds affect the result. The block kernel's edge coins run here,
+/// one call per (arc, word). The scalar and AVX2 tiers flip one coin per
+/// open bit (counted as tail coins); the AVX-512 tier evaluates every
+/// non-zero byte of `open` as one masked eight-lane hash (counted as eight
+/// batched coins). `stats` may be null.
+///
+/// Inline, and `stats` never escapes it, so a caller counting into a local
+/// keeps the per-bit loop and its count in registers. Out of line, with the
+/// count kept in memory, the AVX2 tier's N cost ~3% more on the Fig. 6
+/// grid. The ISA-specific TUs must not call it (kernels_internal.h's ODR
+/// rule); kernels_avx512.cc does only in its baseline #else branch.
+inline uint64_t CoinMaskOpen64(SimdTier tier, const uint64_t* seeds,
+                               uint64_t inner, uint64_t threshold,
+                               uint64_t open, CoinKernelStats* stats) {
+  if (tier == SimdTier::kAvx512) {
+    const internal::OpenHits r =
+        internal::CoinMaskOpen64Avx512(seeds, inner, threshold, open);
+    if (stats != nullptr) stats->batched_coins += r.lanes;
+    return r.hits;
+  }
+  uint64_t hits = 0;
+  for (uint64_t bits = open; bits != 0; bits &= bits - 1) {
+    const int j = __builtin_ctzll(bits);
+    hits |= static_cast<uint64_t>(CoinHits(seeds[j], inner, threshold)) << j;
+  }
+  if (stats != nullptr) {
+    stats->tail_coins += static_cast<uint64_t>(__builtin_popcountll(open));
+  }
+  return hits;
+}
 
 /// out[i] = UniformHash(seed).Hash64(base + i) for i in [0, n): the bulk
 /// half of the bottom-k HashUnit precompute (the >>11 / +0.5 / *2^-53

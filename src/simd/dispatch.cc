@@ -19,7 +19,19 @@ bool Avx2Available() {
 #endif
 }
 
+bool Avx512KernelsCompiled() { return internal::Avx512Compiled(); }
+
+bool Avx512Available() {
+#if defined(__x86_64__) || defined(__i386__)
+  return internal::Avx512Compiled() && __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512dq");
+#else
+  return false;
+#endif
+}
+
 SimdTier BestSupportedTier() {
+  if (Avx512Available()) return SimdTier::kAvx512;
   return Avx2Available() ? SimdTier::kAvx2 : SimdTier::kScalar;
 }
 
@@ -29,17 +41,13 @@ SimdTier DefaultTier() {
   // a process has exactly one default tier for its lifetime (the
   // vulnds_simd_tier gauge reports this value).
   static const SimdTier kDefault = [] {
-    const std::string raw = GetEnvString("VULNDS_SIMD", "auto");
-    std::string mode(raw);
-    std::transform(mode.begin(), mode.end(), mode.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    if (mode == "scalar") return SimdTier::kScalar;
-    if (mode == "avx2") {
-      // Forcing a tier the host cannot run would SIGILL; degrade instead
-      // (results are bit-identical, so this is invisible to callers).
-      return Avx2Available() ? SimdTier::kAvx2 : SimdTier::kScalar;
-    }
-    return BestSupportedTier();  // "auto" and anything unrecognized
+    const Result<SimdMode> mode =
+        ParseSimdMode(GetEnvString("VULNDS_SIMD", "auto"));
+    // "auto" and anything unrecognized take the best tier. A forced tier the
+    // host cannot run would SIGILL, so ResolveTier degrades it instead
+    // (results are bit-identical, so this is invisible to callers).
+    if (!mode.ok() || *mode == SimdMode::kAuto) return BestSupportedTier();
+    return ResolveTier(*mode);
   }();
   return kDefault;
 }
@@ -48,6 +56,9 @@ SimdTier ResolveTier(SimdMode mode) {
   switch (mode) {
     case SimdMode::kScalar:
       return SimdTier::kScalar;
+    case SimdMode::kAvx512:
+      if (Avx512Available()) return SimdTier::kAvx512;
+      [[fallthrough]];
     case SimdMode::kAvx2:
       return Avx2Available() ? SimdTier::kAvx2 : SimdTier::kScalar;
     case SimdMode::kAuto:
@@ -57,7 +68,15 @@ SimdTier ResolveTier(SimdMode mode) {
 }
 
 const char* SimdTierName(SimdTier tier) {
-  return tier == SimdTier::kAvx2 ? "avx2" : "scalar";
+  switch (tier) {
+    case SimdTier::kAvx512:
+      return "avx512";
+    case SimdTier::kAvx2:
+      return "avx2";
+    case SimdTier::kScalar:
+      break;
+  }
+  return "scalar";
 }
 
 const char* SimdModeName(SimdMode mode) {
@@ -66,6 +85,8 @@ const char* SimdModeName(SimdMode mode) {
       return "scalar";
     case SimdMode::kAvx2:
       return "avx2";
+    case SimdMode::kAvx512:
+      return "avx512";
     case SimdMode::kAuto:
       break;
   }
@@ -79,8 +100,9 @@ Result<SimdMode> ParseSimdMode(const std::string& text) {
   if (mode == "auto") return SimdMode::kAuto;
   if (mode == "scalar") return SimdMode::kScalar;
   if (mode == "avx2") return SimdMode::kAvx2;
-  return Status::InvalidArgument("simd must be auto, avx2 or scalar, got '" +
-                                 text + "'");
+  if (mode == "avx512") return SimdMode::kAvx512;
+  return Status::InvalidArgument(
+      "simd must be auto, avx512, avx2 or scalar, got '" + text + "'");
 }
 
 }  // namespace vulnds::simd

@@ -1,9 +1,12 @@
 // Per-tier kernel entry points. Internal to src/simd: the scalar set lives
-// in kernels_scalar.cc (baseline ISA), the Avx2* set in kernels_avx2.cc —
-// the ONLY translation unit compiled with -mavx2. Nothing here may be
-// defined inline in this header: an inline helper instantiated once in an
-// AVX2 TU and once in a baseline TU is an ODR trap that can leak AVX2
-// encodings into baseline code. Dispatch lives in coin_kernels.cc.
+// in kernels_scalar.cc (baseline ISA), the Avx2* set in kernels_avx2.cc and
+// the Avx512* set in kernels_avx512.cc — the ONLY two translation units
+// compiled with ISA flags (-mavx2; -mavx512f -mavx512dq). Nothing here may
+// be defined inline in this header: an inline helper instantiated in an
+// ISA-specific TU and in a baseline TU (or in both ISA-specific TUs) is an
+// ODR trap — the linker keeps one copy, which can leak AVX2 or AVX-512
+// encodings into code that runs on hosts without them. Dispatch lives in
+// coin_kernels.cc.
 
 #ifndef VULNDS_SIMD_KERNELS_INTERNAL_H_
 #define VULNDS_SIMD_KERNELS_INTERNAL_H_
@@ -23,6 +26,10 @@ namespace internal {
 /// dispatch.cc checks).
 bool Avx2Compiled();
 
+/// True iff kernels_avx512.cc was compiled with AVX-512F and AVX-512DQ code
+/// generation (its Avx512* symbols forward to scalar otherwise).
+bool Avx512Compiled();
+
 std::size_t CoinSurvivorsScalar(uint64_t seed, const uint64_t* inner,
                                 const uint64_t* threshold, std::size_t n,
                                 uint32_t* out, CoinKernelStats* stats);
@@ -35,6 +42,10 @@ uint64_t CoinMask64Scalar(const uint64_t* seeds, uint64_t inner,
                           uint64_t threshold);
 uint64_t CoinMask64Avx2(const uint64_t* seeds, uint64_t inner,
                         uint64_t threshold);
+uint64_t CoinMask64Avx512(const uint64_t* seeds, uint64_t inner,
+                          uint64_t threshold);
+// CoinMaskOpen64Avx512 is declared in coin_kernels.h, beside the inline
+// CoinMaskOpen64 that calls it.
 
 void HashBatchScalar(uint64_t seed, uint64_t base, std::size_t n,
                      uint64_t* out, CoinKernelStats* stats);

@@ -89,7 +89,7 @@ class BlockSampler {
           hits = simd::CoinMask64(tier_, node_seeds_[w], simd::CoinInnerHash(v),
                                   threshold) &
                  all[w];
-          if (tier_ == simd::SimdTier::kAvx2) {
+          if (tier_ != simd::SimdTier::kScalar) {
             coin_stats_.batched_coins += kWordWorlds;
           } else {
             coin_stats_.tail_coins += kWordWorlds;
@@ -106,7 +106,7 @@ class BlockSampler {
     // becomes pending at a node only when the node first defaults in it, so
     // every (edge, world) coin is flipped at most once. The arc's coin
     // constants are shared by both words.
-    uint64_t edge_coins = 0;
+    simd::CoinKernelStats edge_coins;
     for (std::size_t head = 0; head < queue_.size(); ++head) {
       Prefetch(head);
       const NodeId u = queue_[head];
@@ -131,15 +131,9 @@ class BlockSampler {
         uint64_t any_hit = 0;
         for (std::size_t w = 0; w < kBlockWords; ++w) {
           uint64_t hits = open[w];
-          if (threshold != simd::kCoinAlways) {
-            hits = 0;
-            for (uint64_t bits = open[w]; bits != 0; bits &= bits - 1) {
-              const int j = __builtin_ctzll(bits);
-              ++edge_coins;
-              hits |= static_cast<uint64_t>(
-                          simd::CoinHits(edge_seeds_[w][j], inner, threshold))
-                      << j;
-            }
+          if (hits != 0 && threshold != simd::kCoinAlways) {
+            hits = simd::CoinMaskOpen64(tier_, edge_seeds_[w], inner,
+                                        threshold, open[w], &edge_coins);
           }
           was_pending |= m.pending[w];
           m.defaulted[w] |= hits;
@@ -149,7 +143,7 @@ class BlockSampler {
         if (was_pending == 0 && any_hit != 0) queue_.push_back(arc.neighbor);
       }
     }
-    coin_stats_.tail_coins += edge_coins;
+    coin_stats_.Add(edge_coins);
 
     for (std::size_t i = 0; i < counted_.size(); ++i) {
       for (const uint64_t d : masks_[counted_[i]].defaulted) {

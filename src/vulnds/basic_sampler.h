@@ -30,9 +30,12 @@
 //
 // Seeding flips every scope node's coin in every world, so it runs on the
 // tier-dispatched simd::CoinMask64 (one node, 64 world seeds per call, one
-// call per word; four lanes at a time on AVX2). A push opens few worlds, so
-// edge coins stay one scalar coin per open world. The tier changes cost,
-// never a bit of the result.
+// call per word; four lanes at a time on AVX2, eight on AVX-512). A push
+// opens few worlds, and its edge coins run on simd::CoinMaskOpen64, one call
+// per (arc, word) that has open worlds: the scalar and AVX2 tiers flip one
+// coin per open world, the AVX-512 tier one masked eight-lane hash per
+// non-zero byte of the open mask. The tier changes cost, never a bit of the
+// result.
 //
 // A run samples a node scope. Nodes outside it never seed and never receive
 // a push, so a scope that holds the counted nodes and every node with a
@@ -71,9 +74,11 @@ struct BasicSampleStats {
   std::size_t samples = 0;        ///< number of worlds generated (t)
   /// Defaulted (counted node, world) pairs: the sum of the counts.
   std::size_t nodes_touched = 0;
-  /// Coins flipped: batched for AVX2 CoinMask64 seeding, tail for scalar
-  /// seeding and every edge coin. Telemetry only; varies with the tier, and
-  /// the edge-coin count with how the thread count packs words into blocks.
+  /// Coins flipped: seeding coins are batched on a vector tier and tail on
+  /// the scalar one; edge coins are eight batched lanes per evaluated byte on
+  /// AVX-512 and one tail coin per open world otherwise. Telemetry only;
+  /// varies with the tier, and the edge-coin count with how the thread count
+  /// packs words into blocks.
   simd::CoinKernelStats coin_stats;
 };
 
@@ -82,7 +87,7 @@ struct BasicSampleStats {
 /// positive-probability path into one, and estimates each node of `counted`.
 /// If `pool` is non-null the 64-world words are distributed across its
 /// workers (deterministically; see file comment). `tier` picks the seeding
-/// kernel: execution-only, results are identical.
+/// and edge-coin kernels: execution-only, results are identical.
 BasicSampleStats RunBlockSampling(const UncertainGraph& graph,
                                   const std::vector<NodeId>& scope,
                                   const std::vector<NodeId>& counted,

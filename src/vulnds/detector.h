@@ -65,7 +65,8 @@ struct DetectorOptions {
   /// pool width, so the pool is never part of a query's identity
   /// (CanonicalizeOptions clears it).
   ThreadPool* pool = nullptr;
-  /// Kernel tier request (serve protocol / CLI `simd=auto|avx2|scalar`).
+  /// Kernel tier request (serve protocol / CLI
+  /// `simd=auto|avx512|avx2|scalar`).
   /// Execution-only like `pool`: every tier computes
   /// bit-identical results (simd/coin_kernels.h contract), kAuto defers to
   /// the process default (VULNDS_SIMD env, else CPUID), and an unavailable

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "testing/snapshot_bytes.h"
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds {
@@ -112,8 +113,8 @@ TEST(GraphIoBinaryTest, TrailingBytesRejected) {
 
 TEST(GraphIoBinaryTest, FileRoundTripAndAutoDetect) {
   const UncertainGraph g = testing::PaperExampleGraph(0.25);
-  const std::string bin_path = ::testing::TempDir() + "/vulnds_bin_test.snap";
-  const std::string text_path = ::testing::TempDir() + "/vulnds_text_test.graph";
+  const std::string bin_path = testing::TestTempPath("vulnds_bin_test.snap");
+  const std::string text_path = testing::TestTempPath("vulnds_text_test.graph");
   ASSERT_TRUE(WriteGraphFile(g, bin_path, GraphFileFormat::kBinary).ok());
   ASSERT_TRUE(WriteGraphFile(g, text_path, GraphFileFormat::kText).ok());
   // ReadGraphFile detects the format from the magic in both cases.

@@ -414,9 +414,10 @@ TEST(ServeLoopTest, SimdFlagPinsBlockKernelMethodsWithIdenticalBytes) {
     *stats = output.substr(at);
     return WithoutTimes(output.substr(0, at));
   };
-  std::string scalar_stats, avx2_stats;
+  std::string scalar_stats, avx2_stats, avx512_stats;
   const std::string scalar = run("scalar", &scalar_stats);
   const std::string avx2 = run("avx2", &avx2_stats);
+  const std::string avx512 = run("avx512", &avx512_stats);
   const std::vector<std::string> lines = Lines(scalar);
   EXPECT_EQ(std::count_if(lines.begin(), lines.end(),
                           [](const std::string& line) {
@@ -426,12 +427,19 @@ TEST(ServeLoopTest, SimdFlagPinsBlockKernelMethodsWithIdenticalBytes) {
             4)
       << scalar;
   EXPECT_EQ(scalar, avx2);
-  // The flag reaches the kernels: a scalar session batches no coin.
+  EXPECT_EQ(scalar, avx512);
+  // The flag reaches the kernels: a scalar session batches no coin, and a
+  // vector tier batches some.
   EXPECT_NE(scalar_stats.find("\nsimd_batched_coins=0\n"), std::string::npos)
       << scalar_stats;
   if (simd::Avx2Available()) {
     EXPECT_EQ(avx2_stats.find("\nsimd_batched_coins=0\n"), std::string::npos)
         << avx2_stats;
+  }
+  if (simd::Avx512Available()) {
+    EXPECT_EQ(avx512_stats.find("\nsimd_batched_coins=0\n"),
+              std::string::npos)
+        << avx512_stats;
   }
 }
 

@@ -1,9 +1,10 @@
 // Property tests of the tier-for-tier bit-identity contract: every kernel,
 // compared lane against the scalar reference (and against the pre-existing
 // double-comparison coin semantics) across lane alignments, tail lengths and
-// degenerate probabilities. When the host lacks AVX2 only the scalar tier is
-// exercised — the loops below iterate the AVAILABLE tiers, so the suite
-// passes (rather than vacuously skips) everywhere.
+// degenerate probabilities. When the host lacks AVX2 or AVX-512 only the
+// tiers it has are exercised — the loops below iterate the AVAILABLE tiers,
+// so the suite passes (rather than vacuously skips) everywhere. Checks that
+// only mean something on one tier skip where the CPU lacks it.
 
 #include "simd/coin_kernels.h"
 
@@ -24,6 +25,7 @@ namespace {
 std::vector<SimdTier> AvailableTiers() {
   std::vector<SimdTier> tiers{SimdTier::kScalar};
   if (Avx2Available()) tiers.push_back(SimdTier::kAvx2);
+  if (Avx512Available()) tiers.push_back(SimdTier::kAvx512);
   return tiers;
 }
 
@@ -170,8 +172,8 @@ TEST(CoinSurvivorsTest, EveryTierMatchesScalarOnEveryTailLength) {
                                           << " n=" << n << " i=" << i;
         }
         // Telemetry accounts every evaluated coin exactly once in some
-        // bucket: the scalar tier evaluates the n true coins, the AVX2 tier
-        // whole blocks, padding included.
+        // bucket: the scalar tier evaluates the n true coins, the AVX2 body
+        // (which the avx512 tier shares) whole blocks, padding included.
         EXPECT_EQ(stats.batched_coins + stats.tail_coins,
                   tier == SimdTier::kScalar ? n : padded)
             << "tier=" << SimdTierName(tier) << " n=" << n;
@@ -236,6 +238,91 @@ TEST(CoinMask64Test, EveryTierMatchesPerWorldCoinHits) {
             << "tier=" << SimdTierName(tier) << " threshold=" << threshold;
       }
     }
+  }
+}
+
+// The open masks most likely to break a byte-blocked kernel: empty, full,
+// every single bit, partial words (the low `worlds` bits of a word's last
+// block), one bit per byte, whole bytes, and random masks of every density.
+std::vector<uint64_t> AdversarialOpenMasks(Rng* rng) {
+  std::vector<uint64_t> masks = {0, ~uint64_t{0}, 0x0101010101010101ULL,
+                                 0x8080808080808080ULL, 0xFF00FF00FF00FF00ULL,
+                                 0x00000000000000FFULL, 0xFF00000000000000ULL,
+                                 0x8000000000000001ULL};
+  for (int j = 0; j < 64; ++j) {
+    masks.push_back(uint64_t{1} << j);
+    masks.push_back((uint64_t{1} << j) - 1);  // a partial word of j worlds
+  }
+  for (int i = 0; i < 64; ++i) {
+    // AND-ing k random words leaves each bit set with probability 2^-k.
+    uint64_t m = rng->NextU64();
+    for (int k = 0; k < i % 5; ++k) m &= rng->NextU64();
+    masks.push_back(m);
+  }
+  return masks;
+}
+
+TEST(CoinMaskOpen64Test, EveryTierMatchesCoinHitsPerOpenBit) {
+  Rng rng(0x0BE4u);
+  const std::vector<SimdTier> tiers = AvailableTiers();
+  const std::vector<uint64_t> opens = AdversarialOpenMasks(&rng);
+  for (int round = 0; round < 20; ++round) {
+    uint64_t seeds[kCoinMaskWorlds];
+    for (uint64_t& seed : seeds) seed = rng.NextU64();
+    const uint64_t inner = CoinInnerHash(rng.NextU64());
+    // 0 and kCoinAlways, the values next to them, random thresholds, and the
+    // boundary of one world's hash h: threshold h misses it, h + 1 hits.
+    std::vector<uint64_t> thresholds = {0, 1, kCoinAlways - 1, kCoinAlways};
+    for (int i = 0; i < 4; ++i) {
+      thresholds.push_back(CoinThreshold(rng.NextDouble()));
+      const uint64_t h =
+          Mix64(inner ^ seeds[rng.NextBounded(kCoinMaskWorlds)]) >> 11;
+      thresholds.push_back(h);
+      thresholds.push_back(h + 1);
+    }
+    for (const uint64_t threshold : thresholds) {
+      for (const uint64_t open : opens) {
+        uint64_t reference = 0;
+        for (std::size_t j = 0; j < kCoinMaskWorlds; ++j) {
+          if ((open >> j & 1) != 0 && CoinHits(seeds[j], inner, threshold)) {
+            reference |= uint64_t{1} << j;
+          }
+        }
+        for (const SimdTier tier : tiers) {
+          CoinKernelStats stats;
+          ASSERT_EQ(
+              CoinMaskOpen64(tier, seeds, inner, threshold, open, &stats),
+              reference)
+              << "tier=" << SimdTierName(tier) << " threshold=" << threshold
+              << " open=" << std::hex << open;
+          // The per-bit tiers count one tail coin per open world.
+          if (tier != SimdTier::kAvx512) {
+            EXPECT_EQ(stats.batched_coins, 0u);
+            EXPECT_EQ(stats.tail_coins,
+                      static_cast<uint64_t>(__builtin_popcountll(open)));
+          }
+          EXPECT_EQ(CoinMaskOpen64(tier, seeds, inner, threshold, open,
+                                   nullptr),
+                    reference);
+        }
+      }
+    }
+  }
+}
+
+TEST(CoinMaskOpen64Test, Avx512CountsEightBatchedLanesPerNonZeroByte) {
+  if (!Avx512Available()) GTEST_SKIP() << "host or build lacks AVX-512F/DQ";
+  Rng rng(0xB17Eu);
+  uint64_t seeds[kCoinMaskWorlds];
+  for (uint64_t& seed : seeds) seed = rng.NextU64();
+  for (const uint64_t open : AdversarialOpenMasks(&rng)) {
+    uint64_t bytes = 0;
+    for (int b = 0; b < 8; ++b) bytes += ((open >> (8 * b)) & 0xFF) != 0;
+    CoinKernelStats stats;
+    CoinMaskOpen64(SimdTier::kAvx512, seeds, CoinInnerHash(7),
+                   CoinThreshold(0.5), open, &stats);
+    EXPECT_EQ(stats.batched_coins, 8 * bytes) << std::hex << open;
+    EXPECT_EQ(stats.tail_coins, 0u);
   }
 }
 

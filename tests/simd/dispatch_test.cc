@@ -14,6 +14,8 @@ TEST(SimdDispatchTest, ParseAcceptsKnobVocabularyCaseInsensitive) {
       {"Auto", SimdMode::kAuto},     {"scalar", SimdMode::kScalar},
       {"SCALAR", SimdMode::kScalar}, {"avx2", SimdMode::kAvx2},
       {"AVX2", SimdMode::kAvx2},     {"Avx2", SimdMode::kAvx2},
+      {"avx512", SimdMode::kAvx512}, {"AVX512", SimdMode::kAvx512},
+      {"Avx512", SimdMode::kAvx512},
   };
   for (const auto& c : cases) {
     Result<SimdMode> m = ParseSimdMode(c.text);
@@ -23,19 +25,29 @@ TEST(SimdDispatchTest, ParseAcceptsKnobVocabularyCaseInsensitive) {
 }
 
 TEST(SimdDispatchTest, ParseRejectsJunk) {
-  for (const char* bad : {"", "avx", "avx512", "sse", "0", "on", "scalar "}) {
+  for (const char* bad : {"", "avx", "avx-512", "avx512f", "avx51", "sse",
+                          "0", "on", "scalar "}) {
     EXPECT_FALSE(ParseSimdMode(bad).ok()) << "'" << bad << "'";
   }
 }
 
 TEST(SimdDispatchTest, ModeAndTierNamesRoundTripThroughParse) {
-  for (const SimdMode m : {SimdMode::kAuto, SimdMode::kScalar, SimdMode::kAvx2}) {
+  for (const SimdMode m : {SimdMode::kAuto, SimdMode::kScalar, SimdMode::kAvx2,
+                           SimdMode::kAvx512}) {
     Result<SimdMode> parsed = ParseSimdMode(SimdModeName(m));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, m);
   }
   EXPECT_STREQ(SimdTierName(SimdTier::kScalar), "scalar");
   EXPECT_STREQ(SimdTierName(SimdTier::kAvx2), "avx2");
+  EXPECT_STREQ(SimdTierName(SimdTier::kAvx512), "avx512");
+  // A tier's name parses back to the mode that forces it.
+  for (const SimdTier t : {SimdTier::kScalar, SimdTier::kAvx2,
+                           SimdTier::kAvx512}) {
+    Result<SimdMode> parsed = ParseSimdMode(SimdTierName(t));
+    ASSERT_TRUE(parsed.ok()) << SimdTierName(t);
+    EXPECT_STREQ(SimdModeName(*parsed), SimdTierName(t));
+  }
 }
 
 TEST(SimdDispatchTest, ScalarIsAlwaysHonored) {
@@ -55,11 +67,36 @@ TEST(SimdDispatchTest, Avx2DegradesToScalarWhenUnavailable) {
   }
 }
 
+TEST(SimdDispatchTest, Avx512DegradesToAvx2ThenScalarWhenUnavailable) {
+  const SimdTier resolved = ResolveTier(SimdMode::kAvx512);
+  if (Avx512Available()) {
+    EXPECT_EQ(resolved, SimdTier::kAvx512);
+  } else if (Avx2Available()) {
+    EXPECT_EQ(resolved, SimdTier::kAvx2);
+  } else {
+    EXPECT_EQ(resolved, SimdTier::kScalar);
+  }
+}
+
+TEST(SimdDispatchTest, Avx512IsHonoredWhereTheCpuHasIt) {
+  if (!Avx512Available()) {
+    GTEST_SKIP() << "host or build lacks AVX-512F/DQ";
+  }
+  EXPECT_TRUE(Avx512KernelsCompiled());
+  EXPECT_EQ(ResolveTier(SimdMode::kAvx512), SimdTier::kAvx512);
+  EXPECT_EQ(BestSupportedTier(), SimdTier::kAvx512);
+  // Every AVX-512F host also has AVX2, so forcing avx2 still means avx2.
+  EXPECT_EQ(ResolveTier(SimdMode::kAvx2), SimdTier::kAvx2);
+}
+
 TEST(SimdDispatchTest, BestSupportedTierIsConsistentWithAvailability) {
-  EXPECT_EQ(BestSupportedTier(),
-            Avx2Available() ? SimdTier::kAvx2 : SimdTier::kScalar);
+  const SimdTier expected = Avx512Available() ? SimdTier::kAvx512
+                            : Avx2Available() ? SimdTier::kAvx2
+                                              : SimdTier::kScalar;
+  EXPECT_EQ(BestSupportedTier(), expected);
   // The CPU cannot report an instruction set the build never compiled.
   if (!Avx2KernelsCompiled()) EXPECT_FALSE(Avx2Available());
+  if (!Avx512KernelsCompiled()) EXPECT_FALSE(Avx512Available());
 }
 
 }  // namespace

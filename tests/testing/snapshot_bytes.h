@@ -11,6 +11,7 @@
 
 #include "common/atomic_file.h"
 #include "graph/graph_io.h"
+#include "testing/temp_path.h"
 
 namespace vulnds::testing {
 
@@ -32,10 +33,11 @@ inline std::string SnapshotBytes(const UncertainGraph& g) {
   return sink.bytes;
 }
 
-/// Writes `bytes` verbatim to `name` in the test temp dir; returns the path.
+/// Writes `bytes` verbatim to the running test's own file `name` in the
+/// test temp dir (TestTempPath); returns the path.
 inline std::string WriteBytes(const std::string& bytes,
                               const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = TestTempPath(name);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   EXPECT_TRUE(out.good()) << path;

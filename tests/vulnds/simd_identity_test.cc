@@ -2,9 +2,10 @@
 // bit of any result — rankings, scores, the early-stop position, kth hash
 // order, samples_processed — for any (tier, thread count) combination,
 // and so for every wave schedule the thread counts produce. On hosts
-// without AVX2 the forced-avx2 mode legally degrades to scalar, so every
-// assertion still holds (identity becomes trivial);
-// tests/simd/ covers the kernels lane-by-lane.
+// without AVX-512 the forced-avx512 mode legally degrades to avx2, and
+// without AVX2 the forced modes degrade to scalar, so every assertion still
+// holds (identity becomes trivial); tests/simd/ covers the kernels
+// lane-by-lane.
 
 #include <gtest/gtest.h>
 
@@ -177,7 +178,7 @@ TEST(SimdIdentityTest, FullDetectTranscriptsIdenticalAcrossTiersAndThreads) {
 
       for (const simd::SimdMode mode :
            {simd::SimdMode::kAuto, simd::SimdMode::kScalar,
-            simd::SimdMode::kAvx2}) {
+            simd::SimdMode::kAvx2, simd::SimdMode::kAvx512}) {
         for (ThreadPool* pool :
              {static_cast<ThreadPool*>(nullptr), &pool2, &pool7}) {
           DetectorOptions options = reference_options;
@@ -195,8 +196,9 @@ TEST(SimdIdentityTest, FullDetectTranscriptsIdenticalAcrossTiersAndThreads) {
 }
 
 // The coin counters cover the block kernel's methods too: a scalar run
-// flips every coin one at a time, an AVX2 run batches the seeding coins,
-// and both flip the same number.
+// flips every coin one at a time, an AVX2 run batches the seeding coins and
+// flips the same number, and an AVX-512 run batches the seeding coins and
+// whole eight-lane edge blocks, so it counts at least as many.
 TEST(SimdIdentityTest, BlockKernelMethodsReportCoinTelemetry) {
   const UncertainGraph g = testing::RandomSmallGraph(50, 0.1, 321);
   for (const Method method : {Method::kNaive, Method::kSampleNaive,
@@ -208,7 +210,9 @@ TEST(SimdIdentityTest, BlockKernelMethodsReportCoinTelemetry) {
     const Result<DetectionResult> scalar = DetectTopK(g, options);
     options.simd_mode = simd::SimdMode::kAvx2;
     const Result<DetectionResult> avx2 = DetectTopK(g, options);
-    ASSERT_TRUE(scalar.ok() && avx2.ok());
+    options.simd_mode = simd::SimdMode::kAvx512;
+    const Result<DetectionResult> avx512 = DetectTopK(g, options);
+    ASSERT_TRUE(scalar.ok() && avx2.ok() && avx512.ok());
     const std::string what = MethodName(method);
     EXPECT_EQ(scalar->simd_batched_coins, 0u) << what;
     EXPECT_GT(scalar->simd_tail_coins, 0u) << what;
@@ -217,6 +221,10 @@ TEST(SimdIdentityTest, BlockKernelMethodsReportCoinTelemetry) {
         << what;
     if (simd::Avx2Available()) {
       EXPECT_GT(avx2->simd_batched_coins, 0u) << what;
+    }
+    if (simd::Avx512Available()) {
+      EXPECT_EQ(avx512->simd_tail_coins, 0u) << what;
+      EXPECT_GE(avx512->simd_batched_coins, scalar->simd_tail_coins) << what;
     }
   }
 }
@@ -232,6 +240,9 @@ TEST(SimdIdentityTest, WarmContextServesIdenticalBitsAcrossTiers) {
   DetectorOptions avx2_options = scalar_options;
   avx2_options.simd_mode = simd::SimdMode::kAvx2;
 
+  DetectorOptions avx512_options = scalar_options;
+  avx512_options.simd_mode = simd::SimdMode::kAvx512;
+
   const Result<DetectionResult> cold = DetectTopK(g, scalar_options);
   ASSERT_TRUE(cold.ok());
 
@@ -242,6 +253,14 @@ TEST(SimdIdentityTest, WarmContextServesIdenticalBitsAcrossTiers) {
   ASSERT_TRUE(warm_scalar.ok());
   EXPECT_GT(warmed_by_avx2.reuse_hits, 0u);
   ExpectSameResult(*cold, *warm_scalar, "warm avx2 -> scalar");
+
+  DetectionContext warmed_by_avx512;
+  ASSERT_TRUE(DetectTopK(g, avx512_options, &warmed_by_avx512).ok());
+  const Result<DetectionResult> warm_avx2 =
+      DetectTopK(g, avx2_options, &warmed_by_avx512);
+  ASSERT_TRUE(warm_avx2.ok());
+  EXPECT_GT(warmed_by_avx512.reuse_hits, 0u);
+  ExpectSameResult(*cold, *warm_avx2, "warm avx512 -> avx2");
 }
 
 }  // namespace

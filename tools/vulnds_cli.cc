@@ -13,9 +13,9 @@
 //       BSRBK) and prints the ranked nodes with scores. Flags: eps=, delta=,
 //       seed=, samples= (method N budget), order= (bound order z), bk=,
 //       threads= (sampling threads; 0 = one per hardware core), simd=
-//       (kernel tier: auto | avx2 | scalar; VULNDS_SIMD sets the process
-//       default). Results are bit-identical for every thread count and
-//       kernel tier.
+//       (kernel tier: auto | avx512 | avx2 | scalar; VULNDS_SIMD sets the
+//       process default). Results are bit-identical for every thread count
+//       and kernel tier.
 //   vulnds_cli truth <graph> <k> [samples] [seed]
 //       Prints the Monte-Carlo reference top-k (default 20000 worlds).
 //   vulnds_cli serve [cache_capacity] [threads=N]
@@ -115,7 +115,7 @@ int Usage() {
                "  vulnds_cli stats <graph>\n"
                "  vulnds_cli detect <graph> <k> [method] [key=value ...]\n"
                "      keys: eps= delta= seed= samples= order= bk= method=\n"
-               "            simd=auto|avx2|scalar threads=N\n"
+               "            simd=auto|avx512|avx2|scalar threads=N\n"
                "  vulnds_cli truth <graph> <k> [samples] [seed]\n"
                "  vulnds_cli serve [cache_capacity] [threads=N]\n"
                "             [mem_bytes=N] [spill_dir=DIR] [journal=PATH]\n"
