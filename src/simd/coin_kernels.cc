@@ -37,49 +37,41 @@ uint64_t CoinThreshold(double prob) {
   return x;
 }
 
-// CoinSurvivorsPadded, HashBatch and FindActive have no AVX-512 body: the
-// avx512 tier runs their AVX2 bodies (`tier >= kAvx2`), so BSRBK executes
-// the same instructions under both tiers.
+// The avx512 tier runs CoinMask64 from its own set and the other kernels
+// from the avx2 set, so BSRBK executes the same instructions under both.
 
 std::size_t CoinSurvivorsPadded(SimdTier tier, uint64_t seed,
                                 const uint64_t* inner,
                                 const uint64_t* threshold, std::size_t n,
                                 uint32_t* out, CoinKernelStats* stats) {
-  if (tier >= SimdTier::kAvx2) {
-    return internal::CoinSurvivorsAvx2(seed, inner, threshold, n, out, stats);
-  }
-  return internal::CoinSurvivorsScalar(seed, inner, threshold, n, out, stats);
+  const auto body = tier >= SimdTier::kAvx2
+                        ? internal::kAvx2Kernels.coin_survivors
+                        : internal::CoinSurvivorsScalar;
+  return body(seed, inner, threshold, n, out, stats);
 }
 
 uint64_t CoinMask64(SimdTier tier, const uint64_t* seeds, uint64_t inner,
                     uint64_t threshold) {
-  switch (tier) {
-    case SimdTier::kAvx512:
-      return internal::CoinMask64Avx512(seeds, inner, threshold);
-    case SimdTier::kAvx2:
-      return internal::CoinMask64Avx2(seeds, inner, threshold);
-    case SimdTier::kScalar:
-      break;
-  }
-  return internal::CoinMask64Scalar(seeds, inner, threshold);
+  const auto body =
+      tier == SimdTier::kAvx512 ? internal::kAvx512Kernels.coin_mask64
+      : tier == SimdTier::kAvx2 ? internal::kAvx2Kernels.coin_mask64
+                                : internal::CoinMask64Scalar;
+  return body(seeds, inner, threshold);
 }
 
 void HashBatch(SimdTier tier, uint64_t seed, uint64_t base, std::size_t n,
                uint64_t* out, CoinKernelStats* stats) {
-  if (tier >= SimdTier::kAvx2) {
-    internal::HashBatchAvx2(seed, base, n, out, stats);
-  } else {
-    internal::HashBatchScalar(seed, base, n, out, stats);
-  }
+  const auto body = tier >= SimdTier::kAvx2 ? internal::kAvx2Kernels.hash_batch
+                                            : internal::HashBatchScalar;
+  body(seed, base, n, out, stats);
 }
 
 std::size_t FindActive(SimdTier tier, const unsigned char* flags,
                        const unsigned char* veto, std::size_t n,
                        uint32_t* out) {
-  if (tier >= SimdTier::kAvx2) {
-    return internal::FindActiveAvx2(flags, veto, n, out);
-  }
-  return internal::FindActiveScalar(flags, veto, n, out);
+  const auto body = tier >= SimdTier::kAvx2 ? internal::kAvx2Kernels.find_active
+                                            : internal::FindActiveScalar;
+  return body(flags, veto, n, out);
 }
 
 }  // namespace vulnds::simd

@@ -4,15 +4,17 @@
 // bottom-k hash precompute, candidate-bitmap folds) behind a
 // tier-dispatched, bit-identical-by-contract interface.
 //
-// What each tier vectorizes:
-//   scalar  nothing; the reference every other tier is tested against.
-//   avx2    CoinSurvivorsPadded, CoinMask64, HashBatch and FindActive, four
-//           u64 lanes (32 bytes) at a time; CoinMaskOpen64 stays the scalar
-//           per-bit loop.
-//   avx512  CoinMask64 and CoinMaskOpen64, eight u64 lanes at a time with
-//           the native 64-bit multiply (vpmullq). Everything else runs the
-//           AVX2 bodies, so BSRBK executes the same instructions under
-//           avx512 as under avx2.
+// Each vector kernel has one body, in kernels_vector.h, instantiated per
+// tier at its lane count. What each tier runs:
+//   scalar  nothing vectorized; the reference every other tier is tested
+//           against.
+//   avx2    CoinSurvivorsPadded, CoinMask64, HashBatch and FindActive at
+//           four u64 lanes (FindActive: 32 bytes); CoinMaskOpen64 stays the
+//           scalar per-bit loop.
+//   avx512  CoinMask64 and CoinMaskOpen64 at eight u64 lanes, with the
+//           native 64-bit multiply (vpmullq). The other three run at four
+//           lanes from the avx2 build, so BSRBK executes the same
+//           instructions under avx512 as under avx2.
 //
 // The determinism contract. A world coin is the predicate
 //
@@ -49,6 +51,7 @@
 
 #include "common/rng.h"
 #include "simd/dispatch.h"
+#include "simd/kernels_internal.h"
 
 namespace vulnds::simd {
 
@@ -117,18 +120,6 @@ inline constexpr std::size_t kCoinMaskWorlds = 64;
 uint64_t CoinMask64(SimdTier tier, const uint64_t* seeds, uint64_t inner,
                     uint64_t threshold);
 
-namespace internal {
-// CoinMaskOpen64's AVX-512 body (kernels_avx512.cc): the hits, and the
-// lanes it evaluated for the telemetry. Returned in two registers, so the
-// caller's count need not live in memory.
-struct OpenHits {
-  uint64_t hits;
-  uint64_t lanes;
-};
-OpenHits CoinMaskOpen64Avx512(const uint64_t* seeds, uint64_t inner,
-                              uint64_t threshold, uint64_t open);
-}  // namespace internal
-
 /// One entity's coin in the `open` worlds of a 64-world word: returns the
 /// bits j of `open` with CoinHits(seeds[j], inner, threshold), so the result
 /// is a subset of `open`. All 64 seeds must be readable; only the open
@@ -142,13 +133,13 @@ OpenHits CoinMaskOpen64Avx512(const uint64_t* seeds, uint64_t inner,
 /// keeps the per-bit loop and its count in registers. Out of line, with the
 /// count kept in memory, the AVX2 tier's N cost ~3% more on the Fig. 6
 /// grid. The ISA-specific TUs must not call it (kernels_internal.h's ODR
-/// rule); kernels_avx512.cc does only in its baseline #else branch.
+/// rule).
 inline uint64_t CoinMaskOpen64(SimdTier tier, const uint64_t* seeds,
                                uint64_t inner, uint64_t threshold,
                                uint64_t open, CoinKernelStats* stats) {
   if (tier == SimdTier::kAvx512) {
-    const internal::OpenHits r =
-        internal::CoinMaskOpen64Avx512(seeds, inner, threshold, open);
+    const internal::OpenHits r = internal::kAvx512Kernels.coin_mask_open64(
+        seeds, inner, threshold, open);
     if (stats != nullptr) stats->batched_coins += r.lanes;
     return r.hits;
   }

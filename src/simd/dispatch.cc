@@ -8,22 +8,26 @@
 
 namespace vulnds::simd {
 
-bool Avx2KernelsCompiled() { return internal::Avx2Compiled(); }
+bool Avx2KernelsCompiled() {
+  return internal::kAvx2Kernels.coin_mask64 != nullptr;
+}
 
 bool Avx2Available() {
 #if defined(__x86_64__) || defined(__i386__)
   // __builtin_cpu_supports caches the CPUID result after the first call.
-  return internal::Avx2Compiled() && __builtin_cpu_supports("avx2");
+  return Avx2KernelsCompiled() && __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif
 }
 
-bool Avx512KernelsCompiled() { return internal::Avx512Compiled(); }
+bool Avx512KernelsCompiled() {
+  return internal::kAvx512Kernels.coin_mask64 != nullptr;
+}
 
 bool Avx512Available() {
 #if defined(__x86_64__) || defined(__i386__)
-  return internal::Avx512Compiled() && __builtin_cpu_supports("avx512f") &&
+  return Avx512KernelsCompiled() && __builtin_cpu_supports("avx512f") &&
          __builtin_cpu_supports("avx512dq");
 #else
   return false;

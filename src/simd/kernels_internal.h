@@ -1,12 +1,16 @@
-// Per-tier kernel entry points. Internal to src/simd: the scalar set lives
-// in kernels_scalar.cc (baseline ISA), the Avx2* set in kernels_avx2.cc and
-// the Avx512* set in kernels_avx512.cc — the ONLY two translation units
-// compiled with ISA flags (-mavx2; -mavx512f -mavx512dq). Nothing here may
-// be defined inline in this header: an inline helper instantiated in an
-// ISA-specific TU and in a baseline TU (or in both ISA-specific TUs) is an
-// ODR trap — the linker keeps one copy, which can leak AVX2 or AVX-512
-// encodings into code that runs on hosts without them. Dispatch lives in
-// coin_kernels.cc.
+// Per-tier kernel entry points, internal to src/simd. The scalar reference
+// lives in kernels_scalar.cc (baseline ISA). The vector kernels are written
+// once, in kernels_vector.h, and instantiated by the only two translation
+// units built with ISA flags: kernels_avx2.cc (-mavx2) and kernels_avx512.cc
+// (-mavx512f -mavx512dq). Dispatch lives in coin_kernels.cc.
+//
+// The ODR rule: an inline or template symbol with vague linkage, emitted by
+// an ISA TU and by another TU, is merged by the linker, which can leak AVX2
+// or AVX-512 encodings into code that runs on hosts without them. So
+// kernels_vector.h keeps everything in an anonymous namespace, and the ISA
+// TUs export only their kernel sets. scripts/check_simd_odr.py (a CI step)
+// fails if either ISA object defines a weak symbol or a global one outside
+// vulnds::simd::internal.
 
 #ifndef VULNDS_SIMD_KERNELS_INTERNAL_H_
 #define VULNDS_SIMD_KERNELS_INTERNAL_H_
@@ -20,44 +24,45 @@ struct CoinKernelStats;
 
 namespace internal {
 
-/// True iff kernels_avx2.cc was compiled with AVX2 code generation (the
-/// Avx2* symbols below forward to scalar otherwise, so calling them is
-/// always safe to *link* — running them still requires CPUID, which
-/// dispatch.cc checks).
-bool Avx2Compiled();
-
-/// True iff kernels_avx512.cc was compiled with AVX-512F and AVX-512DQ code
-/// generation (its Avx512* symbols forward to scalar otherwise).
-bool Avx512Compiled();
-
 std::size_t CoinSurvivorsScalar(uint64_t seed, const uint64_t* inner,
                                 const uint64_t* threshold, std::size_t n,
                                 uint32_t* out, CoinKernelStats* stats);
-// Requires CoinSurvivorsPadded's padding: it has no scalar tail.
-std::size_t CoinSurvivorsAvx2(uint64_t seed, const uint64_t* inner,
-                              const uint64_t* threshold, std::size_t n,
-                              uint32_t* out, CoinKernelStats* stats);
 
 uint64_t CoinMask64Scalar(const uint64_t* seeds, uint64_t inner,
                           uint64_t threshold);
-uint64_t CoinMask64Avx2(const uint64_t* seeds, uint64_t inner,
-                        uint64_t threshold);
-uint64_t CoinMask64Avx512(const uint64_t* seeds, uint64_t inner,
-                          uint64_t threshold);
-// CoinMaskOpen64Avx512 is declared in coin_kernels.h, beside the inline
-// CoinMaskOpen64 that calls it.
 
 void HashBatchScalar(uint64_t seed, uint64_t base, std::size_t n,
                      uint64_t* out, CoinKernelStats* stats);
-void HashBatchAvx2(uint64_t seed, uint64_t base, std::size_t n, uint64_t* out,
-                   CoinKernelStats* stats);
 
 std::size_t FindActiveScalar(const unsigned char* flags,
                              const unsigned char* veto, std::size_t n,
                              uint32_t* out);
-std::size_t FindActiveAvx2(const unsigned char* flags,
-                           const unsigned char* veto, std::size_t n,
-                           uint32_t* out);
+
+// CoinMaskOpen64's vector result: the hits, and the lanes it evaluated for
+// the telemetry. Returned in two registers, so the caller's count need not
+// live in memory.
+struct OpenHits {
+  uint64_t hits;
+  uint64_t lanes;
+};
+
+// One ISA file's vector kernels, each with its scalar reference's signature
+// and contract (coin_survivors needs CoinSurvivorsPadded's padding: it has
+// no scalar tail). A member is null where the tier runs another body: the
+// avx2 set leaves CoinMaskOpen64 to the inline per-bit loop, the avx512 set
+// leaves the other three kernels to the avx2 set. Every member is null when
+// the file was built without its ISA flags; the tier is then unavailable.
+struct VectorKernels {
+  decltype(&CoinSurvivorsScalar) coin_survivors;
+  decltype(&CoinMask64Scalar) coin_mask64;
+  OpenHits (*coin_mask_open64)(const uint64_t* seeds, uint64_t inner,
+                               uint64_t threshold, uint64_t open);
+  decltype(&HashBatchScalar) hash_batch;
+  decltype(&FindActiveScalar) find_active;
+};
+
+extern const VectorKernels kAvx2Kernels;    // kernels_avx2.cc, 4 × u64
+extern const VectorKernels kAvx512Kernels;  // kernels_avx512.cc, 8 × u64
 
 }  // namespace internal
 }  // namespace vulnds::simd

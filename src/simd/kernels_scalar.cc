@@ -1,6 +1,6 @@
 // Scalar reference kernels. Every other tier is property-tested
-// bit-identical to these (tests/simd/coin_kernels_test.cc), and the AVX2
-// TU calls back into them for unpadded tails, so this file is the single
+// bit-identical to these (tests/simd/coin_kernels_test.cc), and the vector
+// bodies call back into them for unpadded tails, so this file is the single
 // source of truth for what a kernel computes. The one exception is
 // CoinMaskOpen64's per-bit loop, which is inline in coin_kernels.h.
 

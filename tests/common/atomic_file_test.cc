@@ -216,7 +216,7 @@ TEST_F(AtomicFileTest, JournalAdoptsTheCompactedFile) {
   {
     auto journal = dyn::DeltaJournal::Open(path);
     ASSERT_TRUE(journal.ok());
-    for (const std::string& p : {"a", "b", "c"}) {
+    for (const char* p : {"a", "b", "c"}) {
       ASSERT_TRUE((*journal)->Append(p).ok());
     }
     for (const char* point : {fail::points::kJournalCompactWrite,

@@ -87,8 +87,12 @@ TEST(CoinThresholdTest, ExactlyCharacterizesTheDoublePredicate) {
       continue;
     }
     // T is the unique boundary of the down-set {x : UnitOf(x) < prob}.
-    if (t > 0) EXPECT_LT(UnitOf(t - 1), prob) << prob;
-    if (t < kCoinAlways) EXPECT_FALSE(UnitOf(t) < prob) << prob;
+    if (t > 0) {
+      EXPECT_LT(UnitOf(t - 1), prob) << prob;
+    }
+    if (t < kCoinAlways) {
+      EXPECT_FALSE(UnitOf(t) < prob) << prob;
+    }
   }
 }
 
@@ -172,7 +176,7 @@ TEST(CoinSurvivorsTest, EveryTierMatchesScalarOnEveryTailLength) {
                                           << " n=" << n << " i=" << i;
         }
         // Telemetry accounts every evaluated coin exactly once in some
-        // bucket: the scalar tier evaluates the n true coins, the AVX2 body
+        // bucket: the scalar tier evaluates the n true coins, the 4-lane body
         // (which the avx512 tier shares) whole blocks, padding included.
         EXPECT_EQ(stats.batched_coins + stats.tail_coins,
                   tier == SimdTier::kScalar ? n : padded)
@@ -329,16 +333,23 @@ TEST(CoinMaskOpen64Test, Avx512CountsEightBatchedLanesPerNonZeroByte) {
 TEST(HashBatchTest, MatchesUniformHashElementwise) {
   Rng rng(0x4A5Bu);
   const std::vector<SimdTier> tiers = AvailableTiers();
+  // Besides a random base, bases where base + i or the folded lane base
+  // base + i + 0x9E3779B97F4A7C15 wraps mod 2^64 inside the batch; the
+  // scalar Hash64(base + i) wraps the same way.
+  constexpr uint64_t kFoldWrap = 0 - 0x9E3779B97F4A7C15ULL;
   for (const std::size_t n : RunLengths()) {
     const uint64_t seed = rng.NextU64();
-    const uint64_t base = rng.NextU64() >> 1;  // room for base + n
     const UniformHash hash(seed);
-    for (const SimdTier tier : tiers) {
-      std::vector<uint64_t> out(n + 1, 0xABAD1DEA);
-      HashBatch(tier, seed, base, n, out.data(), nullptr);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out[i], hash.Hash64(base + i))
-            << "tier=" << SimdTierName(tier) << " n=" << n << " i=" << i;
+    for (const uint64_t base : {rng.NextU64(), uint64_t{0}, ~uint64_t{0} - 2,
+                                kFoldWrap - 2, kFoldWrap + 2}) {
+      for (const SimdTier tier : tiers) {
+        std::vector<uint64_t> out(n + 1, 0xABAD1DEA);
+        HashBatch(tier, seed, base, n, out.data(), nullptr);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i], hash.Hash64(base + i))
+              << "tier=" << SimdTierName(tier) << " n=" << n
+              << " base=" << base << " i=" << i;
+        }
       }
     }
   }

@@ -95,8 +95,12 @@ TEST(SimdDispatchTest, BestSupportedTierIsConsistentWithAvailability) {
                                               : SimdTier::kScalar;
   EXPECT_EQ(BestSupportedTier(), expected);
   // The CPU cannot report an instruction set the build never compiled.
-  if (!Avx2KernelsCompiled()) EXPECT_FALSE(Avx2Available());
-  if (!Avx512KernelsCompiled()) EXPECT_FALSE(Avx512Available());
+  if (!Avx2KernelsCompiled()) {
+    EXPECT_FALSE(Avx2Available());
+  }
+  if (!Avx512KernelsCompiled()) {
+    EXPECT_FALSE(Avx512Available());
+  }
 }
 
 }  // namespace
