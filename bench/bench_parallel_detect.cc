@@ -33,9 +33,18 @@
 // with its eight-lane edge and seeding coins) as the report-only
 // <Dataset>_n_avx512_speedup, rankings again checked identical.
 //
+// Lane gate: where the host runs AVX-512, the avx512 N run also reports
+// <Dataset>_n_avx512_lanes_per_coin, the block kernel's evaluated edge
+// lanes per open (edge, world) coin. It is a count, so the host cannot move
+// it: the packed edge-coin kernel reads ~1.1, a kernel hashing one masked
+// block per non-empty byte of each open word reads ~3. The median over the
+// datasets must be <= 1.5. Like the other gates, VULNDS_BENCH_GATE=0 makes
+// it report-only.
+//
 // --json writes BENCH_parallel_detect.json for the CI perf trajectory.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -58,6 +67,7 @@ constexpr std::size_t kRepeats = 5;
 constexpr std::size_t kGateThreads = 4;
 constexpr double kGateSpeedup = 2.0;
 constexpr double kSimdGateSpeedup = 1.5;
+constexpr double kLanesPerCoinGate = 1.5;
 
 // Median cold-detect seconds over kRepeats (the acceptance criterion's
 // estimator; five repeats tolerate two noisy outliers); also cross-checks
@@ -192,6 +202,7 @@ int main(int argc, char** argv) {
   simd_table.SetHeader({"dataset", "n", "m", "avg deg", "scalar 1t",
                         "avx2 1t", "speedup", "N speedup", "N avx512"});
   std::vector<double> simd_speedups;
+  std::vector<double> lanes_per_coin;
   const std::vector<DatasetId> simd_datasets = {
       DatasetId::kWiki, DatasetId::kFacebook, DatasetId::kBitcoin};
   for (const DatasetId id : simd_datasets) {
@@ -232,13 +243,18 @@ int main(int argc, char** argv) {
                                                &n_reference, nullptr);
     const double n_speedup = n_scalar_1t / std::max(1e-12, n_avx2_1t);
 
-    // Report-only: cold N, avx2 vs avx512, where the host has AVX-512.
+    // Report-only: cold N, avx2 vs avx512, where the host has AVX-512; the
+    // same runs' edge lanes per open coin feed the lane gate.
     double n_avx512_speedup = 0.0;
+    DetectionResult n_avx512;
     if (simd::Avx512Available()) {
       options.simd_mode = simd::SimdMode::kAvx512;
       const double n_avx512_1t = MedianColdSeconds(
-          *graph, options, &serial_pool, &n_reference, nullptr);
+          *graph, options, &serial_pool, &n_reference, &n_avx512);
       n_avx512_speedup = n_avx2_1t / std::max(1e-12, n_avx512_1t);
+      lanes_per_coin.push_back(
+          static_cast<double>(n_avx512.edge_lanes) /
+          static_cast<double>(std::max<std::uint64_t>(1, n_avx512.open_coins)));
     }
 
     const std::string name = DatasetName(id);
@@ -262,6 +278,7 @@ int main(int argc, char** argv) {
     json.Add(name + "_n_simd_speedup", n_speedup);
     if (n_avx512_speedup > 0.0) {
       json.Add(name + "_n_avx512_speedup", n_avx512_speedup);
+      json.Add(name + "_n_avx512_lanes_per_coin", lanes_per_coin.back());
     }
   }
   std::printf("%s\n", simd_table.ToString().c_str());
@@ -281,8 +298,29 @@ int main(int argc, char** argv) {
   json.Add("simd_speedup_median", simd_median);
   const bool simd_passed = simd_median >= kSimdGateSpeedup;
   json.Add("simd_gate_passed", simd_passed);
+
+  const bool lanes_enforce = !lanes_per_coin.empty() && !gate_disabled;
+  bool lanes_passed = true;
+  if (!lanes_per_coin.empty()) {
+    const double lanes_median = Percentile(lanes_per_coin, 50.0);
+    std::printf("median avx512 N edge lanes per open coin: %.3f "
+                "(gate: <= %.1f, %s)\n",
+                lanes_median, kLanesPerCoinGate,
+                lanes_enforce ? "enforced" : "NOT enforced");
+    json.Add("n_avx512_lanes_per_coin_median", lanes_median);
+    lanes_passed = lanes_median <= kLanesPerCoinGate;
+    json.Add("lanes_gate_passed", lanes_passed);
+  }
   if (!json.Write()) return 1;
 
+  // The count gate first: the host cannot make it flake.
+  if (lanes_enforce && !lanes_passed) {
+    std::fprintf(stderr,
+                 "GATE FAILED: the AVX-512 edge-coin kernel evaluates more "
+                 "than %.1f lanes per open coin — its packing regressed\n",
+                 kLanesPerCoinGate);
+    return 1;
+  }
   if (enforce && !passed) {
     std::fprintf(stderr,
                  "GATE FAILED: %.2fx < %.1fx — the parallel bottom-k path "

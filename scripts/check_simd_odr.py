@@ -5,11 +5,11 @@ Usage:
     check_simd_odr.py --build build
 
 kernels_avx2.cc and kernels_avx512.cc are the only translation units built
-with ISA flags (-mavx2; -mavx512f -mavx512dq). An inline or template symbol
-with vague linkage that one of them emits can also be emitted by another TU,
-and the linker keeps one copy: AVX2 or AVX-512 encodings could then run on
-a host without them. So the vector bodies (kernels_vector.h) live in an
-anonymous namespace, and this check runs `nm -C --defined-only` on both
+with ISA flags (-mavx2; -mavx512f -mavx512dq -mbmi2). An inline or template
+symbol with vague linkage that one of them emits can also be emitted by
+another TU, and the linker keeps one copy: AVX2 or AVX-512 encodings could
+then run on a host without them. So the vector bodies (kernels_vector.h) live
+in an anonymous namespace, and this check runs `nm -C --defined-only` on both
 objects and fails if either defines
 
   * a weak or vague-linkage symbol (nm types W, w, V, v, u), or

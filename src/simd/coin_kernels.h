@@ -9,12 +9,14 @@
 //   scalar  nothing vectorized; the reference every other tier is tested
 //           against.
 //   avx2    CoinSurvivorsPadded, CoinMask64, HashBatch and FindActive at
-//           four u64 lanes (FindActive: 32 bytes); CoinMaskOpen64 stays the
-//           scalar per-bit loop.
-//   avx512  CoinMask64 and CoinMaskOpen64 at eight u64 lanes, with the
-//           native 64-bit multiply (vpmullq). The other three run at four
-//           lanes from the avx2 build, so BSRBK executes the same
-//           instructions under avx512 as under avx2.
+//           four u64 lanes (FindActive: 32 bytes); CoinMaskOpenWords stays
+//           the scalar per-bit loop.
+//   avx512  CoinMask64 and CoinMaskOpenWords at eight u64 lanes, with the
+//           native 64-bit multiply (vpmullq); CoinMaskOpenWords packs the
+//           open worlds into full lanes with vpcompressq and deposits the
+//           hits back with pdep (BMI2). The other three run at four lanes
+//           from the avx2 build, so BSRBK executes the same instructions
+//           under avx512 as under avx2.
 //
 // The determinism contract. A world coin is the predicate
 //
@@ -120,38 +122,53 @@ inline constexpr std::size_t kCoinMaskWorlds = 64;
 uint64_t CoinMask64(SimdTier tier, const uint64_t* seeds, uint64_t inner,
                     uint64_t threshold);
 
-/// One entity's coin in the `open` worlds of a 64-world word: returns the
-/// bits j of `open` with CoinHits(seeds[j], inner, threshold), so the result
-/// is a subset of `open`. All 64 seeds must be readable; only the open
-/// worlds' seeds affect the result. The block kernel's edge coins run here,
-/// one call per (arc, word). The scalar and AVX2 tiers flip one coin per
-/// open bit (counted as tail coins); the AVX-512 tier evaluates every
-/// non-zero byte of `open` as one masked eight-lane hash (counted as eight
-/// batched coins). `stats` may be null.
+/// The most 64-world words one CoinMaskOpenWords call takes: the block
+/// kernel's widest node visit, 256 worlds.
+inline constexpr std::size_t kCoinOpenMaxWords = 4;
+
+/// One entity's coin in the `open` worlds of `words` <= kCoinOpenMaxWords
+/// 64-world words: writes hits[w] = the bits j of open[w] with
+/// CoinHits(seeds[64 * w + j], inner, threshold), a subset of open[w], and
+/// returns the number of open worlds (the popcount of open[0..words)). All
+/// 64 * words seeds must be readable; only the open worlds' seeds affect the
+/// result. The block kernel's edge coins run here, one call per arc per
+/// visit. The scalar and AVX2 tiers flip one coin per open bit, word by
+/// word (counted as tail coins). The AVX-512 tier packs the open worlds'
+/// seeds of all the words into dense eight-lane blocks and hashes
+/// ceil(open / 8) of them (counted as eight batched coins each). `stats` may
+/// be null.
 ///
 /// Inline, and `stats` never escapes it, so a caller counting into a local
 /// keeps the per-bit loop and its count in registers. Out of line, with the
 /// count kept in memory, the AVX2 tier's N cost ~3% more on the Fig. 6
 /// grid. The ISA-specific TUs must not call it (kernels_internal.h's ODR
 /// rule).
-inline uint64_t CoinMaskOpen64(SimdTier tier, const uint64_t* seeds,
-                               uint64_t inner, uint64_t threshold,
-                               uint64_t open, CoinKernelStats* stats) {
+inline uint64_t CoinMaskOpenWords(SimdTier tier, const uint64_t* seeds,
+                                  uint64_t inner, uint64_t threshold,
+                                  const uint64_t* open, std::size_t words,
+                                  uint64_t* hits, CoinKernelStats* stats) {
   if (tier == SimdTier::kAvx512) {
-    const internal::OpenHits r = internal::kAvx512Kernels.coin_mask_open64(
-        seeds, inner, threshold, open);
+    const internal::OpenCoins r =
+        internal::kAvx512Kernels.coin_mask_open_words(seeds, inner, threshold,
+                                                       open, words, hits);
     if (stats != nullptr) stats->batched_coins += r.lanes;
-    return r.hits;
+    return r.coins;
   }
-  uint64_t hits = 0;
-  for (uint64_t bits = open; bits != 0; bits &= bits - 1) {
-    const int j = __builtin_ctzll(bits);
-    hits |= static_cast<uint64_t>(CoinHits(seeds[j], inner, threshold)) << j;
+  uint64_t coins = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    const uint64_t* word_seeds = seeds + w * kCoinMaskWorlds;
+    uint64_t word_hits = 0;
+    for (uint64_t bits = open[w]; bits != 0; bits &= bits - 1) {
+      const int j = __builtin_ctzll(bits);
+      word_hits |=
+          static_cast<uint64_t>(CoinHits(word_seeds[j], inner, threshold))
+          << j;
+      ++coins;
+    }
+    hits[w] = word_hits;
   }
-  if (stats != nullptr) {
-    stats->tail_coins += static_cast<uint64_t>(__builtin_popcountll(open));
-  }
-  return hits;
+  if (stats != nullptr) stats->tail_coins += coins;
+  return coins;
 }
 
 /// out[i] = UniformHash(seed).Hash64(base + i) for i in [0, n): the bulk

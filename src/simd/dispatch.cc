@@ -28,7 +28,7 @@ bool Avx512KernelsCompiled() {
 bool Avx512Available() {
 #if defined(__x86_64__) || defined(__i386__)
   return Avx512KernelsCompiled() && __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512dq");
+         __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("bmi2");
 #else
   return false;
 #endif

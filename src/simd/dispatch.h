@@ -3,11 +3,11 @@
 // The kernel layer (coin_kernels.h) ships three tiers of its entry points: a
 // portable scalar reference, an AVX2 build and an AVX-512 build, each vector
 // tier compiled in its own translation unit (kernels_avx2.cc with -mavx2,
-// kernels_avx512.cc with -mavx512f -mavx512dq; the rest of the tree stays
-// baseline-ISA). Which one runs is a pure execution decision — every kernel
-// is bit-identical across tiers by contract (property-tested in tests/simd/)
-// — so the tier can be chosen per request, per process, or per CI run
-// without ever touching a result or a cache key.
+// kernels_avx512.cc with -mavx512f -mavx512dq -mbmi2; the rest of the tree
+// stays baseline-ISA). Which one runs is a pure execution decision — every
+// kernel is bit-identical across tiers by contract (property-tested in
+// tests/simd/) — so the tier can be chosen per request, per process, or per
+// CI run without ever touching a result or a cache key.
 //
 // Resolution order:
 //   * a request-level `simd=auto|avx512|avx2|scalar` knob maps to SimdMode;
@@ -58,11 +58,13 @@ bool Avx2Available();
 /// of Avx2Available; exposed so tests can tell "old CPU" from "old build").
 bool Avx2KernelsCompiled();
 
-/// True iff the AVX-512 kernels were compiled in AND the CPU reports both
-/// AVX-512F and AVX-512DQ (the latter for the native 64-bit multiply).
+/// True iff the AVX-512 kernels were compiled in AND the CPU reports
+/// AVX-512F, AVX-512DQ (the native 64-bit multiply) and BMI2 (the bit
+/// deposit of the packed edge coins).
 bool Avx512Available();
 
-/// True iff kernels_avx512.cc was built with AVX-512F and AVX-512DQ enabled.
+/// True iff kernels_avx512.cc was built with AVX-512F, AVX-512DQ and BMI2
+/// enabled.
 bool Avx512KernelsCompiled();
 
 /// The tier the best supported implementation resolves to (CPUID only; no

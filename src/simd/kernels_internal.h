@@ -2,7 +2,8 @@
 // lives in kernels_scalar.cc (baseline ISA). The vector kernels are written
 // once, in kernels_vector.h, and instantiated by the only two translation
 // units built with ISA flags: kernels_avx2.cc (-mavx2) and kernels_avx512.cc
-// (-mavx512f -mavx512dq). Dispatch lives in coin_kernels.cc.
+// (-mavx512f -mavx512dq -mbmi2). Dispatch lives in coin_kernels.cc, apart
+// from CoinMaskOpenWords, which is inline in coin_kernels.h.
 //
 // The ODR rule: an inline or template symbol with vague linkage, emitted by
 // an ISA TU and by another TU, is merged by the linker, which can leak AVX2
@@ -38,25 +39,27 @@ std::size_t FindActiveScalar(const unsigned char* flags,
                              const unsigned char* veto, std::size_t n,
                              uint32_t* out);
 
-// CoinMaskOpen64's vector result: the hits, and the lanes it evaluated for
-// the telemetry. Returned in two registers, so the caller's count need not
-// live in memory.
-struct OpenHits {
-  uint64_t hits;
+// What a vector CoinMaskOpenWords body evaluated: the open coins, and the
+// lanes it hashed them in. Returned in two registers, so the caller's counts
+// need not live in memory.
+struct OpenCoins {
+  uint64_t coins;
   uint64_t lanes;
 };
 
 // One ISA file's vector kernels, each with its scalar reference's signature
 // and contract (coin_survivors needs CoinSurvivorsPadded's padding: it has
-// no scalar tail). A member is null where the tier runs another body: the
-// avx2 set leaves CoinMaskOpen64 to the inline per-bit loop, the avx512 set
+// no scalar tail; coin_mask_open_words is CoinMaskOpenWords with its counts
+// returned). A member is null where the tier runs another body: the avx2
+// set leaves CoinMaskOpenWords to the inline per-bit loop, the avx512 set
 // leaves the other three kernels to the avx2 set. Every member is null when
 // the file was built without its ISA flags; the tier is then unavailable.
 struct VectorKernels {
   decltype(&CoinSurvivorsScalar) coin_survivors;
   decltype(&CoinMask64Scalar) coin_mask64;
-  OpenHits (*coin_mask_open64)(const uint64_t* seeds, uint64_t inner,
-                               uint64_t threshold, uint64_t open);
+  OpenCoins (*coin_mask_open_words)(const uint64_t* seeds, uint64_t inner,
+                                    uint64_t threshold, const uint64_t* open,
+                                    std::size_t words, uint64_t* hits);
   decltype(&HashBatchScalar) hash_batch;
   decltype(&FindActiveScalar) find_active;
 };

@@ -2,7 +2,7 @@
 // bit-identical to these (tests/simd/coin_kernels_test.cc), and the vector
 // bodies call back into them for unpadded tails, so this file is the single
 // source of truth for what a kernel computes. The one exception is
-// CoinMaskOpen64's per-bit loop, which is inline in coin_kernels.h.
+// CoinMaskOpenWords' per-bit loop, which is inline in coin_kernels.h.
 
 #include "simd/coin_kernels.h"
 #include "simd/kernels_internal.h"

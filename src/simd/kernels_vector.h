@@ -126,24 +126,60 @@ uint64_t CoinMask64Vec(const uint64_t* seeds, uint64_t inner,
   return hits;
 }
 
-// One block per lane-aligned group of worlds with an open bit, lowest
-// first; its lanes outside `open` are evaluated and dropped.
-template <typename V, auto Below>
-OpenHits CoinMaskOpen64Vec(const uint64_t* seeds, uint64_t inner,
-                           uint64_t threshold, uint64_t open) {
-  constexpr int kL = static_cast<int>(kLanes<V>);
+// The open worlds of all `words` words in three passes. Pack: per word,
+// each lane-sized group of world seeds is compressed under its byte of
+// `open` and stored at the running offset, so coin i of the arc sits at
+// packed[i]. Hash: ceil(coins / lanes) full blocks, one hit byte each, bit
+// i of the hit string for coin i. Deposit: each word's window of the hit
+// string goes back to its open bits. Compress(m, v) moves the lanes of v
+// selected by mask m to the low lanes, zeroing the rest; Deposit(x, m) is
+// pdep, bit i of x to the i-th set bit of m.
+template <typename V, auto Below, auto Compress, auto Deposit>
+OpenCoins CoinMaskOpenWordsVec(const uint64_t* seeds, uint64_t inner,
+                               uint64_t threshold, const uint64_t* open,
+                               std::size_t words, uint64_t* hits) {
+  constexpr std::size_t kL = kLanes<V>;
+  static_assert(kL == 8, "one hit byte per block");
+  constexpr uint64_t kGroup = (uint64_t{1} << kL) - 1;
+  // One spare block: a group's store and the zero block past the last coin
+  // may reach kL slots beyond the coins.
+  uint64_t packed[kCoinOpenMaxWords * kCoinMaskWorlds + kL];
+  std::size_t coins = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    if (open[w] == 0) continue;
+    for (std::size_t g = 0; g < kCoinMaskWorlds; g += kL) {
+      const unsigned m = static_cast<unsigned>(open[w] >> g & kGroup);
+      const V v = Compress(m, Load<V>(seeds + w * kCoinMaskWorlds + g));
+      __builtin_memcpy(packed + coins, &v, sizeof(v));
+      coins += static_cast<std::size_t>(__builtin_popcount(m));
+    }
+  }
+  // The last block's lanes past `coins` hash zeros, not stale stack.
+  const V zero{};
+  __builtin_memcpy(packed + coins, &zero, sizeof(zero));
+
+  // One spare word: a window may straddle the last written one.
+  uint64_t hit_string[kCoinOpenMaxWords + 1] = {};
+  unsigned char* hit_bytes = reinterpret_cast<unsigned char*>(hit_string);
   const V inner_v = V{} + inner;
   const V thr_v = V{} + threshold;
-  uint64_t hits = 0;
-  uint64_t evaluated = 0;
-  for (uint64_t bits = open; bits != 0; evaluated += kL) {
-    const int shift = __builtin_ctzll(bits) & ~(kL - 1);
-    hits |= (CoinBits<V, Below>(inner_v ^ Load<V>(seeds + shift), thr_v) &
-             (bits >> shift))
-            << shift;
-    bits &= ~(((uint64_t{1} << kL) - 1) << shift);
+  const std::size_t blocks = (coins + kL - 1) / kL;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    hit_bytes[b] = static_cast<unsigned char>(
+        CoinBits<V, Below>(inner_v ^ Load<V>(packed + b * kL), thr_v));
   }
-  return {hits, evaluated};
+
+  std::size_t offset = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::size_t word = offset / 64;
+    const unsigned shift = offset % 64;
+    const unsigned __int128 pair =
+        static_cast<unsigned __int128>(hit_string[word + 1]) << 64 |
+        hit_string[word];
+    hits[w] = Deposit(static_cast<uint64_t>(pair >> shift), open[w]);
+    offset += static_cast<std::size_t>(__builtin_popcountll(open[w]));
+  }
+  return {coins, blocks * kL};
 }
 
 template <typename V>

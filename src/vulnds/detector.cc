@@ -110,12 +110,15 @@ std::size_t DetectionContext::ApproxBytes() const {
 
 namespace {
 
-// Copies a block-kernel run's sample counts and coin telemetry.
+// Copies a block-kernel run's sample counts and telemetry.
 void RecordBlockRun(const BasicSampleStats& stats, DetectionResult* result) {
   result->samples_processed = stats.samples;
   result->nodes_touched = stats.nodes_touched;
   result->simd_batched_coins = stats.coin_stats.batched_coins;
   result->simd_tail_coins = stats.coin_stats.tail_coins;
+  result->node_visits = stats.node_visits;
+  result->open_coins = stats.open_coins;
+  result->edge_lanes = stats.edge_lanes;
 }
 
 // N / SN: full-graph forward sampling, then a global top-k.

@@ -115,6 +115,13 @@ struct DetectionResult {
   /// measurements, never part of response payloads.
   std::uint64_t simd_batched_coins = 0;
   std::uint64_t simd_tail_coins = 0;
+  /// Block-kernel telemetry of N, SN, SR and BSR (0 for BSRBK):
+  /// BasicSampleStats' node_visits, open_coins and edge_lanes. Cost
+  /// measurements like the coin counts above; edge_lanes / open_coins is
+  /// the share of the edge-coin kernel's lanes that carry an open world.
+  std::uint64_t node_visits = 0;
+  std::uint64_t open_coins = 0;
+  std::uint64_t edge_lanes = 0;
 };
 
 /// Reusable per-graph derived state for repeated detections on the SAME

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -266,68 +268,124 @@ std::vector<uint64_t> AdversarialOpenMasks(Rng* rng) {
   return masks;
 }
 
-TEST(CoinMaskOpen64Test, EveryTierMatchesCoinHitsPerOpenBit) {
+// Open words for a CoinMaskOpenWords call of `words` words, each built from
+// AdversarialOpenMasks: every mask in every word position with the other
+// words empty (all-zero words before and after a non-zero one), every mask
+// in every word with its neighbours full or holding only bits 0 and 63, and
+// random pairings of sparse and dense masks in every position.
+std::vector<std::vector<uint64_t>> AdversarialOpenWords(
+    const std::vector<uint64_t>& masks, std::size_t words, Rng* rng) {
+  std::vector<std::vector<uint64_t>> sets;
+  const uint64_t fills[] = {0, ~uint64_t{0}, 0x8000000000000001ULL};
+  for (const uint64_t fill : fills) {
+    for (std::size_t w = 0; w < words; ++w) {
+      for (const uint64_t m : masks) {
+        std::vector<uint64_t> open(words, fill);
+        open[w] = m;
+        sets.push_back(std::move(open));
+      }
+    }
+  }
+  for (std::size_t i = 0; i < masks.size(); ++i) {
+    std::vector<uint64_t> open(words);
+    for (uint64_t& o : open) o = masks[rng->NextBounded(masks.size())];
+    if (words > 2) open[1] = 0;  // an empty word between two others
+    sets.push_back(std::move(open));
+  }
+  return sets;
+}
+
+// Every tier returns the per-bit CoinHits of every open world of 1 to 4
+// words, reports the open-coin count, and counts its lanes: one tail coin
+// per open world on the per-bit tiers, whole eight-lane blocks on AVX-512.
+TEST(CoinMaskOpenWordsTest, EveryTierMatchesCoinHitsPerOpenBit) {
   Rng rng(0x0BE4u);
   const std::vector<SimdTier> tiers = AvailableTiers();
-  const std::vector<uint64_t> opens = AdversarialOpenMasks(&rng);
-  for (int round = 0; round < 20; ++round) {
-    uint64_t seeds[kCoinMaskWorlds];
+  const std::vector<uint64_t> masks = AdversarialOpenMasks(&rng);
+  constexpr std::size_t kMaxWorlds = kCoinOpenMaxWords * kCoinMaskWorlds;
+  for (int round = 0; round < 4; ++round) {
+    uint64_t seeds[kMaxWorlds];
     for (uint64_t& seed : seeds) seed = rng.NextU64();
     const uint64_t inner = CoinInnerHash(rng.NextU64());
-    // 0 and kCoinAlways, the values next to them, random thresholds, and the
-    // boundary of one world's hash h: threshold h misses it, h + 1 hits.
-    std::vector<uint64_t> thresholds = {0, 1, kCoinAlways - 1, kCoinAlways};
-    for (int i = 0; i < 4; ++i) {
+    // 0 and kCoinAlways, the values next to them, the middle, random
+    // thresholds, and the boundary of one world's hash h: threshold h misses
+    // it, h + 1 hits.
+    std::vector<uint64_t> thresholds = {0, 1, kCoinAlways / 2,
+                                        kCoinAlways - 1, kCoinAlways};
+    for (int i = 0; i < 2; ++i) {
       thresholds.push_back(CoinThreshold(rng.NextDouble()));
-      const uint64_t h =
-          Mix64(inner ^ seeds[rng.NextBounded(kCoinMaskWorlds)]) >> 11;
+      const uint64_t h = Mix64(inner ^ seeds[rng.NextBounded(kMaxWorlds)]) >> 11;
       thresholds.push_back(h);
       thresholds.push_back(h + 1);
     }
-    for (const uint64_t threshold : thresholds) {
-      for (const uint64_t open : opens) {
-        uint64_t reference = 0;
-        for (std::size_t j = 0; j < kCoinMaskWorlds; ++j) {
-          if ((open >> j & 1) != 0 && CoinHits(seeds[j], inner, threshold)) {
-            reference |= uint64_t{1} << j;
+    for (std::size_t words = 1; words <= kCoinOpenMaxWords; ++words) {
+      for (const std::vector<uint64_t>& open :
+           AdversarialOpenWords(masks, words, &rng)) {
+        uint64_t total = 0;
+        for (const uint64_t o : open) total += __builtin_popcountll(o);
+        for (const uint64_t threshold : thresholds) {
+          uint64_t reference[kCoinOpenMaxWords] = {};
+          for (std::size_t w = 0; w < words; ++w) {
+            for (std::size_t j = 0; j < kCoinMaskWorlds; ++j) {
+              if ((open[w] >> j & 1) != 0 &&
+                  CoinHits(seeds[w * kCoinMaskWorlds + j], inner, threshold)) {
+                reference[w] |= uint64_t{1} << j;
+              }
+            }
           }
-        }
-        for (const SimdTier tier : tiers) {
-          CoinKernelStats stats;
-          ASSERT_EQ(
-              CoinMaskOpen64(tier, seeds, inner, threshold, open, &stats),
-              reference)
-              << "tier=" << SimdTierName(tier) << " threshold=" << threshold
-              << " open=" << std::hex << open;
-          // The per-bit tiers count one tail coin per open world.
-          if (tier != SimdTier::kAvx512) {
-            EXPECT_EQ(stats.batched_coins, 0u);
-            EXPECT_EQ(stats.tail_coins,
-                      static_cast<uint64_t>(__builtin_popcountll(open)));
+          for (const SimdTier tier : tiers) {
+            CoinKernelStats stats;
+            uint64_t hits[kCoinOpenMaxWords] = {~uint64_t{0}, ~uint64_t{0},
+                                                ~uint64_t{0}, ~uint64_t{0}};
+            ASSERT_EQ(CoinMaskOpenWords(tier, seeds, inner, threshold,
+                                        open.data(), words, hits, &stats),
+                      total)
+                << "tier=" << SimdTierName(tier) << " words=" << words;
+            for (std::size_t w = 0; w < kCoinOpenMaxWords; ++w) {
+              // Words past `words` are left alone.
+              ASSERT_EQ(hits[w], w < words ? reference[w] : ~uint64_t{0})
+                  << "tier=" << SimdTierName(tier) << " words=" << words
+                  << " word=" << w << " threshold=" << threshold
+                  << " open=" << std::hex << open[std::min(w, words - 1)];
+            }
+            if (tier == SimdTier::kAvx512) {
+              EXPECT_EQ(stats.batched_coins, (total + 7) / 8 * 8);
+              EXPECT_EQ(stats.tail_coins, 0u);
+            } else {
+              EXPECT_EQ(stats.batched_coins, 0u);
+              EXPECT_EQ(stats.tail_coins, total);
+            }
+            EXPECT_EQ(CoinMaskOpenWords(tier, seeds, inner, threshold,
+                                        open.data(), words, hits, nullptr),
+                      total);
           }
-          EXPECT_EQ(CoinMaskOpen64(tier, seeds, inner, threshold, open,
-                                   nullptr),
-                    reference);
         }
       }
     }
   }
 }
 
-TEST(CoinMaskOpen64Test, Avx512CountsEightBatchedLanesPerNonZeroByte) {
-  if (!Avx512Available()) GTEST_SKIP() << "host or build lacks AVX-512F/DQ";
-  Rng rng(0xB17Eu);
-  uint64_t seeds[kCoinMaskWorlds];
-  for (uint64_t& seed : seeds) seed = rng.NextU64();
-  for (const uint64_t open : AdversarialOpenMasks(&rng)) {
-    uint64_t bytes = 0;
-    for (int b = 0; b < 8; ++b) bytes += ((open >> (8 * b)) & 0xFF) != 0;
-    CoinKernelStats stats;
-    CoinMaskOpen64(SimdTier::kAvx512, seeds, CoinInnerHash(7),
-                   CoinThreshold(0.5), open, &stats);
-    EXPECT_EQ(stats.batched_coins, 8 * bytes) << std::hex << open;
-    EXPECT_EQ(stats.tail_coins, 0u);
+// The AVX-512 tier packs the open worlds of all the words into full
+// blocks: 73 open worlds spread over four words take ten blocks (80 lanes),
+// where one block per non-empty byte would take 18 (144 lanes).
+TEST(CoinMaskOpenWordsTest, Avx512PacksOpenWorldsAcrossWords) {
+  if (!Avx512Available()) {
+    GTEST_SKIP() << "host or build lacks AVX-512F/DQ or BMI2";
   }
+  Rng rng(0xB17Eu);
+  uint64_t seeds[kCoinOpenMaxWords * kCoinMaskWorlds];
+  for (uint64_t& seed : seeds) seed = rng.NextU64();
+  const uint64_t open[kCoinOpenMaxWords] = {
+      0x0101010101010101ULL, 0x8000000000000001ULL, 0,
+      0xFFFFFFFFFFFFFFFFULL & ~0x8000000000000000ULL};
+  uint64_t hits[kCoinOpenMaxWords];
+  CoinKernelStats stats;
+  EXPECT_EQ(CoinMaskOpenWords(SimdTier::kAvx512, seeds, CoinInnerHash(7),
+                              CoinThreshold(0.5), open, kCoinOpenMaxWords,
+                              hits, &stats),
+            8u + 2u + 63u);
+  EXPECT_EQ(stats.batched_coins, 80u);
+  EXPECT_EQ(stats.tail_coins, 0u);
 }
 
 TEST(HashBatchTest, MatchesUniformHashElementwise) {

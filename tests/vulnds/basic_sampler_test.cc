@@ -93,28 +93,31 @@ TEST(BasicSamplerTest, TouchedCountsAtLeastDefaults) {
 }
 
 // A random graph whose probabilities include the exact 0 and 1 endpoints,
-// which the coin thresholds short-circuit. Every in-arc of the last
-// `dead_sinks` nodes has probability 0, so no other node can reach them.
+// which the coin thresholds short-circuit: a share `endpoint_arcs` of the
+// arcs has probability 0 or 1 (half each), and 15% of the nodes self-risk 1.
+// Every in-arc of the last `dead_sinks` nodes has probability 0, so no other
+// node can reach them.
 UncertainGraph RandomGraphWithEndpoints(std::size_t n, double density,
                                         uint64_t seed,
-                                        std::size_t dead_sinks = 0) {
+                                        std::size_t dead_sinks = 0,
+                                        double endpoint_arcs = 0.3) {
   Rng rng(seed);
-  const auto prob = [&rng] {
+  const auto prob = [&rng](double endpoints) {
     const double u = rng.NextDouble();
-    if (u < 0.15) return 0.0;
-    if (u < 0.3) return 1.0;
+    if (u < endpoints / 2) return 0.0;
+    if (u < endpoints) return 1.0;
     return rng.NextDouble();
   };
   UncertainGraphBuilder b(n);
   for (NodeId v = 0; v < n; ++v) {
     // Small self-risks bar the endpoints, so diffusion decides most defaults.
-    const double p = prob();
+    const double p = prob(0.3);
     EXPECT_TRUE(b.SetSelfRisk(v, p == 1.0 ? p : 0.2 * p).ok());
   }
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = 0; v < n; ++v) {
       if (u != v && rng.NextDouble() < density) {
-        const double p = prob();
+        const double p = prob(endpoint_arcs);
         EXPECT_TRUE(b.AddEdge(u, v, v + dead_sinks >= n ? 0.0 : p).ok());
       }
     }
@@ -146,20 +149,33 @@ std::vector<double> PerWorldEstimates(const UncertainGraph& g,
   return estimates;
 }
 
-// Every word and 128-world block boundary, plus a long run.
+// Every word and 256-world block boundary, spans whose last block holds
+// one, two or three words at 1, 2, 3 and 7 workers (320, 447, 449, 577; see
+// the file comment of basic_sampler.h), plus a long run.
 const std::size_t kOracleSampleCounts[] = {1,   63,  64,  65,  127, 128,
-                                           129, 191, 192, 193, 257, 2000};
+                                           129, 191, 192, 193, 255, 256,
+                                           257, 320, 447, 449, 577, 2000};
+
+// The graphs of the oracle sweeps: RandomGraphWithEndpoints at `graph_seed`,
+// where seed 5 makes 80% of the arcs certain or impossible, so that the
+// kCoinAlways and 0 short-circuits meet the coarse pending masks at the
+// same heads as kernel coins.
+UncertainGraph OracleGraph(uint64_t graph_seed, std::size_t dead_sinks = 0) {
+  return RandomGraphWithEndpoints(40, graph_seed == 5 ? 0.12 : 0.08,
+                                  graph_seed, dead_sinks,
+                                  graph_seed == 5 ? 0.8 : 0.3);
+}
 
 // N/SN and SR/BSR/BSRBK sample the same hashed worlds: the forward
-// 128-world blocks must reproduce the per-world reverse BFS over every node
+// blocks of up to 256 worlds must reproduce the per-world reverse BFS over every node
 // bit for bit, for every word and block boundary and every thread count
 // (three workers split most word counts unevenly).
 TEST(BasicSamplerTest, MatchesReverseSamplingBitForBit) {
   ThreadPool pool2(2), pool3(3), pool7(7);
   ThreadPool pool_hw(std::max(1u, std::thread::hardware_concurrency()));
   ThreadPool* const pools[] = {nullptr, &pool2, &pool3, &pool7, &pool_hw};
-  for (const uint64_t graph_seed : {1, 2, 3, 4}) {
-    UncertainGraph g = RandomGraphWithEndpoints(40, 0.08, graph_seed);
+  for (const uint64_t graph_seed : {1, 2, 3, 4, 5}) {
+    UncertainGraph g = OracleGraph(graph_seed);
     std::vector<NodeId> all(g.num_nodes());
     std::iota(all.begin(), all.end(), 0);
     for (const std::size_t t : kOracleSampleCounts) {
@@ -190,9 +206,8 @@ TEST(BasicSamplerTest, ReverseSamplingMatchesPerWorldReference) {
   ThreadPool* const pools[] = {nullptr, &pool2, &pool3, &pool7, &pool_hw};
   constexpr std::size_t kNodes = 40;
   constexpr std::size_t kDeadSinks = 4;
-  for (const uint64_t graph_seed : {1, 2, 3, 4}) {
-    UncertainGraph g =
-        RandomGraphWithEndpoints(kNodes, 0.08, graph_seed, kDeadSinks);
+  for (const uint64_t graph_seed : {1, 2, 3, 4, 5}) {
+    UncertainGraph g = OracleGraph(graph_seed, kDeadSinks);
     std::vector<NodeId> all(kNodes);
     std::iota(all.begin(), all.end(), 0);
     std::vector<NodeId> fifth;
@@ -231,17 +246,19 @@ TEST(BasicSamplerTest, ReverseSamplingMatchesPerWorldReference) {
 // The coin kernels' tier changes cost, never a bit: scalar, AVX2 and
 // AVX-512 give identical estimates and nodes_touched for every word and
 // block boundary (a partial word reads stale seed slots past `t`) and every
-// thread count. Scalar and AVX2 flip the same number of coins at the same
-// pool (the edge-coin count follows how the pool packs words into blocks);
-// AVX-512 counts whole eight-lane edge blocks, so at least as many.
+// thread count. The worklist does not depend on the tier either, so node
+// visits and open coins are identical. Scalar and AVX2 flip the same number
+// of coins at the same pool (the edge-coin count follows how the pool
+// groups words into blocks), one edge lane per open coin; AVX-512 counts
+// whole eight-lane edge blocks, so at least as many.
 TEST(BasicSamplerTest, BlockKernelIsIdenticalAcrossTiers) {
   const simd::SimdTier avx2 = simd::ResolveTier(simd::SimdMode::kAvx2);
   const simd::SimdTier avx512 = simd::ResolveTier(simd::SimdMode::kAvx512);
   ThreadPool pool2(2), pool3(3);
   ThreadPool pool_hw(std::max(1u, std::thread::hardware_concurrency()));
   ThreadPool* const pools[] = {nullptr, &pool2, &pool3, &pool_hw};
-  for (const uint64_t graph_seed : {1, 2, 3}) {
-    UncertainGraph g = RandomGraphWithEndpoints(40, 0.08, graph_seed);
+  for (const uint64_t graph_seed : {1, 2, 3, 5}) {
+    UncertainGraph g = OracleGraph(graph_seed);
     Rng rng(graph_seed + 91);
     std::vector<NodeId> candidates;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -260,6 +277,14 @@ TEST(BasicSamplerTest, BlockKernelIsIdenticalAcrossTiers) {
                                      const std::string& run) {
           EXPECT_EQ(scalar.estimates, vector.estimates) << run << what;
           EXPECT_EQ(scalar.nodes_touched, vector.nodes_touched) << run << what;
+          EXPECT_EQ(scalar.node_visits, vector.node_visits) << run << what;
+          EXPECT_EQ(scalar.open_coins, vector.open_coins) << run << what;
+          EXPECT_EQ(scalar.edge_lanes, scalar.open_coins) << run << what;
+          if (tier == simd::SimdTier::kAvx512) {
+            EXPECT_GE(vector.edge_lanes, vector.open_coins) << run << what;
+          } else {
+            EXPECT_EQ(vector.edge_lanes, vector.open_coins) << run << what;
+          }
           EXPECT_EQ(scalar.coin_stats.batched_coins, 0u) << run << what;
           if (tier != simd::SimdTier::kScalar) {
             EXPECT_GT(vector.coin_stats.batched_coins, 0u) << run << what;

@@ -198,7 +198,9 @@ TEST(SimdIdentityTest, FullDetectTranscriptsIdenticalAcrossTiersAndThreads) {
 // The coin counters cover the block kernel's methods too: a scalar run
 // flips every coin one at a time, an AVX2 run batches the seeding coins and
 // flips the same number, and an AVX-512 run batches the seeding coins and
-// whole eight-lane edge blocks, so it counts at least as many.
+// whole eight-lane edge blocks, so it counts at least as many. The block
+// telemetry reaches the result: visits and open coins do not depend on the
+// tier, and only AVX-512 evaluates more edge lanes than open coins.
 TEST(SimdIdentityTest, BlockKernelMethodsReportCoinTelemetry) {
   const UncertainGraph g = testing::RandomSmallGraph(50, 0.1, 321);
   for (const Method method : {Method::kNaive, Method::kSampleNaive,
@@ -226,6 +228,15 @@ TEST(SimdIdentityTest, BlockKernelMethodsReportCoinTelemetry) {
       EXPECT_EQ(avx512->simd_tail_coins, 0u) << what;
       EXPECT_GE(avx512->simd_batched_coins, scalar->simd_tail_coins) << what;
     }
+    EXPECT_GT(scalar->node_visits, 0u) << what;
+    EXPECT_GT(scalar->open_coins, 0u) << what;
+    EXPECT_EQ(scalar->edge_lanes, scalar->open_coins) << what;
+    for (const DetectionResult* vector : {&*avx2, &*avx512}) {
+      EXPECT_EQ(vector->node_visits, scalar->node_visits) << what;
+      EXPECT_EQ(vector->open_coins, scalar->open_coins) << what;
+    }
+    EXPECT_EQ(avx2->edge_lanes, avx2->open_coins) << what;
+    EXPECT_GE(avx512->edge_lanes, avx512->open_coins) << what;
   }
 }
 
