@@ -51,7 +51,7 @@ FAILPOINTS = [
     "journal.compact.write", "journal.compact.fsync",
     "journal.compact.rename", "snapshot.write.open", "snapshot.write.data",
     "snapshot.write.fsync", "snapshot.write.rename", "snapshot.read",
-    "spill.write", "spill.page_in", "spill.manifest.write", "net.send.write",
+    "spill.write", "spill.page_in", "net.send.write",
 ]
 OUTCOMES = ["eio", "enospc", "short"]
 

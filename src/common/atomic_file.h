@@ -1,19 +1,18 @@
 // Atomic file replacement, the one way a file is replaced here: snapshot
-// saves, journal side files, spill pages, spill manifests and journal
-// compaction.
+// saves, journal side files, spill pages and journal compaction.
 //
 // ReplaceFileAtomic streams a body into the temp `<dest>.tmp.<pid>.<serial>`
 // and rename()s it over `<dest>`, so a reader, a GC scan or a restart sees
 // the complete old file or the complete new one. The pid and serial keep
 // concurrent writers off each other's temps; the destination prefix lets a
-// sweep that matches destinations (the spill GC's ".vg2") reclaim the temps
-// a crash leaves. The body goes through a bounded buffer with a CRC-32
-// extended over every byte. With `fsync`, the bytes are forced to disk
-// through the descriptor that wrote them, result checked, before the
-// rename; close() is checked too. Any failure unlinks the temp and leaves
-// the destination as it was. Each step can carry a failpoint, checked at
-// most once per call: open, the first data write (a short write lands half
-// the pending bytes first), fsync and rename.
+// sweep that matches destinations (the spill GC's "<pid>." and ".vg2")
+// reclaim the temps a crash leaves. The body goes through a bounded buffer
+// with a CRC-32 extended over every byte. With `fsync`, the bytes are
+// forced to disk through the descriptor that wrote them, result checked,
+// before the rename; close() is checked too. Any failure unlinks the temp
+// and leaves the destination as it was. Each step can carry a failpoint,
+// checked at most once per call: open, the first data write (a short write
+// lands half the pending bytes first), fsync and rename.
 
 #ifndef VULNDS_COMMON_ATOMIC_FILE_H_
 #define VULNDS_COMMON_ATOMIC_FILE_H_

@@ -31,8 +31,7 @@ const std::vector<std::string>& KnownPoints() {
       points::kSnapshotWriteOpen,    points::kSnapshotWriteData,
       points::kSnapshotWriteFsync,   points::kSnapshotWriteRename,
       points::kSnapshotRead,         points::kSpillWrite,
-      points::kSpillPageIn,          points::kSpillManifestWrite,
-      points::kNetSendWrite,
+      points::kSpillPageIn,          points::kNetSendWrite,
   };
   return kAll;
 }

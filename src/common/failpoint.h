@@ -66,7 +66,6 @@ inline constexpr const char* kSnapshotWriteRename = "snapshot.write.rename";
 inline constexpr const char* kSnapshotRead = "snapshot.read";
 inline constexpr const char* kSpillWrite = "spill.write";
 inline constexpr const char* kSpillPageIn = "spill.page_in";
-inline constexpr const char* kSpillManifestWrite = "spill.manifest.write";
 inline constexpr const char* kNetSendWrite = "net.send.write";
 }  // namespace points
 

@@ -10,8 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <unordered_set>
+#include <limits>
 #include <utility>
 
 #include "common/atomic_file.h"
@@ -27,13 +26,18 @@ namespace {
 // IO attempts per spill/page-in seam before the failure is surfaced.
 constexpr int kSpillIoAttempts = 3;
 
-// Spill pages and the manifest are scratch that dies with the process (the
-// startup GC reclaims whatever a crash leaves), so they are replaced
-// atomically but not fsynced.
-AtomicFileOptions SpillFileOptions(const char* write_failpoint) {
-  AtomicFileOptions options;
-  options.write_failpoint = write_failpoint;
-  return options;
+// True when `fname` names a live process in its leading "<pid>." — the
+// owner every spill file and temp names. A pid we may not signal (EPERM)
+// is alive; only ESRCH proves the owner gone.
+bool OwnerIsAlive(const std::string& fname) {
+  char* end = nullptr;
+  errno = 0;
+  const long pid = std::strtol(fname.c_str(), &end, 10);
+  if (errno != 0 || end == fname.c_str() || *end != '.' || pid <= 0 ||
+      pid > std::numeric_limits<pid_t>::max()) {
+    return false;
+  }
+  return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH;
 }
 
 // True when the entry's source is a real on-disk file a degraded page-in
@@ -64,16 +68,27 @@ std::size_t EstimateGraphBytes(const UncertainGraph& graph) {
 }
 
 GraphCatalog::GraphCatalog(const GraphCatalogOptions& options)
-    : options_(options) {
-  if (options_.governor != nullptr) BindGovernor(options_.governor);
+    : options_(options),
+      owned_governor_(options.governor == nullptr
+                          ? std::make_unique<store::MemoryGovernor>()
+                          : nullptr),
+      governor_(options.governor != nullptr ? options.governor
+                                            : owned_governor_.get()),
+      // Shed order is the governor's class order: contexts first (cheap
+      // recompute), snapshots second (spill to disk, page back on demand).
+      context_shedder_(governor_->RegisterShedder(
+          store::ChargeClass::kContext,
+          [this](std::size_t want) { return ShedContexts(want); })),
+      snapshot_shedder_(governor_->RegisterShedder(
+          store::ChargeClass::kSnapshot,
+          [this](std::size_t want) { return ShedSnapshots(want); })) {
   if (!options_.spill_dir.empty()) ReclaimOrphanSpills();
 }
 
 GraphCatalog::~GraphCatalog() {
   // Spill files are process-private (their contents are re-derivable from
-  // the entries' sources or the journal), so a clean shutdown removes them
-  // and this process' manifest; kill -9 leaves both for the next process'
-  // startup GC.
+  // the entries' sources or the journal), so a clean shutdown removes
+  // them; kill -9 leaves them for the next catalog's startup GC.
   {
     std::lock_guard<std::mutex> lock(spill_mu_);
     for (const auto* records : {&spilled_, &kept_}) {
@@ -83,34 +98,18 @@ GraphCatalog::~GraphCatalog() {
     }
     spilled_.clear();
     kept_.clear();
-    if (manifest_written_) std::remove(ManifestPath().c_str());
   }
   // Settle outstanding governor charges so a governor that outlives the
   // catalog (tests, shared governors) does not account ghost bytes.
-  auto* gov = governor();
-  if (gov == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, slot] : entries_) {
     CatalogEntry& entry = *slot.entry;
     entry.detached.store(true, std::memory_order_release);
-    gov->Discharge(store::ChargeClass::kSnapshot,
-                   entry.charged_snapshot_bytes.exchange(0));
-    gov->Discharge(store::ChargeClass::kContext,
-                   entry.charged_context_bytes.exchange(0));
+    governor_->Discharge(store::ChargeClass::kSnapshot,
+                         entry.charged_snapshot_bytes.exchange(0));
+    governor_->Discharge(store::ChargeClass::kContext,
+                         entry.charged_context_bytes.exchange(0));
   }
-}
-
-void GraphCatalog::BindGovernor(store::MemoryGovernor* governor) {
-  governor_.store(governor, std::memory_order_release);
-  if (governor == nullptr) return;
-  // Shed order is the governor's class order: contexts first (cheap
-  // recompute), snapshots second (spill to disk, page back on demand).
-  governor->RegisterShedder(
-      store::ChargeClass::kContext,
-      [this](std::size_t want) { return ShedContexts(want); });
-  governor->RegisterShedder(
-      store::ChargeClass::kSnapshot,
-      [this](std::size_t want) { return ShedSnapshots(want); });
 }
 
 void GraphCatalog::BindObservability(obs::MetricRegistry* registry,
@@ -212,27 +211,18 @@ bool GraphCatalog::InsertPrepared(std::shared_ptr<CatalogEntry> entry,
       superseded = TakeSpillRecordLocked(name);
     }
   }
-  if (!superseded.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(spill_mu_);
-      RewriteManifestLocked();
-    }
-    std::remove(superseded.c_str());
-  }
-  auto* gov = governor();
-  if (gov != nullptr) {
-    // Charge (or turn a page-in's reservation into the charge) before
-    // publishing the amount, then re-check detachment: if a concurrent
-    // Evict/replace removed the entry between the publish and its
-    // detach-side settle, exactly one side wins the exchange and
-    // discharges — the balance nets to zero in every interleaving.
-    gov->Recharge(store::ChargeClass::kSnapshot,
-                  page != nullptr ? page->reserved : 0, bytes);
-    held->charged_snapshot_bytes.store(bytes, std::memory_order_release);
-    if (held->detached.load(std::memory_order_acquire)) {
-      gov->Discharge(store::ChargeClass::kSnapshot,
-                     held->charged_snapshot_bytes.exchange(0));
-    }
+  if (!superseded.empty()) std::remove(superseded.c_str());
+  // Charge (or turn a page-in's reservation into the charge) before
+  // publishing the amount, then re-check detachment: if a concurrent
+  // Evict/replace removed the entry between the publish and its
+  // detach-side settle, exactly one side wins the exchange and
+  // discharges — the balance nets to zero in every interleaving.
+  governor_->Recharge(store::ChargeClass::kSnapshot,
+                      page != nullptr ? page->reserved : 0, bytes);
+  held->charged_snapshot_bytes.store(bytes, std::memory_order_release);
+  if (held->detached.load(std::memory_order_acquire)) {
+    governor_->Discharge(store::ChargeClass::kSnapshot,
+                         held->charged_snapshot_bytes.exchange(0));
   }
   return true;
 }
@@ -241,16 +231,13 @@ void GraphCatalog::RemoveLocked(SlotMap::iterator it) {
   CatalogEntry& entry = *it->second.entry;
   const std::size_t bytes = entry.bytes;
   entry.detached.store(true, std::memory_order_release);
-  auto* gov = governor();
-  if (gov != nullptr) {
-    // Discharge exactly what was charged (the exchange makes each charge
-    // credited back at most once). Discharge never sheds or locks, so it
-    // is safe under mu_.
-    gov->Discharge(store::ChargeClass::kSnapshot,
-                   entry.charged_snapshot_bytes.exchange(0));
-    gov->Discharge(store::ChargeClass::kContext,
-                   entry.charged_context_bytes.exchange(0));
-  }
+  // Discharge exactly what was charged (the exchange makes each charge
+  // credited back at most once). Discharge never sheds or locks, so it is
+  // safe under mu_.
+  governor_->Discharge(store::ChargeClass::kSnapshot,
+                       entry.charged_snapshot_bytes.exchange(0));
+  governor_->Discharge(store::ChargeClass::kContext,
+                       entry.charged_context_bytes.exchange(0));
   bytes_ -= bytes;
   lru_.erase(it->second.lru_pos);
   entries_.erase(it);
@@ -262,7 +249,6 @@ bool GraphCatalog::DropSpillRecord(const std::string& name) {
     std::lock_guard<std::mutex> lock(spill_mu_);
     path = TakeSpillRecordLocked(name);
     if (path.empty()) return false;
-    RewriteManifestLocked();
   }
   std::remove(path.c_str());
   return true;
@@ -304,94 +290,26 @@ bool GraphCatalog::MovePageLocked(const std::string& name, uint64_t uid,
 std::string GraphCatalog::SpillPathFor(const CatalogEntry& entry) {
   const uint64_t file =
       next_spill_file_.fetch_add(1, std::memory_order_relaxed);
-  return options_.spill_dir + "/" + SanitizeForFilename(entry.name) + "." +
-         std::to_string(entry.uid) + "." + std::to_string(file) + ".vg2";
-}
-
-std::string GraphCatalog::ManifestPath() const {
-  return options_.spill_dir + "/MANIFEST." + std::to_string(::getpid());
-}
-
-void GraphCatalog::RewriteManifestLocked() {
-  if (options_.spill_dir.empty()) return;
-  // One spill-file basename per line. The manifest only has to keep another
-  // process' startup GC away from this process' live files, so basenames
-  // (what that GC sees in its directory scan) are the natural key.
-  std::string body;
-  for (const auto* records : {&spilled_, &kept_}) {
-    for (const auto& [name, record] : *records) {
-      const std::size_t slash = record.path.find_last_of('/');
-      body.append(slash == std::string::npos ? record.path
-                                             : record.path.substr(slash + 1));
-      body.push_back('\n');
-    }
-  }
-  manifest_written_ = true;
-  const Status written = ReplaceFileAtomic(
-      ManifestPath(), SpillFileOptions(fail::points::kSpillManifestWrite),
-      [&](ByteSink& out) { return out.Append(body.data(), body.size()); });
-  if (!written.ok()) {
-    // In-memory records stay authoritative for this process; a stale
-    // manifest risks only that a concurrently-starting process reclaims a
-    // file we would then re-derive from source — degraded, not wrong.
-    CountIoError(registry_.load(std::memory_order_acquire), "spill_manifest",
-                 "error");
-  }
+  return options_.spill_dir + "/" + std::to_string(::getpid()) + "." +
+         SanitizeForFilename(entry.name) + "." + std::to_string(entry.uid) +
+         "." + std::to_string(file) + ".vg2";
 }
 
 void GraphCatalog::ReclaimOrphanSpills() {
   DIR* dir = ::opendir(options_.spill_dir.c_str());
   if (dir == nullptr) return;  // directory not created yet: nothing to do
-  std::vector<std::string> manifests;
-  std::vector<std::string> spill_files;
+  // ".vg2" matches both finished spill files and the torn atomic-write
+  // temps (<file>.vg2.tmp.<pid>.<serial>) a crash left behind; both begin
+  // with their owner's pid.
+  std::vector<std::string> orphans;
   while (dirent* ent = ::readdir(dir)) {
     const std::string fname = ent->d_name;
-    if (fname == "." || fname == "..") continue;
-    if (fname.rfind("MANIFEST.", 0) == 0) {
-      manifests.push_back(fname);
-    } else if (fname.find(".vg2") != std::string::npos) {
-      // Catches both finished spill files (*.vg2) and torn atomic-write
-      // temps (*.vg2.tmp.<pid>.<serial>) a crash left behind.
-      spill_files.push_back(fname);
+    if (fname.find(".vg2") != std::string::npos && !OwnerIsAlive(fname)) {
+      orphans.push_back(fname);
     }
   }
   ::closedir(dir);
-
-  // A spill file is live iff a LIVE process' manifest references it. A
-  // manifest whose pid is dead — or equals ours, which at construction time
-  // can only mean pid reuse — is itself debris.
-  std::unordered_set<std::string> referenced;
-  for (const std::string& mname : manifests) {
-    const std::string mpath = options_.spill_dir + "/" + mname;
-    const char* pid_str = mname.c_str() + sizeof("MANIFEST.") - 1;
-    char* end = nullptr;
-    const long pid = std::strtol(pid_str, &end, 10);
-    // kill(pid, 0) probes liveness without signaling; EPERM still means the
-    // pid exists. Our own pid counts as live: a manifest at our own path is
-    // either a same-process sibling catalog's (must be protected) or stale
-    // pid-reuse debris that our first spill overwrites anyway — never worth
-    // deleting possibly-live files over.
-    const bool live = end != nullptr && *end == '\0' && pid > 0 &&
-                      (::kill(static_cast<pid_t>(pid), 0) == 0 ||
-                       errno == EPERM);
-    if (!live) {
-      std::remove(mpath.c_str());
-      continue;
-    }
-    std::ifstream lines(mpath);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (!line.empty()) referenced.insert(line);
-    }
-    if (!lines.eof()) {
-      // Unreadable manifest of a live process: we cannot tell its files
-      // apart from orphans, so skip the sweep rather than risk deleting a
-      // live spill out from under it.
-      return;
-    }
-  }
-  for (const std::string& fname : spill_files) {
-    if (referenced.count(fname) != 0) continue;
+  for (const std::string& fname : orphans) {
     if (std::remove((options_.spill_dir + "/" + fname).c_str()) == 0) {
       spill_orphans_reclaimed_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -416,7 +334,6 @@ std::size_t GraphCatalog::ShedContexts(std::size_t want) {
       }
     }
   }
-  auto* gov = governor();
   std::size_t freed = 0;
   for (const auto& entry : warm) {
     if (freed >= want) break;
@@ -425,7 +342,7 @@ std::size_t GraphCatalog::ShedContexts(std::size_t want) {
     if (!context_lock.owns_lock()) continue;
     entry->context = DetectionContext{};
     const std::size_t bytes = entry->charged_context_bytes.exchange(0);
-    if (gov != nullptr) gov->Discharge(store::ChargeClass::kContext, bytes);
+    governor_->Discharge(store::ChargeClass::kContext, bytes);
     freed += bytes;
   }
   return freed;
@@ -442,8 +359,10 @@ bool GraphCatalog::WriteSpillPage(const CatalogEntry& victim) {
   auto* reg = registry_.load(std::memory_order_acquire);
   Status written = Status::OK();
   for (int attempt = 0; attempt < kSpillIoAttempts; ++attempt) {
+    // Spill pages are scratch that dies with the process (the startup GC
+    // reclaims whatever a crash leaves), so they are not fsynced.
     written = ReplaceFileAtomic(
-        path, SpillFileOptions(fail::points::kSpillWrite),
+        path, AtomicFileOptions{.write_failpoint = fail::points::kSpillWrite},
         [&](ByteSink& out) { return EncodeGraphBinary(victim.graph, out); },
         &crc);
     if (written.ok()) {
@@ -466,7 +385,6 @@ bool GraphCatalog::WriteSpillPage(const CatalogEntry& victim) {
         SpillRecord{path, victim.source, victim.uid, victim.bytes, crc};
     spilled_bytes_.fetch_add(victim.bytes, std::memory_order_relaxed);
     spilled_count_.fetch_add(1, std::memory_order_relaxed);
-    RewriteManifestLocked();
   }
   if (!stale.empty()) std::remove(stale.c_str());
   return true;
@@ -612,17 +530,14 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::PageInSpilled(
   // governor sheds the victim before the new columns exist and the two
   // never sit in memory together. The reservation becomes the entry's
   // charge, or is released on failure.
-  auto* gov = governor();
   PageIn page{record.uid, SourceIsReloadable(record.source), 0};
   const auto reserve = [&] {
-    if (gov == nullptr || page.reserved != 0) return;  // retries reserve once
+    if (page.reserved != 0) return;  // retries reserve once
     page.reserved = record.bytes;
-    gov->Charge(store::ChargeClass::kSnapshot, page.reserved);
+    governor_->Charge(store::ChargeClass::kSnapshot, page.reserved);
   };
   const auto release = [&] {
-    if (gov != nullptr) {
-      gov->Discharge(store::ChargeClass::kSnapshot, page.reserved);
-    }
+    governor_->Discharge(store::ChargeClass::kSnapshot, page.reserved);
   };
   // A Load, Put or Evict of the name that raced the read superseded the
   // record and deleted its file: the failed read is then no fault, and the

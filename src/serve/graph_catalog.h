@@ -16,12 +16,14 @@
 // walks the LRU list from its cold end.
 //
 // Byte governance and disk spill. The catalog has no budget of its own;
-// it can charge through a store::MemoryGovernor, which is then the only
-// bound on residency: every resident graph is charged under
-// ChargeClass::kSnapshot and its warm DetectionContext under
+// it charges through the store::MemoryGovernor it is built with
+// (GraphCatalogOptions::governor, else one it owns that only accounts),
+// which is then the only bound on residency: every resident graph is
+// charged under ChargeClass::kSnapshot and its warm DetectionContext under
 // ChargeClass::kContext (the query engine recharges the context's
-// ApproxBytes after each cold detect). When the governor's GLOBAL budget is
-// exceeded it sheds through the catalog's registered shedders: coldest
+// ApproxBytes after each cold detect). The catalog registers a shedder for
+// each of the two classes for its whole lifetime. When the governor's
+// GLOBAL budget is exceeded it sheds through them: coldest
 // contexts are dropped first (pure recompute, no correctness cost), then —
 // when a spill directory is configured — the coldest UNPINNED snapshots
 // are written to disk in the binary v2 format and paged back on demand
@@ -56,20 +58,19 @@
 // the entry's original on-disk source (same uid when the source still
 // holds the spilled snapshot, else a fresh uid: cached results against the
 // lost snapshot are unreachable, never wrong) or surfaces an error while
-// everything else keeps serving. Spill files are process-private; a
-// per-process manifest (`MANIFEST.<pid>`, rewritten atomically under the
-// spill lock, and only when the set of files on disk changes) names the
-// live ones, kept pages included, and construction reclaims any *.vg2
-// debris in the spill directory that no live process' manifest references —
-// before this GC, files orphaned by kill -9 persisted until path reuse.
-// The manifest is per process, not per catalog: at most one catalog of a
-// process should spill into a given directory (a second one's GC treats
-// the first's files as live, but their manifest rewrites would clobber
-// each other). A catalog removes the manifest on destruction only if it
-// wrote it.
-// Spill files and the manifest are written through ReplaceFileAtomic
-// (common/atomic_file.h), so a reader or GC scan never sees a torn file,
-// but they are NOT fsynced: they are scratch that dies with the process
+// everything else keeps serving. Spill files are process-private and
+// named by their owner: `<pid>.<name>.<uid>.<serial>.vg2`, and the temps
+// ReplaceFileAtomic writes them through carry the same prefix, so a file
+// names its owner from its first byte. Construction reclaims every *.vg2*
+// file in the spill directory whose leading pid does not parse or names no
+// live process (kill(pid, 0) fails with ESRCH) — debris a kill -9 left.
+// Our own pid and pids we may not signal count as alive. uids and serials
+// are per catalog, so at most one catalog of a process should spill into a
+// given directory: a second one's GC keeps the first's files, but their
+// names could collide.
+// Spill files are written through ReplaceFileAtomic (common/atomic_file.h),
+// so a reader or GC scan never sees a torn file under a final name, but
+// they are NOT fsynced: they are scratch that dies with the process
 // (the startup GC reclaims whatever a crash leaves), and durable state
 // comes from the entries' sources and the journal, never from the spill
 // directory. IO failures at the spill seams are retried (3 attempts, no
@@ -208,8 +209,9 @@ struct GraphCatalogOptions {
   /// first use; empty = spilling disabled, the snapshot class then frees
   /// nothing and the governor moves on to the next shed class).
   std::string spill_dir;
-  /// Global byte governor to charge snapshot/context bytes through; may
-  /// also be bound later (BindGovernor). Must outlive the catalog's use.
+  /// Global byte governor every pool over this catalog charges through.
+  /// Must outlive the catalog. Null = the catalog owns an accounting-only
+  /// governor (budget 0), so `vulnds_store_*` metrics still render.
   store::MemoryGovernor* governor = nullptr;
 };
 
@@ -224,25 +226,15 @@ std::size_t EstimateGraphBytes(const UncertainGraph& graph);
 
 class GraphCatalog {
  public:
-  /// Creates a catalog with no spill directory and no governor.
+  /// Creates a catalog with no spill directory and an accounting-only
+  /// governor of its own.
   GraphCatalog() : GraphCatalog(GraphCatalogOptions{}) {}
 
-  /// Creates a catalog with explicit spill + governor wiring.
+  /// Creates a catalog with explicit spill + governor wiring, and registers
+  /// its context and snapshot shedders with the governor for its lifetime.
   explicit GraphCatalog(const GraphCatalogOptions& options);
 
   ~GraphCatalog();
-
-  /// Binds (or replaces) the governor and registers this catalog's context
-  /// and snapshot shedders with it. The catalog must stay alive while the
-  /// governor can shed. Call before concurrent traffic.
-  void BindGovernor(store::MemoryGovernor* governor);
-
-  /// Drops the governor binding (the engine unbinds an engine-owned
-  /// governor before it dies). Charges already made are left to the
-  /// governor's own teardown.
-  void UnbindGovernor() {
-    governor_.store(nullptr, std::memory_order_release);
-  }
 
   /// Resolves the page-in and spill latency histograms
   /// (vulnds_store_page_in_micros, vulnds_store_spill_micros) in `registry`
@@ -307,9 +299,8 @@ class GraphCatalog {
     return spill_orphans_reclaimed_.load(std::memory_order_relaxed);
   }
   const std::string& spill_dir() const { return options_.spill_dir; }
-  store::MemoryGovernor* governor() const {
-    return governor_.load(std::memory_order_acquire);
-  }
+  /// The governor this catalog was built with; never null.
+  store::MemoryGovernor* governor() const { return governor_; }
 
   CatalogStats stats() const;
 
@@ -367,42 +358,32 @@ class GraphCatalog {
   bool DropSpillRecord(const std::string& name);
 
   // Erases `name`'s record from spilled_ or kept_ and returns its file's
-  // path ("" when there was none) for the caller to delete and to rewrite
-  // the manifest. Caller holds spill_mu_.
+  // path ("" when there was none) for the caller to delete. Caller holds
+  // spill_mu_.
   std::string TakeSpillRecordLocked(const std::string& name);
 
   // Moves `name`'s record with `uid` between kept_ and spilled_ (`to_spilled`
   // picks the direction), keeping the spilled byte/count gauges in step;
-  // false when the source map holds no such record. The file stays, so the
-  // manifest does not change. Caller holds spill_mu_.
+  // false when the source map holds no such record. The file stays. Caller
+  // holds spill_mu_.
   bool MovePageLocked(const std::string& name, uint64_t uid, bool to_spilled);
 
-  // A fresh spill file path for `entry` inside spill_dir: the sanitized
-  // name, the uid, and a per-catalog write number. No path is ever used
-  // twice, so deleting a superseded page (outside spill_mu_) can never
-  // remove a newer page of the same (name, uid).
+  // A fresh spill file path for `entry` inside spill_dir: our pid, the
+  // sanitized name, the uid, and a per-catalog write number. No path is
+  // ever used twice, so deleting a superseded page (outside spill_mu_) can
+  // never remove a newer page of the same (name, uid).
   std::string SpillPathFor(const CatalogEntry& entry);
 
-  // This process' spill manifest path (spill_dir/MANIFEST.<pid>).
-  std::string ManifestPath() const;
-
-  // Atomically rewrites the manifest from spilled_ and kept_ (every file
-  // on disk). Caller holds spill_mu_.
-  // Failures are counted (site=spill_manifest) and swallowed: the in-memory
-  // records stay authoritative for this process, the manifest only protects
-  // the files from another process' startup GC.
-  void RewriteManifestLocked();
-
-  // Construction-time GC: deletes *.vg2 spill debris (and dead processes'
-  // manifests) in spill_dir that no live process' manifest references,
-  // counting reclaimed files in spill_orphans_reclaimed_.
+  // Construction-time GC: deletes the *.vg2* files in spill_dir whose
+  // leading pid does not parse or names a dead process, counting them in
+  // spill_orphans_reclaimed_.
   void ReclaimOrphanSpills();
 
   // Serializes `victim` to its spill file and records it as spilled;
   // false (the entry stays resident) when the write fails.
   bool WriteSpillPage(const CatalogEntry& victim);
 
-  // Governor shedders (registered by BindGovernor; run under the
+  // Governor shedders (registered at construction; run under the
   // governor's shed mutex, so they only ever Discharge, never Charge).
   std::size_t ShedContexts(std::size_t want);
   std::size_t ShedSnapshots(std::size_t want);
@@ -431,7 +412,6 @@ class GraphCatalog {
   mutable std::mutex spill_mu_;
   std::unordered_map<std::string, SpillRecord> spilled_;
   std::unordered_map<std::string, SpillRecord> kept_;
-  bool manifest_written_ = false;  // this catalog wrote ManifestPath()
   std::atomic<std::size_t> spilled_bytes_{0};
   std::atomic<std::size_t> spilled_count_{0};
   std::mutex page_in_mu_;
@@ -439,13 +419,19 @@ class GraphCatalog {
   std::atomic<uint64_t> next_spill_file_{0};
   std::atomic<std::size_t> spill_orphans_reclaimed_{0};
 
-  // Late-bound runtime (engine wires these in its constructor; atomics so
-  // a binding racing early traffic is benign).
-  std::atomic<store::MemoryGovernor*> governor_{nullptr};
+  // Late-bound observability (the engine wires it in its constructor;
+  // atomics so a binding racing early traffic is benign).
   std::atomic<obs::Histogram*> page_in_micros_{nullptr};
   std::atomic<obs::Histogram*> spill_micros_{nullptr};
   std::atomic<obs::MetricRegistry*> registry_{nullptr};
   obs::ClockMicros obs_clock_;  // written only by BindObservability
+
+  // The governor, fixed at construction. The shedder registrations come
+  // last: they are destroyed first, before the state their shedders touch.
+  std::unique_ptr<store::MemoryGovernor> owned_governor_;
+  store::MemoryGovernor* const governor_;
+  store::MemoryGovernor::Registration context_shedder_;
+  store::MemoryGovernor::Registration snapshot_shedder_;
 };
 
 }  // namespace vulnds::serve

@@ -1,7 +1,7 @@
 // The shared IO-failure metric family.
 //
 // Every hardened IO seam (journal append/fsync/compaction, snapshot spill
-// and page-in, manifest writes, socket sends) reports through one family so
+// and page-in, snapshot saves, socket sends) reports through one family so
 // an operator sees the whole failure surface in a single table:
 //
 //   vulnds_store_io_errors_total{site=..., outcome=...}
@@ -30,8 +30,8 @@ inline constexpr const char* kIoErrorsHelp =
 
 /// Known sites, for pre-registration. Call sites pass the literal directly.
 inline constexpr const char* kIoErrorSites[] = {
-    "journal_append", "journal_fsync", "journal_compact", "spill_write",
-    "spill_page_in",  "spill_manifest", "snapshot_write",  "net_send",
+    "journal_append", "journal_fsync",  "journal_compact", "spill_write",
+    "spill_page_in",  "snapshot_write", "net_send",
 };
 inline constexpr const char* kIoErrorOutcomes[] = {"retried", "degraded",
                                                    "error"};

@@ -84,53 +84,31 @@ std::size_t ApproxGroundTruthBytes(const GroundTruth& truth) {
   return sizeof(GroundTruth) + truth.probabilities.size() * sizeof(double);
 }
 
-// Resolves the governor an engine will charge through (see
-// QueryEngineOptions::governor for the order).
-store::MemoryGovernor* ResolveGovernor(GraphCatalog* catalog,
-                                       const QueryEngineOptions& options,
-                                       store::MemoryGovernor* owned) {
-  if (options.governor != nullptr) return options.governor;
-  if (catalog->governor() != nullptr) return catalog->governor();
-  return owned;
-}
-
 }  // namespace
 
 QueryEngine::QueryEngine(GraphCatalog* catalog, QueryEngineOptions options)
     : catalog_(catalog),
       pool_(options.pool),
-      owned_registry_(options.registry == nullptr
-                          ? std::make_unique<obs::MetricRegistry>()
-                          : nullptr),
-      registry_(options.registry == nullptr ? owned_registry_.get()
-                                            : options.registry),
+      registry_(std::make_unique<obs::MetricRegistry>()),
       slowlog_(options.slowlog),
       clock_(std::move(options.clock)),
-      owned_governor_(options.governor == nullptr &&
-                              catalog->governor() == nullptr
-                          ? std::make_unique<store::MemoryGovernor>()
-                          : nullptr),
-      governor_(ResolveGovernor(catalog, options, owned_governor_.get())),
+      governor_(catalog->governor()),
+      // One memory hierarchy: the result caches charge through the governor
+      // the catalog charges snapshots and contexts through, and that
+      // governor can shed result bytes when OTHER classes overflow.
       detect_cache_(options.result_cache_capacity, ApproxDetectionResultBytes,
                     governor_),
       truth_cache_(options.result_cache_capacity, ApproxGroundTruthBytes,
-                   governor_) {
-  // Complete the memory hierarchy: the catalog charges snapshots/contexts
-  // through the same governor the result caches charge through, and the
-  // governor can shed result bytes when OTHER classes overflow the budget.
-  if (catalog_->governor() == nullptr) {
-    catalog_->BindGovernor(governor_);
-    bound_catalog_governor_ = true;
-  }
-  governor_->RegisterShedder(
-      store::ChargeClass::kResult,
-      [this](std::size_t want) { return detect_cache_.ShedBytes(want); });
-  governor_->RegisterShedder(
-      store::ChargeClass::kResult,
-      [this](std::size_t want) { return truth_cache_.ShedBytes(want); });
+                   governor_),
+      detect_shedder_(governor_->RegisterShedder(
+          store::ChargeClass::kResult,
+          [this](std::size_t want) { return detect_cache_.ShedBytes(want); })),
+      truth_shedder_(governor_->RegisterShedder(
+          store::ChargeClass::kResult,
+          [this](std::size_t want) { return truth_cache_.ShedBytes(want); })) {
   // Page-in latency lands in this engine's registry on this engine's clock
   // (a constant injected clock keeps transcripts deterministic).
-  catalog_->BindObservability(registry_, clock_);
+  catalog_->BindObservability(registry_.get(), clock_);
   detect_queries_ = registry_->GetCounter("vulnds_engine_requests_total",
                                           kRequestsHelp, {{"verb", "detect"}});
   truth_queries_ = registry_->GetCounter("vulnds_engine_requests_total",
@@ -184,10 +162,7 @@ QueryEngine::QueryEngine(GraphCatalog* catalog, QueryEngineOptions options)
 }
 
 QueryEngine::~QueryEngine() {
-  // The catalog may outlive this engine; take back the runtime we lent it.
-  // (The governor's registered shedders keep pointing at dying pools, but
-  // nothing charges — hence nothing sheds — once serving stops.)
-  if (bound_catalog_governor_) catalog_->UnbindGovernor();
+  // The catalog may outlive this engine; take back the registry we lent it.
   catalog_->BindObservability(nullptr, nullptr);
 }
 
@@ -317,20 +292,18 @@ Result<DetectResponse> QueryEngine::Detect(const std::string& name,
 }
 
 void QueryEngine::RechargeContext(const std::shared_ptr<CatalogEntry>& entry) {
-  auto* gov = governor_;
-  if (gov == nullptr) return;
   const std::size_t new_bytes = entry->context.ApproxBytes();
   // Charge-then-settle: the fresh charge lands first, the previously
   // published amount is credited back, and the detached double-check
   // settles against a concurrent evict/replace/spill. Every interleaving
   // nets to "exactly the published amount is charged" and no discharge
   // ever precedes its matching charge (which would underflow the class).
-  gov->Charge(store::ChargeClass::kContext, new_bytes);
-  gov->Discharge(store::ChargeClass::kContext,
-                 entry->charged_context_bytes.exchange(new_bytes));
+  governor_->Charge(store::ChargeClass::kContext, new_bytes);
+  governor_->Discharge(store::ChargeClass::kContext,
+                       entry->charged_context_bytes.exchange(new_bytes));
   if (entry->detached.load(std::memory_order_acquire)) {
-    gov->Discharge(store::ChargeClass::kContext,
-                   entry->charged_context_bytes.exchange(0));
+    governor_->Discharge(store::ChargeClass::kContext,
+                         entry->charged_context_bytes.exchange(0));
   }
 }
 
@@ -426,8 +399,8 @@ void MirrorCache(obs::MetricRegistry* registry, const char* which,
 }  // namespace
 
 void QueryEngine::RefreshMetrics() {
-  MirrorCache(registry_, "detect", detect_cache_);
-  MirrorCache(registry_, "truth", truth_cache_);
+  MirrorCache(registry_.get(), "detect", detect_cache_);
+  MirrorCache(registry_.get(), "truth", truth_cache_);
 
   const CatalogStats c = catalog_->stats();
   registry_

@@ -64,28 +64,16 @@ DetectorOptions CanonicalizeOptions(DetectorOptions options);
 std::string CanonicalOptionsKey(const DetectorOptions& options);
 
 struct QueryEngineOptions {
-  std::size_t result_cache_capacity = 256;  ///< detect + truth entries (0 = off)
-  ThreadPool* pool = nullptr;               ///< sampling parallelism
-  /// Shared metric registry; nullptr makes the engine own a private one
-  /// (exposed via registry()). Pass a shared registry when several engines
-  /// must export through one `metrics` endpoint — but note that two engines
-  /// on one registry share every engine-level series.
-  obs::MetricRegistry* registry = nullptr;
+  /// Entries per result cache (0 = off). The detect and the truth cache
+  /// each hold up to this many, so up to twice it in all.
+  std::size_t result_cache_capacity = 256;
+  ThreadPool* pool = nullptr;  ///< sampling parallelism
   /// Slow-query sink; nullptr disables slow-query logging.
   obs::SlowQueryLog* slowlog = nullptr;
   /// Clock behind every recorded wall time (response time=, stage spans,
   /// latency histograms). Null = steady-clock microseconds. Tests inject a
   /// constant to make the protocol's time= token deterministic.
   obs::ClockMicros clock;
-  /// Global byte governor for the memory hierarchy. Resolution order: this
-  /// pointer, else the catalog's already-bound governor, else an
-  /// engine-owned accounting-only governor (budget 0, so `vulnds_store_*`
-  /// metrics render on an unconfigured serve). The engine registers its
-  /// result caches as ChargeClass::kResult shedders and, when the catalog
-  /// has no governor yet, binds the resolved one (with its context and
-  /// snapshot shedders) there too. An externally supplied governor must not
-  /// shed after the engine is destroyed.
-  store::MemoryGovernor* governor = nullptr;
 };
 
 /// Outcome of QueryEngine::Detect.
@@ -123,12 +111,15 @@ struct EngineStats {
   CacheStats result_cache;  ///< combined detect + truth cache counters
 };
 
+/// The engine's result caches charge through the catalog's governor and
+/// register with it as ChargeClass::kResult shedders for the engine's
+/// lifetime. The catalog must outlive the engine.
 class QueryEngine {
  public:
   explicit QueryEngine(GraphCatalog* catalog, QueryEngineOptions options = {});
 
-  /// Unbinds engine-owned runtime (governor, page-in observability) from
-  /// the catalog, which may outlive the engine.
+  /// Unbinds the page-in observability from the catalog, which may outlive
+  /// the engine.
   ~QueryEngine();
 
   /// Runs (or serves from cache) a detection query against graph `name`.
@@ -142,12 +133,8 @@ class QueryEngine {
   GraphCatalog& catalog() { return *catalog_; }
   EngineStats stats() const;
 
-  /// The registry every engine metric lives in (never nullptr: either the
-  /// one injected via options or the engine-owned default).
-  obs::MetricRegistry* registry() { return registry_; }
-
-  /// The resolved byte governor (never nullptr; see QueryEngineOptions).
-  store::MemoryGovernor* governor() { return governor_; }
+  /// The engine's own registry, which every engine metric lives in.
+  obs::MetricRegistry* registry() { return registry_.get(); }
 
   /// Current time on the engine's clock, in microseconds. The time base of
   /// every response's time= token and of the session-level histograms, so
@@ -188,19 +175,10 @@ class QueryEngine {
 
   // Observability plumbing. Counters/histograms live in the registry and
   // are resolved once here; recording through them is lock-free.
-  std::unique_ptr<obs::MetricRegistry> owned_registry_;
-  obs::MetricRegistry* registry_;
+  std::unique_ptr<obs::MetricRegistry> registry_;
   obs::SlowQueryLog* slowlog_;
   obs::ClockMicros clock_;
-
-  // Byte-governance plumbing. Declared before the caches: the caches hold
-  // the governor pointer and discharge through it on destruction, so the
-  // governor must be constructed first and destroyed last. The flag
-  // records whether this engine bound the governor into the catalog (and
-  // must unbind it before dying).
-  std::unique_ptr<store::MemoryGovernor> owned_governor_;
-  store::MemoryGovernor* governor_;
-  bool bound_catalog_governor_ = false;
+  store::MemoryGovernor* const governor_;  // the catalog's
 
   // Internally synchronized (one mutex each); no engine-wide cache lock
   // exists. Request counters and wave telemetry are registry-backed
@@ -221,6 +199,10 @@ class QueryEngine {
   // Pre-resolved per-stage histograms for the pipeline's own stage names.
   static constexpr std::size_t kKnownStages = 7;
   std::pair<const char*, obs::Histogram*> stage_micros_[kKnownStages];
+  // The caches' governor shedders. Declared after the caches, so they are
+  // unregistered before the caches they shed from are destroyed.
+  store::MemoryGovernor::Registration detect_shedder_;
+  store::MemoryGovernor::Registration truth_shedder_;
 };
 
 }  // namespace vulnds::serve

@@ -329,11 +329,7 @@ void ServeSession::HandleStats(const ServeRequest& r, std::ostream& out) {
     out << "resident_bytes=" << catalog.resident_bytes() << "\n";
     out << "spilled_bytes=" << catalog.spilled_bytes() << "\n";
     out << "spilled_graphs=" << catalog.spilled_count() << "\n";
-    {
-      const store::MemoryGovernor* governor = catalog.governor();
-      out << "store_budget_bytes="
-          << (governor != nullptr ? governor->budget() : 0) << "\n";
-    }
+    out << "store_budget_bytes=" << catalog.governor()->budget() << "\n";
     out << "journal_bytes="
         << (updates_ != nullptr ? updates_->JournalBytes() : 0) << "\n";
     // Warm DetectionContext intermediates grow with query traffic and are

@@ -17,9 +17,20 @@ const char* ChargeClassName(ChargeClass cls) {
 MemoryGovernor::MemoryGovernor(const MemoryGovernorOptions& options)
     : budget_bytes_(options.budget_bytes) {}
 
-void MemoryGovernor::RegisterShedder(ChargeClass cls, Shedder shedder) {
+MemoryGovernor::Registration MemoryGovernor::RegisterShedder(
+    ChargeClass cls, Shedder shedder) {
   std::lock_guard<std::mutex> lock(shed_mu_);
-  shedders_[static_cast<int>(cls)].push_back(std::move(shedder));
+  const uint64_t id = next_shedder_id_++;
+  shedders_[static_cast<int>(cls)].emplace_back(id, std::move(shedder));
+  return Registration(this, id);
+}
+
+MemoryGovernor::Registration::~Registration() {
+  if (governor_ == nullptr) return;  // moved from
+  std::lock_guard<std::mutex> lock(governor_->shed_mu_);
+  for (auto& shedders : governor_->shedders_) {
+    std::erase_if(shedders, [&](const auto& s) { return s.first == id_; });
+  }
 }
 
 void MemoryGovernor::Charge(ChargeClass cls, std::size_t bytes) {
@@ -64,7 +75,7 @@ void MemoryGovernor::MaybeShed() {
     const std::size_t want = total - budget_bytes_;
     std::size_t freed = 0;
     for (std::size_t i = 0; i < kChargeClassCount && freed < want; ++i) {
-      for (auto& shedder : shedders_[i]) {
+      for (auto& [id, shedder] : shedders_[i]) {
         const std::size_t got = shedder(want - freed);
         if (got > 0) {
           freed += got;

@@ -27,19 +27,27 @@
 // a target the shed loop restores whenever anything unpinned remains, not a
 // hard allocation fence.
 //
+// Ownership: RegisterShedder returns a move-only registration, and
+// destroying it removes the shedder. A pool keeps its registration as a
+// member declared after the state its shedder touches, so the shedder is
+// gone before that state is, and the governor never calls into a dead pool.
+//
 // Thread safety: charges are lock-free per-class atomics; shedding is
 // serialized by one mutex. Shedders run under that mutex and MUST NOT call
 // Charge or Recharge (re-entering the shed loop) — Discharge is always safe
-// and is exactly what freeing memory should call. The governor must outlive
-// every pool operation that charges through it.
+// and is exactly what freeing memory should call. A registration's
+// destructor takes the mutex too, so it waits out a shed in progress. The
+// governor must outlive every pool that charges through it.
 
 #ifndef VULNDS_STORE_MEMORY_GOVERNOR_H_
 #define VULNDS_STORE_MEMORY_GOVERNOR_H_
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 namespace vulnds::store {
@@ -65,15 +73,34 @@ class MemoryGovernor {
   /// unable to free anything (everything pinned or busy) by returning 0.
   using Shedder = std::function<std::size_t(std::size_t want)>;
 
+  /// Keeps one shedder registered for as long as it lives. Move-only; a
+  /// moved-from registration owns nothing and unregisters nothing.
+  class [[nodiscard]] Registration {
+   public:
+    Registration(Registration&& other) noexcept
+        : governor_(other.governor_), id_(other.id_) {
+      other.governor_ = nullptr;
+    }
+    Registration& operator=(Registration&&) = delete;
+    ~Registration();
+
+   private:
+    friend class MemoryGovernor;
+    Registration(MemoryGovernor* governor, uint64_t id)
+        : governor_(governor), id_(id) {}
+
+    MemoryGovernor* governor_;
+    uint64_t id_;
+  };
+
   explicit MemoryGovernor(const MemoryGovernorOptions& options = {});
 
   MemoryGovernor(const MemoryGovernor&) = delete;
   MemoryGovernor& operator=(const MemoryGovernor&) = delete;
 
-  /// Registers a shedder for `cls`. Multiple shedders per class are tried
-  /// in registration order. Registration is expected at setup time, but is
-  /// safe at any point.
-  void RegisterShedder(ChargeClass cls, Shedder shedder);
+  /// Registers a shedder for `cls` until the returned registration dies.
+  /// Multiple shedders per class are tried in registration order.
+  Registration RegisterShedder(ChargeClass cls, Shedder shedder);
 
   /// Adds `bytes` to the class charge, then sheds if the total exceeds the
   /// budget. Never call while holding a lock a shedder needs.
@@ -125,7 +152,8 @@ class MemoryGovernor {
   // disk I/O (spilling) under this mutex — crossing the budget is allowed
   // to be slow; staying under it is free.
   std::mutex shed_mu_;
-  std::vector<Shedder> shedders_[kChargeClassCount];
+  uint64_t next_shedder_id_ = 1;  // guarded by shed_mu_
+  std::vector<std::pair<uint64_t, Shedder>> shedders_[kChargeClassCount];
 };
 
 }  // namespace vulnds::store

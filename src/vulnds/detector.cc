@@ -310,11 +310,11 @@ Result<DetectionResult> DetectTopK(const UncertainGraph& graph,
   // stage: on a cold query it is real per-sample work.
   // Coin columns are NOT resolved here: the bottom-k runner pulls the
   // graph's cached CoinColumns::Shared and hands them to every worker. They
-  // deliberately do not live in the warm DetectionContext — they are
-  // graph-sized, so charging them to every session's governed context bytes
-  // would overflow tight budgets with a copy per session of what is one
-  // immutable per-graph structure; the graph's derived cache holds the
-  // single copy, accounted once by EstimateGraphBytes.
+  // deliberately do not live in the warm DetectionContext: a served context
+  // is charged as ChargeClass::kContext and shed first under pressure, so
+  // graph-sized columns there would be dropped and rebuilt on every squeeze.
+  // The graph's derived cache holds the one immutable copy, which
+  // EstimateGraphBytes charges once, with the snapshot.
   if (o.trace != nullptr) o.trace->BeginStage("sampling");
   const BottomKSampleOrder* order = nullptr;
   if (ctx != nullptr) {

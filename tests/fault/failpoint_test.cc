@@ -124,7 +124,7 @@ TEST_F(FailpointTest, KnownPointsCoverEveryThreadedSeam) {
         points::kSnapshotWriteOpen, points::kSnapshotWriteData,
         points::kSnapshotWriteFsync, points::kSnapshotWriteRename,
         points::kSnapshotRead, points::kSpillWrite, points::kSpillPageIn,
-        points::kSpillManifestWrite, points::kNetSendWrite}) {
+        points::kNetSendWrite}) {
     EXPECT_NE(std::find(known.begin(), known.end(), std::string(p)),
               known.end())
         << p << " missing from KnownPoints()";

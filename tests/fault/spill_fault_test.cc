@@ -1,12 +1,11 @@
-// Spill-directory crash consistency: startup GC of orphaned spill files
-// (the pre-manifest leak), manifest protection of live processes' files,
-// CRC detection of corrupted spill pages, and the degraded reload-from-
-// source fallback when a spill copy cannot be trusted.
+// Spill-directory crash consistency: startup GC of spill files whose
+// owning pid is dead, protection of live processes' files by the pid in
+// their names, CRC detection of corrupted spill pages, and the degraded
+// reload-from-source fallback when a spill copy cannot be trusted.
 
 #include <gtest/gtest.h>
 
 #include <dirent.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -18,21 +17,18 @@
 #include "common/failpoint.h"
 #include "graph/graph_io.h"
 #include "serve/graph_catalog.h"
+#include "serve/query_engine.h"
 #include "store/memory_governor.h"
+#include "testing/snapshot_bytes.h"
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds::serve {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
-std::string WriteTempGraph(const UncertainGraph& g, const std::string& name) {
-  const std::string path = TempPath(name);
-  EXPECT_TRUE(WriteGraphFile(g, path, GraphFileFormat::kBinary).ok());
-  return path;
-}
+using testing::TestTempDir;
+using testing::TestTempPath;
+using testing::WriteTempGraph;
 
 std::vector<std::string> ListDir(const std::string& dir) {
   std::vector<std::string> names;
@@ -53,11 +49,13 @@ std::string ReadFile(const std::string& path) {
   return buf.str();
 }
 
-// The one spill file of `name` in `dir` ("" when there is none).
+// The one spill file of `name` in `dir` ("" when there is none); this
+// process' spill files are named "<pid>.<name>.<uid>.<serial>.vg2".
 std::string SpillFileOf(const std::string& dir, const std::string& name) {
+  const std::string prefix = std::to_string(::getpid()) + "." + name + ".";
   std::string found;
   for (const std::string& fname : ListDir(dir)) {
-    if (fname.rfind(name + ".", 0) == 0) found = dir + "/" + fname;
+    if (fname.rfind(prefix, 0) == 0) found = dir + "/" + fname;
   }
   return found;
 }
@@ -78,6 +76,14 @@ void WriteFile(const std::string& path, const std::string& data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << data;
   ASSERT_TRUE(out.good()) << path;
+}
+
+// Flips every 64th byte of `path`, header included.
+void FlipEvery64thByte(const std::string& path) {
+  std::string blob = ReadFile(path);
+  ASSERT_FALSE(blob.empty()) << path;
+  for (std::size_t i = 0; i < blob.size(); i += 64) blob[i] ^= 0x41;
+  WriteFile(path, blob);
 }
 
 // Builds a catalog whose governor budget fits one graph, loads g1 then g2
@@ -117,68 +123,70 @@ class SpillFaultTest : public ::testing::Test {
   void TearDown() override { fail::DisarmAll(); }
 };
 
-// Regression: spill files orphaned by kill -9 used to persist until the
-// same sanitized-name+uid path happened to be reused. Startup GC now
-// reclaims any *.vg2 debris no live process' manifest references —
-// including torn atomic-write temps — and counts what it deleted.
-TEST_F(SpillFaultTest, StartupGcReclaimsOrphansAndDeadManifests) {
-  const std::string dir = TempPath("spill_gc_a");
-  ::mkdir(dir.c_str(), 0777);
-  WriteFile(dir + "/ghost.17.vg2", "stale spill payload");
-  WriteFile(dir + "/ghost.18.vg2.tmp.99999", "torn temp payload");
-  // A manifest from a pid that cannot be alive (pid_max is far below this)
-  // referencing one of the orphans: a dead owner protects nothing.
-  WriteFile(dir + "/MANIFEST.999999999", "ghost.17.vg2\n");
+// Spill files orphaned by kill -9 used to persist until the same
+// sanitized-name+uid path happened to be reused. Startup GC reclaims every
+// *.vg2 file whose leading pid is dead or does not parse — torn
+// atomic-write temps included — and counts what it deleted.
+TEST_F(SpillFaultTest, StartupGcReclaimsOrphansAndDeadPids) {
+  const std::string dir = TestTempDir("spill");
+  // A pid that cannot be alive (pid_max is far below it).
+  WriteFile(dir + "/999999999.ghost.17.0.vg2", "stale spill payload");
+  WriteFile(dir + "/999999999.ghost.18.1.vg2.tmp.999999999.0",
+            "torn temp payload");
+  // No leading pid: no owner to protect it.
+  WriteFile(dir + "/ghost.19.2.vg2", "unowned spill payload");
 
   GraphCatalogOptions options;
   options.spill_dir = dir;
   GraphCatalog catalog(options);
 
-  EXPECT_EQ(catalog.spill_orphans_reclaimed(), 2u);
+  EXPECT_EQ(catalog.spill_orphans_reclaimed(), 3u);
   const std::vector<std::string> left = ListDir(dir);
   EXPECT_TRUE(left.empty()) << left.size() << " files left";
+  QueryEngine engine(&catalog);
+  engine.RefreshMetrics();
+  EXPECT_NE(engine.registry()->RenderPrometheus().find(
+                "vulnds_store_spill_orphans_reclaimed_total 3\n"),
+            std::string::npos);
 }
 
-TEST_F(SpillFaultTest, LiveManifestsProtectTheirFiles) {
-  const std::string dir = TempPath("spill_gc_b");
-  ::mkdir(dir.c_str(), 0777);
-  WriteFile(dir + "/kept.5.vg2", "live spill payload");
-  WriteFile(dir + "/orphan.6.vg2", "dead spill payload");
-  // pid 1 is always alive (kill(1,0) answers EPERM for us): its manifest
-  // shields kept.5.vg2, while orphan.6.vg2 has no living owner.
-  WriteFile(dir + "/MANIFEST.1", "kept.5.vg2\n");
+TEST_F(SpillFaultTest, LivePidsProtectTheirFiles) {
+  const std::string dir = TestTempDir("spill");
+  // pid 1 is always alive (kill(1, 0) answers EPERM for non-root), and so
+  // are we; 999999999 is not.
+  const std::string pid1 = dir + "/1.kept.5.0.vg2";
+  const std::string mine =
+      dir + "/" + std::to_string(::getpid()) + ".mine.6.0.vg2";
+  const std::string orphan = dir + "/999999999.orphan.7.0.vg2";
+  WriteFile(pid1, "live spill payload");
+  WriteFile(mine, "own spill payload");
+  WriteFile(orphan, "dead spill payload");
 
   GraphCatalogOptions options;
   options.spill_dir = dir;
   GraphCatalog catalog(options);
 
   EXPECT_EQ(catalog.spill_orphans_reclaimed(), 1u);
-  std::ifstream kept(dir + "/kept.5.vg2");
-  EXPECT_TRUE(kept.good()) << "live process' spill file was reclaimed";
-  std::ifstream orphan(dir + "/orphan.6.vg2");
-  EXPECT_FALSE(orphan.good()) << "orphan survived the GC";
-  // A foreign live manifest is not ours to delete.
-  std::ifstream manifest(dir + "/MANIFEST.1");
-  EXPECT_TRUE(manifest.good());
-  std::remove((dir + "/MANIFEST.1").c_str());
-  std::remove((dir + "/kept.5.vg2").c_str());
+  EXPECT_TRUE(std::ifstream(pid1).good()) << "pid 1's spill file reclaimed";
+  EXPECT_TRUE(std::ifstream(mine).good()) << "our own spill file reclaimed";
+  EXPECT_FALSE(std::ifstream(orphan).good()) << "orphan survived the GC";
 }
 
-// Clean shutdown leaves no debris at all: spill files and the manifest go
-// with the catalog.
-TEST_F(SpillFaultTest, DestructorRemovesSpillFilesAndManifest) {
-  const std::string dir = TempPath("spill_gc_c");
+// Clean shutdown leaves no debris at all: every spill file goes with the
+// catalog.
+TEST_F(SpillFaultTest, DestructorLeavesTheSpillDirEmpty) {
+  const std::string dir = TestTempDir("spill");
   {
     SpillRig rig = SpillOne(dir, "gc_c");
-    EXPECT_FALSE(ListDir(dir).empty());  // spill file + manifest exist
+    EXPECT_FALSE(ListDir(dir).empty());  // the spill file exists
   }
   EXPECT_TRUE(ListDir(dir).empty());
 }
 
-// While spilled, this process' manifest names the file, so a concurrently
+// While spilled, the file carries this process' pid, so a concurrently
 // constructed catalog over the same directory must not reclaim it.
 TEST_F(SpillFaultTest, OwnLiveSpillSurvivesAnotherCatalogsGc) {
-  const std::string dir = TempPath("spill_gc_d");
+  const std::string dir = TestTempDir("spill");
   SpillRig rig = SpillOne(dir, "gc_d");
 
   GraphCatalogOptions options;
@@ -196,25 +204,12 @@ TEST_F(SpillFaultTest, OwnLiveSpillSurvivesAnotherCatalogsGc) {
 // corruption and the catalog must fall back to reloading the source under a
 // fresh uid — a corrupted page is never deserialized into a served graph.
 TEST_F(SpillFaultTest, CorruptedSpillPageFallsBackToSource) {
-  const std::string dir = TempPath("spill_crc_a");
+  const std::string dir = TestTempDir("spill");
   SpillRig rig = SpillOne(dir, "crc_a");
 
-  // Find the spill file and flip every 64th byte.
-  std::string spill_file;
-  for (const std::string& name : ListDir(dir)) {
-    if (name.rfind("MANIFEST.", 0) != 0) spill_file = dir + "/" + name;
-  }
+  const std::string spill_file = SpillFileOf(dir, "g1");
   ASSERT_FALSE(spill_file.empty());
-  std::string blob;
-  {
-    std::ifstream in(spill_file, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    blob = buf.str();
-  }
-  ASSERT_FALSE(blob.empty());
-  for (std::size_t i = 0; i < blob.size(); i += 64) blob[i] ^= 0x41;
-  WriteFile(spill_file, blob);
+  FlipEvery64thByte(spill_file);
 
   Result<std::shared_ptr<CatalogEntry>> paged = rig.catalog->GetOrLoad("g1");
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
@@ -222,7 +217,7 @@ TEST_F(SpillFaultTest, CorruptedSpillPageFallsBackToSource) {
 
   // The fallback reloaded the original source: content matches the source
   // snapshot bit-exactly.
-  const std::string out = TempPath("crc_a_roundtrip.snap");
+  const std::string out = TestTempPath("crc_a_roundtrip.snap");
   ASSERT_TRUE(
       WriteGraphFile((*paged)->graph, out, GraphFileFormat::kBinary).ok());
   std::ifstream a(out, std::ios::binary), b(rig.source_path, std::ios::binary);
@@ -242,23 +237,12 @@ TEST_F(SpillFaultTest, CorruptedSpillPageFallsBackToSource) {
 // under a fresh uid: results cached against the lost snapshot must become
 // unreachable rather than answer for different content.
 TEST_F(SpillFaultTest, ChangedSourceAfterSpillGetsAFreshUid) {
-  const std::string dir = TempPath("spill_crc_c");
+  const std::string dir = TestTempDir("spill");
   SpillRig rig = SpillOne(dir, "crc_c");
 
-  std::string spill_file;
-  for (const std::string& name : ListDir(dir)) {
-    if (name.rfind("MANIFEST.", 0) != 0) spill_file = dir + "/" + name;
-  }
+  const std::string spill_file = SpillFileOf(dir, "g1");
   ASSERT_FALSE(spill_file.empty());
-  std::string blob;
-  {
-    std::ifstream in(spill_file, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    blob = buf.str();
-  }
-  for (std::size_t i = 0; i < blob.size(); i += 64) blob[i] ^= 0x41;
-  WriteFile(spill_file, blob);
+  FlipEvery64thByte(spill_file);
   // Replace the source with a different graph (same path).
   const UncertainGraph replacement = testing::RandomSmallGraph(60, 0.2, 999);
   ASSERT_TRUE(WriteGraphFile(replacement, rig.source_path,
@@ -276,23 +260,12 @@ TEST_F(SpillFaultTest, ChangedSourceAfterSpillGetsAFreshUid) {
 // with a "graph unavailable" error — it must NOT serve a wrong graph — and
 // every other name keeps serving.
 TEST_F(SpillFaultTest, CorruptedSpillWithoutSourceIsUnavailableNotWrong) {
-  const std::string dir = TempPath("spill_crc_b");
+  const std::string dir = TestTempDir("spill");
   SpillRig rig = SpillOne(dir, "crc_b");
 
-  std::string spill_file;
-  for (const std::string& name : ListDir(dir)) {
-    if (name.rfind("MANIFEST.", 0) != 0) spill_file = dir + "/" + name;
-  }
+  const std::string spill_file = SpillFileOf(dir, "g1");
   ASSERT_FALSE(spill_file.empty());
-  std::string blob;
-  {
-    std::ifstream in(spill_file, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    blob = buf.str();
-  }
-  for (std::size_t i = 0; i < blob.size(); i += 64) blob[i] ^= 0x41;
-  WriteFile(spill_file, blob);
+  FlipEvery64thByte(spill_file);
   std::remove(rig.source_path.c_str());  // no fallback source either
 
   Result<std::shared_ptr<CatalogEntry>> paged = rig.catalog->GetOrLoad("g1");
@@ -307,7 +280,7 @@ TEST_F(SpillFaultTest, CorruptedSpillWithoutSourceIsUnavailableNotWrong) {
 // Injected EIO on every page-in read attempt exhausts the bounded retries,
 // then the source fallback answers.
 TEST_F(SpillFaultTest, PageInEioFallsBackToSourceAfterRetries) {
-  const std::string dir = TempPath("spill_eio_a");
+  const std::string dir = TestTempDir("spill");
   SpillRig rig = SpillOne(dir, "eio_a");
 
   ASSERT_TRUE(fail::Arm(fail::points::kSpillPageIn, "every:1:eio").ok());
@@ -321,7 +294,7 @@ TEST_F(SpillFaultTest, PageInEioFallsBackToSourceAfterRetries) {
 // A transient page-in failure (fail-once) is absorbed by the retry loop and
 // the ORIGINAL spilled bytes come back — uid preserved, no fallback.
 TEST_F(SpillFaultTest, TransientPageInFailureIsRetried) {
-  const std::string dir = TempPath("spill_eio_b");
+  const std::string dir = TestTempDir("spill");
   SpillRig rig = SpillOne(dir, "eio_b");
 
   ASSERT_TRUE(fail::Arm(fail::points::kSpillPageIn, "once:eio").ok());
@@ -335,7 +308,7 @@ TEST_F(SpillFaultTest, TransientPageInFailureIsRetried) {
 // failing, the shed frees nothing, the graph stays resident, and once the
 // fault clears a later shed succeeds.
 TEST_F(SpillFaultTest, FailedSpillWriteKeepsSnapshotResident) {
-  const std::string dir = TempPath("spill_wfail_a");
+  const std::string dir = TestTempDir("spill");
   const UncertainGraph g1 = testing::RandomSmallGraph(60, 0.2, 411);
   const UncertainGraph g2 = testing::RandomSmallGraph(60, 0.2, 422);
   const std::string p1 = WriteTempGraph(g1, "wfail_src1.snap");
@@ -370,7 +343,7 @@ TEST_F(SpillFaultTest, FailedSpillWriteKeepsSnapshotResident) {
 // catches it by CRC and serves the reloadable source under the same uid
 // through the degraded path.
 TEST_F(SpillFaultTest, CorruptedKeptPageFallsBackToSourceUnderSameUid) {
-  const std::string dir = TempPath("spill_kept_a");
+  const std::string dir = TestTempDir("spill");
   SpillRig rig = SpillOne(dir, "kept_a");
   GraphCatalog& catalog = *rig.catalog;
   ASSERT_TRUE(catalog.GetOrLoad("g1").ok());  // g1 resident, page kept
@@ -387,7 +360,7 @@ TEST_F(SpillFaultTest, CorruptedKeptPageFallsBackToSourceUnderSameUid) {
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
   ASSERT_NE(*paged, nullptr);
   EXPECT_EQ((*paged)->uid, rig.g1_uid);
-  const std::string out = TempPath("kept_a_roundtrip.snap");
+  const std::string out = TestTempPath("kept_a_roundtrip.snap");
   ASSERT_TRUE(
       WriteGraphFile((*paged)->graph, out, GraphFileFormat::kBinary).ok());
   EXPECT_EQ(ReadFile(out), ReadFile(rig.source_path));
@@ -399,7 +372,7 @@ TEST_F(SpillFaultTest, CorruptedKeptPageFallsBackToSourceUnderSameUid) {
 // page: after every page-in its file is gone, and every spill writes a new
 // one. It keeps answering through the whole cycle.
 TEST_F(SpillFaultTest, MemoryEntryNeverReusesASpillFile) {
-  const std::string dir = TempPath("spill_kept_b");
+  const std::string dir = TestTempDir("spill");
   const UncertainGraph g1 = testing::RandomSmallGraph(60, 0.2, 611);
   const UncertainGraph g2 = testing::RandomSmallGraph(60, 0.2, 622);
   store::MemoryGovernorOptions governor_options;
@@ -412,7 +385,7 @@ TEST_F(SpillFaultTest, MemoryEntryNeverReusesASpillFile) {
   GraphCatalog catalog(options);
   ASSERT_TRUE(catalog.Put("g1", g1).ok());
   ASSERT_TRUE(catalog.Put("g2", g2).ok());  // g1 spills
-  const std::string want = TempPath("kept_b_want.snap");
+  const std::string want = TestTempPath("kept_b_want.snap");
   ASSERT_TRUE(WriteGraphFile(g1, want, GraphFileFormat::kBinary).ok());
 
   for (int cycle = 0; cycle < 3; ++cycle) {
@@ -422,7 +395,7 @@ TEST_F(SpillFaultTest, MemoryEntryNeverReusesASpillFile) {
     ASSERT_TRUE(paged.ok()) << paged.status().ToString();
     ASSERT_NE(*paged, nullptr);
     EXPECT_TRUE(SpillFileOf(dir, "g1").empty()) << "page kept";
-    const std::string out = TempPath("kept_b_roundtrip.snap");
+    const std::string out = TestTempPath("kept_b_roundtrip.snap");
     ASSERT_TRUE(
         WriteGraphFile((*paged)->graph, out, GraphFileFormat::kBinary).ok());
     EXPECT_EQ(ReadFile(out), ReadFile(want));
@@ -438,7 +411,7 @@ TEST_F(SpillFaultTest, MemoryEntryNeverReusesASpillFile) {
 // released with the failure, leaving nothing charged for a graph that
 // never arrived.
 TEST_F(SpillFaultTest, FailedPageInHasShedTheVictimAndReleasedItsCharge) {
-  const std::string dir = TempPath("spill_reserve_a");
+  const std::string dir = TestTempDir("spill");
   const UncertainGraph g1 = testing::RandomSmallGraph(60, 0.2, 711);
   const UncertainGraph g2 = testing::RandomSmallGraph(60, 0.2, 722);
   store::MemoryGovernorOptions governor_options;

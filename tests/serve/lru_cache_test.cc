@@ -122,17 +122,18 @@ store::MemoryGovernorOptions Budget(std::size_t bytes) {
 // this cache.
 struct GovernedCache {
   explicit GovernedCache(std::size_t capacity, std::size_t budget = 0)
-      : governor(Budget(budget)), cache(capacity, ValueAsBytes(), &governor) {
-    governor.RegisterShedder(
-        store::ChargeClass::kResult,
-        [this](std::size_t want) { return cache.ShedBytes(want); });
-  }
+      : governor(Budget(budget)),
+        cache(capacity, ValueAsBytes(), &governor),
+        shedder(governor.RegisterShedder(
+            store::ChargeClass::kResult,
+            [this](std::size_t want) { return cache.ShedBytes(want); })) {}
   std::size_t charged() const {
     return governor.charged(store::ChargeClass::kResult);
   }
 
   store::MemoryGovernor governor;
   LruCache<int> cache;
+  store::MemoryGovernor::Registration shedder;
 };
 
 TEST(LruCacheTest, ByteBudgetEvictsEvenUnderEntryCapacity) {

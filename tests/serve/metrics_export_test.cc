@@ -124,17 +124,6 @@ TEST(MetricsExportTest, StatsVerbCountersMatchRegistryBackedStats) {
             stats.truth_queries);
 }
 
-TEST(MetricsExportTest, SharedRegistryIsUsedWhenInjected) {
-  obs::MetricRegistry registry;
-  GraphCatalog catalog;
-  QueryEngineOptions options;
-  options.registry = &registry;
-  QueryEngine engine(&catalog, options);
-  EXPECT_EQ(engine.registry(), &registry);
-  EXPECT_NE(registry.RenderPrometheus().find("vulnds_engine_requests_total"),
-            std::string::npos);
-}
-
 TEST(MetricsExportTest, ColdDetectStageMicrosSumCloseToTotal) {
   GraphCatalog catalog;
   // Large enough that the measured stages dominate the fixed between-stage

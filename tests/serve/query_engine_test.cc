@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "store/memory_governor.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds::serve {
@@ -306,6 +307,55 @@ TEST(QueryEngineTest, TruthCachedBySamplesAndSeed) {
   Result<TruthResponse> other_seed = engine.Truth("g", 200, 8);
   ASSERT_TRUE(other_seed.ok());
   EXPECT_FALSE(other_seed->from_cache);
+}
+
+// result_cache_capacity bounds each cache on its own: at capacity N, N
+// detect results and N truth results all stay resident.
+TEST(QueryEngineTest, CapacityBoundsEachCacheOnItsOwn) {
+  constexpr std::size_t kCapacity = 3;
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(20, 0.2, 5)).ok());
+  QueryEngineOptions engine_options;
+  engine_options.result_cache_capacity = kCapacity;
+  QueryEngine engine(&catalog, engine_options);
+  DetectorOptions options;
+  options.k = 3;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint64_t seed = 1; seed <= kCapacity; ++seed) {
+      options.seed = seed;
+      Result<DetectResponse> detect = engine.Detect("g", options);
+      ASSERT_TRUE(detect.ok()) << detect.status().ToString();
+      EXPECT_EQ(detect->from_cache, pass == 1) << "detect seed " << seed;
+      Result<TruthResponse> truth = engine.Truth("g", 200, seed);
+      ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+      EXPECT_EQ(truth->from_cache, pass == 1) << "truth seed " << seed;
+    }
+  }
+  EXPECT_EQ(engine.stats().result_cache.evictions, 0u);
+}
+
+// An engine's result-cache shedders die with it. Under an external budgeted
+// governor with no spill dir, Puts over budget after the engine is gone
+// shed through the catalog only, and never call into the dead caches.
+TEST(QueryEngineTest, DestroyedEngineLeavesNoShedderBehind) {
+  const UncertainGraph g = testing::RandomSmallGraph(30, 0.2, 5);
+  store::MemoryGovernorOptions governor_options;
+  governor_options.budget_bytes = EstimateGraphBytes(g) * 3 / 2;
+  store::MemoryGovernor governor(governor_options);
+  GraphCatalogOptions catalog_options;
+  catalog_options.governor = &governor;
+  GraphCatalog catalog(catalog_options);
+  ASSERT_TRUE(catalog.Put("a", g).ok());
+  {
+    QueryEngine engine(&catalog);
+    DetectorOptions options;
+    options.k = 3;
+    ASSERT_TRUE(engine.Detect("a", options).ok());
+  }
+  ASSERT_TRUE(catalog.Put("b", g).ok());
+  ASSERT_TRUE(catalog.Put("c", g).ok());
+  EXPECT_GT(governor.total_charged(), governor_options.budget_bytes);
+  EXPECT_EQ(governor.sheds(store::ChargeClass::kResult), 0u);
 }
 
 TEST(QueryEngineTest, InvalidOptionsPropagateStatus) {

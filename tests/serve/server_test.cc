@@ -20,17 +20,16 @@
 #include "graph/graph_io.h"
 #include "simd/dispatch.h"
 #include "store/memory_governor.h"
+#include "testing/snapshot_bytes.h"
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds::serve {
 namespace {
 
-std::string WriteTempGraph(const UncertainGraph& g, const std::string& name,
-                           GraphFileFormat format) {
-  const std::string path = ::testing::TempDir() + "/" + name;
-  EXPECT_TRUE(WriteGraphFile(g, path, format).ok());
-  return path;
-}
+using testing::TestTempDir;
+using testing::TestTempPath;
+using testing::WriteTempGraph;
 
 std::vector<std::string> Lines(const std::string& text) {
   std::vector<std::string> lines;
@@ -164,7 +163,7 @@ TEST(ServeLoopTest, EofEndsSessionWithoutQuit) {
 TEST(ServeLoopTest, SaveRoundTripsThroughBinary) {
   const std::string text_path = WriteTempGraph(
       testing::PaperExampleGraph(0.2), "serve_d.graph", GraphFileFormat::kText);
-  const std::string snap_path = ::testing::TempDir() + "/serve_d.snap";
+  const std::string snap_path = TestTempPath("serve_d.snap");
   const std::string output = RunScript("load g " + text_path +
                                        "\n"
                                        "save g " + snap_path +
@@ -189,13 +188,13 @@ TEST(ServeLoopTest, SpilledGraphStillAnswersStatsAndSave) {
       WriteTempGraph(g1, "serve_spill_1.snap", GraphFileFormat::kBinary);
   const std::string p2 =
       WriteTempGraph(g2, "serve_spill_2.snap", GraphFileFormat::kBinary);
-  const std::string saved = ::testing::TempDir() + "/serve_spill_saved.snap";
+  const std::string saved = TestTempPath("serve_spill_saved.snap");
   const std::size_t budget =
       std::max(EstimateGraphBytes(g1), EstimateGraphBytes(g2)) + 512;
   const std::string output = RunSpillScript(
       "load g1 " + p1 + "\nload g2 " + p2 + "\nstats\nstats g1\nsave g1 " +
           saved + "\nquit\n",
-      budget, ::testing::TempDir() + "/serve_spill_dir_a");
+      budget, TestTempDir("spill"));
   EXPECT_NE(output.find("ok loaded g2"), std::string::npos) << output;
   EXPECT_NE(output.find("spilled_graphs=1"), std::string::npos) << output;
   EXPECT_NE(output.find("ok stats g1\nnodes=60"), std::string::npos)
@@ -213,7 +212,7 @@ TEST(ServeLoopTest, LoadUnderBudgetSmallerThanTheGraphAnswersOk) {
       WriteTempGraph(g, "serve_spill_3.snap", GraphFileFormat::kBinary);
   const std::string output =
       RunSpillScript("load g " + path + "\nquit\n", EstimateGraphBytes(g) / 2,
-                     ::testing::TempDir() + "/serve_spill_dir_b");
+                     TestTempDir("spill"));
   const std::vector<std::string> lines = Lines(output);
   ASSERT_EQ(lines.size(), 2u) << output;
   EXPECT_EQ(lines[0].rfind("ok loaded g nodes=60 ", 0), 0u) << lines[0];

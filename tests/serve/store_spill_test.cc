@@ -22,17 +22,17 @@
 #include "serve/graph_catalog.h"
 #include "serve/query_engine.h"
 #include "store/memory_governor.h"
+#include "testing/snapshot_bytes.h"
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 #include "vulnds/detector.h"
 
 namespace vulnds::serve {
 namespace {
 
-std::string WriteTempGraph(const UncertainGraph& g, const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
-  EXPECT_TRUE(WriteGraphFile(g, path, GraphFileFormat::kBinary).ok());
-  return path;
-}
+using testing::TestTempDir;
+using testing::TestTempPath;
+using testing::WriteTempGraph;
 
 std::string FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -41,23 +41,30 @@ std::string FileBytes(const std::string& path) {
   return buf.str();
 }
 
-// The spill files of `name` in `dir` (basenames start "<name>.").
-std::vector<std::string> SpillFilesOf(const std::string& dir,
-                                      const std::string& name) {
+// Every file in `dir`, as paths.
+std::vector<std::string> FilesIn(const std::string& dir) {
   std::vector<std::string> files;
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) return files;
   while (dirent* ent = ::readdir(d)) {
     const std::string fname = ent->d_name;
-    if (fname.rfind(name + ".", 0) == 0) files.push_back(dir + "/" + fname);
+    if (fname != "." && fname != "..") files.push_back(dir + "/" + fname);
   }
   ::closedir(d);
   return files;
 }
 
-// This process' manifest in `dir`.
-std::string ManifestOf(const std::string& dir) {
-  return FileBytes(dir + "/MANIFEST." + std::to_string(::getpid()));
+// This process' spill files of `name` in `dir` (basenames start
+// "<pid>.<name>.").
+std::vector<std::string> SpillFilesOf(const std::string& dir,
+                                      const std::string& name) {
+  const std::string prefix =
+      dir + "/" + std::to_string(::getpid()) + "." + name + ".";
+  std::vector<std::string> files;
+  for (const std::string& path : FilesIn(dir)) {
+    if (path.rfind(prefix, 0) == 0) files.push_back(path);
+  }
+  return files;
 }
 
 // Two file-backed graphs under a budget that fits one, and a catalog over
@@ -72,7 +79,7 @@ struct TwoGraphRig {
 
 std::unique_ptr<TwoGraphRig> MakeTwoGraphRig(const std::string& tag) {
   auto rig = std::make_unique<TwoGraphRig>();
-  rig->dir = ::testing::TempDir() + "/spill_dir_" + tag;
+  rig->dir = TestTempDir("spill_" + tag);
   rig->g1 = testing::RandomSmallGraph(60, 0.2, 511);
   rig->g2 = testing::RandomSmallGraph(60, 0.2, 522);
   rig->p1 = WriteTempGraph(rig->g1, tag + "_a.snap");
@@ -114,7 +121,7 @@ TEST(StoreSpillTest, ColdSnapshotSpillsAndPagesBackBitIdentical) {
   governor_options.budget_bytes = std::max(b1, b2) + 512;
   store::MemoryGovernor governor(governor_options);
   GraphCatalogOptions options;
-  options.spill_dir = ::testing::TempDir() + "/spill_dir_a";
+  options.spill_dir = TestTempDir("spill");
   options.governor = &governor;
   GraphCatalog catalog(options);
 
@@ -137,8 +144,7 @@ TEST(StoreSpillTest, ColdSnapshotSpillsAndPagesBackBitIdentical) {
   ASSERT_NE(*paged, nullptr);
   EXPECT_EQ((*paged)->uid, uid_before);
   EXPECT_EQ(catalog.stats().page_ins, 1u);
-  const std::string round_trip =
-      ::testing::TempDir() + "/spill_round_trip.snap";
+  const std::string round_trip = TestTempPath("round_trip.snap");
   ASSERT_TRUE(
       WriteGraphFile((*paged)->graph, round_trip, GraphFileFormat::kBinary)
           .ok());
@@ -155,7 +161,7 @@ TEST(StoreSpillTest, ContextsShedBeforeSnapshots) {
   governor_options.budget_bytes = total + 256;
   store::MemoryGovernor governor(governor_options);
   GraphCatalogOptions options;
-  options.spill_dir = ::testing::TempDir() + "/spill_dir_b";
+  options.spill_dir = TestTempDir("spill");
   options.governor = &governor;
   GraphCatalog catalog(options);
   ASSERT_TRUE(
@@ -191,7 +197,7 @@ TEST(StoreSpillTest, PinnedSnapshotsAreNeverSpilled) {
   governor_options.budget_bytes = b1 + b2 + 512;  // both fit, barely
   store::MemoryGovernor governor(governor_options);
   GraphCatalogOptions options;
-  options.spill_dir = ::testing::TempDir() + "/spill_dir_c";
+  options.spill_dir = TestTempDir("spill");
   options.governor = &governor;
   GraphCatalog catalog(options);
 
@@ -239,7 +245,7 @@ TEST(StoreSpillTest, DetectIsBitIdenticalAndStaysCachedAcrossSpill) {
       EstimateGraphBytes(g1) / 2;
   store::MemoryGovernor governor(governor_options);
   GraphCatalogOptions catalog_options;
-  catalog_options.spill_dir = ::testing::TempDir() + "/spill_dir_d";
+  catalog_options.spill_dir = TestTempDir("spill");
   catalog_options.governor = &governor;
   GraphCatalog catalog(catalog_options);
   QueryEngine engine(&catalog);
@@ -277,7 +283,7 @@ TEST(StoreSpillTest, DetectIsBitIdenticalAndStaysCachedAcrossSpill) {
 TEST(StoreSpillTest, ChargedBytesStayUnderBudgetAcrossRandomTraffic) {
   store::MemoryGovernorOptions governor_options;
   GraphCatalogOptions options;
-  options.spill_dir = ::testing::TempDir() + "/spill_dir_e";
+  options.spill_dir = TestTempDir("spill");
 
   std::vector<std::string> names;
   std::vector<std::string> paths;
@@ -332,7 +338,7 @@ TEST(StoreSpillTest, SpillAndPageInHistogramsCountEveryCycle) {
   governor_options.budget_bytes = max_bytes + 512;
   store::MemoryGovernor governor(governor_options);
   GraphCatalogOptions options;
-  options.spill_dir = ::testing::TempDir() + "/spill_dir_hist";
+  options.spill_dir = TestTempDir("spill");
   options.governor = &governor;
   GraphCatalog catalog(options);
   obs::MetricRegistry registry;
@@ -374,7 +380,7 @@ TEST(StoreSpillTest, ConcurrentGetOrLoadUnderPressureIsSafe) {
                                   EstimateGraphBytes(g2) / 2;  // ~1.5 graphs
   store::MemoryGovernor governor(governor_options);
   GraphCatalogOptions options;
-  options.spill_dir = ::testing::TempDir() + "/spill_dir_f";
+  options.spill_dir = TestTempDir("spill");
   options.governor = &governor;
   GraphCatalog catalog(options);
   ASSERT_TRUE(catalog.Load("c1", WriteTempGraph(g1, "spill_mt_a.snap")).ok());
@@ -450,9 +456,8 @@ TEST(StoreSpillTest, CleanPagesAreWrittenOncePerNameAndUid) {
   EXPECT_EQ(catalog.Names().size(), 2u);
 }
 
-// The kept page of a resident name is deleted (and leaves the manifest)
-// whenever the name stops being that snapshot: Evict, a reload from disk,
-// a Put, or a commit's Put.
+// The kept page of a resident name is deleted whenever the name stops
+// being that snapshot: Evict, a reload from disk, a Put, or a commit's Put.
 TEST(StoreSpillTest, KeptPageIsDeletedWhenTheNameChanges) {
   const std::vector<std::string> actions = {"evict", "reload", "put",
                                             "commit"};
@@ -463,8 +468,6 @@ TEST(StoreSpillTest, KeptPageIsDeletedWhenTheNameChanges) {
     ASSERT_NE(PageIn(catalog, "g1"), nullptr);  // g1 resident, page kept
     const std::vector<std::string> kept = SpillFilesOf(rig->dir, "g1");
     ASSERT_EQ(kept.size(), 1u);
-    const std::string basename = kept[0].substr(rig->dir.size() + 1);
-    EXPECT_NE(ManifestOf(rig->dir).find(basename), std::string::npos);
 
     if (action == "evict") {
       EXPECT_TRUE(catalog.Evict("g1"));
@@ -476,15 +479,14 @@ TEST(StoreSpillTest, KeptPageIsDeletedWhenTheNameChanges) {
       ASSERT_TRUE(catalog.Put("g1", rig->g1, "commit:g1@v1").ok());
     }
     EXPECT_TRUE(SpillFilesOf(rig->dir, "g1").empty());
-    EXPECT_EQ(ManifestOf(rig->dir).find(basename), std::string::npos);
   }
 }
 
-// Kept pages are live files: the manifest lists them from the page-in
-// on, across clean re-spills (which do not rewrite it), so another
-// catalog's startup GC leaves them alone; a catalog that never spilled
-// leaves the manifest in place when it goes; and the owning catalog's
-// destructor removes the pages with the manifest.
+// Kept pages are live files: they carry our pid from the page-in on,
+// across clean re-spills, so another catalog's startup GC leaves them
+// alone; a catalog that never spilled leaves them in place when it goes;
+// and the owning catalog's destructor removes them, leaving the directory
+// empty.
 TEST(StoreSpillTest, KeptPagesSurviveForeignGcAndDieWithTheCatalog) {
   auto rig = MakeTwoGraphRig("kept_gc");
   ASSERT_NE(PageIn(*rig->catalog, "g1"), nullptr);  // g1 kept, g2 spilled
@@ -492,13 +494,6 @@ TEST(StoreSpillTest, KeptPagesSurviveForeignGcAndDieWithTheCatalog) {
   const std::vector<std::string> g2_files = SpillFilesOf(rig->dir, "g2");
   ASSERT_EQ(g1_files.size(), 1u);
   ASSERT_EQ(g2_files.size(), 1u);
-  const std::string g1_base = g1_files[0].substr(rig->dir.size() + 1);
-  const std::string g2_base = g2_files[0].substr(rig->dir.size() + 1);
-  const auto expect_manifest_lists_both = [&] {
-    const std::string manifest = ManifestOf(rig->dir);
-    EXPECT_NE(manifest.find(g1_base), std::string::npos);
-    EXPECT_NE(manifest.find(g2_base), std::string::npos);
-  };
   const auto expect_gc_keeps_both = [&] {
     {
       GraphCatalogOptions options;
@@ -508,9 +503,7 @@ TEST(StoreSpillTest, KeptPagesSurviveForeignGcAndDieWithTheCatalog) {
     }
     EXPECT_EQ(SpillFilesOf(rig->dir, "g1"), g1_files);
     EXPECT_EQ(SpillFilesOf(rig->dir, "g2"), g2_files);
-    expect_manifest_lists_both();
   };
-  expect_manifest_lists_both();
   expect_gc_keeps_both();
   // Clean re-spills and page-ins in both directions keep both files live.
   ASSERT_NE(PageIn(*rig->catalog, "g2"), nullptr);
@@ -521,9 +514,7 @@ TEST(StoreSpillTest, KeptPagesSurviveForeignGcAndDieWithTheCatalog) {
 
   const std::string dir = rig->dir;
   rig->catalog.reset();
-  EXPECT_TRUE(SpillFilesOf(dir, "g1").empty());
-  EXPECT_TRUE(SpillFilesOf(dir, "g2").empty());
-  EXPECT_TRUE(SpillFilesOf(dir, "MANIFEST").empty());
+  EXPECT_TRUE(FilesIn(dir).empty());
 }
 
 // Races page-ins (and the clean re-spills they trigger) against reloads
@@ -547,7 +538,7 @@ TEST(StoreSpillTest, GetOrLoadRacesReloadsAndPutsOfTheSameNames) {
                                   EstimateGraphBytes(graphs[1]) / 2;
   store::MemoryGovernor governor(governor_options);
   GraphCatalogOptions options;
-  options.spill_dir = ::testing::TempDir() + "/spill_dir_race";
+  options.spill_dir = TestTempDir("spill");
   options.governor = &governor;
   GraphCatalog catalog(options);
   for (std::size_t i = 0; i < graphs.size(); ++i) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,8 @@ namespace {
 TEST(MemoryGovernorTest, ZeroBudgetAccountsButNeverSheds) {
   MemoryGovernor governor;  // budget 0 = accounting only
   bool shed_called = false;
-  governor.RegisterShedder(ChargeClass::kContext, [&](std::size_t) {
+  const auto shedder =
+      governor.RegisterShedder(ChargeClass::kContext, [&](std::size_t) {
     shed_called = true;
     return std::size_t{0};
   });
@@ -55,21 +57,24 @@ TEST(MemoryGovernorTest, ShedsInClassOrderContextFirst) {
   // Each class holds 80 bytes it can give back; record who was asked.
   std::vector<std::string> order;
   std::size_t context_held = 0, snapshot_held = 0, result_held = 0;
-  governor.RegisterShedder(ChargeClass::kContext, [&](std::size_t want) {
+  const auto context =
+      governor.RegisterShedder(ChargeClass::kContext, [&](std::size_t want) {
     order.push_back("context");
     const std::size_t freed = std::min(want, context_held);
     context_held -= freed;
     governor.Discharge(ChargeClass::kContext, freed);
     return freed;
   });
-  governor.RegisterShedder(ChargeClass::kSnapshot, [&](std::size_t want) {
+  const auto snapshot =
+      governor.RegisterShedder(ChargeClass::kSnapshot, [&](std::size_t want) {
     order.push_back("snapshot");
     const std::size_t freed = std::min(want, snapshot_held);
     snapshot_held -= freed;
     governor.Discharge(ChargeClass::kSnapshot, freed);
     return freed;
   });
-  governor.RegisterShedder(ChargeClass::kResult, [&](std::size_t want) {
+  const auto result =
+      governor.RegisterShedder(ChargeClass::kResult, [&](std::size_t want) {
     order.push_back("result");
     const std::size_t freed = std::min(want, result_held);
     result_held -= freed;
@@ -104,7 +109,8 @@ TEST(MemoryGovernorTest, StopsCleanlyWhenNothingCanBeFreed) {
   options.budget_bytes = 10;
   MemoryGovernor governor(options);
   int calls = 0;
-  governor.RegisterShedder(ChargeClass::kContext, [&](std::size_t) {
+  const auto shedder =
+      governor.RegisterShedder(ChargeClass::kContext, [&](std::size_t) {
     ++calls;
     return std::size_t{0};  // everything pinned
   });
@@ -124,14 +130,16 @@ TEST(MemoryGovernorTest, ChargedBytesNeverExceedBudgetProperty) {
   std::size_t held[kChargeClassCount] = {};
   const ChargeClass classes[] = {ChargeClass::kContext, ChargeClass::kSnapshot,
                                  ChargeClass::kResult};
+  std::vector<MemoryGovernor::Registration> shedders;
   for (const ChargeClass cls : classes) {
-    governor.RegisterShedder(cls, [&, cls](std::size_t want) {
-      std::size_t& mine = held[static_cast<int>(cls)];
-      const std::size_t freed = std::min(want, mine);
-      mine -= freed;
-      governor.Discharge(cls, freed);
-      return freed;
-    });
+    shedders.push_back(
+        governor.RegisterShedder(cls, [&, cls](std::size_t want) {
+          std::size_t& mine = held[static_cast<int>(cls)];
+          const std::size_t freed = std::min(want, mine);
+          mine -= freed;
+          governor.Discharge(cls, freed);
+          return freed;
+        }));
   }
   Rng rng(42);
   for (int step = 0; step < 2000; ++step) {
@@ -153,6 +161,55 @@ TEST(MemoryGovernorTest, ChargedBytesNeverExceedBudgetProperty) {
       ASSERT_EQ(governor.charged(check), held[static_cast<int>(check)]);
     }
   }
+}
+
+// A registration owns its shedder's place in the shed loop: once it is
+// destroyed the governor never calls the shedder again, and moving it
+// hands that ownership over without unregistering anything.
+TEST(MemoryGovernorTest, DestroyedRegistrationIsNeverCalled) {
+  MemoryGovernorOptions options;
+  options.budget_bytes = 10;
+  MemoryGovernor governor(options);
+  int calls = 0;
+  {
+    const auto shedder = governor.RegisterShedder(
+        ChargeClass::kResult, [&](std::size_t) {
+          ++calls;
+          return std::size_t{0};
+        });
+    governor.Charge(ChargeClass::kResult, 100);
+    EXPECT_EQ(calls, 1);
+  }
+  governor.MaybeShed();  // still over budget, nothing registered
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(MemoryGovernorTest, MovedFromRegistrationDoesNotUnregister) {
+  MemoryGovernorOptions options;
+  options.budget_bytes = 10;
+  MemoryGovernor governor(options);
+  std::size_t held = 0;
+  std::optional<MemoryGovernor::Registration> moved;
+  {
+    auto shedder = governor.RegisterShedder(
+        ChargeClass::kResult, [&](std::size_t want) {
+          const std::size_t freed = std::min(want, held);
+          held -= freed;
+          governor.Discharge(ChargeClass::kResult, freed);
+          return freed;
+        });
+    moved.emplace(std::move(shedder));
+  }  // the moved-from registration dies here
+  held = 100;
+  governor.Charge(ChargeClass::kResult, 100);
+  EXPECT_EQ(governor.total_charged(), 10u);
+  EXPECT_EQ(governor.sheds(ChargeClass::kResult), 1u);
+
+  moved.reset();
+  held += 50;
+  governor.Charge(ChargeClass::kResult, 50);
+  EXPECT_EQ(governor.total_charged(), 60u);
+  EXPECT_EQ(governor.sheds(ChargeClass::kResult), 1u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// v2 snapshot bytes for tests that patch, cut or mutate a snapshot and read
-// it back from a file.
+// Graph files for tests: v2 snapshot bytes for tests that patch, cut or
+// mutate a snapshot and read it back, and per-test graph files to load.
 
 #ifndef VULNDS_TESTS_TESTING_SNAPSHOT_BYTES_H_
 #define VULNDS_TESTS_TESTING_SNAPSHOT_BYTES_H_
@@ -41,6 +41,17 @@ inline std::string WriteBytes(const std::string& bytes,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   EXPECT_TRUE(out.good()) << path;
+  return path;
+}
+
+/// Writes `g` to the running test's own file `name` in the test temp dir
+/// (TestTempPath) in `format`; returns the path.
+inline std::string WriteTempGraph(
+    const UncertainGraph& g, const std::string& name,
+    GraphFileFormat format = GraphFileFormat::kBinary) {
+  const std::string path = TestTempPath(name);
+  const Status st = WriteGraphFile(g, path, format);
+  EXPECT_TRUE(st.ok()) << st.ToString();
   return path;
 }
 

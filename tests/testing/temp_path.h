@@ -1,5 +1,5 @@
-// Per-test temp file names. ctest runs every gtest case in its own process
-// and runs those processes in parallel, so a fixed name under
+// Per-test temp file and directory names. ctest runs every gtest case in its
+// own process and runs those processes in parallel, so a fixed name under
 // ::testing::TempDir() is shared by every case that uses it: one case can
 // overwrite or truncate another's file between its write and its read.
 
@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -18,14 +18,18 @@ namespace vulnds::testing {
 
 /// `name` in the test temp dir, prefixed with the running test's suite, test
 /// name and pid, so no other test case or concurrent run writes the same
-/// file. The file is removed when the test process exits: with the pid in
-/// the name, every run would otherwise leave its own copies behind.
+/// file. The file (or directory tree) is removed when the test process
+/// exits: with the pid in the name, every run would otherwise leave its own
+/// copies behind.
 inline std::string TestTempPath(const std::string& name) {
   static struct Created {
     std::mutex mu;
     std::vector<std::string> paths;
     ~Created() {
-      for (const std::string& path : paths) std::remove(path.c_str());
+      std::error_code ignored;
+      for (const std::string& path : paths) {
+        std::filesystem::remove_all(path, ignored);
+      }
     }
   } created;
   const ::testing::TestInfo* info =
@@ -41,6 +45,16 @@ inline std::string TestTempPath(const std::string& name) {
                      std::to_string(::getpid()) + "." + name;
   const std::lock_guard<std::mutex> lock(created.mu);
   created.paths.push_back(path);
+  return path;
+}
+
+/// A fresh, empty directory named like TestTempPath(name), removed with
+/// everything in it when the test process exits.
+inline std::string TestTempDir(const std::string& name) {
+  const std::string path = TestTempPath(name);
+  std::error_code ignored;
+  std::filesystem::remove_all(path, ignored);
+  std::filesystem::create_directories(path, ignored);
   return path;
 }
 

@@ -24,9 +24,9 @@
 //              [tcp=PORT] [unix=PATH] [max_conns=N]
 //              [idle_timeout_ms=N] [read_timeout_ms=N] [write_timeout_ms=N]
 //       Speaks the line-oriented serve protocol on stdin/stdout: graphs are
-//       loaded once into a catalog and repeated queries hit an LRU result
-//       cache of cache_capacity entries; each is one structure behind one
-//       mutex.
+//       loaded once into a catalog and repeated queries hit two LRU result
+//       caches, one for detect and one for truth, of cache_capacity entries
+//       per cache; each is one structure behind one mutex.
 //       Storage hierarchy: mem_bytes=N puts the whole memory hierarchy
 //       (snapshots + warm detection contexts + cached results) under one
 //       global byte budget; under pressure the coldest contexts are dropped
@@ -124,6 +124,8 @@ int Usage() {
                "             [tcp=PORT] [unix=PATH] [max_conns=N]\n"
                "             [idle_timeout_ms=N] [read_timeout_ms=N]\n"
                "             [write_timeout_ms=N]\n"
+               "      cache_capacity: entries per result cache (detect and\n"
+               "      truth each; default 256)\n"
                "      serve verbs: load save detect truth stats metrics\n"
                "      catalog evict addedge deledge setprob commit versions\n"
                "      shutdown quit\n");
