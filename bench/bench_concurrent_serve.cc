@@ -60,7 +60,7 @@ std::string StripTimes(const std::string& text) {
 // A session over the shared engine, counted in `stats` as a front counts it.
 serve::ServeSession NewSession(serve::QueryEngine* engine,
                                serve::ServerStats* stats) {
-  stats->sessions_started.fetch_add(1, std::memory_order_relaxed);
+  stats->sessions_started->Increment();
   return serve::ServeSession(engine, nullptr, stats);
 }
 
@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
 
   serve::GraphCatalog catalog;
   serve::QueryEngine engine(&catalog);
-  serve::ServerStats stats;
+  serve::ServerStats stats(*engine.registry());
 
   // One modest graph per session slot; distinct seeds so catalog entries
   // and cache lines are genuinely distinct.
@@ -321,8 +321,9 @@ int main(int argc, char** argv) {
 
   const double scaling = qps1 > 0 ? qps8 / qps1 : 0.0;
   std::printf("sessions: %zu, requests: %zu, errors: %zu\n",
-              stats.sessions_started.load(), stats.requests.load(),
-              stats.errors.load());
+              static_cast<std::size_t>(stats.sessions_started->Value()),
+              static_cast<std::size_t>(stats.requests->Value()),
+              static_cast<std::size_t>(stats.errors->Value()));
   std::printf("aggregate scaling at 8 sessions: %.2fx\n", scaling);
 
   // Cross-check the serving stack's own latency histogram against the

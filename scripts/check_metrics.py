@@ -6,9 +6,9 @@ Usage:
 
 Starts a real `vulnds_cli serve unix=...` socket front end, loads a
 synthesized graph over the wire, runs a cold and a cached detect plus a
-truth query, scrapes the `metrics` verb, drains the server with the
-`shutdown` verb (asserting exit 0), and validates the exposition a scraper
-would see:
+truth query, scrapes the `metrics` verb, sends `stats` to the same quiet
+server, drains it with the `shutdown` verb (asserting exit 0), and
+validates the exposition a scraper would see:
 
   * every series line belongs to a family with exactly one # HELP and one
     # TYPE line, emitted before the series (no orphan or duplicate families);
@@ -20,7 +20,10 @@ would see:
   * the families the serve stack promises are all present: engine requests
     and per-stage latency histograms, result-cache and catalog families,
     the server session counters, and the socket
-    front end's vulnds_net_* connection/timeout families.
+    front end's vulnds_net_* connection/timeout families;
+  * `stats` and `metrics` read one source: every numeric `stats` key equals
+    the registry series STATS_SERIES maps it to, and every key is either
+    mapped or named in STATS_EXEMPT.
 
 Exit status: 0 clean, 1 lint failure, 2 environment error (CLI missing).
 """
@@ -76,6 +79,44 @@ REQUIRED_FAMILIES = [
     "vulnds_net_requests_per_connection",
 ]
 
+# `stats` key -> (family, label selector or None for the sum over the
+# family's series, expected stats-minus-series offset). The scrape comes
+# first, so only the `stats` request itself separates the two reads.
+STATS_SERIES = {
+    "detect_queries": ("vulnds_engine_requests_total", '{verb="detect"}', 0),
+    "truth_queries": ("vulnds_engine_requests_total", '{verb="truth"}', 0),
+    "batched_queries": ("vulnds_engine_batched_queries_total", None, 0),
+    "worlds_wasted": ("vulnds_engine_worlds_wasted_total", None, 0),
+    "waves_issued": ("vulnds_engine_waves_issued_total", None, 0),
+    "simd_batched_coins": ("vulnds_simd_batched_coins_total", None, 0),
+    "simd_tail_coins": ("vulnds_simd_scalar_tail_coins_total", None, 0),
+    "cache_hits": ("vulnds_cache_hits_total", None, 0),
+    "cache_misses": ("vulnds_cache_misses_total", None, 0),
+    "catalog_size": ("vulnds_catalog_resident_graphs", None, 0),
+    "catalog_bytes": ("vulnds_catalog_resident_bytes", None, 0),
+    "resident_bytes": ("vulnds_catalog_resident_bytes", None, 0),
+    "spilled_bytes": ("vulnds_store_spilled_bytes", None, 0),
+    "spilled_graphs": ("vulnds_store_spilled_graphs", None, 0),
+    "store_budget_bytes": ("vulnds_store_budget_bytes", None, 0),
+    "context_bytes": ("vulnds_catalog_context_bytes", None, 0),
+    "context_busy": ("vulnds_catalog_context_busy", None, 0),
+    "catalog_evictions": ("vulnds_catalog_evictions_total", None, 0),
+    # The `server ...` line.
+    "server.sessions_started": (
+        "vulnds_server_sessions_started_total", None, 0),
+    "server.sessions_finished": (
+        "vulnds_server_sessions_finished_total", None, 0),
+    "server.requests": ("vulnds_server_requests_total", None, 1),
+    "server.errors": ("vulnds_server_errors_total", None, 0),
+    "server.updates": ("vulnds_server_updates_total", None, 0),
+}
+
+# `stats` keys with no series of their own: the journal's size (no
+# registry series), the tier's name (vulnds_simd_tier carries it as a
+# label), a ratio of two mapped counters, and the session-local `serve`
+# line.
+STATS_EXEMPT = {"journal_bytes", "simd_tier", "cache_hit_rate", "serve"}
+
 NAME_RE = re.compile(r"^vulnds_[a-z0-9_]+$")
 SERIES_RE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (.+)$")
 
@@ -92,9 +133,10 @@ def synthesize_graph(path):
 
 def scrape(cli, graph_path, socket_path):
     """Runs the probe script against a real `serve unix=...` front end and
-    returns the metrics exposition; the server is drained via `shutdown`
-    and must exit 0. The vulnds_net_* families only exist on this path —
-    scraping over a socket is what makes them part of the lint surface."""
+    returns the metrics exposition and the `stats` payload lines that
+    follow it; the server is drained via `shutdown` and must exit 0. The
+    vulnds_net_* families only exist on this path — scraping over a socket
+    is what makes them part of the lint surface."""
     proc = subprocess.Popen([cli, "serve", f"unix={socket_path}"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True)
@@ -111,6 +153,9 @@ def scrape(cli, graph_path, socket_path):
             metrics = client.request("metrics")
             if metrics[0] != "ok metrics" or metrics[-1] != ".":
                 raise RuntimeError("metrics block is not '.'-terminated")
+            stats = client.request("stats")
+            if stats[0] != "ok stats engine" or stats[-1] != ".":
+                raise RuntimeError(f"stats answered {stats[0]!r}")
             drained = client.request("shutdown")
             if drained != ["ok draining"]:
                 raise RuntimeError(f"shutdown answered {drained!r}")
@@ -118,7 +163,7 @@ def scrape(cli, graph_path, socket_path):
         if rc != 0:
             raise RuntimeError(
                 f"drained server exited {rc}:\n{proc.stderr.read()}")
-        return "\n".join(metrics[1:-1]) + "\n"
+        return "\n".join(metrics[1:-1]) + "\n", stats[1:-1]
     finally:
         if proc.poll() is None:
             proc.kill()
@@ -239,6 +284,62 @@ def lint(text):
     return errors
 
 
+def series_values(text):
+    """Maps "name{labels}" to the value of every non-histogram series."""
+    values = {}
+    for line in text.splitlines():
+        m = SERIES_RE.match(line)
+        if m and not line.startswith("#"):
+            try:
+                values[m.group(1) + (m.group(2) or "")] = float(m.group(3))
+            except ValueError:
+                pass
+    return values
+
+
+def check_stats(stats_lines, text):
+    """Every numeric `stats` key equals the series STATS_SERIES maps it to;
+    a key neither mapped nor exempt is an error."""
+    errors = []
+    fields = {}
+    for line in stats_lines:
+        words = line.split()
+        if words and words[0] in ("server", "serve"):
+            if words[0] in STATS_EXEMPT:
+                continue
+            for word in words[1:]:
+                key, _, value = word.partition("=")
+                fields[f"{words[0]}.{key}"] = value
+        else:
+            key, _, value = line.partition("=")
+            if key not in STATS_EXEMPT:
+                fields[key] = value
+    values = series_values(text)
+    for key, value in fields.items():
+        if key not in STATS_SERIES:
+            errors.append(f"stats key '{key}' maps to no registry series "
+                          "(add it to STATS_SERIES or STATS_EXEMPT)")
+            continue
+        family, labels, offset = STATS_SERIES[key]
+        if labels is None:
+            matched = [v for name, v in values.items()
+                       if name == family or name.startswith(family + "{")]
+        else:
+            matched = [values[family + labels]] if family + labels in values \
+                else []
+        if not matched:
+            errors.append(f"stats key '{key}': series {family} missing")
+            continue
+        want = sum(matched) + offset
+        if float(value) != want:
+            errors.append(f"stats {key}={value}, but {family}"
+                          f"{labels or ''} + {offset} = {want:g}")
+    for key in STATS_SERIES:
+        if key not in fields:
+            errors.append(f"stats key '{key}' missing from the stats block")
+    return errors
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cli", default="build/vulnds_cli",
@@ -255,12 +356,12 @@ def main():
         socket_path = pathlib.Path(tmp) / "metrics.sock"
         synthesize_graph(graph)
         try:
-            text = scrape(str(cli), graph, str(socket_path))
+            text, stats = scrape(str(cli), graph, str(socket_path))
         except (RuntimeError, OSError, ConnectionError) as err:
             print(f"scrape failed: {err}", file=sys.stderr)
             return 1
 
-    errors = lint(text)
+    errors = lint(text) + check_stats(stats, text)
     series_lines = sum(1 for line in text.splitlines()
                        if line and not line.startswith("#"))
     print(f"check_metrics: {len(text.splitlines())} exposition lines, "

@@ -31,7 +31,10 @@ const std::vector<double>& RequestsPerConnBuckets() {
 
 NetServer::NetServer(serve::QueryEngine* engine, serve::UpdateBackend* updates,
                      NetServerOptions options)
-    : engine_(engine), updates_(updates), options_(std::move(options)) {
+    : engine_(engine),
+      updates_(updates),
+      options_(std::move(options)),
+      server_stats_(*engine->registry()) {
   obs::MetricRegistry* reg = engine_->registry();
   accepted_ = reg->GetCounter("vulnds_net_accepted_total",
                               "Connections admitted by the socket front end");
@@ -231,7 +234,7 @@ void NetServer::ReapFinishedConns() {
 
 void NetServer::RunConnection(Conn* conn) {
   const int fd = conn->socket.fd();
-  server_stats_.sessions_started.fetch_add(1, std::memory_order_relaxed);
+  server_stats_.sessions_started->Increment();
   serve::ServeSession session(engine_, updates_, &server_stats_);
   session.set_drain_hook([this] { BeginDrain(); });
   LineSplitter splitter(serve::kMaxRequestLineBytes);
@@ -379,7 +382,7 @@ void NetServer::RunConnection(Conn* conn) {
   } else {
     active_gauge_->Add(-1);
   }
-  server_stats_.sessions_finished.fetch_add(1, std::memory_order_relaxed);
+  server_stats_.sessions_finished->Increment();
   conn->done.store(true, std::memory_order_release);
 }
 

@@ -50,11 +50,11 @@ class Counter {
     value_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Scrape-time mirror hook: overwrites the value. For counters whose
-  /// source of truth is an externally synchronized structure (cache and
-  /// catalog counters guarded by their mutexes) that the serve layer
-  /// copies into the registry when rendering. The source must itself be
-  /// monotone or the rendered counter will violate counter semantics.
+  /// Scrape-time copy: overwrites the value. Only for a counter whose
+  /// source of truth lives outside the registry (the memory governor's
+  /// shed counters); everything else counts in place. The source must
+  /// itself be monotone or the rendered counter will violate counter
+  /// semantics.
   void Set(uint64_t value) { value_.store(value, std::memory_order_relaxed); }
 
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
@@ -125,8 +125,9 @@ class Histogram {
 /// Metric kind, driving the exposition TYPE line.
 enum class MetricKind { kCounter = 0, kGauge, kHistogram };
 
-/// Thread-safe named registry. One per serving process; every subsystem
-/// exports through it (the `metrics` verb renders exactly this).
+/// Thread-safe named registry. A serve::GraphCatalog owns one, and every
+/// layer built on that catalog counts into it (the `metrics` verb renders
+/// exactly this).
 class MetricRegistry {
  public:
   MetricRegistry() = default;

@@ -16,8 +16,10 @@
 #include "common/atomic_file.h"
 #include "common/failpoint.h"
 #include "graph/graph_io.h"
+#include "obs/query_trace.h"
 #include "serve/io_metrics.h"
 #include "vulnds/coin_columns.h"
+#include "vulnds/reverse_sampler.h"
 
 namespace vulnds::serve {
 
@@ -67,8 +69,87 @@ std::size_t EstimateGraphBytes(const UncertainGraph& graph) {
                                            : 0);
 }
 
+GraphCatalog::Metrics::Metrics(obs::MetricRegistry& registry)
+    : loads(registry.GetCounter("vulnds_catalog_loads_total",
+                                "Successful catalog loads")),
+      reloads(registry.GetCounter(
+          "vulnds_catalog_reloads_total",
+          "Catalog loads that replaced a resident graph of the same name")),
+      evictions(registry.GetCounter(
+          "vulnds_catalog_evictions_total",
+          "Graphs removed from the catalog by explicit evict")),
+      hits(registry.GetCounter("vulnds_catalog_hits_total",
+                               "Catalog lookups that hit")),
+      misses(registry.GetCounter("vulnds_catalog_misses_total",
+                                 "Catalog lookups that missed")),
+      spills(registry.GetCounter("vulnds_store_spills_total",
+                                 "Snapshots detached to the spill directory")),
+      spill_writes(registry.GetCounter(
+          "vulnds_store_spill_writes_total",
+          "Spill files written (a clean re-spill writes none)")),
+      page_ins(registry.GetCounter("vulnds_store_page_ins_total",
+                                   "Spilled snapshots paged back in on demand")),
+      orphans_reclaimed(registry.GetCounter(
+          "vulnds_store_spill_orphans_reclaimed_total",
+          "Orphaned spill files (debris of killed processes) reclaimed by "
+          "startup GC")),
+      page_in_micros(registry.GetHistogram(
+          "vulnds_store_page_in_micros",
+          "Latency of paging a spilled snapshot back from the spill "
+          "directory, in microseconds.",
+          obs::LatencyBucketsMicros())),
+      spill_micros(registry.GetHistogram(
+          "vulnds_store_spill_micros",
+          "Latency of spilling one snapshot to the spill directory "
+          "(serialize, CRC, write), in microseconds.",
+          obs::LatencyBucketsMicros())),
+      resident_graphs(registry.GetGauge("vulnds_catalog_resident_graphs",
+                                        "Graphs resident now")),
+      resident_bytes(registry.GetGauge("vulnds_catalog_resident_bytes",
+                                       "Approximate bytes of resident graphs")),
+      context_bytes(registry.GetGauge(
+          "vulnds_catalog_context_bytes",
+          "Approximate bytes of warm per-graph detection contexts")),
+      context_busy(registry.GetGauge(
+          "vulnds_catalog_context_busy",
+          "Contexts skipped by the scrape because a query held them")),
+      // BSRBK's per-pool-thread sampler state: process memory outside the
+      // governor's mem_bytes budget, so the scrape shows it.
+      sampler_scratch_bytes(registry.GetGauge(
+          "vulnds_sampler_scratch_bytes",
+          "Bytes of per-node state held by live BSRBK samplers (one per pool "
+          "thread between queries)")),
+      budget_bytes(registry.GetGauge(
+          "vulnds_store_budget_bytes",
+          "Global memory-hierarchy byte budget (0 = accounting only)")),
+      charged_total(registry.GetGauge(
+          "vulnds_store_resident_bytes",
+          "Bytes charged against the global budget, all classes")),
+      spilled_bytes(registry.GetGauge(
+          "vulnds_store_spilled_bytes",
+          "Bytes of snapshots parked in the spill directory")),
+      spilled_graphs(registry.GetGauge(
+          "vulnds_store_spilled_graphs",
+          "Snapshots parked in the spill directory")) {
+  RegisterIoErrorSeries(registry);
+  for (std::size_t c = 0; c < store::kChargeClassCount; ++c) {
+    const obs::LabelSet labels{
+        {"class", store::ChargeClassName(static_cast<store::ChargeClass>(c))}};
+    charged[c] = registry.GetGauge(
+        "vulnds_store_charged_bytes",
+        "Bytes charged against the global budget, by class", labels);
+    sheds[c] = registry.GetCounter(
+        "vulnds_store_sheds_total",
+        "Shedder invocations that freed bytes, by class", labels);
+    shed_bytes[c] = registry.GetCounter(
+        "vulnds_store_shed_bytes_total", "Bytes freed by shedding, by class",
+        labels);
+  }
+}
+
 GraphCatalog::GraphCatalog(const GraphCatalogOptions& options)
     : options_(options),
+      metrics_(registry_),
       owned_governor_(options.governor == nullptr
                           ? std::make_unique<store::MemoryGovernor>()
                           : nullptr),
@@ -110,35 +191,6 @@ GraphCatalog::~GraphCatalog() {
     governor_->Discharge(store::ChargeClass::kContext,
                          entry.charged_context_bytes.exchange(0));
   }
-}
-
-void GraphCatalog::BindObservability(obs::MetricRegistry* registry,
-                                     obs::ClockMicros clock) {
-  obs_clock_ = std::move(clock);
-  registry_.store(registry, std::memory_order_release);
-  if (registry == nullptr) {
-    page_in_micros_.store(nullptr, std::memory_order_release);
-    spill_micros_.store(nullptr, std::memory_order_release);
-    return;
-  }
-  RegisterIoErrorSeries(registry);
-  page_in_micros_.store(
-      registry->GetHistogram("vulnds_store_page_in_micros",
-                             "Latency of paging a spilled snapshot back from "
-                             "the spill directory, in microseconds.",
-                             obs::LatencyBucketsMicros()),
-      std::memory_order_release);
-  spill_micros_.store(
-      registry->GetHistogram("vulnds_store_spill_micros",
-                             "Latency of spilling one snapshot to the spill "
-                             "directory (serialize, CRC, write), in "
-                             "microseconds.",
-                             obs::LatencyBucketsMicros()),
-      std::memory_order_release);
-}
-
-int64_t GraphCatalog::NowMicros() const {
-  return obs_clock_ ? obs_clock_() : obs::SteadyNowMicros();
 }
 
 Status GraphCatalog::Load(const std::string& name, const std::string& path) {
@@ -197,10 +249,10 @@ bool GraphCatalog::InsertPrepared(std::shared_ptr<CatalogEntry> entry,
         return false;
       }
     }
-    ++stats_.loads;
+    metrics_.loads->Increment();
     const auto it = entries_.find(name);
     if (it != entries_.end()) {
-      ++stats_.reloads;
+      metrics_.reloads->Increment();
       RemoveLocked(it);
     }
     lru_.push_front(name);
@@ -311,7 +363,7 @@ void GraphCatalog::ReclaimOrphanSpills() {
   ::closedir(dir);
   for (const std::string& fname : orphans) {
     if (std::remove((options_.spill_dir + "/" + fname).c_str()) == 0) {
-      spill_orphans_reclaimed_.fetch_add(1, std::memory_order_relaxed);
+      metrics_.orphans_reclaimed->Increment();
     }
   }
 }
@@ -356,7 +408,6 @@ bool GraphCatalog::WriteSpillPage(const CatalogEntry& victim) {
   // means no reader ever sees a truncated snapshot under the final name.
   const std::string path = SpillPathFor(victim);
   uint32_t crc = 0;
-  auto* reg = registry_.load(std::memory_order_acquire);
   Status written = Status::OK();
   for (int attempt = 0; attempt < kSpillIoAttempts; ++attempt) {
     // Spill pages are scratch that dies with the process (the startup GC
@@ -366,7 +417,7 @@ bool GraphCatalog::WriteSpillPage(const CatalogEntry& victim) {
         [&](ByteSink& out) { return EncodeGraphBinary(victim.graph, out); },
         &crc);
     if (written.ok()) {
-      if (attempt > 0) CountIoError(reg, "spill_write", "retried");
+      if (attempt > 0) CountIoError(&registry_, "spill_write", "retried");
       break;
     }
   }
@@ -374,7 +425,7 @@ bool GraphCatalog::WriteSpillPage(const CatalogEntry& victim) {
     // Never drop a snapshot we failed to park: the entry stays resident
     // (the governor simply frees less this round) — degraded memory
     // pressure, never a lost graph.
-    CountIoError(reg, "spill_write", "error");
+    CountIoError(&registry_, "spill_write", "error");
     return false;
   }
   std::string stale;  // a page of an older generation of the name
@@ -414,7 +465,7 @@ std::size_t GraphCatalog::ShedSnapshots(std::size_t want) {
       }
     }
     if (victim == nullptr) return freed;  // everything pinned or empty
-    const int64_t start = NowMicros();
+    const int64_t start = obs::SteadyNowMicros();
     // A clean page — the victim paged in under this uid and its file is
     // still on disk — moves back to spilled_ instead of being written, as
     // an OS evicts a clean page. Either way the record is in spilled_
@@ -430,14 +481,14 @@ std::size_t GraphCatalog::ShedSnapshots(std::size_t want) {
     bool still_resident = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!clean) ++stats_.spill_writes;
+      if (!clean) metrics_.spill_writes->Increment();
       const auto it = entries_.find(victim->name);
       // The entry may have been replaced, evicted, or pinned since the
       // scan; spilling it then would park a stale (or in-use) snapshot.
       still_resident = it != entries_.end() && it->second.entry == victim;
       if (still_resident &&
           victim->pins.load(std::memory_order_relaxed) == 0) {
-        ++stats_.spills;
+        metrics_.spills->Increment();
         const std::size_t context_bytes =
             victim->charged_context_bytes.load(std::memory_order_relaxed);
         RemoveLocked(it);
@@ -462,9 +513,8 @@ std::size_t GraphCatalog::ShedSnapshots(std::size_t want) {
       return freed;
     }
     // Observed only for completed spills, so its count tracks `spills`.
-    if (auto* histogram = spill_micros_.load(std::memory_order_acquire)) {
-      histogram->Observe(static_cast<double>(NowMicros() - start));
-    }
+    metrics_.spill_micros->Observe(
+        static_cast<double>(obs::SteadyNowMicros() - start));
   }
   return freed;
 }
@@ -473,10 +523,10 @@ std::shared_ptr<CatalogEntry> GraphCatalog::Get(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(name);
   if (it == entries_.end()) {
-    ++stats_.misses;
+    metrics_.misses->Increment();
     return nullptr;
   }
-  ++stats_.hits;
+  metrics_.hits->Increment();
   lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
   return it->second.entry;
 }
@@ -493,7 +543,7 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::GetOrLoad(
       std::lock_guard<std::mutex> lock(mu_);
       std::lock_guard<std::mutex> spill_lock(spill_mu_);
       if (const auto it = entries_.find(name); it != entries_.end()) {
-        ++stats_.hits;
+        metrics_.hits->Increment();
         lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
         return it->second.entry;
       }
@@ -522,8 +572,7 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::PageInSpilled(
     if (it == spilled_.end()) return std::shared_ptr<CatalogEntry>();
     record = it->second;
   }
-  const int64_t start = NowMicros();
-  auto* reg = registry_.load(std::memory_order_acquire);
+  const int64_t start = obs::SteadyNowMicros();
 
   // Reserve first: once the page's header has checked out against its
   // length, its bytes are charged before any column is allocated, so the
@@ -552,7 +601,7 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::PageInSpilled(
       current = it != spilled_.end() && it->second.uid == record.uid;
     }
     if (!current) return std::shared_ptr<CatalogEntry>();
-    CountIoError(reg, "spill_page_in", "error");
+    CountIoError(&registry_, "spill_page_in", "error");
     return status;
   };
 
@@ -571,7 +620,7 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::PageInSpilled(
     }
     graph = ReadGraphPage(record.path, record.crc, reserve);
     if (graph.ok() || graph.status().code() != StatusCode::kIOError) {
-      if (attempt > 0) CountIoError(reg, "spill_page_in", "retried");
+      if (attempt > 0) CountIoError(&registry_, "spill_page_in", "retried");
       break;
     }
   }
@@ -608,7 +657,7 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::PageInSpilled(
           read.message() + ") and reloading its source " + record.source +
           " failed: " + reloaded.status().message() + "; graph unavailable"));
     }
-    CountIoError(reg, "spill_page_in", "degraded");
+    CountIoError(&registry_, "spill_page_in", "degraded");
     entry->graph = reloaded.MoveValue();
     // Did the reload reconstruct the exact snapshot we lost? Re-encode it
     // into a checksum-only sink and compare against the CRC taken at spill
@@ -635,13 +684,9 @@ Result<std::shared_ptr<CatalogEntry>> GraphCatalog::PageInSpilled(
     release();
     return std::shared_ptr<CatalogEntry>();  // superseded while reading
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.page_ins;
-  }
-  if (auto* histogram = page_in_micros_.load(std::memory_order_acquire)) {
-    histogram->Observe(static_cast<double>(NowMicros() - start));
-  }
+  metrics_.page_ins->Increment();
+  metrics_.page_in_micros->Observe(
+      static_cast<double>(obs::SteadyNowMicros() - start));
   return held;
 }
 
@@ -660,7 +705,7 @@ bool GraphCatalog::Evict(const std::string& name) {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(name);
     if (it != entries_.end()) {
-      ++stats_.evictions;
+      metrics_.evictions->Increment();
       RemoveLocked(it);
       removed = true;
     }
@@ -710,8 +755,42 @@ std::size_t GraphCatalog::resident_bytes() const {
 }
 
 CatalogStats GraphCatalog::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  CatalogStats s;
+  s.loads = metrics_.loads->Value();
+  s.reloads = metrics_.reloads->Value();
+  s.evictions = metrics_.evictions->Value();
+  s.hits = metrics_.hits->Value();
+  s.misses = metrics_.misses->Value();
+  s.spills = metrics_.spills->Value();
+  s.page_ins = metrics_.page_ins->Value();
+  s.spill_writes = metrics_.spill_writes->Value();
+  return s;
+}
+
+void GraphCatalog::RefreshMetrics() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    metrics_.resident_graphs->Set(static_cast<double>(entries_.size()));
+    metrics_.resident_bytes->Set(static_cast<double>(bytes_));
+  }
+  const ContextResidency contexts = WarmContexts();
+  metrics_.context_bytes->Set(static_cast<double>(contexts.bytes));
+  metrics_.context_busy->Set(static_cast<double>(contexts.busy));
+  metrics_.sampler_scratch_bytes->Set(
+      static_cast<double>(SamplerScratchBytes()));
+  metrics_.spilled_bytes->Set(static_cast<double>(spilled_bytes()));
+  metrics_.spilled_graphs->Set(static_cast<double>(spilled_count()));
+  // The byte-governed memory hierarchy: one budget over snapshots,
+  // contexts and cached results. The governor keeps its own shed
+  // counters, so theirs are the one series copied in at scrape time.
+  metrics_.budget_bytes->Set(static_cast<double>(governor_->budget()));
+  metrics_.charged_total->Set(static_cast<double>(governor_->total_charged()));
+  for (std::size_t c = 0; c < store::kChargeClassCount; ++c) {
+    const auto cls = static_cast<store::ChargeClass>(c);
+    metrics_.charged[c]->Set(static_cast<double>(governor_->charged(cls)));
+    metrics_.sheds[c]->Set(governor_->sheds(cls));
+    metrics_.shed_bytes[c]->Set(governor_->shed_bytes(cls));
+  }
 }
 
 }  // namespace vulnds::serve

@@ -9,11 +9,20 @@
 // the graph, which keeps the invariant "context belongs to exactly one
 // graph" trivially true.
 //
-// Locking. One mutex guards one name map, one LRU list, the byte
-// accounting and the counters. A Get holds it for a map lookup and a list
-// splice; snapshot parsing, spill writes and page-in reads all happen
-// outside it, so the lock is never held across I/O. Governor shedding
-// walks the LRU list from its cold end.
+// Locking. One mutex guards one name map, one LRU list and the byte
+// accounting. A Get holds it for a map lookup and a list splice; snapshot
+// parsing, spill writes and page-in reads all happen outside it, so the
+// lock is never held across I/O. Governor shedding walks the LRU list from
+// its cold end.
+//
+// Metrics. The catalog creates one obs::MetricRegistry at construction and
+// keeps it for its lifetime: every layer built on the catalog (query
+// engines, their result caches, session fronts, the update manager) counts
+// into it in place, so a spill retry or page-in counts whether or not an
+// engine exists at that moment. The catalog's own counters and IO latency
+// histograms are lock-free registry series resolved at construction;
+// RefreshMetrics sets the gauges and the governor's shed counters, which
+// are moment-in-time reads, just before a scrape renders the registry.
 //
 // Byte governance and disk spill. The catalog has no budget of its own;
 // it charges through the store::MemoryGovernor it is built with
@@ -97,7 +106,6 @@
 #include "common/status.h"
 #include "graph/uncertain_graph.h"
 #include "obs/metrics.h"
-#include "obs/query_trace.h"
 #include "store/memory_governor.h"
 #include "vulnds/detector.h"
 
@@ -188,7 +196,8 @@ struct ContextResidency {
   std::size_t busy = 0;   ///< contexts a query held, skipped
 };
 
-/// Counters exposed through `stats <name>` / benches.
+/// The catalog's counters as one value, read from their registry series
+/// (each exact, the set a moment-in-time snapshot).
 struct CatalogStats {
   std::size_t loads = 0;      ///< successful Load/Put calls
   std::size_t reloads = 0;    ///< loads that replaced an existing name
@@ -236,11 +245,15 @@ class GraphCatalog {
 
   ~GraphCatalog();
 
-  /// Resolves the page-in and spill latency histograms
-  /// (vulnds_store_page_in_micros, vulnds_store_spill_micros) in `registry`
-  /// and adopts `clock` for timing them; pass nullptr/null to unbind. Call
-  /// before concurrent traffic.
-  void BindObservability(obs::MetricRegistry* registry, obs::ClockMicros clock);
+  /// The registry every layer over this catalog counts into; lives as long
+  /// as the catalog.
+  obs::MetricRegistry* registry() { return &registry_; }
+
+  /// Sets the scrape-time gauges (residency, warm contexts, sampler
+  /// scratch, spill parking, governor budget and charges) and copies the
+  /// governor's shed counters into their series. Called by the `metrics`
+  /// verb before rendering; one lock per structure, try_lock on contexts.
+  void RefreshMetrics();
 
   /// Reads `path` (text or binary snapshot) and registers it as `name`,
   /// replacing any existing entry of that name. Parsing happens outside
@@ -296,7 +309,7 @@ class GraphCatalog {
   /// Orphaned spill files (debris of killed processes) reclaimed by this
   /// catalog's construction-time GC.
   std::size_t spill_orphans_reclaimed() const {
-    return spill_orphans_reclaimed_.load(std::memory_order_relaxed);
+    return metrics_.orphans_reclaimed->Value();
   }
   const std::string& spill_dir() const { return options_.spill_dir; }
   /// The governor this catalog was built with; never null.
@@ -388,9 +401,40 @@ class GraphCatalog {
   std::size_t ShedContexts(std::size_t want);
   std::size_t ShedSnapshots(std::size_t want);
 
-  int64_t NowMicros() const;
+  // The catalog's series in registry_, resolved once at construction.
+  struct Metrics {
+    explicit Metrics(obs::MetricRegistry& registry);
+    obs::Counter* loads;
+    obs::Counter* reloads;
+    obs::Counter* evictions;
+    obs::Counter* hits;
+    obs::Counter* misses;
+    obs::Counter* spills;
+    obs::Counter* spill_writes;
+    obs::Counter* page_ins;
+    obs::Counter* orphans_reclaimed;
+    obs::Histogram* page_in_micros;
+    obs::Histogram* spill_micros;
+    // Set by RefreshMetrics.
+    obs::Gauge* resident_graphs;
+    obs::Gauge* resident_bytes;
+    obs::Gauge* context_bytes;
+    obs::Gauge* context_busy;
+    obs::Gauge* sampler_scratch_bytes;
+    obs::Gauge* budget_bytes;
+    obs::Gauge* charged_total;
+    obs::Gauge* spilled_bytes;
+    obs::Gauge* spilled_graphs;
+    // Per store::ChargeClass.
+    obs::Gauge* charged[store::kChargeClassCount];
+    obs::Counter* sheds[store::kChargeClassCount];
+    obs::Counter* shed_bytes[store::kChargeClassCount];
+  };
 
   const GraphCatalogOptions options_;
+  // Declared before everything that counts into it.
+  obs::MetricRegistry registry_;
+  const Metrics metrics_;
   std::atomic<uint64_t> next_uid_{1};
 
   // Resident state. Lock order: mu_ is taken after page_in_mu_ and the
@@ -400,7 +444,6 @@ class GraphCatalog {
   SlotMap entries_;             // guarded by mu_
   std::list<std::string> lru_;  // front = most recent; guarded by mu_
   std::size_t bytes_ = 0;       // resident bytes; guarded by mu_
-  CatalogStats stats_;          // guarded by mu_
 
   // Spill state. Lock order: spill_mu_ is a leaf below mu_ and the
   // governor's shed mutex; page_in_mu_ is taken before everything
@@ -417,14 +460,6 @@ class GraphCatalog {
   std::mutex page_in_mu_;
   std::atomic<bool> spill_dir_ready_{false};
   std::atomic<uint64_t> next_spill_file_{0};
-  std::atomic<std::size_t> spill_orphans_reclaimed_{0};
-
-  // Late-bound observability (the engine wires it in its constructor;
-  // atomics so a binding racing early traffic is benign).
-  std::atomic<obs::Histogram*> page_in_micros_{nullptr};
-  std::atomic<obs::Histogram*> spill_micros_{nullptr};
-  std::atomic<obs::MetricRegistry*> registry_{nullptr};
-  obs::ClockMicros obs_clock_;  // written only by BindObservability
 
   // The governor, fixed at construction. The shedder registrations come
   // last: they are destroyed first, before the state their shedders touch.

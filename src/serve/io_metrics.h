@@ -12,9 +12,9 @@
 // caller (a protocol `err` line or a dropped connection).
 //
 // The error paths are cold, so counters are resolved get-or-create per
-// event; RegisterIoErrorSeries pre-creates the known (site, outcome) pairs
-// at bind time so the family is present in the exposition (and lintable)
-// before the first failure.
+// event; the catalog's construction pre-creates the known (site, outcome)
+// pairs (RegisterIoErrorSeries) so the family is present in the exposition
+// (and lintable) before the first failure.
 
 #ifndef VULNDS_SERVE_IO_METRICS_H_
 #define VULNDS_SERVE_IO_METRICS_H_
@@ -47,11 +47,10 @@ inline void CountIoError(obs::MetricRegistry* registry, const char* site,
 }
 
 /// Pre-creates every known (site, outcome) series at 0.
-inline void RegisterIoErrorSeries(obs::MetricRegistry* registry) {
-  if (registry == nullptr) return;
+inline void RegisterIoErrorSeries(obs::MetricRegistry& registry) {
   for (const char* site : kIoErrorSites) {
     for (const char* outcome : kIoErrorOutcomes) {
-      registry->GetCounter(kIoErrorsFamily, kIoErrorsHelp,
+      registry.GetCounter(kIoErrorsFamily, kIoErrorsHelp,
                            {{"site", site}, {"outcome", outcome}});
     }
   }

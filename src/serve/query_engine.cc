@@ -5,7 +5,6 @@
 
 #include "common/parse.h"
 #include "simd/dispatch.h"
-#include "vulnds/reverse_sampler.h"
 
 namespace vulnds::serve {
 
@@ -89,7 +88,6 @@ std::size_t ApproxGroundTruthBytes(const GroundTruth& truth) {
 QueryEngine::QueryEngine(GraphCatalog* catalog, QueryEngineOptions options)
     : catalog_(catalog),
       pool_(options.pool),
-      registry_(std::make_unique<obs::MetricRegistry>()),
       slowlog_(options.slowlog),
       clock_(std::move(options.clock)),
       governor_(catalog->governor()),
@@ -97,37 +95,35 @@ QueryEngine::QueryEngine(GraphCatalog* catalog, QueryEngineOptions options)
       // the catalog charges snapshots and contexts through, and that
       // governor can shed result bytes when OTHER classes overflow.
       detect_cache_(options.result_cache_capacity, ApproxDetectionResultBytes,
-                    governor_),
+                    *governor_, *catalog->registry(), "detect"),
       truth_cache_(options.result_cache_capacity, ApproxGroundTruthBytes,
-                   governor_),
+                   *governor_, *catalog->registry(), "truth"),
       detect_shedder_(governor_->RegisterShedder(
           store::ChargeClass::kResult,
           [this](std::size_t want) { return detect_cache_.ShedBytes(want); })),
       truth_shedder_(governor_->RegisterShedder(
           store::ChargeClass::kResult,
           [this](std::size_t want) { return truth_cache_.ShedBytes(want); })) {
-  // Page-in latency lands in this engine's registry on this engine's clock
-  // (a constant injected clock keeps transcripts deterministic).
-  catalog_->BindObservability(registry_.get(), clock_);
-  detect_queries_ = registry_->GetCounter("vulnds_engine_requests_total",
+  obs::MetricRegistry* registry = catalog_->registry();
+  detect_queries_ = registry->GetCounter("vulnds_engine_requests_total",
                                           kRequestsHelp, {{"verb", "detect"}});
-  truth_queries_ = registry_->GetCounter("vulnds_engine_requests_total",
+  truth_queries_ = registry->GetCounter("vulnds_engine_requests_total",
                                          kRequestsHelp, {{"verb", "truth"}});
-  batched_queries_ = registry_->GetCounter(
+  batched_queries_ = registry->GetCounter(
       "vulnds_engine_batched_queries_total",
       "Cold detects that waited for another detect holding their graph's "
       "context");
-  worlds_wasted_ = registry_->GetCounter(
+  worlds_wasted_ = registry->GetCounter(
       "vulnds_engine_worlds_wasted_total",
       "Worlds materialized past the bottom-k early stop, executed runs only");
-  waves_issued_ = registry_->GetCounter(
+  waves_issued_ = registry->GetCounter(
       "vulnds_engine_waves_issued_total",
       "Parallel sampling waves dispatched, executed runs only");
-  simd_batched_coins_ = registry_->GetCounter(
+  simd_batched_coins_ = registry->GetCounter(
       "vulnds_simd_batched_coins_total",
       "Coin slots evaluated in full vector lanes (padding included), "
       "executed runs only");
-  simd_tail_coins_ = registry_->GetCounter(
+  simd_tail_coins_ = registry->GetCounter(
       "vulnds_simd_scalar_tail_coins_total",
       "Coin slots evaluated one at a time outside a full lane, "
       "executed runs only");
@@ -135,7 +131,7 @@ QueryEngine::QueryEngine(GraphCatalog* catalog, QueryEngineOptions options)
   // 1 = avx2, 2 = avx512): scrape-friendly, and the label carries the name.
   // Set once — the default is resolved once per process (VULNDS_SIMD env,
   // else CPUID) and per-query overrides never change it.
-  registry_
+  registry
       ->GetGauge("vulnds_simd_tier",
                  "Process-default SIMD kernel tier "
                  "(0=scalar, 1=avx2, 2=avx512)",
@@ -145,7 +141,7 @@ QueryEngine::QueryEngine(GraphCatalog* catalog, QueryEngineOptions options)
   const char* verbs[2] = {"detect", "truth"};
   for (int v = 0; v < 2; ++v) {
     for (int c = 0; c < 2; ++c) {
-      request_micros_[v][c] = registry_->GetHistogram(
+      request_micros_[v][c] = registry->GetHistogram(
           "vulnds_engine_request_micros", kRequestMicrosHelp, buckets,
           {{"verb", verbs[v]}, {"cached", c == 0 ? "0" : "1"}});
     }
@@ -155,15 +151,10 @@ QueryEngine::QueryEngine(GraphCatalog* catalog, QueryEngineOptions options)
                                       "cache_insert"};
   for (std::size_t s = 0; s < kKnownStages; ++s) {
     stage_micros_[s] = {stages[s],
-                        registry_->GetHistogram("vulnds_engine_stage_micros",
+                        registry->GetHistogram("vulnds_engine_stage_micros",
                                                 kStageMicrosHelp, buckets,
                                                 {{"stage", stages[s]}})};
   }
-}
-
-QueryEngine::~QueryEngine() {
-  // The catalog may outlive this engine; take back the registry we lent it.
-  catalog_->BindObservability(nullptr, nullptr);
 }
 
 obs::Histogram* QueryEngine::StageHistogram(const std::string& stage) {
@@ -172,7 +163,7 @@ obs::Histogram* QueryEngine::StageHistogram(const std::string& stage) {
   }
   // A stage name the constructor did not anticipate (future pipeline work):
   // registry get-or-create, off the lock-free path but correct.
-  return registry_->GetHistogram("vulnds_engine_stage_micros", kStageMicrosHelp,
+  return registry()->GetHistogram("vulnds_engine_stage_micros", kStageMicrosHelp,
                                  obs::LatencyBucketsMicros(),
                                  {{"stage", stage}});
 }
@@ -362,145 +353,9 @@ EngineStats QueryEngine::stats() const {
   s.result_cache.misses = detect.misses + truth.misses;
   s.result_cache.evictions = detect.evictions + truth.evictions;
   s.result_cache.inserts = detect.inserts + truth.inserts;
-  s.result_cache.rejected_oversize =
-      detect.rejected_oversize + truth.rejected_oversize;
+  // Both caches count rejections into the registry's one series.
+  s.result_cache.rejected_oversize = detect.rejected_oversize;
   return s;
-}
-
-namespace {
-
-// Mirrors one result cache's counters into the registry. Counter::Set is
-// the documented scrape-time bridge for sources whose truth lives behind a
-// mutex.
-template <typename V>
-void MirrorCache(obs::MetricRegistry* registry, const char* which,
-                 const LruCache<V>& cache) {
-  const CacheStats stats = cache.stats();
-  const obs::LabelSet label{{"cache", which}};
-  registry
-      ->GetCounter("vulnds_cache_hits_total", "Result-cache hits", label)
-      ->Set(stats.hits);
-  registry
-      ->GetCounter("vulnds_cache_misses_total", "Result-cache misses", label)
-      ->Set(stats.misses);
-  registry
-      ->GetCounter("vulnds_cache_evictions_total", "Result-cache evictions",
-                   label)
-      ->Set(stats.evictions);
-  registry
-      ->GetCounter("vulnds_cache_inserts_total", "Result-cache inserts", label)
-      ->Set(stats.inserts);
-  registry
-      ->GetGauge("vulnds_cache_entries", "Resident result-cache entries",
-                 label)
-      ->Set(static_cast<double>(cache.size()));
-}
-
-}  // namespace
-
-void QueryEngine::RefreshMetrics() {
-  MirrorCache(registry_.get(), "detect", detect_cache_);
-  MirrorCache(registry_.get(), "truth", truth_cache_);
-
-  const CatalogStats c = catalog_->stats();
-  registry_
-      ->GetCounter("vulnds_catalog_hits_total", "Catalog lookups that hit")
-      ->Set(c.hits);
-  registry_
-      ->GetCounter("vulnds_catalog_misses_total", "Catalog lookups that missed")
-      ->Set(c.misses);
-  registry_
-      ->GetCounter("vulnds_catalog_evictions_total",
-                   "Graphs removed from the catalog by explicit evict")
-      ->Set(c.evictions);
-  registry_
-      ->GetCounter("vulnds_catalog_loads_total", "Successful catalog loads")
-      ->Set(c.loads);
-  registry_
-      ->GetGauge("vulnds_catalog_resident_graphs", "Graphs resident now")
-      ->Set(static_cast<double>(catalog_->size()));
-  registry_
-      ->GetGauge("vulnds_catalog_resident_bytes",
-                 "Approximate bytes of resident graphs")
-      ->Set(static_cast<double>(catalog_->resident_bytes()));
-  const ContextResidency contexts = catalog_->WarmContexts();
-  registry_
-      ->GetGauge("vulnds_catalog_context_bytes",
-                 "Approximate bytes of warm per-graph detection contexts")
-      ->Set(static_cast<double>(contexts.bytes));
-  registry_
-      ->GetGauge("vulnds_catalog_context_busy",
-                 "Contexts skipped by the scrape because a query held them")
-      ->Set(static_cast<double>(contexts.busy));
-  // BSRBK's per-pool-thread sampler state: process memory outside the
-  // governor's mem_bytes budget, so the scrape shows it.
-  registry_
-      ->GetGauge("vulnds_sampler_scratch_bytes",
-                 "Bytes of per-node state held by live BSRBK samplers "
-                 "(one per pool thread between queries)")
-      ->Set(static_cast<double>(SamplerScratchBytes()));
-
-  // The byte-governed memory hierarchy (vulnds_store_*): one budget over
-  // snapshots + contexts + cached results, spill residency, shed activity.
-  // The governor is never null, so these families render on every serve.
-  registry_
-      ->GetGauge("vulnds_store_budget_bytes",
-                 "Global memory-hierarchy byte budget (0 = accounting only)")
-      ->Set(static_cast<double>(governor_->budget()));
-  registry_
-      ->GetGauge("vulnds_store_resident_bytes",
-                 "Bytes charged against the global budget, all classes")
-      ->Set(static_cast<double>(governor_->total_charged()));
-  for (const auto cls :
-       {store::ChargeClass::kSnapshot, store::ChargeClass::kContext,
-        store::ChargeClass::kResult}) {
-    const obs::LabelSet labels{{"class", store::ChargeClassName(cls)}};
-    registry_
-        ->GetGauge("vulnds_store_charged_bytes",
-                   "Bytes charged against the global budget, by class",
-                   labels)
-        ->Set(static_cast<double>(governor_->charged(cls)));
-    registry_
-        ->GetCounter("vulnds_store_sheds_total",
-                     "Shedder invocations that freed bytes, by class", labels)
-        ->Set(governor_->sheds(cls));
-    registry_
-        ->GetCounter("vulnds_store_shed_bytes_total",
-                     "Bytes freed by shedding, by class", labels)
-        ->Set(governor_->shed_bytes(cls));
-  }
-  registry_
-      ->GetGauge("vulnds_store_spilled_bytes",
-                 "Bytes of snapshots parked in the spill directory")
-      ->Set(static_cast<double>(catalog_->spilled_bytes()));
-  registry_
-      ->GetGauge("vulnds_store_spilled_graphs",
-                 "Snapshots parked in the spill directory")
-      ->Set(static_cast<double>(catalog_->spilled_count()));
-  registry_
-      ->GetCounter("vulnds_store_spills_total",
-                   "Snapshots detached to the spill directory")
-      ->Set(c.spills);
-  registry_
-      ->GetCounter("vulnds_store_spill_writes_total",
-                   "Spill files written (a clean re-spill writes none)")
-      ->Set(c.spill_writes);
-  registry_
-      ->GetCounter("vulnds_store_page_ins_total",
-                   "Spilled snapshots paged back in on demand")
-      ->Set(c.page_ins);
-  registry_
-      ->GetCounter("vulnds_store_spill_orphans_reclaimed_total",
-                   "Orphaned spill files (debris of killed processes) "
-                   "reclaimed by startup GC")
-      ->Set(catalog_->spill_orphans_reclaimed());
-  const CacheStats detect_stats = detect_cache_.stats();
-  const CacheStats truth_stats = truth_cache_.stats();
-  registry_
-      ->GetCounter("vulnds_store_rejected_oversize_total",
-                   "Cache inserts refused because one entry exceeded the "
-                   "whole byte budget")
-      ->Set(detect_stats.rejected_oversize + truth_stats.rejected_oversize);
 }
 
 }  // namespace vulnds::serve

@@ -90,7 +90,9 @@ struct TruthResponse {
   double seconds = 0.0;
 };
 
-/// Aggregate request counters.
+/// Aggregate request counters, read from their registry series. Engines
+/// over one catalog share its registry and so these series: each engine's
+/// stats() reads what all of them counted.
 struct EngineStats {
   std::size_t detect_queries = 0;
   std::size_t truth_queries = 0;
@@ -108,19 +110,16 @@ struct EngineStats {
   /// Like the wave telemetry, this measures cost, never answers.
   std::size_t simd_batched_coins = 0;
   std::size_t simd_tail_coins = 0;
-  CacheStats result_cache;  ///< combined detect + truth cache counters
+  CacheStats result_cache;  ///< detect + truth cache counters, summed
 };
 
 /// The engine's result caches charge through the catalog's governor and
 /// register with it as ChargeClass::kResult shedders for the engine's
-/// lifetime. The catalog must outlive the engine.
+/// lifetime; the engine's metrics count into the catalog's registry. The
+/// catalog must outlive the engine.
 class QueryEngine {
  public:
   explicit QueryEngine(GraphCatalog* catalog, QueryEngineOptions options = {});
-
-  /// Unbinds the page-in observability from the catalog, which may outlive
-  /// the engine.
-  ~QueryEngine();
 
   /// Runs (or serves from cache) a detection query against graph `name`.
   /// `options.pool` is overridden with the engine's pool.
@@ -133,8 +132,8 @@ class QueryEngine {
   GraphCatalog& catalog() { return *catalog_; }
   EngineStats stats() const;
 
-  /// The engine's own registry, which every engine metric lives in.
-  obs::MetricRegistry* registry() { return registry_.get(); }
+  /// The catalog's registry, which every engine metric lives in.
+  obs::MetricRegistry* registry() { return catalog_->registry(); }
 
   /// Current time on the engine's clock, in microseconds. The time base of
   /// every response's time= token and of the session-level histograms, so
@@ -142,12 +141,6 @@ class QueryEngine {
   int64_t NowMicros() const {
     return clock_ ? clock_() : obs::SteadyNowMicros();
   }
-
-  /// Copies the mutex-guarded structural counters (catalog, result caches,
-  /// context residency) into their registry mirrors. Called by the
-  /// `metrics` verb before rendering; cheap enough for any scrape cadence
-  /// (one lock per structure, try_lock on contexts).
-  void RefreshMetrics();
 
  private:
   /// Re-publishes the entry's context byte charge to the governor after a
@@ -173,9 +166,9 @@ class QueryEngine {
   GraphCatalog* catalog_;
   ThreadPool* pool_;
 
-  // Observability plumbing. Counters/histograms live in the registry and
-  // are resolved once here; recording through them is lock-free.
-  std::unique_ptr<obs::MetricRegistry> registry_;
+  // Observability plumbing. Counters/histograms live in the catalog's
+  // registry and are resolved once here; recording through them is
+  // lock-free.
   obs::SlowQueryLog* slowlog_;
   obs::ClockMicros clock_;
   store::MemoryGovernor* const governor_;  // the catalog's
@@ -183,8 +176,7 @@ class QueryEngine {
   // Internally synchronized (one mutex each); no engine-wide cache lock
   // exists. Request counters and wave telemetry are registry-backed
   // lock-free counters — each individually exact, read as a moment-in-time
-  // snapshot by stats() (which stays byte-compatible: the counters
-  // increment at exactly the points the former atomics did).
+  // snapshot by stats().
   LruCache<DetectionResult> detect_cache_;
   LruCache<GroundTruth> truth_cache_;
   obs::Counter* detect_queries_;

@@ -11,9 +11,7 @@ namespace vulnds::serve {
 ServeLoopStats RunServeLoop(std::istream& in, std::ostream& out,
                             QueryEngine& engine, UpdateBackend* updates,
                             ServerStats* server) {
-  if (server != nullptr) {
-    server->sessions_started.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (server != nullptr) server->sessions_started->Increment();
   ServeSession session(&engine, updates, server);
   std::string line;
   for (;;) {
@@ -28,9 +26,7 @@ ServeLoopStats RunServeLoop(std::istream& in, std::ostream& out,
     out.flush();
     if (!keep_going) break;
   }
-  if (server != nullptr) {
-    server->sessions_finished.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (server != nullptr) server->sessions_finished->Increment();
   return session.stats();
 }
 

@@ -10,7 +10,6 @@
 #include "common/parse.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
-#include "serve/metrics_export.h"
 #include "serve/protocol.h"
 #include "simd/dispatch.h"
 #include "vulnds/ground_truth.h"
@@ -55,29 +54,38 @@ ReadLineResult ReadRequestLine(std::istream& in, std::string* line,
   }
 }
 
+ServerStats::ServerStats(obs::MetricRegistry& registry)
+    : sessions_started(
+          registry.GetCounter("vulnds_server_sessions_started_total",
+                              "Sessions accepted by the serve front")),
+      sessions_finished(
+          registry.GetCounter("vulnds_server_sessions_finished_total",
+                              "Sessions that ran to quit or EOF")),
+      requests(registry.GetCounter(
+          "vulnds_server_requests_total",
+          "Request lines processed across all sessions")),
+      errors(registry.GetCounter("vulnds_server_errors_total",
+                                 "err responses emitted across all sessions")),
+      updates(registry.GetCounter("vulnds_server_updates_total",
+                                  "Accepted update verbs (commits included)")) {}
+
 ServeSession::ServeSession(QueryEngine* engine, UpdateBackend* updates,
                            ServerStats* server)
     : engine_(engine), updates_(updates), server_(server) {}
 
 void ServeSession::CountRequest() {
   ++stats_.requests;
-  if (server_ != nullptr) {
-    server_->requests.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (server_ != nullptr) server_->requests->Increment();
 }
 
 void ServeSession::CountUpdate() {
   ++stats_.updates;
-  if (server_ != nullptr) {
-    server_->updates.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (server_ != nullptr) server_->updates->Increment();
 }
 
 void ServeSession::Err(std::ostream& out, const std::string& message) {
   ++stats_.errors;
-  if (server_ != nullptr) {
-    server_->errors.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (server_ != nullptr) server_->errors->Increment();
   out << "err " << message << "\n";
 }
 
@@ -332,23 +340,21 @@ void ServeSession::HandleStats(const ServeRequest& r, std::ostream& out) {
     out << "store_budget_bytes=" << catalog.governor()->budget() << "\n";
     out << "journal_bytes="
         << (updates_ != nullptr ? updates_->JournalBytes() : 0) << "\n";
-    // Warm DetectionContext intermediates grow with query traffic and are
-    // deliberately NOT charged to the catalog byte budget; reported
-    // separately so catalog_bytes= does not understate hot-graph residency.
+    // Warm DetectionContext intermediates grow with query traffic. The
+    // engine charges them to the governor as ChargeClass::kContext, the
+    // first class it sheds; catalog_bytes= counts snapshots only, so they
+    // are reported on their own line.
     const ContextResidency contexts = catalog.WarmContexts();
     out << "context_bytes=" << contexts.bytes << "\n";
     out << "context_busy=" << contexts.busy << "\n";
     out << "catalog_evictions=" << c.evictions << "\n";
     if (server_ != nullptr) {
       // Relaxed snapshot: each counter exact, the set read at one moment.
-      out << "server sessions_started="
-          << server_->sessions_started.load(std::memory_order_relaxed)
-          << " sessions_finished="
-          << server_->sessions_finished.load(std::memory_order_relaxed)
-          << " requests=" << server_->requests.load(std::memory_order_relaxed)
-          << " errors=" << server_->errors.load(std::memory_order_relaxed)
-          << " updates=" << server_->updates.load(std::memory_order_relaxed)
-          << "\n";
+      out << "server sessions_started=" << server_->sessions_started->Value()
+          << " sessions_finished=" << server_->sessions_finished->Value()
+          << " requests=" << server_->requests->Value()
+          << " errors=" << server_->errors->Value()
+          << " updates=" << server_->updates->Value() << "\n";
     }
     // The whole session state in one parseable line: loop counters (the
     // stats request itself is already counted) plus the result cache. The
@@ -387,10 +393,11 @@ void ServeSession::HandleStats(const ServeRequest& r, std::ostream& out) {
 }
 
 void ServeSession::HandleMetrics(std::ostream& out) {
-  // One registry, one renderer: the exposition the `metrics` verb returns
-  // is byte-identical to what a future socket scrape endpoint would serve.
+  // One registry, one renderer: every counter is already in the catalog's
+  // registry; only the gauges are read at scrape time.
+  engine_->catalog().RefreshMetrics();
   out << "ok metrics\n";
-  out << RenderServeMetrics(*engine_, server_);
+  out << engine_->registry()->RenderPrometheus();
   out << ".\n";
 }
 

@@ -12,18 +12,16 @@
 // Counter consistency story (the serve stack's single source of truth):
 //   * ServeLoopStats is per-session and plain — exactly one session thread
 //     ever touches it, and it is read only after the session finished.
-//   * ServerStats (shared across sessions) is all relaxed atomics — each
-//     counter is individually exact and never torn; a cross-counter read
-//     (the `stats` verb) is a moment-in-time snapshot, not a transaction.
-//   * Catalog and result-cache counters are guarded by that structure's
-//     mutex; QueryEngine request/telemetry counters are relaxed atomics.
-//     Aggregates read the guarded values, so they can lag in-flight
-//     requests but can never report a torn half-written value.
+//   * Everything else — ServerStats (shared across sessions), the engine,
+//     result-cache and catalog counters — is a series of the catalog's
+//     metric registry, counted in place with relaxed atomics. Each counter
+//     is individually exact and never torn; a cross-counter read (the
+//     `stats` verb, a `metrics` scrape) is a moment-in-time snapshot, not
+//     a transaction, and both read the same series.
 
 #ifndef VULNDS_SERVE_SESSION_H_
 #define VULNDS_SERVE_SESSION_H_
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <iosfwd>
@@ -45,14 +43,17 @@ struct ServeLoopStats {
   std::size_t updates = 0;   ///< accepted update verbs (incl. commits)
 };
 
-/// Server-level counters shared by every session of one front end.
-/// Relaxed atomics: see the consistency story above.
+/// Server-level counters shared by every session of one front end: the
+/// vulnds_server_*_total series of `registry`, resolved at construction.
+/// Fronts over one registry share them.
 struct ServerStats {
-  std::atomic<std::size_t> sessions_started{0};
-  std::atomic<std::size_t> sessions_finished{0};
-  std::atomic<std::size_t> requests{0};
-  std::atomic<std::size_t> errors{0};
-  std::atomic<std::size_t> updates{0};
+  explicit ServerStats(obs::MetricRegistry& registry);
+
+  obs::Counter* const sessions_started;
+  obs::Counter* const sessions_finished;
+  obs::Counter* const requests;
+  obs::Counter* const errors;
+  obs::Counter* const updates;
 };
 
 /// Hard cap on one protocol line: a hostile client streaming bytes without a

@@ -20,6 +20,7 @@
 #include "common/crc32.h"
 #include "common/failpoint.h"
 #include "dyn/journal.h"
+#include "testing/temp_path.h"
 
 namespace vulnds {
 namespace {
@@ -33,12 +34,7 @@ class AtomicFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fail::DisarmAll();
-    dir_ = ::testing::TempDir() + "/atomic_file_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ::mkdir(dir_.c_str(), 0777);
-    for (const std::string& name : List()) {
-      std::remove((dir_ + "/" + name).c_str());
-    }
+    dir_ = testing::TestTempDir("atomic_file");
   }
   void TearDown() override { fail::DisarmAll(); }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dyn/journal.h"
+#include "testing/temp_path.h"
 
 namespace vulnds {
 namespace {
@@ -75,8 +76,7 @@ TEST(Crc32Test, ExtendOverAnySplitEqualsOnePass) {
 TEST(Crc32Test, JournalFrameBytesArePinned) {
   // [len u32 LE][crc u32 LE][payload] for one commit barrier record. A
   // change here means journals written by earlier builds no longer replay.
-  const std::string path = ::testing::TempDir() + "/crc32_pinned_frame.log";
-  std::remove(path.c_str());
+  const std::string path = testing::TestTempPath("pinned_frame.log");
   {
     Result<std::unique_ptr<dyn::DeltaJournal>> journal =
         dyn::DeltaJournal::Open(path);

@@ -19,14 +19,13 @@
 #include "serve/graph_catalog.h"
 #include "serve/query_engine.h"
 #include "serve/server.h"
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds::dyn {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing::TestTempPath;
 
 std::string FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -42,7 +41,7 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
 }
 
 TEST(DeltaJournalTest, AppendReopenRecovers) {
-  const std::string path = TempPath("journal_basic.log");
+  const std::string path = TestTempPath("journal_basic.log");
   std::remove(path.c_str());
   {
     Result<std::unique_ptr<DeltaJournal>> journal = DeltaJournal::Open(path);
@@ -66,7 +65,7 @@ TEST(DeltaJournalTest, AppendReopenRecovers) {
 }
 
 TEST(DeltaJournalTest, OversizeRecordRejected) {
-  const std::string path = TempPath("journal_oversize.log");
+  const std::string path = TestTempPath("journal_oversize.log");
   std::remove(path.c_str());
   Result<std::unique_ptr<DeltaJournal>> journal = DeltaJournal::Open(path);
   ASSERT_TRUE(journal.ok());
@@ -76,7 +75,7 @@ TEST(DeltaJournalTest, OversizeRecordRejected) {
 }
 
 TEST(DeltaJournalTest, CorruptMiddleRecordTruncatesFromThere) {
-  const std::string path = TempPath("journal_corrupt.log");
+  const std::string path = TestTempPath("journal_corrupt.log");
   std::remove(path.c_str());
   std::size_t first_frame = 0;
   {
@@ -102,7 +101,7 @@ TEST(DeltaJournalTest, CorruptMiddleRecordTruncatesFromThere) {
 // records that fit completely before the cut — the longest valid prefix —
 // and the journal stays appendable afterwards.
 TEST(DeltaJournalTest, TruncationAtEveryByteRecoversLongestValidPrefix) {
-  const std::string path = TempPath("journal_prop.log");
+  const std::string path = TestTempPath("journal_prop.log");
   std::remove(path.c_str());
   const std::vector<std::string> payloads = {
       "open g 1 base.graph", "add g 0 1 0.25", "del g 2 3",
@@ -118,7 +117,7 @@ TEST(DeltaJournalTest, TruncationAtEveryByteRecoversLongestValidPrefix) {
   }
   const std::string bytes = FileBytes(path);
   ASSERT_EQ(bytes.size(), boundaries.back());
-  const std::string cut_path = TempPath("journal_prop_cut.log");
+  const std::string cut_path = TestTempPath("journal_prop_cut.log");
   for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
     std::remove(cut_path.c_str());
     WriteBytes(cut_path, bytes.substr(0, cut));
@@ -171,11 +170,11 @@ RecoveredServer Recover(const std::string& journal_path) {
 }
 
 TEST(JournalRecoveryTest, CommittedVersionsSurviveRestartBitIdentically) {
-  const std::string graph_path = TempPath("journal_rec_base.snap");
+  const std::string graph_path = TestTempPath("journal_rec_base.snap");
   ASSERT_TRUE(WriteGraphFile(testing::RandomSmallGraph(30, 0.2, 9),
                              graph_path, GraphFileFormat::kBinary)
                   .ok());
-  const std::string journal_path = TempPath("journal_rec.log");
+  const std::string journal_path = TestTempPath("journal_rec.log");
   std::remove(journal_path.c_str());
 
   std::string v1_snapshot;  // serialized g@v1 from the first process
@@ -194,7 +193,7 @@ TEST(JournalRecoveryTest, CommittedVersionsSurviveRestartBitIdentically) {
     ASSERT_TRUE(updates.AddEdge("g", 2, 9, 0.125).ok());  // staged, no commit
     const auto v1 = catalog.Get("g@v1");
     ASSERT_NE(v1, nullptr);
-    const std::string out = TempPath("journal_rec_v1_before.snap");
+    const std::string out = TestTempPath("journal_rec_v1_before.snap");
     ASSERT_TRUE(
         WriteGraphFile(v1->graph, out, GraphFileFormat::kBinary).ok());
     v1_snapshot = FileBytes(out);
@@ -219,7 +218,7 @@ TEST(JournalRecoveryTest, CommittedVersionsSurviveRestartBitIdentically) {
 
   // v1 is bit-identical to the pre-crash snapshot.
   const auto v1 = server.catalog->Get("g@v1");
-  const std::string out = TempPath("journal_rec_v1_after.snap");
+  const std::string out = TestTempPath("journal_rec_v1_after.snap");
   ASSERT_TRUE(WriteGraphFile(v1->graph, out, GraphFileFormat::kBinary).ok());
   EXPECT_EQ(FileBytes(out), v1_snapshot);
 
@@ -236,11 +235,11 @@ TEST(JournalRecoveryTest, CommittedVersionsSurviveRestartBitIdentically) {
 // the tail ops staged — verified through a scripted serve session, the
 // same surface an operator sees.
 TEST(JournalRecoveryTest, KillMidCommitKeepsCommittedPrefixThroughServe) {
-  const std::string graph_path = TempPath("journal_kill_base.snap");
+  const std::string graph_path = TestTempPath("journal_kill_base.snap");
   ASSERT_TRUE(WriteGraphFile(testing::RandomSmallGraph(25, 0.2, 13),
                              graph_path, GraphFileFormat::kBinary)
                   .ok());
-  const std::string journal_path = TempPath("journal_kill.log");
+  const std::string journal_path = TestTempPath("journal_kill.log");
   std::remove(journal_path.c_str());
 
   std::size_t bytes_before_second_commit = 0;
@@ -291,7 +290,7 @@ TEST(JournalRecoveryTest, KillMidCommitKeepsCommittedPrefixThroughServe) {
 }
 
 TEST(JournalRecoveryTest, MemorySourcedLineageIsSkippedNotFatal) {
-  const std::string journal_path = TempPath("journal_mem.log");
+  const std::string journal_path = TestTempPath("journal_mem.log");
   std::remove(journal_path.c_str());
   {
     serve::GraphCatalog catalog;

@@ -21,6 +21,7 @@
 #include "serve/graph_catalog.h"
 #include "serve/query_engine.h"
 #include "serve/session.h"
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds::serve {
@@ -30,9 +31,7 @@ using dyn::DeltaJournal;
 using dyn::JournalReplayStats;
 using dyn::UpdateManager;
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing::TestTempPath;
 
 class FaultInjectionTest : public ::testing::Test {
  protected:
@@ -85,11 +84,11 @@ bool StartsWith(const std::string& text, const std::string& prefix) {
 // SAME version commits successfully. Every version that ever answered
 // "ok committed" survives a restart replay.
 TEST_F(FaultInjectionTest, FsyncFailuresAnswerErrAndNeverTearCommits) {
-  const std::string graph_path = TempPath("fault_fsync_base.snap");
+  const std::string graph_path = TestTempPath("fault_fsync_base.snap");
   ASSERT_TRUE(WriteGraphFile(testing::PaperExampleGraph(0.2), graph_path,
                              GraphFileFormat::kBinary)
                   .ok());
-  const std::string journal_path = TempPath("fault_fsync.log");
+  const std::string journal_path = TestTempPath("fault_fsync.log");
   std::remove(journal_path.c_str());
 
   std::vector<std::string> committed;  // versioned names the client saw ok'd
@@ -143,7 +142,7 @@ TEST_F(FaultInjectionTest, FsyncFailuresAnswerErrAndNeverTearCommits) {
 // stays append-consistent even when the injected failure tears a record in
 // half on disk.
 TEST_F(FaultInjectionTest, AppendFailureRollsTheOpBack) {
-  const std::string graph_path = TempPath("fault_append_base.snap");
+  const std::string graph_path = TestTempPath("fault_append_base.snap");
   ASSERT_TRUE(WriteGraphFile(testing::PaperExampleGraph(0.2), graph_path,
                              GraphFileFormat::kBinary)
                   .ok());
@@ -154,7 +153,7 @@ TEST_F(FaultInjectionTest, AppendFailureRollsTheOpBack) {
   for (const char* spec : {"every:1:eio", "every:1:short"}) {
     SCOPED_TRACE(spec);
     fail::DisarmAll();
-    const std::string journal_path = TempPath(
+    const std::string journal_path = TestTempPath(
         std::string("fault_append_") +
         (std::string(spec).find("short") != std::string::npos ? "short"
                                                               : "eio") +
@@ -201,10 +200,10 @@ TEST_F(FaultInjectionTest, ReplayUnderSpillFaultsNeverDamagesTheJournal) {
     ASSERT_TRUE(b.AddEdge(v, (v + 1) % 200, 0.5).ok());
   }
   const UncertainGraph ring = b.Build().MoveValue();
-  const std::string graph_path = TempPath("fault_replay_ring.snap");
+  const std::string graph_path = TestTempPath("fault_replay_ring.snap");
   ASSERT_TRUE(
       WriteGraphFile(ring, graph_path, GraphFileFormat::kBinary).ok());
-  const std::string journal_path = TempPath("fault_replay_spill.log");
+  const std::string journal_path = TestTempPath("fault_replay_spill.log");
   std::remove(journal_path.c_str());
 
   {  // Build a 2-version lineage + staged tail with no faults, no spill.
@@ -222,7 +221,7 @@ TEST_F(FaultInjectionTest, ReplayUnderSpillFaultsNeverDamagesTheJournal) {
     governor_options.budget_bytes = serve::EstimateGraphBytes(ring) + 512;
     store::MemoryGovernor governor(governor_options);
     GraphCatalogOptions catalog_options;
-    catalog_options.spill_dir = TempPath("fault_replay_spill_dir");
+    catalog_options.spill_dir = TestTempPath("fault_replay_spill_dir");
     catalog_options.governor = &governor;
     auto catalog = std::make_unique<GraphCatalog>(catalog_options);
     Result<std::unique_ptr<DeltaJournal>> journal =
@@ -263,11 +262,11 @@ TEST_F(FaultInjectionTest, ReplayUnderSpillFaultsNeverDamagesTheJournal) {
 // ok/err line; after the faults burn off, a retried commit succeeds and a
 // restart replay agrees with what the client was told.
 TEST_F(FaultInjectionTest, AllSitesFailOnceSweepKeepsServing) {
-  const std::string graph_path = TempPath("fault_sweep_base.snap");
+  const std::string graph_path = TestTempPath("fault_sweep_base.snap");
   ASSERT_TRUE(WriteGraphFile(testing::PaperExampleGraph(0.2), graph_path,
                              GraphFileFormat::kBinary)
                   .ok());
-  const std::string journal_path = TempPath("fault_sweep.log");
+  const std::string journal_path = TestTempPath("fault_sweep.log");
   std::remove(journal_path.c_str());
 
   {
@@ -279,7 +278,7 @@ TEST_F(FaultInjectionTest, AllSitesFailOnceSweepKeepsServing) {
 
     const std::vector<std::string> script = {
         "detect g 2",         "addedge g 4 0 0.5", "commit g",
-        "save g " + TempPath("fault_sweep_out.snap") + " binary",
+        "save g " + TestTempPath("fault_sweep_out.snap") + " binary",
         "versions g",           "stats g",           "detect g 2",
     };
     for (const std::string& line : script) {

@@ -15,14 +15,13 @@
 #include "dyn/update_manager.h"
 #include "graph/graph_io.h"
 #include "serve/graph_catalog.h"
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds::dyn {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing::TestTempPath;
 
 class JournalCompactTest : public ::testing::Test {
  protected:
@@ -85,11 +84,11 @@ void ExpectRecoveredState(const std::string& journal_path,
 // 6-edge paper graph) and one staged op; returns the journal path.
 std::string BuildLineage(const std::string& tag, UpdateManager** out_updates,
                          Server* keep) {
-  const std::string graph_path = TempPath("compact_" + tag + "_base.snap");
+  const std::string graph_path = TestTempPath("compact_" + tag + "_base.snap");
   EXPECT_TRUE(WriteGraphFile(testing::PaperExampleGraph(0.2), graph_path,
                              GraphFileFormat::kBinary)
                   .ok());
-  const std::string journal_path = TempPath("compact_" + tag + ".log");
+  const std::string journal_path = TestTempPath("compact_" + tag + ".log");
   std::remove(journal_path.c_str());
 
   keep->catalog = std::make_unique<serve::GraphCatalog>();
@@ -129,11 +128,11 @@ TEST_F(JournalCompactTest, CompactionPreservesVersionsAndStagedTail) {
 }
 
 TEST_F(JournalCompactTest, ThresholdTriggersCompactionAndBoundsTheJournal) {
-  const std::string graph_path = TempPath("compact_bound_base.snap");
+  const std::string graph_path = TestTempPath("compact_bound_base.snap");
   ASSERT_TRUE(WriteGraphFile(testing::PaperExampleGraph(0.2), graph_path,
                              GraphFileFormat::kBinary)
                   .ok());
-  const std::string journal_path = TempPath("compact_bound.log");
+  const std::string journal_path = TestTempPath("compact_bound.log");
   std::remove(journal_path.c_str());
 
   constexpr std::size_t kThreshold = 2048;

@@ -18,6 +18,7 @@
 #include "graph/graph_io.h"
 #include "serve/graph_catalog.h"
 #include "serve/query_engine.h"
+#include "serve/session.h"
 #include "store/memory_governor.h"
 #include "testing/snapshot_bytes.h"
 #include "testing/temp_path.h"
@@ -143,9 +144,7 @@ TEST_F(SpillFaultTest, StartupGcReclaimsOrphansAndDeadPids) {
   EXPECT_EQ(catalog.spill_orphans_reclaimed(), 3u);
   const std::vector<std::string> left = ListDir(dir);
   EXPECT_TRUE(left.empty()) << left.size() << " files left";
-  QueryEngine engine(&catalog);
-  engine.RefreshMetrics();
-  EXPECT_NE(engine.registry()->RenderPrometheus().find(
+  EXPECT_NE(catalog.registry()->RenderPrometheus().find(
                 "vulnds_store_spill_orphans_reclaimed_total 3\n"),
             std::string::npos);
 }
@@ -336,6 +335,25 @@ TEST_F(SpillFaultTest, FailedSpillWriteKeepsSnapshotResident) {
   fail::DisarmAll();
   governor.MaybeShed();
   EXPECT_EQ(catalog.spilled_count(), 1u);
+}
+
+// A spill-write retry on a catalog no engine has been built over yet is
+// counted in the catalog's registry, so the first engine's `metrics` scrape
+// reports it.
+TEST_F(SpillFaultTest, SpillWriteRetryBeforeAnyEngineShowsInItsScrape) {
+  const std::string dir = TestTempDir("spill");
+  ASSERT_TRUE(fail::Arm(fail::points::kSpillWrite, "once:enospc").ok());
+  SpillRig rig = SpillOne(dir, "retry");
+  EXPECT_EQ(fail::Hits(fail::points::kSpillWrite), 1u);
+
+  QueryEngine engine(rig.catalog.get());
+  ServeSession session(&engine);
+  std::ostringstream out;
+  session.HandleLine("metrics", out);
+  EXPECT_NE(out.str().find("vulnds_store_io_errors_total{site=\"spill_write\","
+                           "outcome=\"retried\"} 1\n"),
+            std::string::npos)
+      << out.str();
 }
 
 // A clean page corrupted while its snapshot is resident: the re-spill

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds {
@@ -75,7 +76,7 @@ TEST(GraphIoTest, InvalidProbabilityRejected) {
 
 TEST(GraphIoTest, FileRoundTrip) {
   UncertainGraph g = testing::ChainGraph(0.3, 0.6);
-  const std::string path = ::testing::TempDir() + "/vulnds_io_test.graph";
+  const std::string path = testing::TestTempPath("io_test.graph");
   ASSERT_TRUE(WriteGraphFile(g, path).ok());
   Result<UncertainGraph> back = ReadGraphFile(path);
   ASSERT_TRUE(back.ok());

@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "graph/graph_io.h"
 #include "testing/snapshot_bytes.h"
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds {
@@ -78,7 +79,7 @@ TEST(GraphPageTest, WrongCrcIsRejectedBeforeAssembly) {
 
 TEST(GraphPageTest, MissingFileIsAnIoError) {
   Result<UncertainGraph> back =
-      ReadGraphPage(::testing::TempDir() + "/page_missing.vg2", 0);
+      ReadGraphPage(testing::TestTempPath("missing.vg2"), 0);
   EXPECT_EQ(back.status().code(), StatusCode::kIOError);
 }
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -26,6 +27,8 @@
 #include "serve/graph_catalog.h"
 #include "serve/query_engine.h"
 #include "serve/server.h"
+#include "testing/snapshot_bytes.h"
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds::net {
@@ -41,11 +44,7 @@ serve::QueryEngineOptions FixedClockOptions() {
   return options;
 }
 
-std::string WriteTempGraph(const UncertainGraph& g, const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
-  EXPECT_TRUE(WriteGraphFile(g, path, GraphFileFormat::kBinary).ok());
-  return path;
-}
+using testing::WriteTempGraph;
 
 // Everything the server says until it closes the connection.
 std::string ReadUntilEof(int fd, int timeout_ms = 30'000) {
@@ -83,7 +82,7 @@ std::string StdinBaseline(const std::string& script) {
   dyn::UpdateManager updates(&catalog, ZeroClock());
   // Server-level counters, like the CLI's stdin front wires up — the
   // `stats` verb's "server ..." line must appear on both sides.
-  serve::ServerStats server;
+  serve::ServerStats server(*engine.registry());
   std::istringstream in(script);
   std::ostringstream out;
   serve::RunServeLoop(in, out, engine, &updates, &server);
@@ -321,7 +320,9 @@ TEST(NetServerTest, UnixSocketServesSameProtocolAndUnlinksOnDrain) {
   const std::string baseline = StdinBaseline(script);
 
   NetServerOptions options;
-  options.unix_path = ::testing::TempDir() + "/vulnds_net_test.sock";
+  options.unix_path = testing::TestTempPath("s.sock");
+  ASSERT_LT(options.unix_path.size(), sizeof(sockaddr_un::sun_path))
+      << options.unix_path;
   TestServer ts(options);
   ASSERT_TRUE(ts.server.Start().ok());
   EXPECT_EQ(ts.server.tcp_port(), -1);

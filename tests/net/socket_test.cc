@@ -10,9 +10,12 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <string>
+
+#include "testing/temp_path.h"
 
 namespace vulnds::net {
 namespace {
@@ -43,8 +46,8 @@ TEST(SocketTest, AcceptedTcpConnectionHasNoDelay) {
 }
 
 TEST(SocketTest, AcceptsUnixConnection) {
-  const std::string path =
-      ::testing::TempDir() + "/socket_test." + std::to_string(::getpid());
+  const std::string path = testing::TestTempPath("s.sock");
+  ASSERT_LT(path.size(), sizeof(sockaddr_un::sun_path)) << path;
   Result<Socket> listener = ListenUnix(path, 4);
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
   Result<Socket> client = DialUnix(path);

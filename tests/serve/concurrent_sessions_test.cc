@@ -18,16 +18,13 @@
 #include "dyn/update_manager.h"
 #include "graph/graph_io.h"
 #include "serve/server.h"
+#include "testing/snapshot_bytes.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds::serve {
 namespace {
 
-std::string WriteTempGraph(const UncertainGraph& g, const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
-  EXPECT_TRUE(WriteGraphFile(g, path, GraphFileFormat::kBinary).ok());
-  return path;
-}
+using testing::WriteTempGraph;
 
 std::vector<std::string> Lines(const std::string& text) {
   std::vector<std::string> lines;
@@ -96,7 +93,7 @@ TEST(ConcurrentSessionsTest, ConcurrentDisjointSessionsMatchSerialTranscripts) {
   GraphCatalog catalog;
   QueryEngine engine(&catalog, FixedClockOptions());
   dyn::UpdateManager updates(&catalog, ZeroClock());
-  ServerStats stats;
+  ServerStats stats(*engine.registry());
   std::vector<std::istringstream> ins;
   std::vector<std::ostringstream> outs(kSessions);
   for (int i = 0; i < kSessions; ++i) ins.emplace_back(scripts[i]);
@@ -106,21 +103,21 @@ TEST(ConcurrentSessionsTest, ConcurrentDisjointSessionsMatchSerialTranscripts) {
     EXPECT_EQ(outs[i].str(), baselines[i])
         << "session " << i << " diverged from its single-session transcript";
   }
-  EXPECT_EQ(stats.sessions_started.load(),
+  EXPECT_EQ(stats.sessions_started->Value(),
             static_cast<std::size_t>(kSessions));
-  EXPECT_EQ(stats.sessions_finished.load(),
+  EXPECT_EQ(stats.sessions_finished->Value(),
             static_cast<std::size_t>(kSessions));
   // 7 non-blank lines per script.
-  EXPECT_EQ(stats.requests.load(), static_cast<std::size_t>(7 * kSessions));
-  EXPECT_EQ(stats.errors.load(), 0u);
-  EXPECT_EQ(stats.updates.load(), static_cast<std::size_t>(2 * kSessions));
+  EXPECT_EQ(stats.requests->Value(), static_cast<std::size_t>(7 * kSessions));
+  EXPECT_EQ(stats.errors->Value(), 0u);
+  EXPECT_EQ(stats.updates->Value(), static_cast<std::size_t>(2 * kSessions));
 }
 
 TEST(ConcurrentSessionsTest, SameGraphConcurrentCachedQueriesAreBitIdentical) {
   GraphCatalog catalog;
   QueryEngine engine(&catalog, FixedClockOptions());
   ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(24, 0.2, 11)).ok());
-  ServerStats stats;
+  ServerStats stats(*engine.registry());
 
   // Baseline: one session answers the query once (cold), then cached.
   const std::string query = "detect g 3 BSRBK seed=5\n";
@@ -165,7 +162,7 @@ TEST(ConcurrentSessionsTest, InterleavedUpdatesOnSharedGraphApplyExactlyOnce) {
   QueryEngine engine(&catalog);
   dyn::UpdateManager updates(&catalog);
   ASSERT_TRUE(catalog.Put("g", testing::PaperExampleGraph(0.2)).ok());
-  ServerStats stats;
+  ServerStats stats(*engine.registry());
 
   std::vector<std::istringstream> ins;
   ins.emplace_back("addedge g 4 0 0.5\ncommit g\nquit\n");
@@ -185,19 +182,19 @@ TEST(ConcurrentSessionsTest, InterleavedUpdatesOnSharedGraphApplyExactlyOnce) {
     total_ops += std::stoul(line.substr(pos + 5));
   }
   EXPECT_EQ(total_ops, 2u) << check_out.str();
-  EXPECT_EQ(stats.sessions_finished.load(), 3u);
+  EXPECT_EQ(stats.sessions_finished->Value(), 3u);
   // Both addedges always succeed; a commit can race to an empty staging
   // area and answer err, so updates is 3 or 4 and errors the complement.
-  EXPECT_GE(stats.updates.load(), 3u);
-  EXPECT_LE(stats.updates.load(), 4u);
-  EXPECT_EQ(stats.errors.load(), 4u - stats.updates.load());
+  EXPECT_GE(stats.updates->Value(), 3u);
+  EXPECT_LE(stats.updates->Value(), 4u);
+  EXPECT_EQ(stats.errors->Value(), 4u - stats.updates->Value());
 }
 
 TEST(ConcurrentSessionsTest, StatsVerbReportsServerAndShardDetail) {
   GraphCatalog catalog;
   QueryEngine engine(&catalog);
   ASSERT_TRUE(catalog.Put("g", testing::ChainGraph(0.3, 0.6)).ok());
-  ServerStats stats;
+  ServerStats stats(*engine.registry());
   std::istringstream in("detect g 2\nstats\nquit\n");
   std::ostringstream out;
   RunServeLoop(in, out, engine, nullptr, &stats);
@@ -221,7 +218,7 @@ TEST(ConcurrentSessionsTest, MetricsVerbRendersPrometheusExposition) {
   GraphCatalog catalog;
   QueryEngine engine(&catalog, FixedClockOptions());
   ASSERT_TRUE(catalog.Put("g", testing::ChainGraph(0.3, 0.6)).ok());
-  ServerStats stats;
+  ServerStats stats(*engine.registry());
   std::istringstream in("detect g 2\nmetrics\nquit\n");
   std::ostringstream out;
   RunServeLoop(in, out, engine, nullptr, &stats);
@@ -269,7 +266,7 @@ TEST(ConcurrentSessionsTest, ConcurrentColdSameGraphQueriesBatchCorrectly) {
   GraphCatalog catalog;
   QueryEngine engine(&catalog, FixedClockOptions());
   ASSERT_TRUE(catalog.Load("shared", path).ok());
-  ServerStats stats;
+  ServerStats stats(*engine.registry());
   std::vector<std::istringstream> ins;
   std::vector<std::ostringstream> outs(kSessions);
   for (int i = 0; i < kSessions; ++i) ins.emplace_back(scripts[i]);

@@ -10,17 +10,13 @@
 
 #include "common/rng.h"
 #include "graph/graph_io.h"
+#include "testing/snapshot_bytes.h"
 #include "testing/test_graphs.h"
 
 namespace vulnds::serve {
 namespace {
 
-std::string WriteTempGraph(const UncertainGraph& g, const std::string& name,
-                           GraphFileFormat format) {
-  const std::string path = ::testing::TempDir() + "/" + name;
-  EXPECT_TRUE(WriteGraphFile(g, path, format).ok());
-  return path;
-}
+using testing::WriteTempGraph;
 
 TEST(GraphCatalogTest, LoadTextAndBinary) {
   GraphCatalog catalog;

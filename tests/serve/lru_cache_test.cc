@@ -9,101 +9,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "store/memory_governor.h"
 
 namespace vulnds::serve {
 namespace {
-
-TEST(LruCacheTest, GetMissesOnEmpty) {
-  LruCache<int> cache(2);
-  EXPECT_EQ(cache.Get("a"), nullptr);
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST(LruCacheTest, PutThenGet) {
-  LruCache<int> cache(2);
-  cache.Put("a", 1);
-  const auto v = cache.Get("a");
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(*v, 1);
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache<int> cache(2);
-  cache.Put("a", 1);
-  cache.Put("b", 2);
-  ASSERT_NE(cache.Get("a"), nullptr);  // bump "a"; "b" is now LRU
-  cache.Put("c", 3);
-  EXPECT_EQ(cache.Get("b"), nullptr);
-  EXPECT_NE(cache.Get("a"), nullptr);
-  EXPECT_NE(cache.Get("c"), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(LruCacheTest, PutReplacesInPlace) {
-  LruCache<int> cache(2);
-  cache.Put("a", 1);
-  cache.Put("a", 9);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(*cache.Get("a"), 9);
-}
-
-TEST(LruCacheTest, PutOnResidentKeyRefreshesRecency) {
-  // Regression: a hot re-inserted entry must be spliced to the front, not
-  // left at the tail as the next eviction victim.
-  LruCache<int> cache(2);
-  cache.Put("hot", 1);
-  cache.Put("cold", 2);  // recency: cold > hot
-  cache.Put("hot", 3);   // re-insert must refresh recency: hot > cold
-  cache.Put("new", 4);   // evicts "cold", never "hot"
-  EXPECT_EQ(cache.Peek("cold"), nullptr);
-  ASSERT_NE(cache.Peek("hot"), nullptr);
-  EXPECT_EQ(*cache.Peek("hot"), 3);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(LruCacheTest, PeekNeitherCountsNorPromotes) {
-  LruCache<int> cache(2);
-  cache.Put("a", 1);
-  cache.Put("b", 2);
-  ASSERT_NE(cache.Peek("a"), nullptr);  // "a" stays LRU despite the peek
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-  cache.Put("c", 3);  // evicts "a"
-  EXPECT_EQ(cache.Peek("a"), nullptr);
-  EXPECT_NE(cache.Peek("b"), nullptr);
-}
-
-TEST(LruCacheTest, EvictedEntryStaysValidForHolders) {
-  LruCache<int> cache(1);
-  cache.Put("a", 7);
-  const auto held = cache.Get("a");
-  cache.Put("b", 8);  // evicts "a"
-  EXPECT_EQ(cache.Get("a"), nullptr);
-  ASSERT_NE(held, nullptr);
-  EXPECT_EQ(*held, 7);  // the shared_ptr keeps the value alive
-}
-
-TEST(LruCacheTest, ZeroCapacityDisables) {
-  LruCache<int> cache(0);
-  cache.Put("a", 1);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Get("a"), nullptr);
-}
-
-TEST(LruCacheTest, EraseAndClear) {
-  LruCache<int> cache(4);
-  cache.Put("a", 1);
-  cache.Put("b", 2);
-  EXPECT_TRUE(cache.Erase("a"));
-  EXPECT_FALSE(cache.Erase("a"));
-  EXPECT_EQ(cache.size(), 1u);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Get("b"), nullptr);
-}
 
 // The byte-aware tests charge each int its own value as its size, so the
 // arithmetic is visible in the test body.
@@ -119,11 +29,11 @@ store::MemoryGovernorOptions Budget(std::size_t bytes) {
 
 // The cache as QueryEngine wires it: every entry charged its value in bytes
 // to a governor (budget 0 = accounting only) whose result class sheds from
-// this cache.
+// this cache, and counted into a registry of its own.
 struct GovernedCache {
   explicit GovernedCache(std::size_t capacity, std::size_t budget = 0)
       : governor(Budget(budget)),
-        cache(capacity, ValueAsBytes(), &governor),
+        cache(capacity, ValueAsBytes(), governor, registry, "test"),
         shedder(governor.RegisterShedder(
             store::ChargeClass::kResult,
             [this](std::size_t want) { return cache.ShedBytes(want); })) {}
@@ -132,9 +42,110 @@ struct GovernedCache {
   }
 
   store::MemoryGovernor governor;
+  obs::MetricRegistry registry;
   LruCache<int> cache;
   store::MemoryGovernor::Registration shedder;
 };
+
+TEST(LruCacheTest, GetMissesOnEmpty) {
+  GovernedCache governed(2);
+  LruCache<int>& cache = governed.cache;
+  EXPECT_EQ(cache.Get("a"), nullptr);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(LruCacheTest, PutThenGet) {
+  GovernedCache governed(2);
+  LruCache<int>& cache = governed.cache;
+  cache.Put("a", 1);
+  const auto v = cache.Get("a");
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(*v, 1);
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
+  GovernedCache governed(2);
+  LruCache<int>& cache = governed.cache;
+  cache.Put("a", 1);
+  cache.Put("b", 2);
+  ASSERT_NE(cache.Get("a"), nullptr);  // bump "a"; "b" is now LRU
+  cache.Put("c", 3);
+  EXPECT_EQ(cache.Get("b"), nullptr);
+  EXPECT_NE(cache.Get("a"), nullptr);
+  EXPECT_NE(cache.Get("c"), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(LruCacheTest, PutReplacesInPlace) {
+  GovernedCache governed(2);
+  LruCache<int>& cache = governed.cache;
+  cache.Put("a", 1);
+  cache.Put("a", 9);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(*cache.Get("a"), 9);
+}
+
+TEST(LruCacheTest, PutOnResidentKeyRefreshesRecency) {
+  // Regression: a hot re-inserted entry must be spliced to the front, not
+  // left at the tail as the next eviction victim.
+  GovernedCache governed(2);
+  LruCache<int>& cache = governed.cache;
+  cache.Put("hot", 1);
+  cache.Put("cold", 2);  // recency: cold > hot
+  cache.Put("hot", 3);   // re-insert must refresh recency: hot > cold
+  cache.Put("new", 4);   // evicts "cold", never "hot"
+  EXPECT_EQ(cache.Peek("cold"), nullptr);
+  ASSERT_NE(cache.Peek("hot"), nullptr);
+  EXPECT_EQ(*cache.Peek("hot"), 3);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(LruCacheTest, PeekNeitherCountsNorPromotes) {
+  GovernedCache governed(2);
+  LruCache<int>& cache = governed.cache;
+  cache.Put("a", 1);
+  cache.Put("b", 2);
+  ASSERT_NE(cache.Peek("a"), nullptr);  // "a" stays LRU despite the peek
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  cache.Put("c", 3);  // evicts "a"
+  EXPECT_EQ(cache.Peek("a"), nullptr);
+  EXPECT_NE(cache.Peek("b"), nullptr);
+}
+
+TEST(LruCacheTest, EvictedEntryStaysValidForHolders) {
+  GovernedCache governed(1);
+  LruCache<int>& cache = governed.cache;
+  cache.Put("a", 7);
+  const auto held = cache.Get("a");
+  cache.Put("b", 8);  // evicts "a"
+  EXPECT_EQ(cache.Get("a"), nullptr);
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(*held, 7);  // the shared_ptr keeps the value alive
+}
+
+TEST(LruCacheTest, ZeroCapacityDisables) {
+  GovernedCache governed(0);
+  LruCache<int>& cache = governed.cache;
+  cache.Put("a", 1);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.Get("a"), nullptr);
+}
+
+TEST(LruCacheTest, EraseAndClear) {
+  GovernedCache governed(4);
+  LruCache<int>& cache = governed.cache;
+  cache.Put("a", 1);
+  cache.Put("b", 2);
+  EXPECT_TRUE(cache.Erase("a"));
+  EXPECT_FALSE(cache.Erase("a"));
+  EXPECT_EQ(cache.size(), 1u);
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.Get("b"), nullptr);
+}
 
 TEST(LruCacheTest, ByteBudgetEvictsEvenUnderEntryCapacity) {
   GovernedCache governed(10, 100);
@@ -188,12 +199,52 @@ TEST(LruCacheTest, ReplacementRebooksBytesExactly) {
 }
 
 TEST(LruCacheTest, HitRate) {
-  LruCache<int> cache(2);
+  GovernedCache governed(2);
+  LruCache<int>& cache = governed.cache;
   EXPECT_EQ(cache.stats().HitRate(), 0.0);
   cache.Put("a", 1);
   cache.Get("a");
   cache.Get("z");
   EXPECT_DOUBLE_EQ(cache.stats().HitRate(), 0.5);
+}
+
+// The counters are the registry's series, counted in place: stats() and a
+// scrape read the same values, and the entries gauge follows residency
+// through puts, evictions, erases, clears and destruction. Two caches of
+// one name over one registry share their series.
+TEST(LruCacheTest, CountsIntoItsRegistrySeries) {
+  store::MemoryGovernor governor;
+  obs::MetricRegistry registry;
+  const obs::LabelSet label{{"cache", "test"}};
+  obs::Gauge* entries =
+      registry.GetGauge("vulnds_cache_entries", "", label);
+  {
+    LruCache<int> cache(2, nullptr, governor, registry, "test");
+    cache.Put("a", 1);
+    cache.Put("b", 2);
+    cache.Put("c", 3);  // evicts "a"
+    cache.Get("b");
+    cache.Get("a");
+    EXPECT_EQ(entries->Value(), 2.0);
+    EXPECT_TRUE(cache.Erase("b"));
+    EXPECT_EQ(entries->Value(), 1.0);
+    EXPECT_EQ(registry.GetCounter("vulnds_cache_hits_total", "", label)
+                  ->Value(),
+              cache.stats().hits);
+    EXPECT_EQ(registry.GetCounter("vulnds_cache_evictions_total", "", label)
+                  ->Value(),
+              1u);
+    LruCache<int> twin(2, nullptr, governor, registry, "test");
+    twin.Put("z", 0);
+    EXPECT_EQ(entries->Value(), 2.0);
+    EXPECT_EQ(twin.stats().inserts, 4u);
+    cache.Clear();
+    EXPECT_EQ(entries->Value(), 1.0);
+  }
+  EXPECT_EQ(entries->Value(), 0.0);
+  EXPECT_EQ(registry.GetCounter("vulnds_cache_misses_total", "", label)
+                ->Value(),
+            1u);
 }
 // ---------------------------------------------------------------------------
 // Governed configuration: every test also checks that the governor's books
@@ -337,8 +388,9 @@ TEST(ShardedLruCacheTest, ShedBytesEvictsColdestFirstAndReportsFreed) {
 
 TEST(ShardedLruCacheTest, GovernorBooksMatchResidentBytes) {
   store::MemoryGovernor governor;  // accounting only
+  obs::MetricRegistry registry;
   {
-    LruCache<int> cache(10, ValueAsBytes(), &governor);
+    LruCache<int> cache(10, ValueAsBytes(), governor, registry, "test");
     cache.Put("a", 40);
     cache.Put("b", 25);
     EXPECT_EQ(governor.charged(store::ChargeClass::kResult), 65u);

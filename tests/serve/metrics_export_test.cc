@@ -1,10 +1,7 @@
 // The serve stack's observability surface: metric coverage of the
 // `metrics` exposition, per-stage latency accounting, slow-query logging
-// through the engine, deterministic clocks, and the stats() byte-compat
-// contract (registry-backed counters must count exactly what the old
-// atomics counted).
-
-#include "serve/metrics_export.h"
+// through the engine, deterministic clocks, and the stats() contract (the
+// views read the very registry series the scrape renders).
 
 #include <gtest/gtest.h>
 
@@ -46,6 +43,12 @@ DetectorOptions SmallDetect(std::size_t k = 3) {
   return options;
 }
 
+// What the `metrics` verb answers, without the ok/. framing.
+std::string Scrape(GraphCatalog& catalog) {
+  catalog.RefreshMetrics();
+  return catalog.registry()->RenderPrometheus();
+}
+
 TEST(MetricsExportTest, ExpositionCoversEveryServeSubsystem) {
   GraphCatalog catalog;
   ASSERT_TRUE(catalog.Put("g", testing::RandomSmallGraph(30, 0.15, 5)).ok());
@@ -54,10 +57,10 @@ TEST(MetricsExportTest, ExpositionCoversEveryServeSubsystem) {
   ASSERT_TRUE(engine.Detect("g", SmallDetect()).ok());  // cached
   ASSERT_TRUE(engine.Truth("g", 50, 7).ok());
 
-  ServerStats server;
-  server.sessions_started.store(3);
-  server.requests.store(17);
-  const std::string text = RenderServeMetrics(engine, &server);
+  ServerStats server(*engine.registry());
+  server.sessions_started->Increment(3);
+  server.requests->Increment(17);
+  const std::string text = Scrape(catalog);
 
   // Engine request counters and latency histograms, by verb and outcome.
   EXPECT_NE(text.find("vulnds_engine_requests_total{verb=\"detect\"} 2"),
@@ -84,7 +87,7 @@ TEST(MetricsExportTest, ExpositionCoversEveryServeSubsystem) {
   EXPECT_NE(text.find("\nvulnds_sampler_scratch_bytes " +
                       std::to_string(SamplerScratchBytes()) + "\n"),
             std::string::npos);
-  // Server counters mirrored from ServerStats.
+  // Server counters, counted in place by ServerStats.
   EXPECT_NE(text.find("vulnds_server_sessions_started_total 3"),
             std::string::npos);
   EXPECT_NE(text.find("vulnds_server_requests_total 17"), std::string::npos);
@@ -93,7 +96,7 @@ TEST(MetricsExportTest, ExpositionCoversEveryServeSubsystem) {
 TEST(MetricsExportTest, NullServerStatsOmitsServerFamilies) {
   GraphCatalog catalog;
   QueryEngine engine(&catalog);
-  const std::string text = RenderServeMetrics(engine, nullptr);
+  const std::string text = Scrape(catalog);
   EXPECT_EQ(text.find("vulnds_server_"), std::string::npos);
   EXPECT_NE(text.find("vulnds_engine_requests_total"), std::string::npos);
 }

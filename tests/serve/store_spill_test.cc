@@ -341,8 +341,7 @@ TEST(StoreSpillTest, SpillAndPageInHistogramsCountEveryCycle) {
   options.spill_dir = TestTempDir("spill");
   options.governor = &governor;
   GraphCatalog catalog(options);
-  obs::MetricRegistry registry;
-  catalog.BindObservability(&registry, nullptr);
+  obs::MetricRegistry& registry = *catalog.registry();
 
   for (std::size_t i = 0; i < names.size(); ++i) {
     ASSERT_TRUE(catalog.Load(names[i], paths[i]).ok());
@@ -367,6 +366,32 @@ TEST(StoreSpillTest, SpillAndPageInHistogramsCountEveryCycle) {
                 "vulnds_store_spill_micros_count " +
                 std::to_string(stats.spills) + "\n"),
             std::string::npos);
+}
+
+// The catalog's registry outlives the engines built over it: a page-in
+// after the last engine is gone still lands in vulnds_store_page_in_micros,
+// next to the requests that engine counted.
+TEST(StoreSpillTest, PageInAfterTheEngineIsDestroyedIsStillObserved) {
+  std::unique_ptr<TwoGraphRig> rig = MakeTwoGraphRig("after_engine");
+  GraphCatalog& catalog = *rig->catalog;
+  {
+    QueryEngine engine(&catalog);
+    DetectorOptions options;
+    options.k = 3;
+    ASSERT_TRUE(engine.Detect("g2", options).ok());
+  }
+  ASSERT_NE(PageIn(catalog, "g1"), nullptr);  // g1 was spilled by the rig
+
+  obs::MetricRegistry& registry = *catalog.registry();
+  const auto* page_in = registry.GetHistogram("vulnds_store_page_in_micros",
+                                              "", obs::LatencyBucketsMicros());
+  EXPECT_EQ(catalog.stats().page_ins, 1u);
+  EXPECT_EQ(page_in->Count(), 1u);
+  EXPECT_EQ(registry
+                .GetCounter("vulnds_engine_requests_total", "",
+                            {{"verb", "detect"}})
+                ->Value(),
+            1u);
 }
 
 // Races spill/page-back against concurrent readers; run under TSan this

@@ -37,6 +37,7 @@
 #include "serve/graph_catalog.h"
 #include "serve/query_engine.h"
 #include "serve/session.h"
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 
 #ifndef VULNDS_TESTS_DIR
@@ -166,7 +167,7 @@ UncertainGraph GoldenGraph() {
 }
 
 std::string BuildTranscript() {
-  const std::string dir = ::testing::TempDir() + "/wire_golden";
+  const std::string dir = testing::TestTempPath("wire_golden");
   const std::string journal_path = dir + ".journal";
   const std::string base_path = dir + "_base.graph";
   const std::string v1_path = dir + "_v1.graph";
@@ -198,7 +199,7 @@ std::string BuildTranscript() {
       dyn::DeltaJournal::Open(journal_path);
   EXPECT_TRUE(journal.ok()) << journal.status().ToString();
   dyn::UpdateManager updates(&catalog, journal->get(), ZeroClock());
-  ServerStats server;
+  ServerStats server(*engine.registry());
   ServeSession session(&engine, &updates, &server);
 
   // Awkward doubles through the exposition formatter: a gauge per value and
@@ -282,7 +283,7 @@ TEST(WireGoldenTest, TranscriptMatchesCommittedBytes) {
   const std::string actual = BuildTranscript();
   const std::string expected = ReadFile(kGoldenPath);
   if (actual != expected) {
-    const std::string dump = ::testing::TempDir() + "/wire_golden.actual";
+    const std::string dump = testing::TestKeptPath("wire_golden.actual");
     std::ofstream(dump, std::ios::binary) << actual;
     ADD_FAILURE() << "transcript differs from " << kGoldenPath
                   << "; got bytes written to " << dump;

@@ -9,18 +9,39 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
 
 namespace vulnds::testing {
 
-/// `name` in the test temp dir, prefixed with the running test's suite, test
-/// name and pid, so no other test case or concurrent run writes the same
-/// file. The file (or directory tree) is removed when the test process
-/// exits: with the pid in the name, every run would otherwise leave its own
-/// copies behind.
+/// `name` in the test temp dir, prefixed with a hash of the running test's
+/// suite and test name and with the pid, so no other test case or
+/// concurrent run writes the same file. The prefix has a fixed length, so a
+/// Unix socket path stays well under sun_path's 108 bytes and paths that a
+/// test writes into its files (journal side-file records) do not grow with
+/// the test's name. The file is left in place when the test process exits:
+/// for output a person reads after a failure.
+inline std::string TestKeptPath(const std::string& name) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string test = info == nullptr
+                               ? std::string("no_test")
+                               : std::string(info->test_suite_name()) + "." +
+                                     info->name();
+  char stem[16];
+  std::snprintf(stem, sizeof(stem), "t%08x",
+                static_cast<unsigned>(std::hash<std::string>{}(test)));
+  return ::testing::TempDir() + "/" + stem + "." +
+         std::to_string(::getpid()) + "." + name;
+}
+
+/// TestKeptPath(name), but the file (or directory tree) is removed when the
+/// test process exits: with the pid in the name, every run would otherwise
+/// leave its own copies behind.
 inline std::string TestTempPath(const std::string& name) {
   static struct Created {
     std::mutex mu;
@@ -32,17 +53,7 @@ inline std::string TestTempPath(const std::string& name) {
       }
     }
   } created;
-  const ::testing::TestInfo* info =
-      ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string stem = info == nullptr ? std::string("no_test")
-                                     : std::string(info->test_suite_name()) +
-                                           "." + info->name();
-  // Parameterized and typed test names carry '/'.
-  for (char& c : stem) {
-    if (c == '/') c = '_';
-  }
-  std::string path = ::testing::TempDir() + "/" + stem + "." +
-                     std::to_string(::getpid()) + "." + name;
+  std::string path = TestKeptPath(name);
   const std::lock_guard<std::mutex> lock(created.mu);
   created.paths.push_back(path);
   return path;

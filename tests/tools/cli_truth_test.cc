@@ -11,6 +11,7 @@
 #include <string>
 
 #include "graph/graph_io.h"
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 
 #ifndef VULNDS_CLI_PATH
@@ -42,7 +43,7 @@ CliRun RunCli(const std::string& args) {
 }
 
 TEST(CliTruthTest, RejectsKOutsideOneToN) {
-  const std::string path = ::testing::TempDir() + "/cli_truth.snap";
+  const std::string path = testing::TestTempPath("graph.snap");
   ASSERT_TRUE(WriteGraphFile(testing::RandomSmallGraph(20, 0.2, 9), path,
                              GraphFileFormat::kBinary)
                   .ok());
@@ -71,7 +72,7 @@ TEST(CliTruthTest, RejectsKOutsideOneToN) {
 }
 
 TEST(CliDetectTest, RejectsOutOfRangeAndRemovedArguments) {
-  const std::string path = ::testing::TempDir() + "/cli_detect.snap";
+  const std::string path = testing::TestTempPath("graph.snap");
   ASSERT_TRUE(WriteGraphFile(testing::RandomSmallGraph(131, 0.05, 3), path,
                              GraphFileFormat::kBinary)
                   .ok());
@@ -96,7 +97,7 @@ TEST(CliDetectTest, RejectsOutOfRangeAndRemovedArguments) {
 }
 
 TEST(CliDetectTest, ThreadsArgumentSizesThePoolWithinItsCap) {
-  const std::string path = ::testing::TempDir() + "/cli_detect_threads.snap";
+  const std::string path = testing::TestTempPath("graph.snap");
   ASSERT_TRUE(WriteGraphFile(testing::RandomSmallGraph(30, 0.15, 5), path,
                              GraphFileFormat::kBinary)
                   .ok());

@@ -632,8 +632,10 @@ int CmdServe(int argc, char** argv) {
     std::fprintf(stderr,
                  "serve drained: %zu sessions, %zu requests, %zu errors, "
                  "%zu updates; %zu rejected busy, %zu timeouts\n",
-                 stats.sessions_finished.load(), stats.requests.load(),
-                 stats.errors.load(), stats.updates.load(),
+                 static_cast<std::size_t>(stats.sessions_finished->Value()),
+                 static_cast<std::size_t>(stats.requests->Value()),
+                 static_cast<std::size_t>(stats.errors->Value()),
+                 static_cast<std::size_t>(stats.updates->Value()),
                  net_stats.rejected_busy,
                  net_stats.idle_timeouts + net_stats.read_timeouts +
                      net_stats.write_timeouts);
@@ -642,7 +644,7 @@ int CmdServe(int argc, char** argv) {
 
   // Server-level counters even for the single-session stdin front, so the
   // `metrics` verb exports the full vulnds_server_* family set.
-  serve::ServerStats server;
+  serve::ServerStats server(*engine.registry());
   const serve::ServeLoopStats stats = serve::RunServeLoop(
       std::cin, std::cout, engine, &updates, &server);
   std::fprintf(stderr, "serve session: %zu requests, %zu errors, %zu updates\n",
