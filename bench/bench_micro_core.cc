@@ -2,16 +2,19 @@
 // per-world cost of forward (128-world blocks) vs reverse sampling, the
 // block kernel's 64-world seeding coin per tier, the bound iterations and
 // candidate reduction — plus the serve hit path around a cached answer:
-// request parse and response render.
+// request parse, response render and the %.17g double format.
 
 #include <benchmark/benchmark.h>
 
+#include <charconv>
 #include <memory>
 #include <numeric>
 #include <ostream>
 #include <streambuf>
 #include <string>
+#include <vector>
 
+#include "common/parse.h"
 #include "common/rng.h"
 #include "gen/datasets.h"
 #include "serve/graph_catalog.h"
@@ -170,6 +173,44 @@ void BM_RenderDetectResponse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(k));
 }
 BENCHMARK(BM_RenderDetectResponse)->Arg(64)->Arg(256)->Arg(1024);
+
+// Score-shaped doubles: hit counts over world counts, as detect and truth
+// report them.
+std::vector<double> ScoreShapedDoubles() {
+  Rng rng(36);
+  std::vector<double> scores(4096);
+  for (double& s : scores) {
+    const uint64_t worlds = 1000 + rng.NextBounded(9000);
+    s = static_cast<double>(rng.NextBounded(worlds + 1)) /
+        static_cast<double>(worlds);
+  }
+  return scores;
+}
+
+// One double in the wire's %.17g form. Arg 0: AppendRoundTrip (the integer
+// kernel); arg 1: std::to_chars at precision 17, the formatter it replaced,
+// as the reference. Report-only.
+void BM_AppendRoundTrip(benchmark::State& state) {
+  const std::vector<double> scores = ScoreShapedDoubles();
+  const bool reference = state.range(0) == 1;
+  std::string text;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    text.clear();
+    const double v = scores[i++ % scores.size()];
+    if (reference) {
+      char buf[kMaxRoundTripChars];
+      const auto result = std::to_chars(buf, buf + sizeof(buf), v,
+                                        std::chars_format::general, 17);
+      text.append(buf, result.ptr);
+    } else {
+      AppendRoundTrip(&text, v);
+    }
+    benchmark::DoNotOptimize(text.data());
+  }
+  state.SetLabel(reference ? "to_chars" : "kernel");
+}
+BENCHMARK(BM_AppendRoundTrip)->Arg(0)->Arg(1);
 
 void BM_ParseServeRequest(benchmark::State& state) {
   const std::string lines[] = {

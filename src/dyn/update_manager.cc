@@ -47,6 +47,22 @@ std::string FormatProb(double prob) {
   return text;
 }
 
+// The directory of the file at `path`: "." for a bare name, "/" at the root.
+std::string DirectoryOf(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  return slash == 0 ? std::string("/") : path.substr(0, slash);
+}
+
+// The side file a `version` record names. Compaction writes a bare name in
+// the journal's directory; older journals wrote a path, absolute or relative
+// to the process's directory, which is used as it stands.
+std::string ResolveSideFile(const std::string& journal_path,
+                            const std::string& recorded) {
+  if (recorded.find('/') != std::string::npos) return recorded;
+  return DirectoryOf(journal_path) + "/" + recorded;
+}
+
 }  // namespace
 
 UpdateManager::UpdateManager(serve::GraphCatalog* catalog,
@@ -450,6 +466,13 @@ Status UpdateManager::CompactNowLocked() {
         "replay could not reconstruct — restart with readable side files "
         "first");
   }
+  // Side files sit beside the journal, and records name them relative to
+  // it: a full path in each of them would make the journal grow with
+  // versions x path length.
+  const std::string& jpath = journal_->path();
+  const std::string dir = DirectoryOf(jpath);
+  const std::string side_prefix =
+      jpath.substr(jpath.find_last_of('/') + 1) + ".v.";  // npos + 1 == 0
   std::vector<std::string> payloads;
   std::unordered_set<std::string> referenced_side_files;
   for (auto& [name, state] : states_) {
@@ -473,15 +496,15 @@ Status UpdateManager::CompactNowLocked() {
                                " for compaction: " +
                                resolved.status().message());
       }
-      const std::string side_path =
-          journal_->path() + ".v." + SanitizeForFilename(v.catalog_name) +
-          ".vg2";
-      VULNDS_RETURN_NOT_OK(WriteGraphFile((*resolved)->graph, side_path,
+      const std::string side_name =
+          side_prefix + SanitizeForFilename(v.catalog_name) + ".vg2";
+      VULNDS_RETURN_NOT_OK(WriteGraphFile((*resolved)->graph,
+                                          dir + "/" + side_name,
                                           GraphFileFormat::kBinary));
-      referenced_side_files.insert(side_path);
+      referenced_side_files.insert(side_name);
       payloads.push_back("version " + name + " " +
                          std::to_string(v.version) + " " +
-                         std::to_string(v.ops) + " " + side_path);
+                         std::to_string(v.ops) + " " + side_name);
     }
     if (has_staged) {
       for (const DeltaRecord& r : state.overlay->log().records()) {
@@ -510,24 +533,12 @@ Status UpdateManager::CompactNowLocked() {
   // Reclaim side files no longer referenced (dropped lineages, reloaded
   // bases): everything matching "<journal>.v.*" that the rewrite did not
   // emit. Best effort — an orphan costs disk, not correctness.
-  const std::string& jpath = journal_->path();
-  const std::size_t slash = jpath.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : jpath.substr(0, slash);
-  const std::string file_prefix =
-      (slash == std::string::npos ? jpath : jpath.substr(slash + 1)) + ".v.";
   if (DIR* d = ::opendir(dir.c_str())) {
     while (const dirent* ent = ::readdir(d)) {
       const std::string fname = ent->d_name;
-      if (fname.rfind(file_prefix, 0) != 0) continue;
-      // Reconstruct the path exactly as the rewrite spelled it (no "./"
-      // prefix for a relative journal path) so the referenced-set lookup
-      // compares like with like.
-      const std::string full =
-          slash == std::string::npos ? fname : dir + "/" + fname;
-      if (referenced_side_files.count(full) == 0) {
-        (void)std::remove(full.c_str());
+      if (fname.rfind(side_prefix, 0) != 0) continue;
+      if (referenced_side_files.count(fname) == 0) {
+        (void)std::remove((dir + "/" + fname).c_str());
       }
     }
     ::closedir(d);
@@ -678,7 +689,8 @@ Result<JournalReplayStats> UpdateManager::ReplayJournal() {
         std::string path;
         std::getline(in, path);
         if (!path.empty() && path.front() == ' ') path.erase(0, 1);
-        ok = ReplayVersionLocked(name, version, ops, path);
+        ok = ReplayVersionLocked(name, version, ops,
+                                 ResolveSideFile(journal_->path(), path));
         if (ok) ++rs.commits;
       }
     } else if (verb == "commit") {

@@ -44,9 +44,12 @@
 // threshold is set (SetJournalCompactThreshold, `serve
 // journal_compact_bytes=N`) a commit that leaves the journal above the
 // threshold rewrites it as: one `open` per live lineage, one `version`
-// record per committed version pointing at a binary snapshot side file
-// (`<journal>.v.<name>.vg2`, written crash-safely), and the staged-but-
-// uncommitted ops re-synthesized from the overlay. The swap is a single
+// record per committed version naming a binary snapshot side file
+// (`<journal>.v.<name>.vg2` beside the journal, written crash-safely), and
+// the staged-but-uncommitted ops re-synthesized from the overlay. A record
+// names its side file relative to the journal's directory, so the journal
+// does not grow with the length of its path and moves with its side files;
+// replay still accepts the paths older journals recorded in full. The swap is a single
 // rename() — a crash at any step of compaction leaves either the complete
 // old journal or the complete new one, never a mix.
 //

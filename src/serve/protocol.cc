@@ -191,9 +191,18 @@ Status ApplyDetectFlag(std::string_view token, DetectorOptions* options) {
 }
 
 std::string FormatRoundTrip(double value) {
-  std::string text;
-  AppendRoundTrip(&text, value);
-  return text;
+  char buf[kMaxRoundTripChars];
+  return std::string(buf, WriteRoundTrip(buf, value));
+}
+
+char* WriteRankedRow(char* out, uint64_t rank, NodeId node, double score) {
+  out = WriteDecimal(out, rank);
+  *out++ = ' ';
+  out = WriteDecimal(out, node);
+  *out++ = ' ';
+  out = WriteRoundTrip(out, score);
+  *out++ = '\n';
+  return out;
 }
 
 Result<ServeRequest> ParseServeRequest(std::string_view line) {

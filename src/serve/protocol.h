@@ -38,10 +38,13 @@
 #ifndef VULNDS_SERVE_PROTOCOL_H_
 #define VULNDS_SERVE_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 
+#include "common/parse.h"
 #include "common/status.h"
 #include "graph/graph_io.h"
 #include "vulnds/detector.h"
@@ -104,11 +107,23 @@ Result<Method> ParseMethodToken(std::string_view name);
 /// them (the CLI's own `threads=` pool width is parsed before this).
 Status ApplyDetectFlag(std::string_view token, DetectorOptions* options);
 
-/// A double as its own string, in AppendRoundTrip's 17-digit form
-/// (common/parse.h): printf("%.17g")'s bytes, produced by std::to_chars.
-/// The wire format for scores, probabilities and timings, and the text used
-/// in cache keys. Hot paths append into their response buffer instead.
+/// A double as its own string, in WriteRoundTrip's 17-digit form
+/// (common/parse.h): printf("%.17g")'s bytes, from the integer kernel or,
+/// outside its range, std::to_chars. The wire format for scores,
+/// probabilities and timings, and the text used in cache keys. Hot paths
+/// write into their response buffer instead.
 std::string FormatRoundTrip(double value);
+
+/// The most bytes one ranked row "rank node score\n" of a detect or truth
+/// response takes: a 64-bit rank, a NodeId and a score, each at its widest.
+inline constexpr std::size_t kMaxRankedRowBytes =
+    kMaxDecimalChars + 1 + (std::numeric_limits<NodeId>::digits10 + 1) + 1 +
+    kMaxRoundTripChars + 1;
+static_assert(kMaxRankedRowBytes == 20 + 1 + 10 + 1 + 24 + 1);
+
+/// Writes one ranked row, "rank node score\n", at `out`, which must have
+/// room for kMaxRankedRowBytes; returns one past the last byte written.
+char* WriteRankedRow(char* out, uint64_t rank, NodeId node, double score);
 
 /// Drops the wall-clock "time=<float>" token from one response line —
 /// the protocol's ONLY nondeterministic bytes. The canonical normalizer

@@ -217,26 +217,28 @@ void ServeSession::HandleSave(const ServeRequest& r, std::ostream& out) {
 
 namespace {
 
-// Room for one "rank node score\n" row: the score alone takes 19 bytes in
-// its usual 0.x form, 24 at the most.
-constexpr std::size_t kRowBytes = 40;
-
-// A response buffer sized for `rows` ranked rows behind its header line.
+// A response buffer with room for its header line and `rows` ranked rows.
 std::string ResponseBuffer(std::size_t rows) {
   std::string text;
-  text.reserve(128 + rows * kRowBytes);
+  text.reserve(128 + rows * kMaxRankedRowBytes + 2);
   return text;
 }
 
-// One ranked row: "rank node score\n".
-void AppendRankedRow(std::string* text, std::size_t rank, NodeId node,
-                     double score) {
-  AppendDecimal(text, rank);
-  text->push_back(' ');
-  AppendDecimal(text, node);
-  text->push_back(' ');
-  AppendRoundTrip(text, score);
-  text->push_back('\n');
+// Appends one ranked row per node, scored by `score_of(i)`, and the closing
+// ".\n". The rows are written by pointer into room sized for the widest row,
+// then the text is cut back to what was written.
+template <typename ScoreOf>
+void AppendRankedRows(std::string* text, const std::vector<NodeId>& nodes,
+                      ScoreOf score_of) {
+  const std::size_t start = text->size();
+  text->resize(start + nodes.size() * kMaxRankedRowBytes + 2);
+  char* at = text->data() + start;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    at = WriteRankedRow(at, i + 1, nodes[i], score_of(i));
+  }
+  *at++ = '.';
+  *at++ = '\n';
+  text->resize(static_cast<std::size_t>(at - text->data()));
 }
 
 }  // namespace
@@ -267,10 +269,8 @@ void ServeSession::HandleDetect(const ServeRequest& r, std::ostream& out) {
   text += " verified=";
   AppendDecimal(&text, result.verified_count);
   text += '\n';
-  for (std::size_t i = 0; i < result.topk.size(); ++i) {
-    AppendRankedRow(&text, i + 1, result.topk[i], result.scores[i]);
-  }
-  text += ".\n";
+  AppendRankedRows(&text, result.topk,
+                   [&](std::size_t i) { return result.scores[i]; });
   out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
@@ -301,10 +301,9 @@ void ServeSession::HandleTruth(const ServeRequest& r, std::ostream& out) {
   text += response->from_cache ? " cached=1 time=" : " cached=0 time=";
   AppendRoundTrip(&text, response->seconds);
   text += '\n';
-  for (std::size_t i = 0; i < top.size(); ++i) {
-    AppendRankedRow(&text, i + 1, top[i], truth.probabilities[top[i]]);
-  }
-  text += ".\n";
+  AppendRankedRows(&text, top, [&](std::size_t i) {
+    return truth.probabilities[top[i]];
+  });
   out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -152,6 +153,89 @@ TEST(FormatTest, RoundTripMatchesPrintfOnRandomBitPatterns) {
     ASSERT_TRUE(MatchesPrintfAndRoundTrips(std::bit_cast<double>(sign | mantissa)))
         << "subnormal " << i;
   }
+}
+
+// A double and the doubles one ulp either side of it.
+std::vector<double> WithNeighbours(double value) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return {std::nextafter(value, -kInf), value, std::nextafter(value, kInf)};
+}
+
+TEST(FormatTest, RoundTripMatchesPrintfAroundPowersOfTen) {
+  // Just below 10^q the digits carry into a new decimal exponent; the
+  // nearest double to 10^q is the closest call for the exponent estimate.
+  for (int q = -330; q <= 310; ++q) {
+    const double nearest = std::strtod(("1e" + std::to_string(q)).c_str(),
+                                       nullptr);
+    for (const double v : WithNeighbours(nearest)) {
+      ASSERT_TRUE(MatchesPrintfAndRoundTrips(v)) << "10^" << q;
+      ASSERT_TRUE(MatchesPrintfAndRoundTrips(-v)) << "-10^" << q;
+    }
+  }
+}
+
+TEST(FormatTest, RoundTripMatchesPrintfAroundPowersOfTwo) {
+  // Every binary exponent, subnormal to DBL_MAX's. Short dyadic values such
+  // as 2^-25 = 2.98023223876953125e-08 have exactly 18 significant digits
+  // ending in 5: a tie that printf rounds half to even.
+  for (int e = -1074; e <= 1023; ++e) {
+    for (const double v : WithNeighbours(std::ldexp(1.0, e))) {
+      ASSERT_TRUE(MatchesPrintfAndRoundTrips(v)) << "2^" << e;
+    }
+  }
+}
+
+TEST(FormatTest, RoundTripMatchesPrintfAtTheKernelRangeEdges) {
+  // The integer kernel covers [2^-50, 2^40); both sides of each edge.
+  for (const double edge : {std::ldexp(1.0, -50), std::ldexp(1.0, 40)}) {
+    for (const double v : WithNeighbours(edge)) {
+      EXPECT_TRUE(MatchesPrintfAndRoundTrips(v));
+      EXPECT_TRUE(MatchesPrintfAndRoundTrips(-v));
+    }
+  }
+}
+
+TEST(FormatTest, RoundTripMatchesPrintfOnProductsOfUniformDoubles) {
+  // Products of two uniform doubles: score-shaped values with full
+  // 53-bit mantissas, denser toward 0.
+  Rng rng(20261020);
+  for (int i = 0; i < 1000000; ++i) {
+    const double u = rng.NextDouble();
+    ASSERT_TRUE(MatchesPrintfAndRoundTrips(u * u)) << "product " << i;
+  }
+}
+
+TEST(FormatTest, RoundTripPinsItsCarryAndTieCases) {
+  const auto format = [](double value) {
+    std::string text;
+    AppendRoundTrip(&text, value);
+    return text;
+  };
+  // The double nearest 1e-16: 17 digits stay below 10^-16, 16 would carry.
+  EXPECT_EQ(format(0x1.cd2b297d889bcp-54), "9.9999999999999998e-17");
+  // The double nearest 1e-14 rounds up to 10^-14 itself.
+  EXPECT_EQ(format(0x1.6849b86a12b9bp-47), "1e-14");
+  // 10 and 100 sit one decimal exponent above the binary estimate.
+  EXPECT_EQ(format(10.0), "10");
+  EXPECT_EQ(format(100.5), "100.5");
+  // 2.98023223876953125e-08, a tie, rounds to the even last digit.
+  EXPECT_EQ(format(0x1p-25), "2.9802322387695312e-08");
+}
+
+TEST(FormatTest, WriteRoundTripStaysWithinItsBound) {
+  // The widest value fills kMaxRoundTripChars exactly; a heap buffer of
+  // that size lets a sanitizer build catch a write past it.
+  const std::vector<double> values = {-DBL_MIN, -0x1.fffffffffffffp-51,
+                                      -0x1.fffffffffffffp+39, -1e-5, 0.1};
+  for (const double v : values) {
+    std::vector<char> buf(kMaxRoundTripChars);
+    char* end = WriteRoundTrip(buf.data(), v);
+    ASSERT_LE(end - buf.data(), static_cast<std::ptrdiff_t>(buf.size()));
+    EXPECT_EQ(std::string(buf.data(), end), PrintfRoundTrip(v));
+  }
+  std::vector<char> buf(kMaxRoundTripChars);
+  EXPECT_EQ(WriteRoundTrip(buf.data(), -DBL_MIN) - buf.data(),
+            static_cast<std::ptrdiff_t>(kMaxRoundTripChars));
 }
 
 TEST(FormatTest, AppendDecimalAndCaseInsensitiveEquality) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 namespace vulnds::dyn {
 namespace {
 
+using testing::TestTempDir;
 using testing::TestTempPath;
 
 class JournalCompactTest : public ::testing::Test {
@@ -132,8 +134,12 @@ TEST_F(JournalCompactTest, ThresholdTriggersCompactionAndBoundsTheJournal) {
   ASSERT_TRUE(WriteGraphFile(testing::PaperExampleGraph(0.2), graph_path,
                              GraphFileFormat::kBinary)
                   .ok());
-  const std::string journal_path = TestTempPath("compact_bound.log");
-  std::remove(journal_path.c_str());
+  // A long directory: version records name their side files relative to
+  // the journal, so the bound below must not depend on this length.
+  const std::string journal_path =
+      TestTempDir("compact_bound_" + std::string(64, 'd')) +
+      "/compact_bound.log";
+  ASSERT_GE(journal_path.size(), 96u);
 
   constexpr std::size_t kThreshold = 2048;
   std::size_t max_bytes = 0;
@@ -157,9 +163,10 @@ TEST_F(JournalCompactTest, ThresholdTriggersCompactionAndBoundsTheJournal) {
     }
     EXPECT_GE(updates.stats().journal_compactions, 1u);
   }
-  // The bound: compaction keeps one version record (~a path + counters) per
-  // version. 40 versions of a 6-edge graph compact to well under 8 KiB;
-  // without compaction 120 op/commit records would blow far past it.
+  // The bound: compaction keeps one version record (~a file name +
+  // counters) per version. 40 versions of a 6-edge graph compact to well
+  // under 8 KiB; without compaction 120 op/commit records would blow far
+  // past it.
   EXPECT_LE(max_bytes, kThreshold + 2048) << "journal not bounded";
 
   // And the compacted journal still replays every version.
@@ -263,6 +270,89 @@ TEST_F(JournalCompactTest, AppendsAfterCompactionReplay) {
 
   server = Server{};
   ExpectRecoveredState(journal_path, {7, 6, 7}, 1);
+}
+
+// The payloads of the journal at `path`, as replay reads them.
+std::vector<std::string> ReadPayloads(const std::string& path) {
+  Result<std::unique_ptr<DeltaJournal>> journal = DeltaJournal::Open(path);
+  EXPECT_TRUE(journal.ok()) << journal.status().ToString();
+  if (!journal.ok()) return {};
+  return (*journal)->recovered();
+}
+
+// Replaces the journal at `path` with `payloads`.
+void WritePayloads(const std::string& path,
+                   const std::vector<std::string>& payloads) {
+  Result<std::unique_ptr<DeltaJournal>> journal = DeltaJournal::Open(path);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  ASSERT_TRUE((*journal)->ReplaceWith(payloads).ok());
+}
+
+TEST_F(JournalCompactTest, CompactedJournalMovesWithItsSideFiles) {
+  const std::string from = TestTempDir("compact_from");
+  const std::string graph_path = TestTempPath("compact_move_base.snap");
+  ASSERT_TRUE(WriteGraphFile(testing::PaperExampleGraph(0.2), graph_path,
+                             GraphFileFormat::kBinary)
+                  .ok());
+  {
+    serve::GraphCatalog catalog;
+    Result<std::unique_ptr<DeltaJournal>> journal =
+        DeltaJournal::Open(from + "/j.log");
+    ASSERT_TRUE(journal.ok());
+    UpdateManager updates(&catalog, journal->get());
+    ASSERT_TRUE(catalog.Load("g", graph_path).ok());
+    ASSERT_TRUE(updates.AddEdge("g", 4, 0, 0.5).ok());
+    ASSERT_TRUE(updates.Commit("g").ok());  // v1: 7 edges
+    ASSERT_TRUE(updates.DeleteEdge("g", 4, 0).ok());
+    ASSERT_TRUE(updates.Commit("g").ok());  // v2: 6 edges
+    ASSERT_TRUE(updates.CompactJournal().ok());
+  }
+  std::size_t version_records = 0;
+  for (const std::string& payload : ReadPayloads(from + "/j.log")) {
+    if (payload.rfind("version ", 0) != 0) continue;
+    ++version_records;
+    EXPECT_EQ(payload.find('/'), std::string::npos) << payload;
+  }
+  EXPECT_EQ(version_records, 2u);
+
+  // Move the directory: the records name side files beside the journal, so
+  // the journal replays from its new place.
+  const std::string to = TestTempPath("compact_to");
+  ASSERT_EQ(std::rename(from.c_str(), to.c_str()), 0);
+  ExpectRecoveredState(to + "/j.log", {7, 6}, 0);
+}
+
+TEST_F(JournalCompactTest, ReplaysTheFullSideFilePathsOfOlderJournals) {
+  Server server;
+  UpdateManager* updates = nullptr;
+  const std::string journal_path = BuildLineage("full", &updates, &server);
+  ASSERT_TRUE(updates->CompactJournal().ok());
+  server = Server{};
+
+  // Rewrite the compacted journal the way older ones were: each `version`
+  // record carries the absolute path of its side file, here in a directory
+  // apart from the journal's, so replay can only find it by that path.
+  const std::string elsewhere = TestTempDir("compact_full_sides");
+  const std::string journal_dir =
+      journal_path.substr(0, journal_path.find_last_of('/'));
+  std::vector<std::string> payloads = ReadPayloads(journal_path);
+  std::size_t rewritten = 0;
+  for (std::string& payload : payloads) {
+    if (payload.rfind("version ", 0) != 0) continue;
+    const std::size_t name_at = payload.find_last_of(' ') + 1;
+    const std::string name = payload.substr(name_at);
+    const std::string moved =
+        std::filesystem::absolute(elsewhere + "/" + name).string();
+    ASSERT_EQ(std::rename((journal_dir + "/" + name).c_str(), moved.c_str()),
+              0)
+        << name;
+    payload = payload.substr(0, name_at) + moved;
+    ++rewritten;
+  }
+  ASSERT_EQ(rewritten, 2u);
+  WritePayloads(journal_path, payloads);
+
+  ExpectRecoveredState(journal_path, {7, 6}, 1);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -296,6 +297,21 @@ std::vector<std::string> SplitOnSpace(const std::string& line) {
     begin = end + 1;
   }
   return tokens;
+}
+
+TEST(ProtocolTest, RankedRowFitsItsBoundAtTheWidestValues) {
+  // The widest rank, node and score fill kMaxRankedRowBytes exactly. The
+  // heap buffer has that size, so a sanitizer build catches a write past it.
+  std::vector<char> buf(kMaxRankedRowBytes);
+  char* end = WriteRankedRow(buf.data(), UINT64_MAX, UINT32_MAX,
+                             -2.2250738585072014e-308);
+  EXPECT_EQ(std::string(buf.data(), end),
+            "18446744073709551615 4294967295 -2.2250738585072014e-308\n");
+  EXPECT_EQ(end - buf.data(), static_cast<std::ptrdiff_t>(kMaxRankedRowBytes));
+
+  std::vector<char> usual(kMaxRankedRowBytes);
+  end = WriteRankedRow(usual.data(), 3, 17, 0.1);
+  EXPECT_EQ(std::string(usual.data(), end), "3 17 0.10000000000000001\n");
 }
 
 TEST(ProtocolTest, WhitespaceAndCommentsAreTokenBoundaries) {
