@@ -14,12 +14,19 @@
 // when distinct in-paths share an ancestor, because Equation 1 assumes
 // independent in-neighbor events. This matches the paper.
 //
+// One sweep per iteration. Bounds() iterates both recurrences together: each
+// iteration visits every node once and updates each bound that has not yet
+// reached its fixpoint, with that bound's own changed-gating. A bound's
+// values and its early exit depend only on its own state, so both come out
+// bit-identical to LowerBounds and UpperBounds run alone.
+//
 // Parallelism. Each Jacobi iteration reads only the previous iteration's
-// values and writes node v's slot alone, so the per-node sweep runs on the
-// pool with the samplers' discipline — static chunking over node ids, the
-// convergence flag folded in fixed (ascending-node) order afterwards — and
-// the returned bounds are bit-identical to the serial loop for any thread
-// count, including the early-fixpoint exit happening on the same iteration.
+// values and writes node v's slot alone, so a sweep runs on the pool as one
+// task per worker over a static chunk of node ids, the convergence flags
+// folded in fixed (ascending-node) order afterwards — and the returned bounds
+// are bit-identical to the serial loop for any thread count, including the
+// early-fixpoint exits happening on the same iterations. Graphs too small to
+// pay for a pool round sweep on the calling thread.
 
 #ifndef VULNDS_VULNDS_BOUNDS_H_
 #define VULNDS_VULNDS_BOUNDS_H_
@@ -47,6 +54,17 @@ Result<std::vector<double>> LowerBounds(const UncertainGraph& graph, int order,
 /// `pool` as in LowerBounds.
 Result<std::vector<double>> UpperBounds(const UncertainGraph& graph, int order,
                                         ThreadPool* pool = nullptr);
+
+/// Both order-z bounds, aligned with node ids.
+struct DefaultBounds {
+  std::vector<double> lower;  ///< Algorithm 2's pl(v)
+  std::vector<double> upper;  ///< Algorithm 3's pu(v)
+};
+
+/// Algorithms 2 and 3 in one sweep per iteration; bit-identical to
+/// LowerBounds and UpperBounds. Requires order >= 1; `pool` as there.
+Result<DefaultBounds> Bounds(const UncertainGraph& graph, int order,
+                             ThreadPool* pool = nullptr);
 
 }  // namespace vulnds
 

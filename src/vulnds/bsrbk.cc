@@ -1,6 +1,7 @@
 #include "vulnds/bsrbk.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -114,6 +115,21 @@ class BottomKFolder {
       return true;
     }
     return false;
+  }
+
+  /// The fewest MORE hash-order positions that must fold before the stop
+  /// can fire. A fold raises each count by at most one, so the stop waits
+  /// at least for the (needed - reached)-th smallest bk - count over the
+  /// unreached candidates: exact, where EstimateRemainingToStop guesses.
+  std::size_t StopFloor(std::vector<uint32_t>* scratch) const {
+    if (reached_ >= needed_) return 0;
+    scratch->clear();
+    for (std::size_t c = 0; c < counts_.size(); ++c) {
+      if (!stats_->reached_bk[c]) scratch->push_back(bk_ - counts_[c]);
+    }
+    const auto nth = scratch->begin() + (needed_ - reached_ - 1);
+    std::nth_element(scratch->begin(), nth, scratch->end());
+    return *nth;
   }
 
   /// Estimates how many MORE hash-order positions must fold before the stop
@@ -284,7 +300,8 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
 
   // Wave-parallel: materialize the bitmaps of the next wave of consecutive
   // hash-order positions in parallel (each task rebinds its pool thread's
-  // sampler and takes a contiguous slice of the wave), then fold serially.
+  // sampler and claims the wave's worlds one at a time from a shared
+  // cursor, so no task waits on a slice of slow worlds), then fold serially.
   // SampleWorld's memoization is per-world, so a world's bitmap and touch
   // count are pure in its seed — independent of which sampler materializes
   // it and of what that sampler processed before, in this query or another.
@@ -299,7 +316,8 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
   // Ramp state: starts at one world per worker and grows geometrically
   // regardless of what the estimate clamps each issued wave to, so a
   // transient underestimate (noisy early prefix frequency) costs one small
-  // wave, not a permanently stalled ramp.
+  // wave, not a permanently stalled ramp. The stop floor lifts every wave
+  // above it, so the first wave is bk worlds (capped) however wide the pool.
   std::size_t ramp_size = std::min(workers, cap);
 
   // Per-task telemetry of the current wave, summed in task order.
@@ -312,6 +330,7 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
   std::vector<std::vector<char>> wave_defaulted(cap);
   std::vector<std::size_t> wave_touched(cap, 0);
   std::vector<double> estimate_scratch;
+  std::vector<uint32_t> floor_scratch;
 
   std::size_t wave_begin = 0;
   while (wave_begin < t) {
@@ -324,18 +343,22 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
       // any work that the stop would not already save.
       wave = std::min(wave, std::max(workers, distance));
     }
+    // Every world short of the stop floor is sure to fold.
+    wave = std::min(cap, std::max(wave, folder.StopFloor(&floor_scratch)));
     ramp_size = std::min(cap, ramp_size * kRamp);
     const std::size_t count = std::min(wave, t - wave_begin);
     const std::size_t active = std::min(workers, count);
-    const std::size_t chunk = (count + active - 1) / active;
+    // Which task samples a world decides nothing but cost: the world's
+    // bitmap and touch count land in its slot, and the ParallelFor's
+    // completion publishes every slot to the fold.
+    std::atomic<std::size_t> cursor{0};
     pool->ParallelFor(active, [&](std::size_t w) {
       TaskTelemetry& task = tasks[w];
       task.built = false;
       ReverseSampler& sampler = TaskSampler(&caller_sampler, &task.built);
       task.built |= sampler.Bind(graph, candidates, columns, tier);
-      const std::size_t begin = w * chunk;
-      const std::size_t end = std::min(count, begin + chunk);
-      for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+           i < count; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
         wave_touched[i] = sampler.SampleWorld(
             WorldSeed(seed, order[wave_begin + i]), &wave_defaulted[i]);
       }

@@ -18,7 +18,9 @@
 // parallel, then folds the wave's counts serially in ascending hash order.
 // Each pool thread samples with the one ReverseSampler it keeps for its
 // lifetime, rebound to the query in O(1), so a warm pool builds no O(n)
-// sampler state per query.
+// sampler state per query. Within a wave the workers claim worlds one at a
+// time from a shared cursor, so a slow world holds up one worker, not a
+// whole slice.
 // The fold — and therefore the early-stop position, every counter, kth_hash,
 // samples_processed, nodes_touched and every estimate — is bit-identical to
 // the serial loop for any thread count and however the waves fall; only
@@ -27,20 +29,23 @@
 //
 // Wave scheduling. Equal-size waves would throw away all but one world of
 // the final wave, fully materialized, past every early stop. The schedule
-// instead estimates, before each wave, how many more hash-order positions
-// must fold before the stop fires:
-// each unreached candidate's default rate is bounded below by its prefix
-// frequency (count so far / positions folded — the gap between its current
-// bottom-k hash trajectory and the positions still pending) and, when the
-// caller supplies them, by its analytic lower bound (bounds.cc; the true
-// rate can only exceed a lower bound, so the per-candidate projection
-// (bk - count) / rate only OVERestimates the distance and clamping to it
-// never cuts a wave short of the stop systematically). The wave then ramps
-// geometrically — a probe of one world per worker, doubling while the
-// estimate is uncertain, up to workers × kWaveWorldsPerWorker once the stop
-// is provably far — and the final wave is clamped to the estimate.
-// Underestimates cost one extra ParallelFor round; they can never change a
-// result.
+// instead bounds, before each wave, how many more hash-order positions must
+// fold before the stop fires, from both sides:
+//  * the stop floor, exact: a fold raises each count by at most one, so no
+//    stop comes before the (needed - reached)-th smallest bk - count over
+//    the unreached candidates has folded. No wave is shorter, so the first
+//    wave is bk worlds;
+//  * the estimate: each unreached candidate's default rate is bounded
+//    below by its prefix frequency (count so far / positions folded) and,
+//    when the caller supplies them, by its analytic lower bound (bounds.cc;
+//    the true rate can only exceed a lower bound, so the per-candidate
+//    projection (bk - count) / rate only OVERestimates the distance and
+//    clamping to it never cuts a wave short of the stop systematically).
+// Between the two, the wave ramps geometrically — from one world per
+// worker, doubling while the estimate is uncertain, up to
+// workers × kWaveWorldsPerWorker once the stop is provably far — and the
+// final wave is clamped to the estimate. Underestimates cost one extra
+// ParallelFor round; they can never change a result.
 
 #ifndef VULNDS_VULNDS_BSRBK_H_
 #define VULNDS_VULNDS_BSRBK_H_

@@ -1,7 +1,5 @@
 #include "vulnds/coin_columns.h"
 
-#include <algorithm>
-
 #include "simd/coin_kernels.h"
 
 namespace vulnds {
@@ -22,9 +20,7 @@ void LayOut(const UncertainGraph& graph, CoinColumns* cols) {
   std::size_t total = 0;
   for (NodeId v = 0; v < n; ++v) {
     cols->pad_offsets[v] = total;
-    const std::size_t run = RoundUpToLanes(graph.InDegree(v));
-    cols->max_run = std::max(cols->max_run, run);
-    total += run;
+    total += RoundUpToLanes(graph.InDegree(v));
   }
   cols->pad_offsets[n] = total;
   cols->edge_inner.assign(total, 0);

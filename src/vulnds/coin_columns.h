@@ -55,8 +55,6 @@ struct CoinColumns {
   std::vector<NodeId> edge_neighbor;     ///< in-neighbor u of the arc (u, v)
   std::vector<uint64_t> node_inner;      ///< Mix64(v + C), size n
   std::vector<uint64_t> node_threshold;  ///< CoinThreshold(self_risk(v))
-  /// Longest padded run — the survivor-scratch capacity a sampler needs.
-  std::size_t max_run = 0;
 
   /// True when the graph is dense enough (average in-degree >= kCoinLanes)
   /// for the padded columns to beat direct per-arc coin evaluation. A pure

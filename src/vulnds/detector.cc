@@ -170,17 +170,15 @@ Status GetBounds(const UncertainGraph& graph, const DetectorOptions& o,
       return Status::OK();
     }
   }
-  Result<std::vector<double>> lo = LowerBounds(graph, o.bound_order, o.pool);
-  if (!lo.ok()) return lo.status();
-  Result<std::vector<double>> hi = UpperBounds(graph, o.bound_order, o.pool);
-  if (!hi.ok()) return hi.status();
+  Result<DefaultBounds> bounds = Bounds(graph, o.bound_order, o.pool);
+  if (!bounds.ok()) return bounds.status();
   if (ctx != nullptr) {
     ++ctx->reuse_misses;
-    *lower = &(ctx->lower_bounds[o.bound_order] = lo.MoveValue());
-    *upper = &(ctx->upper_bounds[o.bound_order] = hi.MoveValue());
+    *lower = &(ctx->lower_bounds[o.bound_order] = std::move(bounds->lower));
+    *upper = &(ctx->upper_bounds[o.bound_order] = std::move(bounds->upper));
   } else {
-    storage->first = lo.MoveValue();
-    storage->second = hi.MoveValue();
+    storage->first = std::move(bounds->lower);
+    storage->second = std::move(bounds->upper);
     *lower = &storage->first;
     *upper = &storage->second;
   }

@@ -58,9 +58,6 @@ bool ReverseSampler::Bind(const UncertainGraph& graph,
   columns_ = columns;
   tier_ = tier;
   coin_stats_ = {};
-  if (columns_ != nullptr && survivor_scratch_.size() < columns_->max_run) {
-    survivor_scratch_.resize(columns_->max_run);
-  }
   const std::size_t n = graph.num_nodes();
   if (n <= state_.size()) return false;
   // Exactly n zeroed entries: 0 is below every stamp in use, since both
@@ -90,6 +87,65 @@ bool ReverseSampler::NodeSelfDefaults(NodeId v) {
                         columns_->node_threshold[v]);
 }
 
+bool ReverseSampler::Reach(NodeId u) {
+  visited_[u] = visit_stamp_;
+  queue_.push_back(u);
+  // Line 7: reuse a previous conclusion about u in this sample.
+  switch (GetConclusion(u)) {
+    case Conclusion::kDefaulted:
+      return true;
+    case Conclusion::kSafe:
+      return false;
+    case Conclusion::kUnknown:
+      break;
+  }
+  // Lines 9-13: flip u's self-risk coin (memoized by world purity).
+  if (NodeSelfDefaults(u)) {
+    SetConclusion(u, Conclusion::kDefaulted);
+    return true;
+  }
+  return false;
+}
+
+bool ReverseSampler::Expand(NodeId u) {
+  // Lines 14-20 along u's surviving in-edges, each survivor reached in
+  // ascending arc order.
+  if (columns_ == nullptr) {
+    // Sparse graph below the density gate: direct per-arc coins.
+    for (const Arc& arc : graph_->InArcs(u)) {
+      ++coin_stats_.tail_coins;
+      if (!simd::CoinHits(edge_seed_, simd::CoinInnerHash(arc.edge),
+                          simd::CoinThreshold(arc.prob))) {
+        continue;
+      }
+      if (visited_[arc.neighbor] == visit_stamp_) continue;
+      if (Reach(arc.neighbor)) return true;
+    }
+    return false;
+  }
+  // The padded run's coins go through the batched kernel kArcChunk at a
+  // time, so a hub's run is flipped only up to the chunk holding the first
+  // default. Every chunk but the run's last is a whole number of lanes; the
+  // last ends at the run's real length, and the kernel reads its padding.
+  const std::size_t run_begin = columns_->pad_offsets[u];
+  const std::size_t degree = graph_->InDegree(u);
+  for (std::size_t chunk = 0; chunk < degree; chunk += kArcChunk) {
+    const std::size_t begin = run_begin + chunk;
+    const std::size_t survivors = simd::CoinSurvivorsPadded(
+        tier_, edge_seed_, columns_->edge_inner.data() + begin,
+        columns_->edge_threshold.data() + begin,
+        std::min(kArcChunk, degree - chunk), survivor_scratch_.data(),
+        &coin_stats_);
+    for (std::size_t s = 0; s < survivors; ++s) {
+      const NodeId neighbor =
+          columns_->edge_neighbor[begin + survivor_scratch_[s]];
+      if (visited_[neighbor] == visit_stamp_) continue;
+      if (Reach(neighbor)) return true;
+    }
+  }
+  return false;
+}
+
 bool ReverseSampler::EvaluateCandidate(NodeId v, std::size_t* touched) {
   // Algorithm 5 lines 2-20, one candidate.
   switch (GetConclusion(v)) {
@@ -105,71 +161,26 @@ bool ReverseSampler::EvaluateCandidate(NodeId v, std::size_t* touched) {
     visit_stamp_ = 1;
   }
   queue_.clear();
-  explored_.clear();
-  queue_.push_back(v);
-  visited_[v] = visit_stamp_;
-
-  bool found_default = false;
+  // Reach tests each node as it is queued, so the search ends on the first
+  // defaulted node in queue order without expanding the nodes queued ahead
+  // of it. A node's conclusion cannot change while it waits in the queue:
+  // only the default that ends the search, or the exhaustion below, sets
+  // one.
+  bool found_default = Reach(v);
   for (std::size_t head = 0; head < queue_.size() && !found_default; ++head) {
     const NodeId u = queue_[head];
-    ++*touched;
-    // Line 7: reuse a previous conclusion about u in this sample.
-    const Conclusion known = GetConclusion(u);
-    if (known == Conclusion::kDefaulted) {
-      found_default = true;
-      break;
-    }
-    if (known == Conclusion::kSafe) continue;  // dead region; do not expand
-    explored_.push_back(u);
-    // Lines 9-13: flip u's self-risk coin (memoized by world purity).
-    if (NodeSelfDefaults(u)) {
-      SetConclusion(u, Conclusion::kDefaulted);
-      found_default = true;
-      break;
-    }
-    // Lines 14-20: expand along surviving in-edges. The whole adjacency
-    // run's coins are evaluated in one batched-kernel call (worlds are pure,
-    // so testing a coin for an already-visited neighbor changes nothing);
-    // survivors come back in ascending arc order, and the visited check +
-    // push below runs in that order — the queue is byte-identical to the
-    // scalar loop's.
-    if (columns_ == nullptr) {
-      // Sparse graph below the density gate: direct per-arc coins, in the
-      // same ascending arc order as the padded kernel's survivor list.
-      for (const Arc& arc : graph_->InArcs(u)) {
-        ++coin_stats_.tail_coins;
-        if (!simd::CoinHits(edge_seed_, simd::CoinInnerHash(arc.edge),
-                            simd::CoinThreshold(arc.prob))) {
-          continue;
-        }
-        if (visited_[arc.neighbor] == visit_stamp_) continue;
-        visited_[arc.neighbor] = visit_stamp_;
-        queue_.push_back(arc.neighbor);
-      }
-    } else {
-      const std::size_t run_begin = columns_->pad_offsets[u];
-      const std::size_t survivors = simd::CoinSurvivorsPadded(
-          tier_, edge_seed_, columns_->edge_inner.data() + run_begin,
-          columns_->edge_threshold.data() + run_begin, graph_->InDegree(u),
-          survivor_scratch_.data(), &coin_stats_);
-      for (std::size_t s = 0; s < survivors; ++s) {
-        const NodeId neighbor =
-            columns_->edge_neighbor[run_begin + survivor_scratch_[s]];
-        if (visited_[neighbor] == visit_stamp_) continue;
-        visited_[neighbor] = visit_stamp_;
-        queue_.push_back(neighbor);
-      }
-    }
+    if (GetConclusion(u) == Conclusion::kSafe) continue;  // dead region
+    found_default = Expand(u);
   }
-
+  // A touch is a queued node, the one the search stopped on included.
+  *touched += queue_.size();
   if (found_default) {
     SetConclusion(v, Conclusion::kDefaulted);
     return true;
   }
-  // Exhausted without a default: the whole explored region is reverse-
+  // Exhausted without a default: the whole queued region is reverse-
   // unreachable from any defaulted node in this world.
-  for (const NodeId u : explored_) SetConclusion(u, Conclusion::kSafe);
-  SetConclusion(v, Conclusion::kSafe);
+  for (const NodeId u : queue_) SetConclusion(u, Conclusion::kSafe);
   return false;
 }
 

@@ -18,7 +18,7 @@
 //  * a node whose self-risk coin came up "default" is recorded as defaulted
 //    (the paper's line 13);
 //  * when a candidate's BFS exhausts without finding a default, every node
-//    it fully explored is recorded as non-defaulted — any later traversal
+//    it queued is recorded as non-defaulted — any later traversal
 //    entering that region can stop immediately, since reverse-reachability
 //    is transitive. This generalizes the paper's line-7 reuse of h-values.
 //
@@ -33,6 +33,7 @@
 #ifndef VULNDS_VULNDS_REVERSE_SAMPLER_H_
 #define VULNDS_VULNDS_REVERSE_SAMPLER_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -72,14 +73,31 @@ bool WorldEdgeSurvives(uint64_t world_seed, EdgeId e, double prob);
 /// queries and graphs, so no array is re-zeroed until its stamp wraps; the
 /// arrays are reallocated only for a graph larger than any seen so far.
 ///
-/// Coins run through the batched kernel layer (simd/coin_kernels.h): the
-/// whole in-arc run of a BFS node is tested per iteration against the
-/// precomputed CoinColumns, survivors pushed in ascending arc order, so the
-/// visitation order — and every result — is bit-identical to the scalar
-/// WorldEdgeSurvives loop for every tier.
+/// The goal test runs when a node is first reached, not when it leaves the
+/// BFS queue: the search ends at the first defaulted node in queue order,
+/// before expanding the nodes queued ahead of it. Queue order is the BFS
+/// order of a dequeue-time test, so every flag and every touch count is the
+/// same as there (tests/vulnds/reverse_sampler_test.cc keeps that search as
+/// an oracle). Edge coins run through the batched kernel layer
+/// (simd/coin_kernels.h) against the precomputed CoinColumns kArcChunk arcs
+/// at a time, survivors reached in ascending arc order, so a search that
+/// stops inside a hub's in-arc run flips at most one chunk past its stop
+/// and every result is bit-identical to the scalar WorldEdgeSurvives loop
+/// for every tier.
 class ReverseSampler {
  public:
   using Stamp = uint32_t;
+  /// In-arc coins flipped per kernel call: four AVX2 blocks, the widest
+  /// step of CoinSurvivorsPadded. On Facebook's worlds (21 in-arcs per node
+  /// on average) 32 ran about 30% slower. 8 ran about 15% faster, but it
+  /// saves the scalar tier more than the vector tiers: avx2 then led scalar
+  /// by only 1.29x on bench_parallel_detect's BSRBK cells (1.70x at 16),
+  /// below that bench's 1.5x gate.
+  static constexpr std::size_t kArcChunk = 16;
+  // Every chunk but a run's last must start on a lane boundary, where the
+  // kernel may read whole blocks; the last reads the run's padding.
+  static_assert(kArcChunk % simd::kCoinLanes == 0,
+                "CoinSurvivorsPadded reads whole kCoinLanes blocks");
   /// Bytes of per-node state a sampler holds for each node of the largest
   /// graph it has been bound to.
   static constexpr std::size_t kStateBytesPerNode = 2 * sizeof(Stamp);
@@ -120,6 +138,11 @@ class ReverseSampler {
 
   // Evaluates one candidate in the current sample; assumes stamps are set.
   bool EvaluateCandidate(NodeId v, std::size_t* touched);
+  // Marks u visited, queues it and tests it: true iff u is defaulted.
+  bool Reach(NodeId u);
+  // Reaches u's unvisited in-neighbors along surviving arcs, in arc order;
+  // true at the first defaulted one.
+  bool Expand(NodeId u);
 
   bool NodeSelfDefaults(NodeId v);
   Conclusion GetConclusion(NodeId v) const {
@@ -144,8 +167,7 @@ class ReverseSampler {
   std::vector<Stamp> state_;    // sample_stamp << 2 | Conclusion, per node
   std::vector<Stamp> visited_;  // visit stamp, per node
   std::vector<NodeId> queue_;
-  std::vector<NodeId> explored_;
-  std::vector<uint32_t> survivor_scratch_;
+  std::array<uint32_t, kArcChunk> survivor_scratch_;
   simd::CoinKernelStats coin_stats_;
 };
 

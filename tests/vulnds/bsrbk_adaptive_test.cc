@@ -1,4 +1,4 @@
-// Property tests for the wave scheduler (probe, ramp, stop-distance
+// Property tests for the wave scheduler (stop floor, ramp, stop-distance
 // clamp): for every thread count and every (honest or adversarial)
 // lower-bound hint, RunBottomKSampling must be bit-identical to the serial
 // loop. The schedule may only move wall-clock time and the worlds_wasted /
@@ -58,8 +58,8 @@ void ExpectBitIdentical(const BottomKRunStats& serial,
   }
 }
 
-// One through eight workers (the probe wave is one world per worker, so
-// each count shifts every wave boundary), plus the hardware width when it
+// One through eight workers (the ramp starts at one world per worker, so
+// each count shifts the wave boundaries), plus the hardware width when it
 // is wider.
 std::vector<std::size_t> SweptThreadCounts() {
   std::vector<std::size_t> counts = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -78,7 +78,7 @@ BottomKRunOptions AdaptiveRun(ThreadPool* pool,
 
 TEST(BsrbkAdaptiveTest, RampScheduleSweepIsBitIdentical) {
   // The hints DetectTopK passes: each candidate's order-2 lower bound.
-  // Worker count and seed shape every probe, ramp step and clamp; none of
+  // Worker count and seed shape every floor, ramp step and clamp; none of
   // them may matter.
   const UncertainGraph g = RingWithChords(40, 97);
   const std::vector<NodeId> candidates = AllNodes(g);
@@ -198,7 +198,7 @@ TEST(BsrbkAdaptiveTest, ExhaustedBudgetWastesNothing) {
 TEST(BsrbkAdaptiveTest, ShortStopWastesLessThanOneFullWave) {
   // The scheduler's reason to exist: a stop position far inside one
   // full-width wave. With 4 workers a full wave is 128 worlds, so equal
-  // full waves would waste 128 minus the stop position; the probe-and-clamp
+  // full waves would waste 128 minus the stop position; the floor-and-clamp
   // schedule wastes a handful. Deterministic given the seed, so a strict
   // inequality is safe to pin.
   const UncertainGraph g = RingWithChords(35, 19);

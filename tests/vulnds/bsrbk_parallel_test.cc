@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "simd/dispatch.h"
 #include "testing/test_graphs.h"
 #include "vulnds/bsrbk.h"
+#include "vulnds/coin_columns.h"
 #include "vulnds/detector.h"
 #include "vulnds/reverse_sampler.h"
 
@@ -61,8 +63,8 @@ void ExpectBitIdentical(const BottomKRunStats& serial,
 }
 
 // The thread counts every property below sweeps: serial-by-width through
-// eight workers (each count moves every wave boundary: the first wave is one
-// world per worker), plus the hardware width when it is wider.
+// eight workers (each count moves the wave boundaries: the ramp starts at
+// one world per worker), plus the hardware width when it is wider.
 std::vector<std::size_t> SweptThreadCounts() {
   std::vector<std::size_t> counts = {1, 2, 3, 4, 5, 6, 7, 8};
   const std::size_t hardware = std::thread::hardware_concurrency();
@@ -116,33 +118,39 @@ TEST(BsrbkParallelTest, WaveSizeNeverChangesResults) {
 
 // Every node defaults in every world (self-risk 1, no edges), so every
 // candidate reaches bk at hash-order position bk exactly, whatever the
-// seed. That makes the wave schedule predictable: with W workers the
-// first wave is a W-world probe (no estimate exists yet), after which each
-// candidate's prefix frequency is 1 and the next wave is clamped to
-// max(W, bk - W) worlds.
+// seed. That makes the wave schedule predictable: with W workers no wave is
+// shorter than the stop floor bk - (positions folded), and none longer than
+// the cap of 32W worlds (t and the bitmap bytes are far above it here). So
+// the first wave is min(bk, 32W) worlds; after it each candidate's prefix
+// frequency is 1, and the next wave is max(W, bk - 32W) worlds.
 UncertainGraph AlwaysDefaults(std::size_t n) {
   UncertainGraphBuilder b(n);
   for (NodeId v = 0; v < n; ++v) testing::CheckOk(b.SetSelfRisk(v, 1.0));
   return b.Build().MoveValue();
 }
 
+// The most worlds one wave takes with `workers` workers on AlwaysDefaults.
+std::size_t WaveCap(std::size_t workers) { return 32 * workers; }
+
 TEST(BsrbkParallelTest, EarlyStopOnWaveBoundaryEdgeCases) {
-  // The two hardest alignments, engineered per worker count W: bk = 2W
-  // stops on the LAST world of the second wave (nothing wasted), bk = W + 1
-  // on the FIRST world of the second wave (the rest of it, W - 1 worlds,
-  // wasted). Both must fold to the serial answer, and the telemetry must
-  // show that the alignment was actually hit.
+  // The two hardest alignments, engineered per worker count W past a first
+  // wave held at the cap: bk = cap + W stops on the LAST world of the second
+  // wave (nothing wasted), bk = cap + 1 on the FIRST world of the second
+  // wave (the rest of it, W - 1 worlds, wasted). Both must fold to the
+  // serial answer, and the telemetry must show that the alignment was
+  // actually hit.
   const UncertainGraph g = AlwaysDefaults(6);
   const std::vector<NodeId> candidates = AllNodes(g);
   const std::size_t t = 1000;
   for (const uint64_t seed : {3u, 31u, 314u}) {
     for (std::size_t workers = 2; workers <= 8; ++workers) {
       ThreadPool pool(workers);
+      const std::size_t cap = WaveCap(workers);
       const struct {
         int bk;
         std::size_t wasted;
-      } cases[] = {{static_cast<int>(2 * workers), 0},
-                   {static_cast<int>(workers + 1), workers - 1}};
+      } cases[] = {{static_cast<int>(cap + workers), 0},
+                   {static_cast<int>(cap + 1), workers - 1}};
       for (const auto& c : cases) {
         const std::string what = "seed=" + std::to_string(seed) +
                                  " workers=" + std::to_string(workers) +
@@ -158,6 +166,69 @@ TEST(BsrbkParallelTest, EarlyStopOnWaveBoundaryEdgeCases) {
         EXPECT_EQ(parallel->waves_issued, 2u) << what;
         EXPECT_EQ(parallel->worlds_wasted, c.wasted) << what;
       }
+    }
+  }
+}
+
+TEST(BsrbkParallelTest, FirstWaveCoversTheStopFloor) {
+  // No candidate can reach bk before bk worlds have folded, so with bk at
+  // least the worker count the first wave is bk worlds and the stop falls
+  // on its last world: one wave, nothing wasted.
+  const UncertainGraph g = AlwaysDefaults(6);
+  const std::vector<NodeId> candidates = AllNodes(g);
+  for (std::size_t workers = 2; workers <= 8; ++workers) {
+    ThreadPool pool(workers);
+    for (const std::size_t bk :
+         {workers, workers + 1, 2 * workers + 3, WaveCap(workers)}) {
+      if (bk < 3) continue;
+      const std::string what = "workers=" + std::to_string(workers) +
+                               " bk=" + std::to_string(bk);
+      const auto serial = RunBottomKSampling(g, candidates, 1000, 2,
+                                             static_cast<int>(bk), 5);
+      ASSERT_TRUE(serial.ok());
+      const auto parallel = RunBottomKSampling(
+          g, candidates, 1000, 2, static_cast<int>(bk), 5, {nullptr, &pool});
+      ASSERT_TRUE(parallel.ok());
+      ExpectBitIdentical(*serial, *parallel, what.c_str());
+      EXPECT_EQ(parallel->samples_processed, bk) << what;
+      EXPECT_EQ(parallel->waves_issued, 1u) << what;
+      EXPECT_EQ(parallel->worlds_wasted, 0u) << what;
+    }
+  }
+}
+
+TEST(BsrbkParallelTest, ClaimedCoinTelemetrySumsToTheSerialLoops) {
+  // Workers claim worlds one at a time, so which task samples which world
+  // varies from run to run, but each world's coins do not. With bk out of
+  // reach every world is folded and none wasted, so the per-task coin
+  // counts must sum to the serial loop's for every width and tier. The
+  // graph is dense enough for coin columns, so the batched kernel runs.
+  const UncertainGraph g = testing::RandomSmallGraph(60, 0.15, 8);
+  ASSERT_TRUE(CoinColumns::Worthwhile(g));
+  const std::vector<NodeId> candidates = AllNodes(g);
+  std::vector<simd::SimdTier> tiers = {simd::SimdTier::kScalar};
+  if (simd::Avx2Available()) tiers.push_back(simd::SimdTier::kAvx2);
+  for (const simd::SimdTier tier : tiers) {
+    BottomKRunOptions run;
+    run.simd_tier = tier;
+    const auto serial = RunBottomKSampling(g, candidates, 300, 1, 400, 21, run);
+    ASSERT_TRUE(serial.ok());
+    ASSERT_FALSE(serial->early_stopped);
+    for (const std::size_t threads : SweptThreadCounts()) {
+      ThreadPool pool(threads);
+      run.pool = &pool;
+      const auto parallel =
+          RunBottomKSampling(g, candidates, 300, 1, 400, 21, run);
+      ASSERT_TRUE(parallel.ok());
+      const std::string what = std::string(simd::SimdTierName(tier)) +
+                               " threads=" + std::to_string(threads);
+      ExpectBitIdentical(*serial, *parallel, what.c_str());
+      EXPECT_EQ(parallel->worlds_wasted, 0u) << what;
+      EXPECT_EQ(parallel->coin_stats.batched_coins,
+                serial->coin_stats.batched_coins)
+          << what;
+      EXPECT_EQ(parallel->coin_stats.tail_coins, serial->coin_stats.tail_coins)
+          << what;
     }
   }
 }

@@ -63,7 +63,8 @@ TEST(SimdIdentityTest, SampleOrderIsIdenticalAcrossTiers) {
 
 // The per-world reverse BFS BSRBK runs: each world's defaulted flags and
 // expansion count for worlds 0..t-1, split into contiguous slices with one
-// ReverseSampler per pool worker, as the bottom-k waves split them.
+// ReverseSampler per pool worker (the bottom-k waves let workers claim
+// worlds one at a time; a world's flags do not depend on who samples it).
 struct WorldFlags {
   std::vector<std::vector<char>> flags;
   std::vector<std::size_t> touched;
